@@ -14,7 +14,7 @@
 #include "common.hpp"
 
 #include "sparse/convert.hpp"
-#include "spgemm/hash_parallel.hpp"
+#include "spgemm/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
@@ -22,11 +22,11 @@ namespace {
 
 using namespace mclx;
 
-/// Real (wall-clock) scaling of parallel_hash_spgemm on this host:
-/// square the dataset's normalized adjacency at 1/2/4/8 pool threads.
+/// Real (wall-clock) scaling of the laned hash_spgemm on this host:
+/// square the dataset's normalized adjacency at 1/2/4/8 pool lanes.
 void print_pool_scaling(const gen::Dataset& data) {
   const auto a = sparse::csc_from_triples(data.graph.edges);
-  util::Table t("Shared-pool scaling — parallel_hash_spgemm(A*A), " +
+  util::Table t("Shared-pool scaling — hash_spgemm(A*A, lanes), " +
                 data.name + " (real wall time on this host, " +
                 std::to_string(std::thread::hardware_concurrency()) +
                 " hardware threads)");
@@ -35,9 +35,9 @@ void print_pool_scaling(const gen::Dataset& data) {
   for (const int nthreads : {1, 2, 4, 8}) {
     par::set_threads(nthreads);
     // Warm the pool (thread creation is not the kernel's cost).
-    auto warm = spgemm::parallel_hash_spgemm(a, a, nthreads);
+    auto warm = spgemm::hash_spgemm(a, a, nthreads);
     util::WallTimer wall;
-    const auto c = spgemm::parallel_hash_spgemm(a, a, nthreads);
+    const auto c = spgemm::hash_spgemm(a, a, nthreads);
     const double ms = wall.elapsed_s() * 1e3;
     if (nthreads == 1) base_ms = ms;
     t.row({std::to_string(nthreads), util::Table::fmt(ms, 2),

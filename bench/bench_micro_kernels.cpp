@@ -4,9 +4,10 @@
 // counters, the cost model's virtual time for the same multiply — so any
 // drift between "what we compute" and "what we charge" is visible in one
 // table.
-// The BM_Planted* pairs benchmark each SIMD-specced loop (accumulate,
-// prune threshold scan, inflate) against its scalar counterpart on the
-// same planted-partition workload — the tentpole's acceptance evidence.
+// The BM_Planted* pairs benchmark each SIMD-specced loop (prune
+// threshold scan, inflate) against its scalar counterpart on the same
+// planted-partition workload; BM_PlantedAccumScalar times the hash
+// accumulator alone.
 // Every benchmark also reports bytes/flop so the arithmetic-intensity
 // regime of each kernel (all far into memory-bound territory) is visible
 // next to its wall time.
@@ -24,8 +25,6 @@
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/hash_parallel.hpp"
-#include "spgemm/hash_simd.hpp"
 #include "spgemm/heap.hpp"
 #include "spgemm/kernels.hpp"
 #include "spgemm/spa.hpp"
@@ -116,8 +115,7 @@ void run_kernel(benchmark::State& state, spgemm::KernelKind kind,
   state.counters["model_us"] = model_time * 1e6;
   // Arithmetic intensity: bytes streamed through the kernel (both input
   // operands read, output written, index+value per entry) per flop. All
-  // SpGEMM regimes land well below 1 flop/byte — memory-bound, which is
-  // why the SIMD win comes from probe/layout locality, not FMA width.
+  // SpGEMM regimes land well below 1 flop/byte — memory-bound.
   const double entry_bytes = sizeof(vidx_t) + sizeof(val_t);
   state.counters["bytes_per_flop"] =
       static_cast<double>(2 * a.nnz() + out_nnz) * entry_bytes /
@@ -137,32 +135,15 @@ void BM_CpuSpa(benchmark::State& state) {
   run_kernel(state, spgemm::KernelKind::kCpuSpa,
              [](const C& a, const C& b) { return spgemm::spa_spgemm(a, b); });
 }
-/// The pooled kernel at an explicit thread count (second range arg), so
-/// one run shows the real multicore scaling curve next to the
-/// single-thread kernels. Genuine wall-clock speedup over BM_CpuHash is
-/// the tentpole's acceptance signal on multicore hosts.
+/// The hash kernel on an explicit lane count (second range arg) over a
+/// pool of that width, so one run shows the real multicore scaling curve
+/// next to the single-lane kernels.
 void BM_CpuHashPar(benchmark::State& state) {
   const auto nthreads = static_cast<int>(state.range(1));
   par::set_threads(nthreads);
-  run_kernel(state, spgemm::KernelKind::kCpuHashParallel,
+  run_kernel(state, spgemm::KernelKind::kCpuHash,
              [nthreads](const C& a, const C& b) {
-               return spgemm::parallel_hash_spgemm(a, b, nthreads);
-             });
-  state.counters["threads"] = static_cast<double>(nthreads);
-  par::set_threads(0);
-}
-/// The SIMD kernel across the same regimes × thread grid as BM_CpuHashPar.
-/// Its wall-clock edge over BM_CpuHashPar at equal threads is the
-/// measured crossover evidence behind HybridPolicy::min_simd_flops
-/// (docs/KERNELS.md describes the re-measurement protocol).
-void BM_CpuHashSimd(benchmark::State& state) {
-  const auto nthreads = static_cast<int>(state.range(1));
-  par::set_threads(nthreads);
-  spgemm::SimdSpgemmOptions opts;
-  opts.nthreads = nthreads;
-  run_kernel(state, spgemm::KernelKind::kCpuHashSimd,
-             [&opts](const C& a, const C& b) {
-               return spgemm::simd_hash_spgemm(a, b, opts);
+               return spgemm::hash_spgemm(a, b, nthreads);
              });
   state.counters["threads"] = static_cast<double>(nthreads);
   par::set_threads(0);
@@ -182,27 +163,24 @@ BENCHMARK(BM_CpuSpa)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CpuHashPar)
     ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CpuHashSimd)
-    ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GpuEsc)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GpuRmerge)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Scalar-vs-SIMD pairs on one planted-partition workload. Each pair runs
-// the identical fixed-lane computation; the scalar side is a plain loop,
-// so the delta is exactly what the vector backend buys. Compare the _Simd
+// Planted-partition workloads: the hash accumulator alone, and
+// scalar-vs-SIMD pairs for prune and inflate. Each pair runs the
+// identical fixed-lane computation; the scalar side is a plain loop, so
+// the delta is exactly what the vector backend buys. Compare the _Simd
 // rows against their _Scalar partners in a -DMCLX_SIMD_NATIVE=ON build
-// (the acceptance check; on a scalar-only build the pairs tie).
+// (on a scalar-only build the pairs tie).
 
-/// Two planted workloads spanning the accumulator's regimes. "family"
+/// Planted workloads spanning the accumulator's regimes. "family"
 /// (arg 0) keeps the defaults: dense protein families make A² products
 /// collide onto few rows, so accumulates are mostly *hits*. "noise"
 /// (arg 1) shrinks families and raises cross-family noise: products are
-/// mostly distinct rows, so accumulates are mostly *inserts* — the
-/// regime where group probing pays (one vector compare finds the empty
-/// lane that linear probing walks to). Early MCL iterations (cf near 1)
-/// look like "noise"; late, contracted ones like "family".
+/// mostly distinct rows, so accumulates are mostly *inserts*. Early MCL
+/// iterations (cf near 1) look like "noise"; late, contracted ones like
+/// "family".
 C planted_matrix(int workload) {
   gen::PlantedParams p;
   p.n = 1200;
@@ -217,7 +195,7 @@ C planted_matrix(int workload) {
     // table sizing spills L2 — heavy-tailed families make the worst
     // column's flops bound orders of magnitude above its output nnz, so
     // a table sized to flops is MBs while one sized to the output is
-    // KBs. This is the regime the reordered blocked kernel targets.
+    // KBs.
     p.n = 8000;
     p.mean_family = 80.0;
     p.max_family = 800;
@@ -232,9 +210,8 @@ const char* workload_name(int workload) {
 }
 
 /// Drives `table` through the full product stream of A·A: accumulate
-/// each output column, extract sorted, clear. Exactly the numeric phase
-/// both hash kernels run — no symbolic pass on either side, so the pair
-/// isolates the accumulator itself.
+/// each output column, extract sorted, clear. Exactly hash_spgemm's
+/// per-column loop, so the benchmark isolates the accumulator itself.
 template <typename Table>
 void planted_accum_loop(benchmark::State& state, const C& a, Table& table) {
   std::vector<vidx_t> rows;
@@ -282,44 +259,6 @@ void BM_PlantedAccumScalar(benchmark::State& state) {
   table.resize_for(static_cast<std::size_t>(max_f));
   planted_accum_loop(state, a, table);
 }
-void BM_PlantedAccumSimd(benchmark::State& state) {
-  const C a = planted_matrix(static_cast<int>(state.range(0)));
-  // SoA group-probing table sized to the worst *output* column (the
-  // blocked kernel's estimate-driven sizing; exact counts computed in
-  // setup, outside the timed loop).
-  const auto per_col = spgemm::symbolic_nnz_per_col(a, a);
-  std::uint64_t max_nnz = 0;
-  for (const auto c : per_col) max_nnz = std::max(max_nnz, c);
-  spgemm::detail::SimdHashAccumulator<vidx_t, val_t> table;
-  table.reset_capacity(static_cast<std::size_t>(max_nnz));
-  planted_accum_loop(state, a, table);
-  state.SetLabel(std::string(workload_name(static_cast<int>(state.range(0)))) +
-                 "/" + std::string(simd::backend()));
-}
-
-/// The reordered-kernel accumulator model: the *same* scalar AoS table
-/// as BM_PlantedAccumScalar, but driven the way spgemm/hash_reord.hpp
-/// drives it — operand RCM-permuted for locality and the table sized to
-/// the worst output column (cache-resident) instead of the worst
-/// column's flops bound. Compare against BM_PlantedAccumScalar on the
-/// "family" (hit-dominated) workload: the delta is what reordering +
-/// output-bound sizing buy, and it calibrates both the
-/// simd_hit_cf_threshold / reordered routing in the hybrid policy and
-/// the cost model's reord_rate_scale (docs/PERFORMANCE.md).
-void BM_PlantedAccumReord(benchmark::State& state) {
-  const C raw = planted_matrix(static_cast<int>(state.range(0)));
-  const auto perm = order::compute_order(order::OrderKind::kRcm, raw);
-  const C a = perm.apply_symmetric(raw);
-  const auto per_col = spgemm::symbolic_nnz_per_col(a, a);
-  std::uint64_t max_nnz = 0;
-  for (const auto c : per_col) max_nnz = std::max(max_nnz, c);
-  spgemm::detail::HashAccumulator<vidx_t, val_t> table;
-  table.reset_capacity(static_cast<std::size_t>(max_nnz));
-  planted_accum_loop(state, a, table);
-  state.SetLabel(std::string(workload_name(static_cast<int>(state.range(0)))) +
-                 "/rcm");
-}
-
 /// Ordering construction + symmetric application, the one-off cost a
 /// reordered run pays up front (arg: 0 = degree, 1 = rcm, 2 = cluster).
 void BM_ReorderPermute(benchmark::State& state) {
@@ -405,12 +344,6 @@ void BM_PlantedInflateSimd(benchmark::State& state) {
 }
 
 BENCHMARK(BM_PlantedAccumScalar)
-    ->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PlantedAccumSimd)
-    ->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PlantedAccumReord)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReorderPermute)

@@ -18,16 +18,11 @@
 #include "obs/json_writer.hpp"
 #include "obs/prof/hw_counters.hpp"
 #include "obs/prof/roofline.hpp"
-#include "order/order.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/hash_parallel.hpp"
-#include "spgemm/hash_reord.hpp"
-#include "spgemm/hash_simd.hpp"
 #include "svc/scheduler.hpp"
 #include "util/parallel.hpp"
-#include "util/simd.hpp"
 
 int main(int argc, char** argv) try {
   using namespace mclx;
@@ -40,8 +35,8 @@ int main(int argc, char** argv) try {
   const int nodes = static_cast<int>(cli.get_int("nodes", 4,
       "simulated Summit nodes"));
   const int nthreads = static_cast<int>(cli.get_int("threads", 4,
-      "pool threads (fixed default: hybrid selection must not depend on "
-      "the machine running the gate)"));
+      "pool threads (fixed default: the real.* lane timings compare like "
+      "for like across gate hosts)"));
   if (cli.help_requested()) {
     std::cout << cli.usage();
     return 0;
@@ -110,8 +105,11 @@ int main(int argc, char** argv) try {
   // machine-dependent (a different CPU has different caches), so the
   // whole block is gate-ignored like "real." (perf_diff skips "prof.");
   // unavailable counters land as -1 sentinels so the schema is stable
-  // across privileged and unprivileged runners.
-  w.field("schema_version", std::uint64_t{8});
+  // across privileged and unprivileged runners. Version 9: one hash
+  // kernel — real.spgemm_par_s times hash_spgemm on `threads` lanes, the
+  // real.spgemm_simd_* / real.spgemm_reord_* fields are gone, and the
+  // prof block audits cpu-hash only.
+  w.field("schema_version", std::uint64_t{9});
   w.field("bench", "bench_regression");
 
   w.begin_object("workload");
@@ -278,55 +276,25 @@ int main(int argc, char** argv) try {
   w.field("virtual_latency_max_s", svc_virtual ? svc_virtual->max() : 0.0);
   w.end_object();
 
-  // Genuine multicore measurement on the gate's host: the sequential
-  // hash kernel vs the pooled kernel on A*A of the workload graph.
+  // Genuine multicore measurement on the gate's host: the hash kernel on
+  // one lane vs on `threads` lanes, on A*A of the workload graph.
   // Machine-dependent by nature (like real_wall_s) — recorded for the
   // trajectory, ignored by the perf gate ("real." prefix).
   {
     const auto a = sparse::csc_from_triples(graph.edges);
-    auto warm = spgemm::parallel_hash_spgemm(a, a, nthreads);  // pool warmup
+    auto warm = spgemm::hash_spgemm(a, a, nthreads);  // pool warmup
     util::WallTimer seq_wall;
     const auto c_seq = spgemm::hash_spgemm(a, a);
     const double seq_s = seq_wall.elapsed_s();
     util::WallTimer par_wall;
-    const auto c_par = spgemm::parallel_hash_spgemm(a, a, nthreads);
+    const auto c_par = spgemm::hash_spgemm(a, a, nthreads);
     const double par_s = par_wall.elapsed_s();
-    util::WallTimer simd_wall;
-    const auto c_simd = spgemm::simd_hash_spgemm(a, a);
-    const double simd_s = simd_wall.elapsed_s();
     w.begin_object("real");
     w.field("spgemm_seq_s", seq_s);
     w.field("spgemm_par_s", par_s);
     w.field("spgemm_par_threads", nthreads);
     w.field("spgemm_speedup", par_s > 0 ? seq_s / par_s : 0.0);
     w.field("spgemm_nnz_match", c_seq.nnz() == c_par.nnz());
-    w.field("spgemm_simd_s", simd_s);
-    w.field("spgemm_simd_backend", simd::backend());
-    // The fixed-lane spec's promise, checked on every gate run: the
-    // SIMD kernel's output is bitwise the scalar kernel's.
-    w.field("spgemm_simd_bitmatch", c_simd.colptr() == c_seq.colptr() &&
-                                        c_simd.rowids() == c_seq.rowids() &&
-                                        c_simd.vals() == c_seq.vals());
-    // Reordering: one-off RCM ordering + permute cost, then the blocked
-    // kernel on the permuted operand against the reference hash kernel
-    // on the same operand (bitwise contract checked on every gate run).
-    util::WallTimer order_wall;
-    const auto rcm = order::compute_order(order::OrderKind::kRcm, a);
-    const auto pa = rcm.apply_symmetric(a);
-    const double order_s = order_wall.elapsed_s();
-    util::WallTimer reord_wall;
-    const auto c_reord = spgemm::reord_hash_spgemm(pa, pa);
-    const double reord_s = reord_wall.elapsed_s();
-    const auto c_pref = spgemm::hash_spgemm(pa, pa);
-    w.field("spgemm_reord_order_s", order_s);
-    w.field("spgemm_reord_s", reord_s);
-    w.field("spgemm_reord_bitmatch", c_reord.colptr() == c_pref.colptr() &&
-                                         c_reord.rowids() == c_pref.rowids() &&
-                                         c_reord.vals() == c_pref.vals());
-    w.field("spgemm_reord_bandwidth_before",
-            order::pattern_bandwidth(a));
-    w.field("spgemm_reord_bandwidth_after",
-            order::pattern_bandwidth(pa));
     // Saturation throughput and scheduling latency of the svc block's
     // six-job run: wall-clock, so machine-dependent like everything
     // else here.
@@ -349,13 +317,12 @@ int main(int argc, char** argv) try {
     w.end_object();
   }
 
-  // Roofline audit (schema v8, gate-ignored "prof."): the three routed
-  // CPU hash kernels on the hub workload — the heavy-tailed regime whose
-  // flops-bound table sizing spills L2, i.e. exactly where the SIMD and
-  // reordered routing constants claim their DRAM-traffic advantage
-  // (docs/COSTMODEL.md "Roofline audit"). Counter windows joined with
-  // the frozen bytes/flop predictions via obs::publish_roofline; on the
-  // no-op backend every measured channel is a -1 sentinel.
+  // Roofline audit (gate-ignored "prof."): the CPU hash kernel on the
+  // hub workload — the heavy-tailed regime whose flops-bound table
+  // sizing spills L2 (docs/COSTMODEL.md "Roofline audit"). The counter
+  // window is joined with the frozen bytes/flop prediction via
+  // obs::publish_roofline; on the no-op backend every measured channel
+  // is a -1 sentinel.
   {
     gen::PlantedParams hp;
     hp.n = 8000;
@@ -375,11 +342,6 @@ int main(int argc, char** argv) try {
       obs::publish_roofline(prof_registry, kernel, hub_flops, counters.read());
     };
     window("cpu-hash", [&] { return spgemm::hash_spgemm(hub, hub); });
-    window("cpu-hash-simd", [&] { return spgemm::simd_hash_spgemm(hub, hub); });
-    const auto rcm = order::compute_order(order::OrderKind::kRcm, hub);
-    const auto hub_rcm = rcm.apply_symmetric(hub);  // flops are permutation-invariant
-    window("cpu-hash-reord",
-           [&] { return spgemm::reord_hash_spgemm(hub_rcm, hub_rcm); });
 
     const obs::HwCounters probe;
     w.begin_object("prof");
@@ -392,10 +354,11 @@ int main(int argc, char** argv) try {
     w.field("audit_nnz", audit_nnz);
     w.end_object();
     w.begin_object("hw");
-    for (const char* kernel : {"cpu-hash", "cpu-hash-simd", "cpu-hash-reord"}) {
+    {
+      const std::string kernel = "cpu-hash";
       const auto channel = [&](const std::string& name) {
         const obs::Accumulator* a = prof_registry.accumulator(
-            "prof.hw." + std::string(kernel) + "." + name);
+            "prof.hw." + kernel + "." + name);
         return a != nullptr ? a->mean() : -1.0;
       };
       w.begin_object(kernel, obs::JsonWriter::Style::kCompact);

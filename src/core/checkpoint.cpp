@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,14 @@ constexpr char kMagicV2[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '2'};
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
+}
+
+/// Most elements reserved up front on the header's word alone: a
+/// truncated or hostile file must fail as "truncated file", not as an
+/// allocation of whatever count its header claims.
+std::size_t trusted_reserve(std::uint64_t claimed) {
+  return static_cast<std::size_t>(
+      std::min(claimed, std::uint64_t{1} << 20));
 }
 
 template <typename T>
@@ -77,7 +86,7 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
   if (nrows < 0 || ncols < 0 || cp.completed_iterations < 0)
     fail("corrupt header in " + path);
   cp.matrix = sparse::Triples<vidx_t, val_t>(nrows, ncols);
-  cp.matrix.reserve(nnz);
+  cp.matrix.reserve(trusted_reserve(nnz));
   for (std::uint64_t e = 0; e < nnz; ++e) {
     const auto row = read_pod<vidx_t>(in);
     const auto col = read_pod<vidx_t>(in);
@@ -90,7 +99,7 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
     const auto perm_size = read_pod<std::uint64_t>(in);
     if (perm_size != 0 && perm_size != static_cast<std::uint64_t>(nrows))
       fail("corrupt permutation in " + path);
-    cp.order_perm.reserve(perm_size);
+    cp.order_perm.reserve(trusted_reserve(perm_size));
     for (std::uint64_t v = 0; v < perm_size; ++v) {
       const auto p = read_pod<vidx_t>(in);
       if (p < 0 || p >= nrows) fail("permutation entry out of range in " + path);

@@ -306,9 +306,6 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     opt.pipelined = config.pipelined;
     opt.binary_merge = config.binary_merge;
     opt.kernel = config.kernel;
-    // The operand is in reordered space: let the hybrid policy consider
-    // the blocked locality kernel for hit-dominated multiplies.
-    if (permuted) opt.kernel.hybrid.reordered = true;
     opt.phases = plan.phases;
     opt.cf_estimate = rep.cf;
     const PruneParams prune = params.prune;

@@ -23,6 +23,9 @@ std::string lower(std::string s) {
   throw std::runtime_error("matrix market: " + what);
 }
 
+/// Most entries reserved up front on the header's word alone.
+constexpr std::uint64_t kMaxTrustedReserve = std::uint64_t{1} << 20;
+
 }  // namespace
 
 MmTriples read_matrix_market(std::istream& in) {
@@ -61,10 +64,15 @@ MmTriples read_matrix_market(std::istream& in) {
   // symmetric mirrors included, so sort_and_combine sees identical input
   // at any thread count. Lanes must not throw (they cross the pool
   // boundary), so parse errors are collected per chunk and the earliest
-  // one is rethrown afterwards.
-  std::vector<std::string> entry_lines(entries);
+  // one is rethrown afterwards. The header's entry count is untrusted
+  // until that many lines have actually been read, so the buffer grows
+  // with the input instead of being sized from the claim.
+  std::vector<std::string> entry_lines;
+  entry_lines.reserve(
+      static_cast<std::size_t>(std::min(entries, kMaxTrustedReserve)));
   for (std::uint64_t e = 0; e < entries; ++e) {
-    if (!std::getline(in, entry_lines[e])) fail("unexpected end of entries");
+    if (!std::getline(in, entry_lines.emplace_back()))
+      fail("unexpected end of entries");
   }
 
   using TripleT = MmTriples::triple_type;

@@ -64,7 +64,6 @@
 #include "sparse/submatrix.hpp"
 #include "sparse/triples.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/hash_parallel.hpp"
 #include "spgemm/heap.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"

@@ -10,14 +10,8 @@ namespace mclx::obs {
 RooflinePrediction predicted_bytes_per_flop(std::string_view kernel) {
   // Frozen constants, calibrated on the bench_micro_kernels hub workload
   // (planted_matrix(2): the L2-spilling regime where DRAM traffic is the
-  // story) and documented in docs/COSTMODEL.md "Roofline audit". The
-  // ordering is the claim under audit: reordering must cut traffic below
-  // the scalar hash kernel, SIMD sits between (same access pattern as
-  // scalar, denser probe tables).
+  // story) and documented in docs/COSTMODEL.md "Roofline audit".
   if (kernel == "cpu-hash") return {0.48, true};
-  if (kernel == "cpu-hash-par") return {0.48, true};  // same kernel, pooled
-  if (kernel == "cpu-hash-simd") return {0.40, true};
-  if (kernel == "cpu-hash-reord") return {0.32, true};
   if (kernel == "cpu-heap") return {0.72, true};  // heap churn, no reuse
   if (kernel == "cpu-spa") return {0.95, true};   // dense accumulator sweeps
   return {};  // GPU-library kernels: traffic is on a device we don't count

@@ -5,10 +5,9 @@
 // (`memory.phase_bytes`). The measured side is counter-derived DRAM
 // traffic — LLC misses × cache-line bytes — per flop; the predicted
 // side is a frozen per-kernel constant documented in docs/COSTMODEL.md
-// ("Roofline audit" table). A drifting `simd_rate_scale` /
-// `reord_rate_scale` routing constant now shows up as a growing
-// `prof.hw.<kernel>.bytes_per_flop.rel_error` in the perf baseline,
-// instead of being invisible behind wall time.
+// ("Roofline audit" table). A drifting traffic constant shows up as a
+// growing `prof.hw.<kernel>.bytes_per_flop.rel_error` in the perf
+// baseline, instead of being invisible behind wall time.
 #pragma once
 
 #include <cstdint>

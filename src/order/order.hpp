@@ -1,8 +1,7 @@
 // Locality orderings for the MCL pipeline (ROADMAP item 1's second
 // half, after arXiv:2507.21253): permute the graph so the rows an
 // output column's products collide on sit close together, shrinking the
-// hash accumulator's working set for the blocked kernels
-// (spgemm/hash_reord.hpp). Three strategies, all deterministic:
+// hash accumulator's working set. Three strategies, all deterministic:
 //
 //   degree   sort vertices by (degree, id) — cheap, groups hubs
 //   rcm      reverse Cuthill–McKee BFS — minimizes pattern bandwidth

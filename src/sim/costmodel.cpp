@@ -49,25 +49,9 @@ vtime_t CostModel::local_spgemm(spgemm::KernelKind kind, std::uint64_t flops,
   const auto f = static_cast<double>(flops);
   switch (kind) {
     case spgemm::KernelKind::kCpuHash:
-    // The pooled kernel runs the same per-column hash work; its thread
-    // scaling is already the cpu_threads() factor in the denominator.
-    case spgemm::KernelKind::kCpuHashParallel:
+      // The simulated rank's thread scaling is the cpu_threads() factor;
+      // the host pool lanes that compute the real product never show.
       return f / (m_.cpu_core_rate_flops / m_.work_scale * cpu_threads());
-    case spgemm::KernelKind::kCpuHashSimd:
-      // Vectorized probing + estimate-sized blocked accumulators: the
-      // same O(flops) hash work at a fixed lane-level throughput factor
-      // (a model constant, never runtime ISA detection, so virtual
-      // trajectories stay machine-independent; calibrated against the
-      // bench_micro_kernels scalar-vs-SIMD ratio on AVX2).
-      return f / (m_.cpu_core_rate_flops / m_.work_scale * cpu_threads() *
-                  simd_rate_scale);
-    case spgemm::KernelKind::kCpuHashReord:
-      // Scalar probing over cache-resident blocked tables on reordered
-      // operands. Like simd_rate_scale a fixed model constant (never
-      // runtime cache probing), calibrated against BM_PlantedAccumReord
-      // vs BM_PlantedAccumScalar on the hit-dominated planted workload.
-      return f / (m_.cpu_core_rate_flops / m_.work_scale * cpu_threads() *
-                  reord_rate_scale);
     case spgemm::KernelKind::kCpuSpa:
       // SPA pays O(nrows) column resets; model as hash with a 15% haircut.
       return 1.15 * f / (m_.cpu_core_rate_flops / m_.work_scale * cpu_threads());

@@ -74,14 +74,6 @@ class CostModel {
 
   // Tunable kernel-level constants (public so ablation benches can sweep).
   double heap_rate_scale = 1.0;   ///< multiplies the heap comparison rate
-  /// Lane-level throughput factor of the cpu-hash-simd kernel over
-  /// cpu-hash-par. A fixed model constant (not runtime ISA detection:
-  /// virtual time must not depend on the machine running the gate).
-  double simd_rate_scale = 1.6;
-  /// Throughput factor of cpu-hash-reord over cpu-hash-par on reordered
-  /// hit-dominated operands (blocked cache-resident scalar probing).
-  /// Fixed constant for the same machine-independence reason.
-  double reord_rate_scale = 1.35;
   double merge_rate_elems = 1.2e9; ///< merged elems/s/core
   double prune_rate = 3e9;        ///< entries/s/core
   double inflate_rate = 1.5e9;    ///< entries/s/core

@@ -8,6 +8,13 @@
 // is why it wins over the heap kernel once cf (and column density) grows.
 // The table is allocated once at the max per-column bound and reused
 // across columns, matching the per-thread reuse in the original code.
+//
+// Lanes: the output columns can be split into flops-balanced contiguous
+// ranges that run as lanes of the shared pool (util/parallel.hpp), each
+// with its own table and its own output arrays, stitched together in
+// lane order afterwards. Every column runs the same loop body with the
+// same accumulate() order and is extracted sorted by row id, so the
+// result is bitwise the one-lane result at any lane count.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +25,7 @@
 
 #include "obs/mem.hpp"
 #include "sparse/csc.hpp"
+#include "util/parallel.hpp"
 
 namespace mclx::spgemm {
 
@@ -35,23 +43,6 @@ class HashAccumulator {
       slots_.assign(want, Slot{});
       mask_ = want - 1;
     }
-  }
-
-  /// Grow-or-shrink to the exact capacity for `max_entries` (load factor
-  /// ≤ 1/2). The blocked kernels (spgemm/blocked.hpp) re-target the
-  /// table per column block so the probe working set tracks the block's
-  /// real output size — resizing *down* is the point.
-  void reset_capacity(std::size_t max_entries) {
-    const std::size_t want =
-        std::bit_ceil(std::max<std::size_t>(2 * max_entries, 16));
-    if (want == slots_.size()) return;
-    slots_.assign(want, Slot{});
-    mask_ = want - 1;
-  }
-
-  /// Grow-only guard (used per column when the size hint undershot).
-  void ensure_capacity(std::size_t max_entries) {
-    resize_for(max_entries);
   }
 
   void clear_touched() {
@@ -84,8 +75,6 @@ class HashAccumulator {
   std::uint64_t capacity_bytes() const {
     return static_cast<std::uint64_t>(slots_.size()) * sizeof(Slot);
   }
-
-  std::size_t capacity_slots() const { return slots_.size(); }
 
   /// Append (sorted by row) entries into the output arrays.
   void extract_sorted(std::vector<IT>& rowids, std::vector<VT>& vals) {
@@ -122,36 +111,65 @@ class HashAccumulator {
   std::size_t mask_ = 0;
 };
 
-}  // namespace detail
-
-/// C = A * B with per-column hash accumulation.
+/// Greedy contiguous partition of columns into `parts` ranges with
+/// roughly equal flops. Returns parts+1 boundaries. Boundary i is placed
+/// at the first prefix reaching target_i = total*i/parts — computed per
+/// boundary without the truncation drift of (total/parts)*i, which loses
+/// up to parts-1 flops per boundary and systematically overloads the
+/// last lane on skewed MCL columns.
 template <typename IT, typename VT>
-sparse::Csc<IT, VT> hash_spgemm(const sparse::Csc<IT, VT>& a,
-                                const sparse::Csc<IT, VT>& b) {
-  if (a.ncols() != b.nrows())
-    throw std::invalid_argument("hash_spgemm: inner dimension mismatch");
-  const IT nrows = a.nrows();
+std::vector<IT> partition_columns_by_flops(const sparse::Csc<IT, VT>& a,
+                                           const sparse::Csc<IT, VT>& b,
+                                           int parts) {
   const IT ncols = b.ncols();
+  std::vector<std::uint64_t> col_flops(static_cast<std::size_t>(ncols), 0);
+  std::uint64_t total = 0;
+  for (IT j = 0; j < ncols; ++j) {
+    std::uint64_t f = 0;
+    for (IT k : b.col_rows(j)) f += static_cast<std::uint64_t>(a.col_nnz(k));
+    col_flops[static_cast<std::size_t>(j)] = f;
+    total += f;
+  }
+  std::vector<IT> bounds;
+  bounds.push_back(0);
+  std::uint64_t running = 0;
+  for (IT j = 0; j < ncols && static_cast<int>(bounds.size()) < parts; ++j) {
+    running += col_flops[static_cast<std::size_t>(j)];
+    const auto target = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(total) *
+        static_cast<std::uint64_t>(bounds.size()) /
+        static_cast<std::uint64_t>(parts));
+    if (running >= target && j + 1 < ncols) bounds.push_back(j + 1);
+  }
+  while (static_cast<int>(bounds.size()) < parts) bounds.push_back(ncols);
+  bounds.push_back(ncols);
+  return bounds;
+}
 
+/// Output columns [j0, j1) of C = A * B. `colptr` receives j1 - j0 + 1
+/// offsets starting at 0 into `rowids`/`vals`. One table, sized for the
+/// range's worst column and charged to the ledger once, serves every
+/// column of the range.
+template <typename IT, typename VT>
+void hash_columns(const sparse::Csc<IT, VT>& a, const sparse::Csc<IT, VT>& b,
+                  IT j0, IT j1, std::vector<IT>& colptr,
+                  std::vector<IT>& rowids, std::vector<VT>& vals) {
   // Upper bound on any column's intermediate-product count.
   std::uint64_t max_col_flops = 0;
-  for (IT j = 0; j < ncols; ++j) {
+  for (IT j = j0; j < j1; ++j) {
     std::uint64_t f = 0;
     for (IT k : b.col_rows(j)) f += static_cast<std::uint64_t>(a.col_nnz(k));
     max_col_flops = std::max(max_col_flops, f);
   }
 
-  detail::HashAccumulator<IT, VT> table;
+  HashAccumulator<IT, VT> table;
   table.resize_for(static_cast<std::size_t>(
       std::min<std::uint64_t>(max_col_flops,
-                              static_cast<std::uint64_t>(nrows))));
+                              static_cast<std::uint64_t>(a.nrows()))));
   obs::MemScope table_mem("spgemm.hash_table", table.capacity_bytes());
 
-  std::vector<IT> colptr(static_cast<std::size_t>(ncols) + 1, 0);
-  std::vector<IT> rowids;
-  std::vector<VT> vals;
-
-  for (IT j = 0; j < ncols; ++j) {
+  colptr.assign(static_cast<std::size_t>(j1 - j0) + 1, 0);
+  for (IT j = j0; j < j1; ++j) {
     const auto bk = b.col_rows(j);
     const auto bv = b.col_vals(j);
     for (std::size_t p = 0; p < bk.size(); ++p) {
@@ -165,9 +183,64 @@ sparse::Csc<IT, VT> hash_spgemm(const sparse::Csc<IT, VT>& a,
     }
     table.extract_sorted(rowids, vals);
     table.clear_touched();
-    colptr[static_cast<std::size_t>(j) + 1] = static_cast<IT>(rowids.size());
+    colptr[static_cast<std::size_t>(j - j0) + 1] =
+        static_cast<IT>(rowids.size());
   }
-  return sparse::Csc<IT, VT>(nrows, ncols, std::move(colptr),
+}
+
+}  // namespace detail
+
+/// C = A * B with per-column hash accumulation over `lanes` flops-
+/// balanced column ranges on the shared pool (capped at the column
+/// count). lanes <= 1 runs the whole product sequentially on the caller.
+template <typename IT, typename VT>
+sparse::Csc<IT, VT> hash_spgemm(const sparse::Csc<IT, VT>& a,
+                                const sparse::Csc<IT, VT>& b, int lanes = 1) {
+  if (a.ncols() != b.nrows())
+    throw std::invalid_argument("hash_spgemm: inner dimension mismatch");
+  const IT ncols = b.ncols();
+  if (static_cast<IT>(lanes) > ncols) lanes = static_cast<int>(ncols);
+
+  std::vector<IT> colptr;
+  std::vector<IT> rowids;
+  std::vector<VT> vals;
+  if (lanes <= 1) {
+    detail::hash_columns(a, b, IT{0}, ncols, colptr, rowids, vals);
+    return sparse::Csc<IT, VT>(a.nrows(), ncols, std::move(colptr),
+                               std::move(rowids), std::move(vals));
+  }
+
+  struct Part {
+    std::vector<IT> colptr;
+    std::vector<IT> rowids;
+    std::vector<VT> vals;
+  };
+  const auto bounds = detail::partition_columns_by_flops(a, b, lanes);
+  std::vector<Part> parts(static_cast<std::size_t>(lanes));
+  par::pool().run(lanes, [&](int t) {
+    Part& part = parts[static_cast<std::size_t>(t)];
+    detail::hash_columns(a, b, bounds[static_cast<std::size_t>(t)],
+                         bounds[static_cast<std::size_t>(t) + 1], part.colptr,
+                         part.rowids, part.vals);
+  });
+
+  // Stitch the lanes together in lane order.
+  std::size_t nnz = 0;
+  for (const Part& part : parts) nnz += part.rowids.size();
+  colptr.assign(static_cast<std::size_t>(ncols) + 1, 0);
+  rowids.reserve(nnz);
+  vals.reserve(nnz);
+  for (int t = 0; t < lanes; ++t) {
+    const Part& part = parts[static_cast<std::size_t>(t)];
+    const auto j0 = static_cast<std::size_t>(bounds[static_cast<std::size_t>(t)]);
+    const auto offset = static_cast<IT>(rowids.size());
+    for (std::size_t k = 1; k < part.colptr.size(); ++k) {
+      colptr[j0 + k] = part.colptr[k] + offset;
+    }
+    rowids.insert(rowids.end(), part.rowids.begin(), part.rowids.end());
+    vals.insert(vals.end(), part.vals.begin(), part.vals.end());
+  }
+  return sparse::Csc<IT, VT>(a.nrows(), ncols, std::move(colptr),
                              std::move(rowids), std::move(vals));
 }
 

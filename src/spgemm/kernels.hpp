@@ -8,12 +8,8 @@ namespace mclx::spgemm {
 
 enum class KernelKind {
   kCpuHeap,         ///< heap column merge — original HipMCL kernel
-  kCpuHash,         ///< hash accumulation — §VI's CPU kernel (cpu-hash)
-  kCpuHashParallel, ///< hash accumulation on the shared thread pool
-  kCpuHashSimd,     ///< pooled SoA hash kernel with vectorized probing
-                    ///< and estimate-sized column blocking (hash_simd.hpp)
-  kCpuHashReord,    ///< locality-blocked scalar-probe kernel for
-                    ///< reordered operands (hash_reord.hpp)
+  kCpuHash,         ///< hash accumulation — §VI's CPU kernel (cpu-hash),
+                    ///< on one or more pool lanes (hash.hpp)
   kCpuSpa,          ///< dense-accumulator reference (testing only)
   kGpuBhsparse,     ///< ESC (expand-sort-compress) on the device
   kGpuNsparse,      ///< device hash tables — wins at large cf
@@ -24,9 +20,6 @@ inline constexpr std::string_view kernel_name(KernelKind k) {
   switch (k) {
     case KernelKind::kCpuHeap: return "cpu-heap";
     case KernelKind::kCpuHash: return "cpu-hash";
-    case KernelKind::kCpuHashParallel: return "cpu-hash-par";
-    case KernelKind::kCpuHashSimd: return "cpu-hash-simd";
-    case KernelKind::kCpuHashReord: return "cpu-hash-reord";
     case KernelKind::kCpuSpa: return "cpu-spa";
     case KernelKind::kGpuBhsparse: return "bhsparse";
     case KernelKind::kGpuNsparse: return "nsparse";

@@ -7,9 +7,6 @@
 #include "obs/prof/hw_counters.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/hash_parallel.hpp"
-#include "spgemm/hash_reord.hpp"
-#include "spgemm/hash_simd.hpp"
 #include "spgemm/heap.hpp"
 #include "spgemm/spa.hpp"
 #include "util/log.hpp"
@@ -34,28 +31,9 @@ void report_selection(KernelKind kind, std::uint64_t flops,
 }  // namespace
 
 KernelKind HybridPolicy::select(std::uint64_t flops, double cf_estimate,
-                                bool gpu_available, int pool_threads) const {
+                                bool gpu_available) const {
   const double cf = cf_estimate > 0 ? cf_estimate : 8.0;  // neutral default
   if (!gpu_available || flops < min_gpu_flops) {
-    // hits/inserts = cf − 1: a *known* cf at or above the threshold
-    // predicts the hit-dominated regime, where group probing loses
-    // (the PR 6 regression this policy now routes around). The neutral
-    // default is deliberately exempt — unknown cf keeps the simd
-    // preference rather than guessing the losing regime.
-    const bool hit_dominated =
-        cf_estimate > 0 && cf_estimate >= simd_hit_cf_threshold;
-    const bool reord_wins =
-        reordered && hit_dominated && flops >= min_reord_flops;
-    if (pool_threads > 1 && flops >= min_parallel_flops) {
-      if (reord_wins) return KernelKind::kCpuHashReord;
-      if (use_simd && flops >= min_simd_flops && !hit_dominated)
-        return KernelKind::kCpuHashSimd;
-      return KernelKind::kCpuHashParallel;
-    }
-    // Single-lane regime: the blocked kernel's scalar variant still wins
-    // on reordered hit-dominated multiplies (small cache-resident table
-    // vs the flops-bound one), so it is selectable without a pool.
-    if (reord_wins) return KernelKind::kCpuHashReord;
     return cf < cpu_cf_threshold ? KernelKind::kCpuHeap
                                  : KernelKind::kCpuHash;
   }
@@ -90,16 +68,10 @@ LocalSpgemmResult LocalMultiplier::run_cpu(KernelKind kind, const CscD& a,
       r.c = heap_spgemm(a, b);
       break;
     case KernelKind::kCpuHash:
-      r.c = hash_spgemm(a, b);
-      break;
-    case KernelKind::kCpuHashParallel:
-      r.c = parallel_hash_spgemm(a, b);
-      break;
-    case KernelKind::kCpuHashSimd:
-      r.c = simd_hash_spgemm(a, b);
-      break;
-    case KernelKind::kCpuHashReord:
-      r.c = reord_hash_spgemm(a, b);
+      // Lanes are an execution detail: the product is bitwise the same
+      // at any count, so neither the kind nor the cost below sees them.
+      r.c = hash_spgemm(a, b, flops >= kMinLaneFlops ? par::effective_lanes()
+                                                     : 1);
       break;
     case KernelKind::kCpuSpa:
       r.c = spa_spgemm(a, b);
@@ -119,13 +91,10 @@ LocalSpgemmResult LocalMultiplier::run_cpu(KernelKind kind, const CscD& a,
 LocalSpgemmResult LocalMultiplier::multiply(const CscD& a, const CscD& b,
                                             double cf_estimate) {
   const std::uint64_t flops = sparse::spgemm_flops(a, b);
-  // Width-aware selection: a fair-share-capped driver (mclx::svc) picks
-  // kernels for the lanes it actually has, not the whole pool.
   const KernelKind kind =
       policy_.fixed ? *policy_.fixed
                     : policy_.hybrid.select(flops, cf_estimate,
-                                            !devices_.empty(),
-                                            par::effective_lanes());
+                                            !devices_.empty());
   report_selection(kind, flops, cf_estimate);
 
   if (!is_gpu_kernel(kind)) return run_cpu(kind, a, b, flops);

@@ -36,46 +36,17 @@ struct HybridPolicy {
   /// CPU kernel split: cf < threshold -> heap, else hash (§VI: heaps
   /// slightly ahead only at small cf).
   double cpu_cf_threshold = 1.5;
-  /// On the CPU path, multiplies at or above this many flops go to the
-  /// pooled cpu-hash-par kernel when the rank has more than one thread;
-  /// below it the fork/join overhead outweighs the parallelism.
-  std::uint64_t min_parallel_flops = 1'000'000;
-  /// Within the pooled regime, multiplies at or above this many flops
-  /// take the vectorized cpu-hash-simd kernel instead of cpu-hash-par.
-  /// The default equals min_parallel_flops (the SoA/blocked kernel wins
-  /// the whole pooled regime in the micro benches); raise it — or set
-  /// use_simd = false — after re-measuring the crossover with
-  /// bench_micro_kernels (docs/KERNELS.md walks through the protocol).
-  std::uint64_t min_simd_flops = 1'000'000;
-  /// Master switch for hybrid selection of cpu-hash-simd. The kernel is
-  /// always *available* (fixed selection and the scalar-spec fallback
-  /// work in every build); this only controls the policy's preference.
-  bool use_simd = true;
-  /// Hit-dominated crossover: per output entry, hits/inserts = cf − 1,
-  /// so a *known* cf estimate at or above this threshold predicts that
-  /// ≥ 2/3 of accumulates land on occupied slots — the regime where the
-  /// PR 6 micro benches showed group probing *losing* to scalar linear
-  /// probing (BM_PlantedAccumScalar/Simd on the "family" workload).
-  /// There the policy routes away from cpu-hash-simd: to cpu-hash-reord
-  /// when the operands are reordered, else cpu-hash-par. Unknown cf
-  /// (<= 0) keeps the previous simd preference. Re-measure with
-  /// bench_micro_kernels (docs/KERNELS.md step 9) before tuning.
-  double simd_hit_cf_threshold = 3.0;
-  /// Flops floor for cpu-hash-reord: below it the symbolic pass and
-  /// block bookkeeping outweigh the locality win.
-  std::uint64_t min_reord_flops = 1'000'000;
-  /// Set by the pipeline when the operands were permuted by the order/
-  /// subsystem (HipMclConfig::ordering): unlocks cpu-hash-reord in the
-  /// hit-dominated regime. The kernel is correct on any operand; the
-  /// flag only records that the locality premise actually holds.
-  bool reordered = false;
 
-  /// `pool_threads` is the rank's thread-pool width (par::threads());
-  /// the default of 1 keeps single-threaded callers on the sequential
-  /// kernels.
+  /// The choice depends only on the multiply, never on the pool width,
+  /// so kernel kind and virtual cost are the same at any thread count.
   KernelKind select(std::uint64_t flops, double cf_estimate,
-                    bool gpu_available, int pool_threads = 1) const;
+                    bool gpu_available) const;
 };
+
+/// cpu-hash multiplies of at least this many flops run on the calling
+/// thread's effective pool lanes (par::effective_lanes()); smaller ones
+/// run on one lane, where fork/join overhead would outweigh the work.
+inline constexpr std::uint64_t kMinLaneFlops = 1'000'000;
 
 /// Kernel request: a fixed kernel, or hybrid selection.
 struct KernelPolicy {

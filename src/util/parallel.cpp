@@ -131,12 +131,25 @@ int ThreadPool::active_jobs() const {
   return static_cast<int>(active_.size());
 }
 
+void ThreadPool::set_claim_hook_for_testing(std::function<void()> hook) {
+  std::lock_guard<std::mutex> lk(mu_);
+  claim_hook_ = std::move(hook);
+}
+
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    wake_.wait(lk, [&] { return stop_ || claimable_locked() != nullptr; });
+    // Keep the job the wait found: lanes are claimed outside the mutex,
+    // so a second lookup can come back empty once the job's driver has
+    // taken its last lane. work() on a fully claimed job returns at once.
+    std::shared_ptr<Job> job;
+    wake_.wait(lk, [&] {
+      if (stop_) return true;
+      job = claimable_locked();
+      return job != nullptr;
+    });
     if (stop_) return;
-    const std::shared_ptr<Job> job = claimable_locked();
+    if (claim_hook_) claim_hook_();
     lk.unlock();
     {
       // Lanes run under the submitting driver's sinks, not whatever this

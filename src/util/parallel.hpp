@@ -100,6 +100,11 @@ class ThreadPool {
   /// Jobs currently dispatched and not yet completed (any driver).
   int active_jobs() const;
 
+  /// Test seam: a worker calls `hook` (pool mutex held) after its wait
+  /// found a job with unclaimed lanes and before it claims any. Tests
+  /// block in it to let the job's driver claim every lane first.
+  void set_claim_hook_for_testing(std::function<void()> hook);
+
   /// Lifetime totals, for tests and the obs counters.
   std::uint64_t runs() const { return runs_.load(std::memory_order_relaxed); }
   std::uint64_t tasks() const { return tasks_.load(std::memory_order_relaxed); }
@@ -131,6 +136,7 @@ class ThreadPool {
   std::condition_variable finished_;
   std::vector<std::shared_ptr<Job>> active_;  // dispatch order (FIFO)
   bool stop_ = false;
+  std::function<void()> claim_hook_;  // guarded by mu_
   std::atomic<std::uint64_t> runs_{0};
   std::atomic<std::uint64_t> tasks_{0};
 };
@@ -165,9 +171,9 @@ bool in_parallel_region();
 int lane_cap();
 
 /// The parallel width constructs issued from this thread actually plan
-/// for: min(pool size, lane cap) — the pool size when uncapped. This is
-/// also what width-aware policies (spgemm kernel selection) consult, so
-/// a capped driver picks kernels for the lanes it really has.
+/// for: min(pool size, lane cap) — the pool size when uncapped. Large
+/// cpu-hash multiplies split into this many lanes (spgemm/registry.cpp),
+/// so a capped driver uses only the lanes it really has.
 int effective_lanes();
 
 /// RAII lane cap for the current thread (restores the previous cap).

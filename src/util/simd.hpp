@@ -1,7 +1,6 @@
 // Portable SIMD primitives for the per-rank hot loops (the lane-level
 // headroom left after the shared pool took the core level): the inflate
-// Hadamard power and column normalize, the prune threshold scan, and the
-// probe/compare steps of the hash-SpGEMM accumulator (hash_simd.hpp).
+// Hadamard power and column normalize, and the prune threshold scan.
 //
 // Backend selection is compile-time: MCLX_SIMD (the -DMCLX_SIMD CMake
 // toggle) plus the target ISA pick AVX2 or NEON; otherwise every

@@ -1,10 +1,8 @@
 // Reordering subsystem suite: Permutation invariants, the three ordering
-// strategies (degree / RCM / cluster), the blocked reordered SpGEMM's
-// bitwise contract, the hybrid policy's hit-dominated routing (the PR 6
-// regression fix), and the end-to-end pipeline guarantees — reorder-on
-// and reorder-off runs produce the *same label arrays*, permuted-space
-// runs are bit-identical at any thread count, and checkpoint resume
-// re-enters the same permuted space (CKP2).
+// strategies (degree / RCM / cluster), and the end-to-end pipeline
+// guarantees — reorder-on and reorder-off runs produce the *same label
+// arrays*, permuted-space runs are bit-identical at any thread count,
+// and checkpoint resume re-enters the same permuted space (CKP2).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,16 +14,12 @@
 
 #include "core/checkpoint.hpp"
 #include "core/hipmcl.hpp"
-#include "estimate/cohen.hpp"
 #include "gen/planted.hpp"
 #include "order/order.hpp"
 #include "order/permutation.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
-#include "spgemm/hash.hpp"
-#include "spgemm/hash_reord.hpp"
-#include "spgemm/registry.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
@@ -34,7 +28,6 @@ namespace {
 
 using namespace mclx;
 using C = sparse::Csc<vidx_t, val_t>;
-using spgemm::KernelKind;
 
 struct PoolGuard {
   ~PoolGuard() { par::set_threads(0); }
@@ -65,20 +58,6 @@ class EnvGuard {
   std::string saved_;
   bool had_ = false;
 };
-
-C random_csc(vidx_t nrows, vidx_t ncols, double density, std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  sparse::Triples<vidx_t, val_t> t(nrows, ncols);
-  const auto entries = static_cast<std::uint64_t>(
-      density * static_cast<double>(nrows) * static_cast<double>(ncols));
-  for (std::uint64_t e = 0; e < entries; ++e) {
-    t.push_unchecked(static_cast<vidx_t>(rng.bounded(nrows)),
-                     static_cast<vidx_t>(rng.bounded(ncols)),
-                     rng.uniform() * 2 - 1);
-  }
-  t.sort_and_combine();
-  return sparse::csc_from_triples(std::move(t));
-}
 
 gen::PlantedGraph planted(vidx_t n, std::uint64_t seed) {
   gen::PlantedParams p;
@@ -282,111 +261,6 @@ TEST(OrderStrategies, ParseAndResolve) {
     EXPECT_EQ(order::resolve_order_kind(OrderKind::kDefault),
               OrderKind::kNone);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Blocked reordered kernel: bitwise contract against the reference.
-
-TEST(ReordKernel, BitwiseEqualAcrossThreadsAndVariants) {
-  PoolGuard guard;
-  const C raw = planted_csc(400, 44);
-  const auto p = order::compute_order(order::OrderKind::kRcm, raw);
-  const C a = p.apply_symmetric(raw);
-  const C ref = spgemm::hash_spgemm(a, a);
-  for (const int threads : {1, 4, 8}) {
-    par::set_threads(threads);
-    expect_bitwise_equal(ref, spgemm::reord_hash_spgemm(a, a));
-    spgemm::ReordSpgemmOptions simd;
-    simd.simd_probe = true;
-    expect_bitwise_equal(ref, spgemm::reord_hash_spgemm(a, a, simd));
-  }
-}
-
-TEST(ReordKernel, TinyBlockBudgetStaysBitwise) {
-  // A 64-byte budget forces (nearly) one column per block: the block
-  // cutting must never show in the output.
-  const C a = planted_csc(200, 45);
-  spgemm::ReordSpgemmOptions opts;
-  opts.block_bytes = 64;
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a),
-                       spgemm::reord_hash_spgemm(a, a, opts));
-}
-
-TEST(ReordKernel, CohenHintedSizingStaysBitwise) {
-  const C a = planted_csc(300, 46);
-  const auto est = estimate::cohen_nnz_estimate(a, a, 5, 99);
-  spgemm::ReordSpgemmOptions opts;
-  opts.est_per_col = &est.per_col;
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a),
-                       spgemm::reord_hash_spgemm(a, a, opts));
-}
-
-TEST(ReordKernel, UnpermutedOperandStillCorrect) {
-  // Reordering is a performance precondition, not a correctness one.
-  const C a = random_csc(150, 150, 0.05, 47);
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a),
-                       spgemm::reord_hash_spgemm(a, a));
-}
-
-// ---------------------------------------------------------------------------
-// Hybrid policy routing: the hit-dominated fix + the reordered kernel.
-
-TEST(OrderRegistry, HitDominatedPooledMultipliesAvoidSimd) {
-  // The PR 6 regression fix: cf 8 means 7 of 8 flops are accumulator
-  // hits, the regime where group probing loses to the scalar pooled
-  // kernel. Routing must stay away from cpu-hash-simd.
-  const spgemm::HybridPolicy policy;
-  EXPECT_EQ(policy.select(5'000'000, 8.0, false, 4),
-            KernelKind::kCpuHashParallel);
-  EXPECT_EQ(policy.select(5'000'000, 8.0, false, 8),
-            KernelKind::kCpuHashParallel);
-  // Insert-dominated (cf below the threshold) keeps the SIMD kernel.
-  EXPECT_EQ(policy.select(5'000'000, 2.0, false, 4),
-            KernelKind::kCpuHashSimd);
-  // Unknown cf is deliberately exempt: the neutral default (8.0) must
-  // not count as a *known* hit-dominated estimate.
-  EXPECT_EQ(policy.select(5'000'000, 0.0, false, 4),
-            KernelKind::kCpuHashSimd);
-  // Exactly at the threshold counts as hit-dominated.
-  EXPECT_EQ(policy.select(5'000'000, 3.0, false, 4),
-            KernelKind::kCpuHashParallel);
-}
-
-TEST(OrderRegistry, ReorderedOperandsRouteToBlockedKernel) {
-  spgemm::HybridPolicy policy;
-  policy.reordered = true;
-  // Hit-dominated + reordered + enough flops: the blocked kernel, with
-  // or without a pool.
-  EXPECT_EQ(policy.select(5'000'000, 8.0, false, 4),
-            KernelKind::kCpuHashReord);
-  EXPECT_EQ(policy.select(5'000'000, 8.0, false, 1),
-            KernelKind::kCpuHashReord);
-  // Below the flops bar the small-multiply routing is unchanged.
-  EXPECT_EQ(policy.select(500'000, 8.0, false, 1), KernelKind::kCpuHash);
-  // Insert-dominated reordered multiplies keep the SIMD kernel.
-  EXPECT_EQ(policy.select(5'000'000, 2.0, false, 4),
-            KernelKind::kCpuHashSimd);
-  // Without the reordered declaration nothing routes to the kernel.
-  const spgemm::HybridPolicy off;
-  EXPECT_NE(off.select(5'000'000, 8.0, false, 4), KernelKind::kCpuHashReord);
-  EXPECT_NE(off.select(5'000'000, 8.0, false, 1), KernelKind::kCpuHashReord);
-}
-
-TEST(OrderRegistry, KernelNameIsStable) {
-  EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHashReord), "cpu-hash-reord");
-}
-
-TEST(OrderRegistry, LocalMultiplierRunsTheReordKernel) {
-  PoolGuard guard;
-  par::set_threads(4);
-  const sim::CostModel model(sim::summit_like(4));
-  spgemm::LocalMultiplier mult(
-      model, spgemm::KernelPolicy::fixed_kernel(KernelKind::kCpuHashReord));
-  const C a = planted_csc(300, 61);
-  const auto r = mult.multiply(a, a);
-  EXPECT_EQ(r.used, KernelKind::kCpuHashReord);
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a), r.c);
-  EXPECT_GT(r.cpu_time, 0.0);
 }
 
 // ---------------------------------------------------------------------------

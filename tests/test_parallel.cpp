@@ -10,16 +10,17 @@
 #include <thread>
 #include <vector>
 
+#include "core/hipmcl.hpp"
 #include "core/inflate.hpp"
 #include "core/prune.hpp"
 #include "dist/distmat.hpp"
 #include "estimate/cohen.hpp"
+#include "gen/er.hpp"
 #include "io/matrix_market.hpp"
 #include "merge/kway.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/hash_parallel.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/symbolic.hpp"
 #include "util/parallel.hpp"
@@ -197,6 +198,38 @@ TEST(ThreadPool, ConcurrentDriversAllComplete) {
   EXPECT_EQ(p.active_jobs(), 0);
 }
 
+TEST(ThreadPool, WorkerRunsTheJobItsWaitFound) {
+  // Regression for the worker wake-up race. Lanes are claimed outside
+  // the pool mutex, so between a worker's wait finding a job with an
+  // unclaimed lane and that worker claiming it, the job's driver can
+  // take the last lane. The claim hook holds the worker in exactly that
+  // window until the driver has run both lanes itself; the worker must
+  // then find nothing left to do and carry on, not lose the job.
+  par::ThreadPool pool(2);  // the driver plus one worker
+  std::atomic<bool> worker_in_window{false};
+  std::atomic<int> lanes_done{0};
+  pool.set_claim_hook_for_testing([&] {
+    worker_in_window.store(true);
+    while (lanes_done.load() < 2) std::this_thread::yield();
+  });
+  pool.run(2, [&](int lane) {
+    // Lane 0 waits for the worker to enter the window, so the driver
+    // claims lane 1 while the worker sits between wait and claim.
+    if (lane == 0) {
+      while (!worker_in_window.load()) std::this_thread::yield();
+    }
+    lanes_done.fetch_add(1);
+  });
+  EXPECT_EQ(lanes_done.load(), 2);
+  EXPECT_TRUE(worker_in_window.load());
+  pool.set_claim_hook_for_testing(nullptr);
+  // The worker survived the empty claim and still serves new jobs.
+  std::atomic<int> hits{0};
+  pool.run(8, [&](int) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 8);
+  EXPECT_EQ(pool.active_jobs(), 0);
+}
+
 TEST(ThreadPool, LaneCapBoundsPlannedChunks) {
   PoolGuard guard;
   par::set_threads(4);
@@ -229,9 +262,9 @@ TEST(ThreadPool, CappedResultsBitIdenticalToUncapped) {
   par::set_threads(4);
   const C a = random_csc(120, 1800, 77);
   const C b = random_csc(120, 1600, 78);
-  const C uncapped = spgemm::parallel_hash_spgemm(a, b);
+  const C uncapped = spgemm::hash_spgemm(a, b, par::effective_lanes());
   par::ScopedLaneCap cap(2);
-  EXPECT_EQ(uncapped, spgemm::parallel_hash_spgemm(a, b));
+  EXPECT_EQ(uncapped, spgemm::hash_spgemm(a, b, par::effective_lanes()));
 }
 
 TEST(ThreadPool, CountsRunsAndTasks) {
@@ -244,39 +277,6 @@ TEST(ThreadPool, CountsRunsAndTasks) {
   p.run(1, [](int) {});
   EXPECT_EQ(p.runs(), runs0 + 2);
   EXPECT_EQ(p.tasks(), tasks0 + 6);
-}
-
-// ---------------------------------------------------------------------------
-// Hybrid-policy integration: the registry can pick the pooled kernel.
-
-TEST(HybridSelection, PoolWidthGatesTheParallelKernel) {
-  spgemm::HybridPolicy policy;
-  // Above the flops bar with a multi-thread pool: pooled SIMD kernel
-  // (same fixed-lane results as cpu-hash-par, vectorized probing).
-  // cf 2 keeps the multiply in the insert-dominated regime where the
-  // SIMD kernel is preferred; hit-dominated cf routes to the plain
-  // pooled kernel instead (tests/test_order.cpp pins that).
-  EXPECT_EQ(policy.select(2'000'000, 2.0, false, 4),
-            spgemm::KernelKind::kCpuHashSimd);
-  EXPECT_EQ(policy.select(2'000'000, 8.0, false, 4),
-            spgemm::KernelKind::kCpuHashParallel);
-  // With SIMD routing disabled the plain pooled kernel is selected.
-  policy.use_simd = false;
-  EXPECT_EQ(policy.select(2'000'000, 2.0, false, 4),
-            spgemm::KernelKind::kCpuHashParallel);
-  policy.use_simd = true;
-  // Single-threaded pool: sequential split, whatever the flops.
-  EXPECT_EQ(policy.select(2'000'000, 8.0, false, 1),
-            spgemm::KernelKind::kCpuHash);
-  // Below the bar: fork/join overhead not worth it.
-  EXPECT_EQ(policy.select(500'000, 8.0, false, 4),
-            spgemm::KernelKind::kCpuHash);
-  // The 3-arg form (pool_threads defaulted to 1) is unchanged behavior.
-  EXPECT_EQ(policy.select(2'000'000, 8.0, false),
-            spgemm::KernelKind::kCpuHash);
-  // GPU availability still wins at high flops.
-  EXPECT_EQ(policy.select(2'000'000, 8.0, true, 4),
-            spgemm::KernelKind::kGpuNsparse);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,13 +293,13 @@ TEST_P(ThreadSweep, SpgemmAndSymbolic) {
   const C b = random_csc(150, 2200, 22);
 
   par::set_threads(1);
-  const C seq = spgemm::parallel_hash_spgemm(a, b);
+  const C seq = spgemm::hash_spgemm(a, b, par::effective_lanes());
   const auto sym_seq = spgemm::symbolic_nnz_per_col(a, b);
 
   par::set_threads(GetParam());
-  EXPECT_EQ(seq, spgemm::parallel_hash_spgemm(a, b));
+  EXPECT_EQ(seq, spgemm::hash_spgemm(a, b, par::effective_lanes()));
   EXPECT_EQ(sym_seq, spgemm::symbolic_nnz_per_col(a, b));
-  EXPECT_EQ(seq, spgemm::hash_spgemm(a, b));  // and vs the scalar kernel
+  EXPECT_EQ(seq, spgemm::hash_spgemm(a, b));  // and vs one lane
 }
 
 TEST_P(ThreadSweep, PruneWithRecoveryAndTopK) {
@@ -401,6 +401,52 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ThreadSweep,
                          [](const testing::TestParamInfo<int>& info) {
                            return "t" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Width independence: the pool width never reaches the virtual clock.
+
+TEST(WidthIndependence, CpuOnlyTrajectoryIdenticalAcrossPoolWidths) {
+  // One CPU-only rank, so every local multiply is the whole A·A and the
+  // first iterations run in the laned regime. A random graph keeps cf
+  // near 2, where cpu-hash is selected and a policy that consulted the
+  // width would pick a different kernel (and cost) per width. Kernel kind and
+  // virtual cost must not depend on how many lanes computed the product.
+  PoolGuard guard;
+  gen::ErParams gp;
+  gp.n = 1'000;
+  gp.avg_degree = 22.0;
+  gp.seed = 91;
+  const auto graph = gen::erdos_renyi(gp);
+  core::MclParams params;
+  params.prune.select_k = 40;
+  params.max_iters = 3;
+  auto run = [&](int threads, int cap) {
+    par::set_threads(threads);
+    par::ScopedLaneCap lane_cap(cap);
+    sim::SimState sim(sim::summit_like_cpu_only(1));
+    return core::run_hipmcl(graph, params, core::HipMclConfig::optimized(),
+                            sim);
+  };
+  const auto w1 = run(1, 0);
+  ASSERT_FALSE(w1.iters.empty());
+  ASSERT_GE(w1.iters.front().flops, spgemm::kMinLaneFlops)
+      << "the workload no longer reaches the laned regime";
+  for (const auto& [name, other] :
+       {std::pair{"4 lanes", run(4, 0)},
+        std::pair{"4 capped to 2", run(4, 2)}}) {
+    EXPECT_EQ(w1.labels, other.labels) << name;
+    ASSERT_EQ(w1.iters.size(), other.iters.size()) << name;
+    for (std::size_t i = 0; i < w1.iters.size(); ++i) {
+      const auto& a = w1.iters[i];
+      const auto& b = other.iters[i];
+      EXPECT_EQ(a.elapsed, b.elapsed) << name << " iter " << i;
+      EXPECT_EQ(a.stage_times, b.stage_times) << name << " iter " << i;
+      EXPECT_EQ(a.cpu_idle, b.cpu_idle) << name << " iter " << i;
+      EXPECT_EQ(a.gpu_idle, b.gpu_idle) << name << " iter " << i;
+    }
+    EXPECT_EQ(w1.elapsed, other.elapsed) << name;
+  }
+}
 
 TEST(MatrixMarketParallel, BadEntrySurfacesAsException) {
   PoolGuard guard;

@@ -182,10 +182,9 @@ TEST(StageHwProfiler, AttributesOneWindowPerStage) {
 // Roofline audit channels.
 
 TEST(Roofline, PublishesPredictedMeasuredAndRelError) {
-  // The acceptance trio: every SIMD/reord routing constant gets
-  // counter-level evidence channels.
-  for (const std::string kernel :
-       {"cpu-hash", "cpu-hash-simd", "cpu-hash-reord"}) {
+  // Every CPU kernel with a traffic constant gets counter-level
+  // evidence channels.
+  for (const std::string kernel : {"cpu-hash", "cpu-heap", "cpu-spa"}) {
     obs::MetricsRegistry registry;
     obs::HwCounterValues v;
     v.available = true;
@@ -226,15 +225,11 @@ TEST(Roofline, UnavailableCountersPublishPredictionOnly) {
 }
 
 TEST(Roofline, RoutingConstantsReflectTheLocalityLadder) {
-  // The model the audit checks: reordering < SIMD < scalar hash < heap
-  // < SPA in DRAM traffic per flop (COSTMODEL.md roofline-audit rows).
-  const double reord = obs::predicted_bytes_per_flop("cpu-hash-reord").bytes_per_flop;
-  const double simd = obs::predicted_bytes_per_flop("cpu-hash-simd").bytes_per_flop;
+  // The model the audit checks: hash < heap < SPA in DRAM traffic per
+  // flop (COSTMODEL.md roofline-audit rows).
   const double hash = obs::predicted_bytes_per_flop("cpu-hash").bytes_per_flop;
   const double heap = obs::predicted_bytes_per_flop("cpu-heap").bytes_per_flop;
   const double spa = obs::predicted_bytes_per_flop("cpu-spa").bytes_per_flop;
-  EXPECT_LT(reord, simd);
-  EXPECT_LT(simd, hash);
   EXPECT_LT(hash, heap);
   EXPECT_LT(heap, spa);
   EXPECT_FALSE(obs::predicted_bytes_per_flop("nsparse").known);

@@ -149,11 +149,8 @@ TEST(LocalMultiplier, ReportsFlopsAndCf) {
 
 TEST(KernelNames, AreStable) {
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHash), "cpu-hash");
-  EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHashParallel),
-            "cpu-hash-par");
-  EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHashSimd), "cpu-hash-simd");
-  EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHashReord),
-            "cpu-hash-reord");
+  EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHeap), "cpu-heap");
+  EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuSpa), "cpu-spa");
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kGpuNsparse), "nsparse");
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kGpuBhsparse), "bhsparse");
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kGpuRmerge2), "rmerge2");

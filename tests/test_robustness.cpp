@@ -4,13 +4,22 @@
 // and estimator guard-band behavior.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+
 #include "core/chaos.hpp"
+#include "core/checkpoint.hpp"
 #include "core/hipmcl.hpp"
 #include "core/inflate.hpp"
 #include "dist/summa.hpp"
 #include "estimate/planner.hpp"
 #include "gen/planted.hpp"
 #include "gen/rmat.hpp"
+#include "io/matrix_market.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
@@ -223,6 +232,63 @@ TEST(Guards, UnderestimationCompensatedByGuardFactor) {
   // 1100 nnz * 16B / 4 ranks / phases <= budget.
   const double true_bytes_per_rank = 1100.0 * 16 / 4 / guarded.phases;
   EXPECT_LE(true_bytes_per_rank, 4000.0);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile headers: a tiny file claiming 2^40 elements must fail with the
+// parser's named truncation error, never by allocating the claimed count.
+
+/// Little-endian POD bytes, the checkpoint's on-disk encoding.
+template <typename V>
+std::string pod(V value) {
+  return std::string(reinterpret_cast<const char*>(&value), sizeof(V));
+}
+
+TEST(HostileHeaders, HugeClaimedCountsFailWithNamedError) {
+  constexpr std::uint64_t kClaim = std::uint64_t{1} << 40;
+  const auto read_mm = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    io::read_matrix_market(in);
+  };
+  const auto read_checkpoint = [](const std::string& bytes) {
+    const std::string path =
+        testing::TempDir() + "/hostile_header_checkpoint.bin";
+    std::ofstream(path, std::ios::binary) << bytes;
+    struct Remove {
+      const std::string& path;
+      ~Remove() { std::remove(path.c_str()); }
+    } cleanup{path};
+    core::load_checkpoint(path);
+  };
+  struct Case {
+    const char* name;
+    std::function<void(const std::string&)> parse;
+    std::string bytes;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"matrix market entry count", read_mm,
+       "%%MatrixMarket matrix coordinate real general\n3 3 " +
+           std::to_string(kClaim) + "\n1 1 0.5\n",
+       "unexpected end of entries"},
+      {"checkpoint nnz", read_checkpoint,
+       "MCLXCKP2" + pod(std::int64_t{1}) + pod(vidx_t{3}) + pod(vidx_t{3}) +
+           pod(kClaim),
+       "truncated file"},
+      {"checkpoint permutation size", read_checkpoint,
+       "MCLXCKP2" + pod(std::int64_t{1}) + pod(static_cast<vidx_t>(kClaim)) +
+           pod(vidx_t{3}) + pod(std::uint64_t{0}) + pod(kClaim),
+       "truncated file"},
+  };
+  for (const Case& c : cases) {
+    try {
+      c.parse(c.bytes);
+      ADD_FAILURE() << c.name << ": parsed without error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// SIMD kernel suite: the fixed-lane primitive specs (util/simd.hpp),
-// the SoA group-probing SpGEMM (spgemm/hash_simd.hpp), and the hybrid
-// policy routing. The central contract under test is *bit identity*:
-// every backend (AVX2/NEON/scalar) implements the same fixed-lane
-// algorithm, so results must be bitwise equal whether MCLX_SIMD is ON
-// or OFF and at any thread count. The only tolerance-based test is the
+// SIMD kernel suite: the fixed-lane primitive specs (util/simd.hpp).
+// The central contract under test is *bit identity*: every backend
+// (AVX2/NEON/scalar) implements the same fixed-lane algorithm, so
+// results must be bitwise equal whether MCLX_SIMD is ON or OFF and at
+// any thread count. The only tolerance-based test is the
 // documented reassociation bound of simd::sum against a plain
 // sequential sum (docs/PERFORMANCE.md "SIMD and floating point").
 #include <gtest/gtest.h>
@@ -13,18 +12,6 @@
 #include <limits>
 #include <vector>
 
-#include "estimate/cohen.hpp"
-#include "gen/planted.hpp"
-#include "obs/metrics.hpp"
-#include "sim/costmodel.hpp"
-#include "sim/machine.hpp"
-#include "sparse/convert.hpp"
-#include "sparse/ops.hpp"
-#include "spgemm/hash.hpp"
-#include "spgemm/hash_simd.hpp"
-#include "spgemm/registry.hpp"
-#include "spgemm/spa.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/types.hpp"
@@ -32,12 +19,6 @@
 namespace {
 
 using namespace mclx;
-using C = sparse::Csc<vidx_t, val_t>;
-using spgemm::KernelKind;
-
-struct PoolGuard {
-  ~PoolGuard() { par::set_threads(0); }
-};
 
 std::vector<double> random_values(std::size_t n, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
@@ -52,42 +33,6 @@ double spec_sum(const std::vector<double>& v) {
   double s[4] = {0, 0, 0, 0};
   for (std::size_t i = 0; i < v.size(); ++i) s[i % 4] += v[i];
   return (s[0] + s[1]) + (s[2] + s[3]);
-}
-
-C random_csc(vidx_t nrows, vidx_t ncols, double density, std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  sparse::Triples<vidx_t, val_t> t(nrows, ncols);
-  const auto entries = static_cast<std::uint64_t>(
-      density * static_cast<double>(nrows) * static_cast<double>(ncols));
-  for (std::uint64_t e = 0; e < entries; ++e) {
-    t.push_unchecked(static_cast<vidx_t>(rng.bounded(nrows)),
-                     static_cast<vidx_t>(rng.bounded(ncols)),
-                     rng.uniform() * 2 - 1);
-  }
-  t.sort_and_combine();
-  return sparse::csc_from_triples(std::move(t));
-}
-
-C planted_csc(vidx_t n, std::uint64_t seed) {
-  gen::PlantedParams p;
-  p.n = n;
-  p.seed = seed;
-  auto g = gen::planted_partition(p);
-  return sparse::csc_from_triples(std::move(g.edges));
-}
-
-/// Bitwise structural + numeric equality (EXPECT_EQ on doubles is exact).
-void expect_bitwise_equal(const C& a, const C& b) {
-  ASSERT_EQ(a.nrows(), b.nrows());
-  ASSERT_EQ(a.ncols(), b.ncols());
-  ASSERT_EQ(a.nnz(), b.nnz());
-  for (vidx_t j = 0; j <= a.ncols(); ++j) {
-    ASSERT_EQ(a.colptr()[j], b.colptr()[j]) << "colptr at " << j;
-  }
-  for (std::size_t p = 0; p < a.nnz(); ++p) {
-    ASSERT_EQ(a.rowids()[p], b.rowids()[p]) << "rowid at " << p;
-    ASSERT_EQ(a.vals()[p], b.vals()[p]) << "val at " << p;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -175,117 +120,6 @@ TEST(SimdPrimitives, ThresholdFlagsMatchScalarPredicate) {
     }
     EXPECT_EQ(kept, expect_kept);
   }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD SpGEMM: bitwise equal to the scalar hash kernel, any thread count.
-
-TEST(SimdSpgemm, BitwiseEqualToScalarHashAcrossThreadCounts) {
-  PoolGuard guard;
-  const C a = random_csc(300, 280, 0.03, 11);
-  const C b = random_csc(280, 260, 0.04, 12);
-  const C ref = spgemm::hash_spgemm(a, b);
-  for (const int threads : {1, 4, 8}) {
-    par::set_threads(threads);
-    expect_bitwise_equal(ref, spgemm::simd_hash_spgemm(a, b));
-  }
-}
-
-TEST(SimdSpgemm, PlantedGraphSquareMatchesHashAndSpa) {
-  PoolGuard guard;
-  par::set_threads(4);
-  const C a = planted_csc(600, 21);
-  const C simd_c = spgemm::simd_hash_spgemm(a, a);
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a), simd_c);
-  const C spa = spgemm::spa_spgemm(a, a);
-  EXPECT_TRUE(sparse::approx_equal(spa, simd_c))
-      << "max rel diff " << sparse::max_rel_diff(spa, simd_c);
-}
-
-TEST(SimdSpgemm, CohenHintSizesTheTableAndUndershootGrows) {
-  PoolGuard guard;
-  par::set_threads(4);
-  const C a = planted_csc(400, 31);
-
-  // Honest hint: the actual Cohen estimate for A·A.
-  const auto est = estimate::cohen_nnz_estimate(a, a, 16, 777);
-  spgemm::SimdSpgemmOptions opts;
-  opts.est_per_col = &est.per_col;
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a),
-                       spgemm::simd_hash_spgemm(a, a, opts));
-
-  // Adversarial hint: all-zero estimates undershoot every column; the
-  // exact symbolic floor must grow the table (correctness unchanged)
-  // and the undershoot must be counted.
-  const std::vector<double> zeros(static_cast<std::size_t>(a.ncols()), 0.0);
-  opts.est_per_col = &zeros;
-  obs::MetricsRegistry reg;
-  obs::ScopedMetrics scoped(reg);
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a),
-                       spgemm::simd_hash_spgemm(a, a, opts));
-  EXPECT_GT(reg.counter("kernel.simd.est_undersized"), 0u);
-  EXPECT_GT(reg.counter("kernel.simd.blocks"), 0u);
-  EXPECT_EQ(reg.counter("kernel.simd.spgemm_calls"), 1u);
-}
-
-TEST(SimdSpgemm, TinyBlockBudgetStillBitwiseEqual) {
-  PoolGuard guard;
-  par::set_threads(4);
-  const C a = random_csc(250, 250, 0.05, 41);
-  spgemm::SimdSpgemmOptions opts;
-  opts.block_bytes = 64;  // forces ~one column per block
-  obs::MetricsRegistry reg;
-  obs::ScopedMetrics scoped(reg);
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a),
-                       spgemm::simd_hash_spgemm(a, a, opts));
-  // With a 64-byte budget nearly every column is its own block.
-  EXPECT_GT(reg.counter("kernel.simd.blocks"),
-            static_cast<std::uint64_t>(a.ncols()) / 2);
-}
-
-TEST(SimdSpgemm, DegenerateShapes) {
-  const C empty(0, 0, {0}, {}, {});
-  const C r = spgemm::simd_hash_spgemm(empty, empty);
-  EXPECT_EQ(r.nnz(), 0u);
-  const C tall = random_csc(64, 1, 0.5, 51);
-  const C wide = random_csc(1, 64, 0.5, 52);
-  expect_bitwise_equal(spgemm::hash_spgemm(tall, wide),
-                       spgemm::simd_hash_spgemm(tall, wide));
-}
-
-// ---------------------------------------------------------------------------
-// Registry routing and the LocalMultiplier end-to-end path.
-
-TEST(SimdRegistry, HybridPolicyRoutesByPoolWidth) {
-  const spgemm::HybridPolicy policy;
-  // 1 thread: sequential kernel regardless of flops. cf 2 is insert-
-  // dominated — the regime where group probing wins (cf at or above
-  // simd_hit_cf_threshold routes away from the SIMD kernel instead;
-  // tests/test_order.cpp pins that side).
-  EXPECT_EQ(policy.select(5'000'000, 2.0, false, 1), KernelKind::kCpuHash);
-  // 4 and 8 threads above both bars: the SIMD kernel.
-  EXPECT_EQ(policy.select(5'000'000, 2.0, false, 4),
-            KernelKind::kCpuHashSimd);
-  EXPECT_EQ(policy.select(5'000'000, 2.0, false, 8),
-            KernelKind::kCpuHashSimd);
-  // Between the parallel bar and a raised SIMD bar: plain pooled kernel.
-  spgemm::HybridPolicy raised;
-  raised.min_simd_flops = 10'000'000;
-  EXPECT_EQ(raised.select(5'000'000, 2.0, false, 4),
-            KernelKind::kCpuHashParallel);
-}
-
-TEST(SimdRegistry, LocalMultiplierRunsTheSimdKernel) {
-  PoolGuard guard;
-  par::set_threads(4);
-  const sim::CostModel model(sim::summit_like(4));
-  spgemm::LocalMultiplier mult(
-      model, spgemm::KernelPolicy::fixed_kernel(KernelKind::kCpuHashSimd));
-  const C a = planted_csc(300, 61);
-  const auto r = mult.multiply(a, a);
-  EXPECT_EQ(r.used, KernelKind::kCpuHashSimd);
-  expect_bitwise_equal(spgemm::hash_spgemm(a, a), r.c);
-  EXPECT_GT(r.flops, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Extended SpGEMM suites: the thread-parallel hash kernel (bit-identical
-// to the sequential one at every thread count) and the semiring-generic
-// kernel (plus-times vs reference; min-plus shortest paths; or-and
+// Extended SpGEMM suites: the hash kernel's lane path (bit-identical to
+// the one-lane run at every lane count) and the semiring-generic kernel
+// (plus-times vs reference; min-plus shortest paths; or-and
 // reachability).
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/hash_parallel.hpp"
 #include "spgemm/semiring.hpp"
 #include "spgemm/spa.hpp"
 #include "util/rng.hpp"
@@ -38,18 +37,18 @@ C random_csc(vidx_t nrows, vidx_t ncols, double density, std::uint64_t seed) {
 class ParallelHash : public testing::TestWithParam<int> {};
 
 TEST_P(ParallelHash, BitIdenticalToSequential) {
-  const int threads = GetParam();
+  const int lanes = GetParam();
   const C a = random_csc(120, 90, 0.08, 1);
   const C b = random_csc(90, 150, 0.06, 2);
   const C seq = spgemm::hash_spgemm(a, b);
-  const C par = spgemm::parallel_hash_spgemm(a, b, threads);
+  const C par = spgemm::hash_spgemm(a, b, lanes);
   EXPECT_EQ(seq, par);  // exact, not approx: same per-column arithmetic
 }
 
 TEST_P(ParallelHash, SkewedColumnsStayCorrect) {
   // One giant column among many tiny ones: the flops partitioner must
   // not split a column and must still cover everything.
-  const int threads = GetParam();
+  const int lanes = GetParam();
   T t(200, 50);
   util::Xoshiro256 rng(3);
   for (int e = 0; e < 180; ++e) {
@@ -63,8 +62,22 @@ TEST_P(ParallelHash, SkewedColumnsStayCorrect) {
   t.sort_and_combine();
   const C b = sparse::csc_from_triples(std::move(t));
   const C a = random_csc(300, 200, 0.05, 4);
-  EXPECT_EQ(spgemm::hash_spgemm(a, b),
-            spgemm::parallel_hash_spgemm(a, b, threads));
+  EXPECT_EQ(spgemm::hash_spgemm(a, b), spgemm::hash_spgemm(a, b, lanes));
+}
+
+TEST_P(ParallelHash, DegenerateShapes) {
+  // 0x0 operands and a product with no output columns: nothing to
+  // split, and the lane path must still return a well-formed matrix.
+  const int lanes = GetParam();
+  const C empty(0, 0, {0}, {}, {});
+  EXPECT_EQ(spgemm::hash_spgemm(empty, empty),
+            spgemm::hash_spgemm(empty, empty, lanes));
+  const C a = random_csc(20, 10, 0.3, 10);
+  const C no_cols(10, 0, {0}, {}, {});
+  const C c = spgemm::hash_spgemm(a, no_cols, lanes);
+  EXPECT_EQ(c.nrows(), 20);
+  EXPECT_EQ(c.ncols(), 0);
+  EXPECT_EQ(spgemm::hash_spgemm(a, no_cols), c);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelHash,
@@ -76,20 +89,19 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelHash,
 TEST(ParallelHash, MoreThreadsThanColumns) {
   const C a = random_csc(30, 3, 0.5, 5);
   const C b = random_csc(3, 2, 0.9, 6);
-  EXPECT_EQ(spgemm::hash_spgemm(a, b),
-            spgemm::parallel_hash_spgemm(a, b, 16));
+  EXPECT_EQ(spgemm::hash_spgemm(a, b), spgemm::hash_spgemm(a, b, 16));
 }
 
-TEST(ParallelHash, DefaultThreadCount) {
+TEST(ParallelHash, NonPositiveLanesRunSequentially) {
   const C a = random_csc(40, 40, 0.1, 7);
-  EXPECT_EQ(spgemm::hash_spgemm(a, a),
-            spgemm::parallel_hash_spgemm(a, a, 0));
+  EXPECT_EQ(spgemm::hash_spgemm(a, a), spgemm::hash_spgemm(a, a, 0));
+  EXPECT_EQ(spgemm::hash_spgemm(a, a), spgemm::hash_spgemm(a, a, -3));
 }
 
 TEST(ParallelHash, DimensionMismatchThrows) {
   const C a = random_csc(5, 6, 0.5, 8);
   const C b = random_csc(5, 5, 0.5, 9);
-  EXPECT_THROW(spgemm::parallel_hash_spgemm(a, b, 2), std::invalid_argument);
+  EXPECT_THROW(spgemm::hash_spgemm(a, b, 2), std::invalid_argument);
 }
 
 TEST(ParallelHash, PartitionBoundariesDoNotDrift) {

@@ -47,9 +47,8 @@ svc::JobSpec tiny_job(const std::string& id, std::uint64_t seed = 42) {
 
 /// The same run a tiny_job spec performs, executed directly (no
 /// scheduler): the per-job isolation baseline. `lanes` reproduces the
-/// scheduler's fair-share cap — kernel selection is width-aware, so the
-/// virtual trajectory is only comparable at the same effective width
-/// (clusters are bit-identical at ANY width; that is the contract).
+/// scheduler's fair-share cap; clusters and the virtual trajectory are
+/// bit-identical at any width, so the cap only changes execution.
 core::MclResult direct_run(const svc::JobSpec& spec, int lanes = 0) {
   std::optional<par::ScopedLaneCap> cap;
   if (lanes > 0) cap.emplace(lanes);
@@ -306,8 +305,12 @@ TEST_P(SvcCancelResume, ResumedTrajectoryMatchesBitwise) {
   // Run the same job in two checkpointed halves through the scheduler,
   // streaming both halves' JSONL reports, then join the iteration
   // records and compare the whole trajectory bitwise.
-  const std::string report1 = temp_path("svc_traj_half1.jsonl");
-  const std::string report2 = temp_path("svc_traj_half2.jsonl");
+  // Per-parameter names: ctest -j runs the instances as concurrent
+  // processes in one temp dir, and a shared report file interleaves
+  // their writes.
+  const std::string suffix = std::to_string(GetParam()) + ".jsonl";
+  const std::string report1 = temp_path("svc_traj_half1_" + suffix);
+  const std::string report2 = temp_path("svc_traj_half2_" + suffix);
   svc::SchedulerOptions options;
   options.max_concurrent = 1;
   svc::Scheduler scheduler(options);
