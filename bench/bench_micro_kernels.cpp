@@ -6,8 +6,8 @@
 // table.
 // The BM_Planted* pairs benchmark each SIMD-specced loop (prune
 // threshold scan, inflate) against its scalar counterpart on the same
-// planted-partition workload; BM_PlantedAccumScalar times the hash
-// accumulator alone.
+// planted-partition workload; BM_PlantedAccumScalar times cpu-hash's
+// row-indexed accumulator alone.
 // Every benchmark also reports bytes/flop so the arithmetic-intensity
 // regime of each kernel (all far into memory-bound territory) is visible
 // next to its wall time.
@@ -191,11 +191,10 @@ C planted_matrix(int workload) {
     p.p_in = 0.3;
     p.out_degree = 16.0;
   } else if (workload == 2) {
-    // "hub" (arg 2): the family regime scaled up until the flops-bound
-    // table sizing spills L2 — heavy-tailed families make the worst
-    // column's flops bound orders of magnitude above its output nnz, so
-    // a table sized to flops is MBs while one sized to the output is
-    // KBs.
+    // "hub" (arg 2): the family regime scaled up to 8,000 rows with
+    // heavy-tailed families, so the worst column's flops are orders of
+    // magnitude above its output nnz — the L2-spilling regime the
+    // roofline audit's cpu-hash row is set in.
     p.n = 8000;
     p.mean_family = 80.0;
     p.max_family = 800;
@@ -209,11 +208,12 @@ const char* workload_name(int workload) {
   return workload == 2 ? "hub" : "family";
 }
 
-/// Drives `table` through the full product stream of A·A: accumulate
-/// each output column, extract sorted, clear. Exactly hash_spgemm's
-/// per-column loop, so the benchmark isolates the accumulator itself.
-template <typename Table>
-void planted_accum_loop(benchmark::State& state, const C& a, Table& table) {
+/// Drives `acc` through the full product stream of A·A: accumulate each
+/// output column, then extract it sorted. Exactly hash_spgemm's per-column
+/// loop, so the benchmark isolates the accumulator itself.
+template <typename Accumulator>
+void planted_accum_loop(benchmark::State& state, const C& a,
+                        Accumulator& acc) {
   std::vector<vidx_t> rows;
   std::vector<val_t> vals;
   for (auto _ : state) {
@@ -226,38 +226,28 @@ void planted_accum_loop(benchmark::State& state, const C& a, Table& table) {
         const auto ar = a.col_rows(bk[p]);
         const auto av = a.col_vals(bk[p]);
         for (std::size_t q = 0; q < ar.size(); ++q) {
-          table.accumulate(ar[q], av[q] * bv[p]);
+          acc.accumulate(ar[q], av[q] * bv[p]);
         }
       }
-      table.extract_sorted(rows, vals);
-      table.clear_touched();
+      acc.extract_sorted(rows, vals);
     }
     benchmark::DoNotOptimize(rows.data());
     benchmark::DoNotOptimize(vals.data());
   }
   state.counters["flops"] =
       static_cast<double>(sparse::spgemm_flops(a, a));
-  // Per intermediate product: read one A entry, touch one table slot.
+  // Per intermediate product: read one A entry, touch one value slot and
+  // its stamp.
   state.counters["bytes_per_flop"] =
-      2.0 * (sizeof(vidx_t) + sizeof(val_t));
+      sizeof(vidx_t) + 2 * sizeof(val_t) + sizeof(std::uint32_t);
 }
 
 void BM_PlantedAccumScalar(benchmark::State& state) {
   const C a = planted_matrix(static_cast<int>(state.range(0)));
   state.SetLabel(workload_name(static_cast<int>(state.range(0))));
-  // AoS linear-probing table sized once to the worst column's flops
-  // bound — hash_spgemm's sizing.
-  std::uint64_t max_f = 0;
-  for (vidx_t j = 0; j < a.ncols(); ++j) {
-    std::uint64_t f = 0;
-    for (const vidx_t k : a.col_rows(j)) {
-      f += a.col_rows(k).size();
-    }
-    max_f = std::max(max_f, f);
-  }
-  spgemm::detail::HashAccumulator<vidx_t, val_t> table;
-  table.resize_for(static_cast<std::size_t>(max_f));
-  planted_accum_loop(state, a, table);
+  // The row-indexed accumulator hash_spgemm allocates once per call.
+  spgemm::detail::RowAccumulator<vidx_t, val_t> acc(a.nrows());
+  planted_accum_loop(state, a, acc);
 }
 /// Ordering construction + symmetric application, the one-off cost a
 /// reordered run pays up front (arg: 0 = degree, 1 = rcm, 2 = cluster).

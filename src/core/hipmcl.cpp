@@ -178,6 +178,20 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     throw std::invalid_argument("run_hipmcl: graph matrix must be square");
   if (params.inflation <= 1.0)
     throw std::invalid_argument("run_hipmcl: inflation must exceed 1");
+  // Weights are finite and non-negative from here on; the two-way merge's
+  // bitwise argument (merge/kway.hpp) and column normalization need it.
+  for (const auto& e : graph) {
+    const char* bad = std::isnan(e.val)   ? "NaN"
+                      : std::isinf(e.val) ? "infinite"
+                      : e.val < 0         ? "negative"
+                                          : nullptr;
+    if (bad) {
+      throw std::invalid_argument(
+          std::string("run_hipmcl: ") + bad + " weight " +
+          std::to_string(e.val) + " at (" + std::to_string(e.row) + ", " +
+          std::to_string(e.col) + ")");
+    }
+  }
 
   const dist::ProcGrid grid(sim.nranks());
   const sim::CostModel model(sim.machine());
@@ -253,9 +267,6 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
 
     // --- memory-requirement estimation (§V) ---------------------------
     notify_stage(obs::RunStage::kEstimate);
-    const dist::CscD ga = a.to_csc();  // gathered view used for real math
-    rep.flops = sparse::spgemm_flops(ga, ga);
-
     bool use_exact = config.estimator == EstimatorKind::kExactSymbolic;
     if (config.estimator == EstimatorKind::kAdaptive) {
       // Previous iteration's cf decides; first iteration stays
@@ -265,25 +276,32 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     }
     rep.used_exact_estimator = use_exact;
 
-    if (use_exact) {
-      rep.exact_unpruned_nnz =
-          static_cast<double>(spgemm::symbolic_nnz(ga, ga));
-      rep.est_unpruned_nnz = rep.exact_unpruned_nnz;
-      charge_symbolic_sweep(a, sim, rep.flops);
-    } else {
-      // Seeds derive from the *global* iteration index so a checkpoint-
-      // resumed run (start_iteration > 0) draws the sketches the
-      // uninterrupted run would have drawn.
-      const auto est = estimate::cohen_nnz_estimate(
-          ga, ga, config.cohen_keys,
-          util::derive_seed(config.seed,
-                            static_cast<std::uint64_t>(
-                                config.start_iteration + iter)));
-      rep.est_unpruned_nnz = est.total;
-      charge_cohen(a, sim, config.cohen_keys, config.gpu_estimation);
-      if (config.measure_estimation_error) {
+    {
+      // Gathered view used for real math: the flop count and the
+      // estimator. Scoped so it is freed before expansion, where the
+      // run's memory peaks.
+      const dist::CscD ga = a.to_csc();
+      rep.flops = sparse::spgemm_flops(ga, ga);
+      if (use_exact) {
         rep.exact_unpruned_nnz =
-            static_cast<double>(spgemm::symbolic_nnz(ga, ga));  // uncharged
+            static_cast<double>(spgemm::symbolic_nnz(ga, ga));
+        rep.est_unpruned_nnz = rep.exact_unpruned_nnz;
+        charge_symbolic_sweep(a, sim, rep.flops);
+      } else {
+        // Seeds derive from the *global* iteration index so a checkpoint-
+        // resumed run (start_iteration > 0) draws the sketches the
+        // uninterrupted run would have drawn.
+        const auto est = estimate::cohen_nnz_estimate(
+            ga, ga, config.cohen_keys,
+            util::derive_seed(config.seed,
+                              static_cast<std::uint64_t>(
+                                  config.start_iteration + iter)));
+        rep.est_unpruned_nnz = est.total;
+        charge_cohen(a, sim, config.cohen_keys, config.gpu_estimation);
+        if (config.measure_estimation_error) {
+          rep.exact_unpruned_nnz =
+              static_cast<double>(spgemm::symbolic_nnz(ga, ga));  // uncharged
+        }
       }
     }
     rep.cf = rep.est_unpruned_nnz > 0

@@ -175,7 +175,9 @@ struct MclResult {
 };
 
 /// Run HipMCL on `graph` (a weighted similarity network; made symmetric-
-/// stochastic internally) over the simulated machine in `sim`.
+/// stochastic internally) over the simulated machine in `sim`. Throws
+/// std::invalid_argument naming the entry when a weight is NaN, ±Inf or
+/// negative; zero is a legal weight.
 MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
                      const HipMclConfig& config, sim::SimState& sim);
 

@@ -111,7 +111,48 @@ TriplesD DistMat::to_triples() const {
   return out;
 }
 
-CscD DistMat::to_csc() const { return sparse::csc_from_triples(to_triples()); }
+CscD DistMat::to_csc() const {
+  // Tiles never overlap and each keeps its column's rows sorted, so a
+  // global column is its block column's tiles laid end to end in
+  // block-row order: count, then copy. No triples, no sort.
+  std::vector<vidx_t> colptr(static_cast<std::size_t>(ncols_) + 1, 0);
+  for (int i = 0; i < dim(); ++i) {
+    for (int j = 0; j < dim(); ++j) {
+      const DcscD& b = block(i, j);
+      const auto co = static_cast<std::size_t>(col_offset(j));
+      for (vidx_t k = 0; k < b.nzc(); ++k) {
+        colptr[co + static_cast<std::size_t>(b.nz_col_id(k)) + 1] +=
+            b.cp()[static_cast<std::size_t>(k) + 1] -
+            b.cp()[static_cast<std::size_t>(k)];
+      }
+    }
+  }
+  for (std::size_t c = 1; c < colptr.size(); ++c) colptr[c] += colptr[c - 1];
+
+  std::vector<vidx_t> rowids(static_cast<std::size_t>(colptr.back()));
+  std::vector<val_t> vals(rowids.size());
+  std::vector<vidx_t> next(colptr.begin(), colptr.end() - 1);
+  for (int j = 0; j < dim(); ++j) {
+    const auto co = static_cast<std::size_t>(col_offset(j));
+    for (int i = 0; i < dim(); ++i) {
+      const DcscD& b = block(i, j);
+      const vidx_t ro = row_offset(i);
+      for (vidx_t k = 0; k < b.nzc(); ++k) {
+        const auto rows = b.nz_col_rows(k);
+        const auto vs = b.nz_col_vals(k);
+        auto& dst = next[co + static_cast<std::size_t>(b.nz_col_id(k))];
+        for (std::size_t p = 0; p < rows.size(); ++p) {
+          rowids[static_cast<std::size_t>(dst) + p] = ro + rows[p];
+        }
+        std::copy(vs.begin(), vs.end(),
+                  vals.begin() + static_cast<std::ptrdiff_t>(dst));
+        dst += static_cast<vidx_t>(rows.size());
+      }
+    }
+  }
+  return CscD(nrows_, ncols_, std::move(colptr), std::move(rowids),
+              std::move(vals));
+}
 
 std::uint64_t DistMat::nnz() const {
   std::uint64_t total = 0;

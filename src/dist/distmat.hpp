@@ -33,7 +33,8 @@ class DistMat {
   /// Gather to global triples (canonicalized).
   TriplesD to_triples() const;
 
-  /// Gather to a single global CSC matrix.
+  /// Gather to a single global CSC matrix in O(nnz): each column is its
+  /// tiles' rows copied in block-row order, already sorted.
   CscD to_csc() const;
 
   vidx_t nrows() const { return nrows_; }

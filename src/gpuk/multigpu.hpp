@@ -2,6 +2,12 @@
 // device, B's columns are split evenly, each device computes its slice of
 // C, and the final product is a trivial column concatenation.
 //
+// The device libraries run for real on the host (host-side execution of
+// the device algorithm). All three are column-independent, so the product
+// is computed once over all of B; each device's memory reservation and
+// virtual cost come from its column range of B and C, exactly as if it
+// had multiplied that slice alone.
+//
 // Transfers ride each GPU's own NVLink (parallel), so the aggregate cost
 // components are per-device maxima, not sums.
 #pragma once
@@ -9,11 +15,14 @@
 #include <vector>
 
 #include "gpuk/device.hpp"
-#include "gpuk/gpu_kernels.hpp"
 #include "sim/costmodel.hpp"
+#include "sparse/csc.hpp"
 #include "spgemm/kernels.hpp"
+#include "util/types.hpp"
 
 namespace mclx::gpuk {
+
+using CscD = sparse::Csc<vidx_t, val_t>;
 
 struct MultiGpuResult {
   CscD c;
@@ -23,11 +32,21 @@ struct MultiGpuResult {
   int devices_used = 0;
 };
 
-/// Run C = A*B across `devices` (all must share the capacity of the
-/// machine's GPUs). Throws GpuOom if any slice fails its memory check.
+/// Run C = A*B with the GPU library `kind` across `devices` (all must
+/// share the capacity of the machine's GPUs). Throws GpuOom, before any
+/// work, when a device's slice does not fit: operands + output +
+/// workspace, with nnz(C) bounded by the slice's flops (callers fall back
+/// to the CPU).
 MultiGpuResult multi_gpu_spgemm(spgemm::KernelKind kind, const CscD& a,
                                 const CscD& b,
                                 std::vector<GpuDevice>& devices,
                                 const sim::CostModel& model);
+
+/// Device-memory working set of a multiply: `operand_bytes` (A and the
+/// B slice), the output estimate and the per-library workspace. Used
+/// for OOM pre-checks.
+bytes_t gpu_working_set_bytes(spgemm::KernelKind kind, bytes_t operand_bytes,
+                              std::uint64_t flops,
+                              std::uint64_t out_nnz_estimate);
 
 }  // namespace mclx::gpuk

@@ -3,6 +3,12 @@
 // products. Column-by-column: a min-heap over the k lists' current row
 // ids pops the smallest, folding equal (col,row) coordinates by addition.
 //
+// Two blocks take a two-pointer merge instead. A tie there sums exactly
+// two values, and x + y == y + x bitwise for every non-NaN value (inputs
+// are checked finite at the run_hipmcl boundary), so the heap's pop order
+// never mattered for them. From three blocks up the pop order fixes the
+// fold order, which the bitwise contract pins, so they keep the heap.
+//
 // Columns merge independently, so the heap pass chunks over columns on
 // the shared pool with per-chunk output buffers stitched back in chunk
 // order. Per-column fold order is the heap's deterministic pop order
@@ -53,8 +59,46 @@ sparse::Csc<IT, VT> kway_merge(
       static_cast<std::size_t>(std::max(chunks, 0)));
   std::vector<std::vector<VT>> chunk_vals(chunk_rows.size());
 
+  auto merge_two_columns = [&](IT j0, IT j1, std::vector<IT>& out_rows,
+                               std::vector<VT>& out_vals) {
+    const auto& x = *blocks[0];
+    const auto& y = *blocks[1];
+    for (IT j = j0; j < j1; ++j) {
+      const auto xr = x.col_rows(j);
+      const auto xv = x.col_vals(j);
+      const auto yr = y.col_rows(j);
+      const auto yv = y.col_vals(j);
+      const auto col_start = out_rows.size();
+      std::size_t p = 0, q = 0;
+      while (p < xr.size() && q < yr.size()) {
+        if (xr[p] < yr[q]) {
+          out_rows.push_back(xr[p]);
+          out_vals.push_back(xv[p++]);
+        } else if (yr[q] < xr[p]) {
+          out_rows.push_back(yr[q]);
+          out_vals.push_back(yv[q++]);
+        } else {
+          out_rows.push_back(xr[p]);
+          out_vals.push_back(xv[p++] + yv[q++]);
+        }
+      }
+      for (const auto rest : {xr.subspan(p), yr.subspan(q)}) {
+        out_rows.insert(out_rows.end(), rest.begin(), rest.end());
+      }
+      for (const auto rest : {xv.subspan(p), yv.subspan(q)}) {
+        out_vals.insert(out_vals.end(), rest.begin(), rest.end());
+      }
+      colptr[static_cast<std::size_t>(j) + 1] =
+          static_cast<IT>(out_rows.size() - col_start);
+    }
+  };
+
   auto merge_columns = [&](IT j0, IT j1, std::vector<IT>& out_rows,
                            std::vector<VT>& out_vals) {
+    if (blocks.size() == 2) {
+      merge_two_columns(j0, j1, out_rows, out_vals);
+      return;
+    }
     std::vector<Entry> heap;
     for (IT j = j0; j < j1; ++j) {
       heap.clear();

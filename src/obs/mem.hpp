@@ -9,10 +9,10 @@
 // Mirrors the MetricsRegistry global-sink pattern (obs/metrics.hpp):
 // recording is off by default — instrumentation sites are a null check —
 // and installing a ledger never changes what the pipeline computes.
-// Unlike MetricsRegistry the ledger IS thread-safe: SpGEMM hash tables
+// Unlike MetricsRegistry the ledger IS thread-safe: SpGEMM accumulators
 // and merge scratch are charged from pool worker threads, so every
 // mutating entry point takes an internal mutex. Charges are per
-// allocation (table resize, chunk buffer, merge push), not per element,
+// allocation (accumulator, chunk buffer, merge push), not per element,
 // so the lock is far off the hot path.
 //
 // Label conventions and the full catalogue live in docs/OBSERVABILITY.md

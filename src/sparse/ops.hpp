@@ -89,7 +89,7 @@ std::uint64_t spgemm_flops(const Csc<IT, VT>& a, const Csc<IT, VT>& b) {
   return total;
 }
 
-/// Per-output-column flops — the hash kernels size their tables by the max.
+/// Per-output-column flops.
 template <typename IT, typename VT>
 std::vector<std::uint64_t> spgemm_flops_per_col(const Csc<IT, VT>& a,
                                                 const Csc<IT, VT>& b) {

@@ -1,25 +1,28 @@
-// Hash-table SpGEMM on CPU, after Nagasaka, Matsuoka, Azad & Buluç
+// Hash SpGEMM on CPU, after Nagasaka, Matsuoka, Azad & Buluç
 // (ICPP-W 2018) — the kernel §VI integrates into HipMCL.
 //
-// Per output column, intermediate products accumulate in an open-
-// addressing table sized to the next power of two above that column's
-// flops upper bound (so load factor stays below 1/2); results are then
-// extracted and sorted by row id. O(flops) expected: no lg factor, which
-// is why it wins over the heap kernel once cf (and column density) grows.
-// The table is allocated once at the max per-column bound and reused
-// across columns, matching the per-thread reuse in the original code.
+// Per output column, intermediate products accumulate in a row-indexed
+// table: one value slot and one uint32 stamp per row of A, i.e. a hash
+// table whose hash is the row id itself, so it never probes or collides.
+// A row whose stamp is not the current column's takes its first product
+// by assignment and records itself as touched; later products add. The
+// column is then emitted in row order (RowAccumulator::extract_sorted)
+// and a new column starts by bumping the stamp, in O(1). O(flops) per
+// multiply plus O(nrows) memory per lane, allocated once per call and
+// reused across its columns.
 //
 // Lanes: the output columns can be split into flops-balanced contiguous
 // ranges that run as lanes of the shared pool (util/parallel.hpp), each
-// with its own table and its own output arrays, stitched together in
-// lane order afterwards. Every column runs the same loop body with the
-// same accumulate() order and is extracted sorted by row id, so the
-// result is bitwise the one-lane result at any lane count.
+// with its own accumulator and its own output arrays, stitched together
+// in lane order afterwards. Every column runs the same loop body with the
+// same accumulate() order and is emitted sorted by row id, so the result
+// is bitwise the one-lane result at any lane count.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -31,84 +34,126 @@ namespace mclx::spgemm {
 
 namespace detail {
 
-/// Open-addressing (linear probing) row→value accumulator with tombstone-
-/// free inserts; EMPTY slots are marked by row == -1.
-template <typename IT, typename VT>
-class HashAccumulator {
+/// One uint32 stamp per row: a row is marked in the current column when
+/// its stamp equals the column's epoch, so next_column() is O(1) and
+/// nothing is cleared between columns.
+class RowMarks {
  public:
-  void resize_for(std::size_t max_entries) {
-    std::size_t want = std::bit_ceil(std::max<std::size_t>(
-        2 * max_entries, 16));
-    if (want > slots_.size()) {
-      slots_.assign(want, Slot{});
-      mask_ = want - 1;
+  explicit RowMarks(std::size_t nrows) : stamps_(nrows, 0) {}
+
+  /// Marks `row`; true when it was not yet marked in this column.
+  bool mark(std::size_t row) {
+    if (stamps_[row] == epoch_) return false;
+    stamps_[row] = epoch_;
+    return true;
+  }
+
+  void next_column() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps could alias the epoch
+      std::fill(stamps_.begin(), stamps_.end(), 0u);
+      epoch_ = 1;
     }
   }
 
-  void clear_touched() {
-    for (const std::size_t s : touched_) slots_[s] = Slot{};
-    touched_.clear();
-  }
-
-  void accumulate(IT row, VT val) {
-    std::size_t h = hash(row) & mask_;
-    for (;;) {
-      Slot& slot = slots_[h];
-      if (slot.row == row) {
-        slot.val += val;
-        return;
-      }
-      if (slot.row == kEmpty) {
-        slot.row = row;
-        slot.val = val;
-        touched_.push_back(h);
-        return;
-      }
-      h = (h + 1) & mask_;
-    }
-  }
-
-  std::size_t size() const { return touched_.size(); }
-
-  /// Bytes held by the probe table itself (the dominant allocation;
-  /// what the memory ledger charges under "spgemm.hash_table").
-  std::uint64_t capacity_bytes() const {
-    return static_cast<std::uint64_t>(slots_.size()) * sizeof(Slot);
-  }
-
-  /// Append (sorted by row) entries into the output arrays.
-  void extract_sorted(std::vector<IT>& rowids, std::vector<VT>& vals) {
-    scratch_.clear();
-    scratch_.reserve(touched_.size());
-    for (const std::size_t s : touched_) {
-      scratch_.push_back({slots_[s].row, slots_[s].val});
-    }
-    std::sort(scratch_.begin(), scratch_.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (const auto& [row, val] : scratch_) {
-      rowids.push_back(row);
-      vals.push_back(val);
-    }
+  std::uint64_t bytes() const {
+    return static_cast<std::uint64_t>(stamps_.size()) * sizeof(std::uint32_t);
   }
 
  private:
-  static constexpr IT kEmpty = IT{-1};
-  struct Slot {
-    IT row = kEmpty;
-    VT val{};
-  };
-  static std::size_t hash(IT row) {
-    auto x = static_cast<std::uint64_t>(row);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
+  std::vector<std::uint32_t> stamps_;
+  std::uint32_t epoch_ = 1;
+};
+
+/// extract_sorted() walks the occupancy bitmap while the lowest and
+/// highest touched 64-row words lie fewer than this many words apart per
+/// touched row, and sorts the touched rows beyond that. Sorting starts
+/// to win at 3 to 30 words per row depending on the row count; whole
+/// runs do not move across that range (docs/KERNELS.md, "The extraction
+/// crossover").
+inline constexpr std::size_t kWalkWordsPerRow = 8;
+
+/// Row-indexed accumulator for C(:, j), one column at a time: a value
+/// slot per row of A, the RowMarks stamps, the list of touched rows and
+/// an occupancy bitmap that is set and cleared only during extraction.
+template <typename IT, typename VT>
+class RowAccumulator {
+ public:
+  explicit RowAccumulator(IT nrows)
+      : n_(static_cast<std::size_t>(nrows)),
+        vals_(std::make_unique_for_overwrite<VT[]>(n_)),
+        touched_(std::make_unique_for_overwrite<IT[]>(n_)),
+        marks_(n_),
+        bits_((n_ + 63) / 64, 0) {}
+
+  void accumulate(IT row, VT val) {
+    const auto r = static_cast<std::size_t>(row);
+    if (marks_.mark(r)) {
+      vals_[r] = val;
+      touched_[size_++] = row;
+    } else {
+      vals_[r] += val;
+    }
   }
 
-  std::vector<Slot> slots_;
-  std::vector<std::pair<IT, VT>> scratch_;
-  std::vector<std::size_t> touched_;
-  std::size_t mask_ = 0;
+  /// Bytes held for the whole kernel call (what the memory ledger
+  /// charges under "spgemm.hash_table").
+  std::uint64_t bytes() const {
+    return static_cast<std::uint64_t>(n_) * (sizeof(VT) + sizeof(IT)) +
+           marks_.bytes() +
+           static_cast<std::uint64_t>(bits_.size()) * sizeof(std::uint64_t);
+  }
+
+  /// Append the column's entries sorted by row, then start a new column.
+  void extract_sorted(std::vector<IT>& rowids, std::vector<VT>& vals) {
+    const std::size_t base = rowids.size();
+    rowids.resize(base + size_);
+    vals.resize(base + size_);
+    IT* out_rows = rowids.data() + base;
+    VT* out_vals = vals.data() + base;
+    if (size_ > 0) {
+      IT lo = touched_[0];
+      IT hi = lo;
+      for (std::size_t p = 1; p < size_; ++p) {
+        lo = std::min(lo, touched_[p]);
+        hi = std::max(hi, touched_[p]);
+      }
+      const auto w0 = static_cast<std::size_t>(lo) / 64;
+      const auto w1 = static_cast<std::size_t>(hi) / 64;
+      if (w1 - w0 < kWalkWordsPerRow * size_) {
+        for (std::size_t p = 0; p < size_; ++p) {
+          const auto r = static_cast<std::size_t>(touched_[p]);
+          bits_[r / 64] |= std::uint64_t{1} << (r % 64);
+        }
+        for (std::size_t w = w0; w <= w1; ++w) {
+          std::uint64_t word = bits_[w];
+          if (word == 0) continue;
+          bits_[w] = 0;
+          for (; word != 0; word &= word - 1) {
+            const std::size_t r =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+            *out_rows++ = static_cast<IT>(r);
+            *out_vals++ = vals_[r];
+          }
+        }
+      } else {
+        std::sort(touched_.get(), touched_.get() + size_);
+        for (std::size_t p = 0; p < size_; ++p) {
+          *out_rows++ = touched_[p];
+          *out_vals++ = vals_[static_cast<std::size_t>(touched_[p])];
+        }
+      }
+    }
+    size_ = 0;
+    marks_.next_column();
+  }
+
+ private:
+  std::size_t n_;
+  std::unique_ptr<VT[]> vals_;
+  std::unique_ptr<IT[]> touched_;
+  std::size_t size_ = 0;
+  RowMarks marks_;
+  std::vector<std::uint64_t> bits_;
 };
 
 /// Greedy contiguous partition of columns into `parts` ranges with
@@ -147,26 +192,14 @@ std::vector<IT> partition_columns_by_flops(const sparse::Csc<IT, VT>& a,
 }
 
 /// Output columns [j0, j1) of C = A * B. `colptr` receives j1 - j0 + 1
-/// offsets starting at 0 into `rowids`/`vals`. One table, sized for the
-/// range's worst column and charged to the ledger once, serves every
-/// column of the range.
+/// offsets starting at 0 into `rowids`/`vals`. One accumulator, charged
+/// to the ledger once, serves every column of the range.
 template <typename IT, typename VT>
 void hash_columns(const sparse::Csc<IT, VT>& a, const sparse::Csc<IT, VT>& b,
                   IT j0, IT j1, std::vector<IT>& colptr,
                   std::vector<IT>& rowids, std::vector<VT>& vals) {
-  // Upper bound on any column's intermediate-product count.
-  std::uint64_t max_col_flops = 0;
-  for (IT j = j0; j < j1; ++j) {
-    std::uint64_t f = 0;
-    for (IT k : b.col_rows(j)) f += static_cast<std::uint64_t>(a.col_nnz(k));
-    max_col_flops = std::max(max_col_flops, f);
-  }
-
-  HashAccumulator<IT, VT> table;
-  table.resize_for(static_cast<std::size_t>(
-      std::min<std::uint64_t>(max_col_flops,
-                              static_cast<std::uint64_t>(a.nrows()))));
-  obs::MemScope table_mem("spgemm.hash_table", table.capacity_bytes());
+  RowAccumulator<IT, VT> acc(a.nrows());
+  obs::MemScope acc_mem("spgemm.hash_table", acc.bytes());
 
   colptr.assign(static_cast<std::size_t>(j1 - j0) + 1, 0);
   for (IT j = j0; j < j1; ++j) {
@@ -178,11 +211,10 @@ void hash_columns(const sparse::Csc<IT, VT>& a, const sparse::Csc<IT, VT>& b,
       const auto ar = a.col_rows(k);
       const auto av = a.col_vals(k);
       for (std::size_t q = 0; q < ar.size(); ++q) {
-        table.accumulate(ar[q], av[q] * scale);
+        acc.accumulate(ar[q], av[q] * scale);
       }
     }
-    table.extract_sorted(rowids, vals);
-    table.clear_touched();
+    acc.extract_sorted(rowids, vals);
     colptr[static_cast<std::size_t>(j - j0) + 1] =
         static_cast<IT>(rowids.size());
   }
@@ -190,7 +222,7 @@ void hash_columns(const sparse::Csc<IT, VT>& a, const sparse::Csc<IT, VT>& b,
 
 }  // namespace detail
 
-/// C = A * B with per-column hash accumulation over `lanes` flops-
+/// C = A * B with per-column row-indexed accumulation over `lanes` flops-
 /// balanced column ranges on the shared pool (capped at the column
 /// count). lanes <= 1 runs the whole product sequentially on the caller.
 template <typename IT, typename VT>

@@ -2,24 +2,23 @@
 //
 // This is the "exact" memory-requirement estimator original HipMCL runs
 // before every MCL iteration (a full extra pass, O(flops)), the cost the
-// probabilistic estimator of §V removes. Hash-based, matching the exact
-// scheme evaluated in Fig 6.
+// probabilistic estimator of §V removes. It counts each output column's
+// distinct rows with the hash kernel's per-row marks (hash.hpp's
+// RowMarks), so it needs no values, no touched list and no sort.
 //
 // Columns are independent, so the pass runs on the shared thread pool
-// (util/parallel.hpp): each chunk of output columns gets its own probe
-// table sized to that chunk's worst column. Per-column counts do not
-// depend on the chunking, so results are bit-identical at any thread
-// count.
+// (util/parallel.hpp): each chunk of output columns gets its own marks.
+// Per-column counts do not depend on the chunking, so results are
+// bit-identical at any thread count.
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/mem.hpp"
 #include "sparse/csc.hpp"
+#include "spgemm/hash.hpp"
 #include "util/parallel.hpp"
 
 namespace mclx::spgemm {
@@ -34,48 +33,17 @@ std::vector<std::uint64_t> symbolic_nnz_per_col(const sparse::Csc<IT, VT>& a,
 
   std::vector<std::uint64_t> out(static_cast<std::size_t>(ncols), 0);
   par::parallel_chunks(IT{0}, ncols, [&](IT j0, IT j1, int) {
-    std::uint64_t max_col_flops = 0;
+    detail::RowMarks marks(static_cast<std::size_t>(a.nrows()));
+    obs::MemScope marks_mem("spgemm.symbolic", marks.bytes());
     for (IT j = j0; j < j1; ++j) {
-      std::uint64_t f = 0;
-      for (IT k : b.col_rows(j)) f += static_cast<std::uint64_t>(a.col_nnz(k));
-      max_col_flops = std::max(max_col_flops, f);
-    }
-    const std::size_t cap = std::bit_ceil(std::max<std::size_t>(
-        2 * static_cast<std::size_t>(std::min<std::uint64_t>(
-                max_col_flops, static_cast<std::uint64_t>(a.nrows()))),
-        16));
-    std::vector<IT> slots(cap, IT{-1});
-    obs::MemScope slots_mem("spgemm.symbolic",
-                            static_cast<std::uint64_t>(cap) * sizeof(IT));
-    std::vector<std::size_t> touched;
-    const std::size_t mask = cap - 1;
-
-    auto hash = [](IT row) {
-      auto x = static_cast<std::uint64_t>(row);
-      x ^= x >> 33;
-      x *= 0xff51afd7ed558ccdULL;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    };
-
-    for (IT j = j0; j < j1; ++j) {
-      touched.clear();
+      std::uint64_t count = 0;
       for (IT k : b.col_rows(j)) {
         for (IT r : a.col_rows(k)) {
-          std::size_t h = hash(r) & mask;
-          for (;;) {
-            if (slots[h] == r) break;
-            if (slots[h] == IT{-1}) {
-              slots[h] = r;
-              touched.push_back(h);
-              break;
-            }
-            h = (h + 1) & mask;
-          }
+          count += marks.mark(static_cast<std::size_t>(r)) ? 1 : 0;
         }
       }
-      out[static_cast<std::size_t>(j)] = touched.size();
-      for (const std::size_t s : touched) slots[s] = IT{-1};
+      out[static_cast<std::size_t>(j)] = count;
+      marks.next_column();
     }
   });
   return out;

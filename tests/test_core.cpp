@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/chaos.hpp"
 #include "core/hipmcl.hpp"
@@ -265,6 +267,54 @@ TEST(HipMcl, RejectsBadInputs) {
   params.inflation = 1.0;
   EXPECT_THROW(core::run_hipmcl(square, params, {}, sim),
                std::invalid_argument);
+}
+
+/// A small symmetric graph with one edge weight replaced by `bad`.
+T graph_with_weight(val_t bad) {
+  T t(6, 6);
+  for (vidx_t u = 0; u < 6; ++u) {
+    t.push(u, (u + 1) % 6, 1.0);
+    t.push((u + 1) % 6, u, 1.0);
+  }
+  t.push(2, 4, bad);
+  t.sort_and_combine();
+  return t;
+}
+
+void expect_rejected_weight(val_t bad, const std::string& kind) {
+  sim::SimState sim(sim::summit_like(1));
+  try {
+    core::run_hipmcl(graph_with_weight(bad), {}, {}, sim);
+    FAIL() << "expected std::invalid_argument for a " << kind << " weight";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(kind + " weight"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("(2, 4)"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HipMcl, RejectsNanWeight) {
+  expect_rejected_weight(std::nan(""), "NaN");
+}
+
+TEST(HipMcl, RejectsPositiveInfiniteWeight) {
+  expect_rejected_weight(std::numeric_limits<val_t>::infinity(), "infinite");
+}
+
+TEST(HipMcl, RejectsNegativeInfiniteWeight) {
+  expect_rejected_weight(-std::numeric_limits<val_t>::infinity(),
+                         "infinite");
+}
+
+TEST(HipMcl, RejectsNegativeWeight) {
+  expect_rejected_weight(-0.5, "negative");
+}
+
+TEST(HipMcl, ZeroWeightIsLegal) {
+  sim::SimState sim(sim::summit_like(1));
+  const auto r = core::run_hipmcl(graph_with_weight(0.0), {}, {}, sim);
+  EXPECT_EQ(r.labels.size(), 6u);
 }
 
 TEST(HipMcl, GpuIdleLowerThanCpuIdleOnDenseGraphs) {

@@ -88,6 +88,61 @@ TEST(DistMat, ToCscMatchesDirectBuild) {
   EXPECT_EQ(m.to_csc(), sparse::csc_from_triples(t));
 }
 
+class GatherPin : public testing::TestWithParam<int> {};
+
+TEST_P(GatherPin, ToCscEqualsTriplesPathBitwise) {
+  // The O(nnz) gather copies tiles in block-row order with no sort; it
+  // must equal the canonicalizing triples path bit for bit. Shapes are
+  // ragged (not divisible by the grid), smaller than the grid (blocks
+  // with no rows or columns), empty, and confined to a corner (whole
+  // block rows and columns empty).
+  const int dim = GetParam();
+  const ProcGrid grid(dim * dim);
+  struct Shape {
+    vidx_t nrows, ncols;
+    std::uint64_t entries;
+    vidx_t row_limit, col_limit;
+  };
+  const Shape shapes[] = {{37, 41, 300, 37, 41}, {3, 2, 5, 3, 2},
+                          {50, 50, 0, 50, 50},   {23, 61, 40, 23, 61},
+                          {60, 45, 200, 13, 9},  {1, 1, 1, 1, 1}};
+  std::uint64_t seed = 100;
+  for (const Shape& sh : shapes) {
+    T t(sh.nrows, sh.ncols);
+    for (const auto& e :
+         random_triples(sh.row_limit, sh.col_limit, sh.entries, ++seed)) {
+      t.push(e.row, e.col, e.val);
+    }
+    const DistMat m = DistMat::from_triples(t, grid);
+    EXPECT_EQ(m.to_csc(), sparse::csc_from_triples(m.to_triples()))
+        << sh.nrows << "x" << sh.ncols << " on dim " << dim;
+  }
+}
+
+TEST_P(GatherPin, SummaPlusPruneOutputGathersBitwise) {
+  // Blocks written by the pipelined SUMMA's binary merge over two
+  // phases and by the fused prune sink.
+  const int dim = GetParam();
+  T t = random_triples(47, 47, 500, 7);
+  sim::SimState sim(sim::summit_like(dim * dim));
+  const DistMat a = DistMat::from_triples(t, ProcGrid(dim * dim));
+  dist::SummaOptions opt;
+  opt.pipelined = true;
+  opt.binary_merge = true;
+  opt.phases = 2;
+  const auto r = dist::summa_multiply(
+      a, a, sim, opt, [](int, std::vector<CscD>& chunks) {
+        for (auto& c : chunks) c = sparse::prune_threshold(c, 0.2);
+      });
+  ASSERT_GT(r.c.nnz(), 0u);
+  EXPECT_EQ(r.c.to_csc(), sparse::csc_from_triples(r.c.to_triples()));
+}
+
+INSTANTIATE_TEST_SUITE_P(GridDims, GatherPin, testing::Values(1, 2, 3, 4),
+                         [](const testing::TestParamInfo<int>& info) {
+                           return "dim" + std::to_string(info.param);
+                         });
+
 TEST(DistMat, SetBlockValidatesShape) {
   DistMat m(10, 10, ProcGrid(4));
   EXPECT_THROW(m.set_block(0, 0, dist::DcscD(3, 3)), std::invalid_argument);

@@ -86,6 +86,18 @@ TEST(KwayMerge, DisjointListsConcatenate) {
   EXPECT_TRUE(merged.cols_sorted());
 }
 
+TEST(KwayMerge, TwoBlocksCommuteBitwise) {
+  // Two blocks take the two-pointer merge: every tie sums two values,
+  // and x + y == y + x, so swapping the blocks changes no bit. The
+  // blocks overlap heavily so ties are common.
+  const C x = random_block(40, 25, 500, 21);
+  const C y = random_block(40, 25, 500, 22);
+  const C xy = merge::kway_merge(std::vector<C>{x, y});
+  EXPECT_EQ(xy, merge::kway_merge(std::vector<C>{y, x}));
+  EXPECT_TRUE(sparse::approx_equal(sparse::add(x, y), xy));
+  EXPECT_TRUE(xy.cols_sorted());
+}
+
 class MergeSchemeEquivalence : public testing::TestWithParam<int> {};
 
 TEST_P(MergeSchemeEquivalence, AllSchemesAgree) {

@@ -1,10 +1,14 @@
 // Cross-kernel SpGEMM property suite: every CPU kernel must produce a
 // result structurally identical and numerically equal (1e-9 relative) to
 // the dense-accumulator (SPA) reference, across a parameter grid of
-// shapes, densities and structures; plus symbolic-pass exactness.
+// shapes, densities and structures; plus symbolic-pass exactness and
+// cpu-hash's row-indexed accumulator pinned bitwise to SPA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "sparse/convert.hpp"
@@ -161,6 +165,139 @@ TEST(Spgemm, CancellationProducesExplicitZero) {
   EXPECT_TRUE(sparse::approx_equal(ref, spgemm::heap_spgemm(a, b)));
   EXPECT_TRUE(sparse::approx_equal(ref, spgemm::hash_spgemm(a, b)));
 }
+
+/// Operands shaped to drive every path of hash_spgemm's row-indexed
+/// accumulator. A's columns come in kinds: far (a few rows spread over
+/// the whole height), dense (a contiguous run), scattered, empty, a
+/// v / -v pair that cancels to an explicit zero, and explicit zeros
+/// whose products with a negative B value are -0.0. B's columns pick
+/// them alone and in mixtures, with empty columns in between.
+struct AccumOperands {
+  C a, b;
+};
+
+AccumOperands accumulator_operands(vidx_t nrows, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  constexpr vidx_t kFar = 0, kDense = 8, kScattered = 16, kEmpty = 24,
+                   kCancel = 26, kZero = 28, kInner = 29;
+  T ta(nrows, kInner);
+  for (vidx_t k = kFar; k < kDense; ++k) {
+    const vidx_t r = static_cast<vidx_t>(rng.bounded(nrows));
+    for (const vidx_t row : {r, (r + nrows / 2) % nrows, nrows - 1 - r}) {
+      ta.push(row, k, rng.uniform() * 2 - 1);
+    }
+  }
+  for (vidx_t k = kDense; k < kScattered; ++k) {
+    const vidx_t run = std::min<vidx_t>(nrows, 200);
+    const vidx_t start = static_cast<vidx_t>(rng.bounded(nrows - run + 1));
+    for (vidx_t row = start; row < start + run; ++row) {
+      if (rng.uniform() < 0.6) ta.push(row, k, rng.uniform() * 2 - 1);
+    }
+  }
+  for (vidx_t k = kScattered; k < kEmpty; ++k) {
+    for (int e = 0; e < 12; ++e) {
+      ta.push(static_cast<vidx_t>(rng.bounded(nrows)), k,
+              rng.uniform() * 2 - 1);
+    }
+  }
+  for (vidx_t row = 0; row < nrows; row += std::max<vidx_t>(1, nrows / 7)) {
+    const val_t v = rng.uniform() + 0.5;
+    ta.push(row, kCancel, v);
+    ta.push(row, kCancel + 1, -v);
+    ta.push(row, kZero, 0.0);
+  }
+  ta.sort_and_combine();
+
+  T tb(kInner, 40);
+  for (vidx_t j = 0; j < 40; ++j) {
+    switch (j % 5) {
+      case 0:  // empty output column, or only -0.0 products
+        if (j % 10 == 5) tb.push(kZero, j, -1.0);
+        break;
+      case 1:  // two far columns: a few rows over the whole height,
+               // arriving out of row order
+        tb.push(kFar + j % 8, j, rng.uniform() * 2 - 1);
+        tb.push(kFar + (j + 1) % 8, j, rng.uniform() * 2 - 1);
+        break;
+      case 2:  // dense runs overlapping, plus a far column
+        for (vidx_t k = kDense; k < kScattered; k += 2 + j % 2) {
+          tb.push(k, j, rng.uniform() * 2 - 1);
+        }
+        tb.push(kFar + (j + 3) % 8, j, rng.uniform() * 2 - 1);
+        break;
+      case 3:  // scattered and empty A columns
+        for (vidx_t k = kScattered; k < kCancel; ++k) {
+          if (rng.uniform() < 0.5) tb.push(k, j, rng.uniform() * 2 - 1);
+        }
+        break;
+      case 4:  // cancellation: v * 1 + (-v) * 1 == 0 exactly
+        tb.push(kCancel, j, 1.0);
+        tb.push(kCancel + 1, j, 1.0);
+        break;
+    }
+  }
+  tb.sort_and_combine();
+  return {sparse::csc_from_triples(std::move(ta)),
+          sparse::csc_from_triples(std::move(tb))};
+}
+
+class RowAccumulatorPin : public testing::TestWithParam<vidx_t> {};
+
+TEST_P(RowAccumulatorPin, HashIsSpaBitwiseAtAnyLaneCount) {
+  const vidx_t nrows = GetParam();
+  const auto [a, b] = accumulator_operands(nrows, 40 + nrows);
+  const C ref = spgemm::spa_spgemm(a, b);
+  for (const int lanes : {1, 4}) {
+    const C c = spgemm::hash_spgemm(a, b, lanes);
+    EXPECT_EQ(c, ref) << "lanes " << lanes;
+    // operator== holds -0.0 == +0.0; a first product taken by
+    // assignment keeps the sign of zero, so compare the value bits too.
+    ASSERT_EQ(c.vals().size(), ref.vals().size());
+    EXPECT_EQ(std::memcmp(c.vals().data(), ref.vals().data(),
+                          ref.vals().size() * sizeof(val_t)),
+              0)
+        << "lanes " << lanes;
+  }
+  const auto per_col = spgemm::symbolic_nnz_per_col(a, b);
+  ASSERT_EQ(per_col.size(), static_cast<std::size_t>(ref.ncols()));
+  for (vidx_t j = 0; j < ref.ncols(); ++j) {
+    EXPECT_EQ(per_col[static_cast<std::size_t>(j)],
+              static_cast<std::uint64_t>(ref.col_nnz(j)))
+        << "column " << j;
+  }
+
+  // The operands really exercise what they claim: empty columns, an
+  // explicit zero, a -0.0, and — once the height allows it — both
+  // extraction paths (bitmap walk, and sort when rows span too many
+  // words).
+  std::size_t empty = 0, walked = 0, sorted = 0;
+  for (vidx_t j = 0; j < ref.ncols(); ++j) {
+    const auto rows = ref.col_rows(j);
+    if (rows.empty()) {
+      ++empty;
+      continue;
+    }
+    const auto span_words = static_cast<std::size_t>(rows.back() / 64 -
+                                                     rows.front() / 64);
+    (span_words < spgemm::detail::kWalkWordsPerRow * rows.size() ? walked
+                                                                 : sorted)++;
+  }
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(walked, 0u);
+  if (nrows >= 4096) {
+    EXPECT_GT(sorted, 0u);
+  }
+  EXPECT_NE(std::find(ref.vals().begin(), ref.vals().end(), 0.0),
+            ref.vals().end());
+  EXPECT_TRUE(std::any_of(ref.vals().begin(), ref.vals().end(),
+                          [](val_t v) { return v == 0 && std::signbit(v); }));
+}
+
+INSTANTIATE_TEST_SUITE_P(Heights, RowAccumulatorPin,
+                         testing::Values(1, 63, 64, 65, 1000, 5000),
+                         [](const testing::TestParamInfo<vidx_t>& info) {
+                           return "n" + std::to_string(info.param);
+                         });
 
 TEST(Spgemm, FlopsConsistentWithKernelWork) {
   const C a = random_csc(64, 64, 0.1, 7);
