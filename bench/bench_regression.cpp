@@ -62,8 +62,7 @@ int main(int argc, char** argv) try {
   util::WallTimer wall;
   core::MclResult result;
   {
-    obs::ScopedMetrics scope(registry);
-    obs::ScopedMemLedger mem_scope(ledger);
+    const obs::ScopedContext sinks({.metrics = &registry, .ledger = &ledger});
     result = core::run_hipmcl(graph.edges, params, config, sim);
   }
   const double real_wall_s = wall.elapsed_s();
@@ -80,7 +79,7 @@ int main(int argc, char** argv) try {
     merge_peak_sum_max = std::max(merge_peak_sum_max, it.merge_peak_sum);
     merge_peak_rank_max = std::max(merge_peak_rank_max, it.merge_peak_max);
   }
-  const obs::Accumulator* est_err = registry.accumulator("estimate.rel_error");
+  const obs::Histogram* est_err = registry.histogram("estimate.rel_error");
 
   std::ofstream os(out_path);
   if (!os) throw std::runtime_error("cannot write " + out_path);
@@ -170,7 +169,8 @@ int main(int argc, char** argv) try {
 
   w.begin_object("estimator");
   w.field("mean_rel_error", est_err ? est_err->mean() : -1.0);
-  w.field("max_rel_error", est_err && est_err->count ? est_err->max : -1.0);
+  w.field("max_rel_error",
+          est_err && !est_err->empty() ? est_err->max() : -1.0);
   w.end_object();
 
   w.begin_object("kernels");
@@ -183,19 +183,28 @@ int main(int argc, char** argv) try {
 
   // Distribution percentiles (all virtual/deterministic): the tails the
   // mean-only trajectory hides — merge widths, per-call SUMMA times,
-  // broadcast payloads. The pool.* histograms are measured wall time —
-  // machine noise — so they stay out of the gated block, and so does
-  // anything "prof." (hardware-counter evidence, equally machine-bound).
+  // broadcast payloads, estimator error. A fixed list, not every value
+  // metric: pool.* and order.*_s are measured wall time and
+  // memory.hwm_bytes depends on lane timing, so they stay out of the
+  // gated block.
+  static constexpr const char* kGatedDistributions[] = {
+      "estimate.rel_error",  "estimate.unpruned_nnz.rel_error",
+      "memory.charge_bytes", "memory.phase_bytes.rel_error",
+      "merge.peak_elements", "merge.ways",
+      "spgemm.select.flops", "summa.bcast_bytes",
+      "summa.bcast_s",       "summa.merge_s",
+      "summa.overall_s",     "summa.spgemm_s",
+  };
   w.begin_object("distributions");
-  for (const auto& [name, hist] : registry.histograms()) {
-    if (name.rfind("pool.", 0) == 0) continue;
-    if (name.rfind("prof.", 0) == 0) continue;
+  for (const char* name : kGatedDistributions) {
+    const obs::Histogram* hist = registry.histogram(name);
+    if (hist == nullptr) continue;
     w.begin_object(name);
-    w.field("count", hist.count());
-    w.field("p50", hist.p50());
-    w.field("p95", hist.p95());
-    w.field("p99", hist.p99());
-    w.field("max", hist.max());
+    w.field("count", hist->count());
+    w.field("p50", hist->p50());
+    w.field("p95", hist->p95());
+    w.field("p99", hist->p99());
+    w.field("max", hist->max());
     w.end_object();
   }
   w.end_object();
@@ -357,9 +366,9 @@ int main(int argc, char** argv) try {
     {
       const std::string kernel = "cpu-hash";
       const auto channel = [&](const std::string& name) {
-        const obs::Accumulator* a = prof_registry.accumulator(
-            "prof.hw." + kernel + "." + name);
-        return a != nullptr ? a->mean() : -1.0;
+        const obs::Histogram* h =
+            prof_registry.histogram("prof.hw." + kernel + "." + name);
+        return h != nullptr ? h->mean() : -1.0;
       };
       w.begin_object(kernel, obs::JsonWriter::Style::kCompact);
       w.field("bytes_per_flop_predicted", channel("bytes_per_flop.predicted"));

@@ -38,12 +38,13 @@ int main(int argc, char** argv) {
     const gen::Dataset data = gen::make_dataset(name, scale);
     for (const int nodes : node_counts) {
       // Each run gets its own event log (nested inside any --trace-out
-      // sink; the global sink is restored on scope exit) so the analyzer
-      // sees exactly one run, then the events join the aggregate trace.
+      // sink; the previous context is restored on scope exit) so the
+      // analyzer sees exactly one run, then the events join the aggregate
+      // trace.
       sim::EventLog run_trace;
       core::MclResult r;
       {
-        sim::ScopedEventLog tscope(run_trace);
+        obs::ScopedContext tscope(run_trace);
         r = bench::run(data, nodes, core::HipMclConfig::optimized(), params);
       }
       obs.trace().append(run_trace);

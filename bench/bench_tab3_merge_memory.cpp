@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                              const core::HipMclConfig& config,
                              LedgerPeaks* peaks) {
     obs::MemLedger ledger;
-    obs::ScopedMemLedger scope(ledger);
+    obs::ScopedContext scope(ledger);
     core::MclResult r = bench::run(data, nodes, config, params);
     peaks->rank_max = ledger.prefix_high_water_max("merge.resident.");
     peaks->rank_sum = ledger.prefix_high_water_sum("merge.resident.");

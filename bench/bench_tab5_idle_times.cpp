@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       sim::EventLog run_trace;
       core::MclResult r;
       {
-        sim::ScopedEventLog tscope(run_trace);
+        obs::ScopedContext tscope(run_trace);
         r = bench::run(data, nodes, core::HipMclConfig::optimized(), params);
       }
       obs.trace().append(run_trace);

@@ -8,12 +8,12 @@
 #pragma once
 
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/hipmcl.hpp"
 #include "gen/datasets.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -28,8 +28,8 @@ namespace mclx::bench {
 
 /// Observability flags shared by the benches. Constructing an ObsScope
 /// registers --metrics-out and --trace-out on the bench's Cli and, when
-/// either was passed, installs the corresponding global sink for the
-/// scope's lifetime; finish() writes the requested files. A memory
+/// either was passed, installs the corresponding obs::Context sink for
+/// the scope's lifetime; finish() writes the requested files. A memory
 /// ledger is always installed (charging is cheap and changes nothing),
 /// so every bench gets ledger peaks and the estimator-audit channels
 /// for free. Benches that run several configurations aggregate them all
@@ -41,10 +41,10 @@ class ObsScope {
                               "write a JSONL metrics report here")),
         trace_path_(cli.get(
             "trace-out", "",
-            "write Chrome-tracing JSON of the simulated timelines here")) {
-    if (!metrics_path_.empty()) metrics_scope_.emplace(registry_);
-    if (!trace_path_.empty()) trace_scope_.emplace(trace_);
-  }
+            "write Chrome-tracing JSON of the simulated timelines here")),
+        sinks_({.metrics = metrics_path_.empty() ? nullptr : &registry_,
+                .ledger = &ledger_,
+                .events = trace_path_.empty() ? nullptr : &trace_}) {}
 
   obs::MetricsRegistry& registry() { return registry_; }
   sim::EventLog& trace() { return trace_; }
@@ -65,7 +65,7 @@ class ObsScope {
       std::cerr << "[obs] wrote metrics report to " << metrics_path_ << "\n";
     }
     if (!trace_path_.empty()) {
-      trace_.write_chrome_trace_file(trace_path_);
+      obs::write_chrome_trace_file(trace_path_, trace_, nullptr);
       std::cerr << "[obs] wrote " << trace_.size() << " timeline events to "
                 << trace_path_ << "\n";
     }
@@ -88,9 +88,7 @@ class ObsScope {
   obs::MemLedger ledger_;
   std::string metrics_path_;
   std::string trace_path_;
-  std::optional<obs::ScopedMetrics> metrics_scope_;
-  std::optional<sim::ScopedEventLog> trace_scope_;
-  obs::ScopedMemLedger ledger_scope_{ledger_};
+  obs::ScopedContext sinks_;
 };
 
 /// MCL parameters used across benches: inflation 2 (as in all paper

@@ -210,15 +210,14 @@ int main(int argc, char** argv) try {
 
   core::MclResult result;
   {
-    std::optional<obs::ScopedMetrics> metrics_scope;
-    std::optional<sim::ScopedEventLog> trace_scope;
-    std::optional<obs::ScopedMemLedger> ledger_scope;
-    obs::ScopedFlightRecorder recorder_scope(recorder);
-    if (!metrics_out.empty() || prof) metrics_scope.emplace(registry);
-    if (!trace_out.empty() || !trace_chrome.empty() || analyze) {
-      trace_scope.emplace(trace);
-    }
-    if (want_ledger) ledger_scope.emplace(ledger);
+    const bool want_trace = !trace_out.empty() || !trace_chrome.empty() ||
+                            analyze;
+    const obs::ScopedContext sinks({
+        .metrics = !metrics_out.empty() || prof ? &registry : nullptr,
+        .ledger = want_ledger ? &ledger : nullptr,
+        .events = want_trace ? &trace : nullptr,
+        .recorder = &recorder,
+    });
     result = core::run_hipmcl(network, params, config, sim);
   }
   stage_prof.finish();
@@ -250,7 +249,7 @@ int main(int argc, char** argv) try {
               << " iteration records) to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {
-    trace.write_chrome_trace_file(trace_out);
+    obs::write_chrome_trace_file(trace_out, trace, nullptr);
     std::cout << "wrote " << trace.size() << " timeline events to "
               << trace_out << " (open in chrome://tracing or Perfetto)\n";
   }
@@ -284,9 +283,9 @@ int main(int argc, char** argv) try {
       const std::string kernel = name.substr(
           kprefix.size(), name.size() - kprefix.size() - suffix.size());
       const auto mean_of = [&](const std::string& channel) {
-        const obs::Accumulator* a =
-            registry.accumulator("prof.hw." + kernel + "." + channel);
-        return a ? a->mean() : -1.0;
+        const obs::Histogram* h =
+            registry.histogram("prof.hw." + kernel + "." + channel);
+        return h ? h->mean() : -1.0;
       };
       const auto cell = [](double v) {
         return v < 0 ? std::string("-") : util::Table::fmt(v, 4);

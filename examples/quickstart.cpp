@@ -51,12 +51,12 @@ int main(int argc, char** argv) {
   sim::EventLog trace;
   core::MclResult result;
   {
-    std::optional<sim::ScopedEventLog> scope;
+    std::optional<obs::ScopedContext> scope;
     if (!trace_path.empty()) scope.emplace(trace);
     result = core::run_hipmcl(graph.edges, params, config, sim);
   }
   if (!trace_path.empty()) {
-    trace.write_chrome_trace_file(trace_path);
+    obs::write_chrome_trace_file(trace_path, trace, nullptr);
     std::cout << "wrote " << trace.size() << " timeline events to "
               << trace_path << " (open in chrome://tracing or Perfetto)\n";
   }

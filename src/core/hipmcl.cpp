@@ -117,18 +117,18 @@ sim::StageTimes stage_delta(const sim::SimState& sim,
 /// Metrics hook: the per-iteration trajectory (chaos, nnz, flops, cf,
 /// phases, estimator error) that docs/OBSERVABILITY.md catalogues under
 /// the mcl.* namespace. Full per-iteration records come from
-/// obs::make_run_report; these accumulators make the same quantities
+/// obs::make_run_report; these value metrics make the same quantities
 /// available to callers that only install a registry.
 void report_iteration(const IterationReport& rep) {
-  if (!obs::metrics()) return;
+  if (!obs::context().metrics) return;
   obs::count("mcl.iterations");
   obs::count("mcl.flops", rep.flops);
   obs::count(rep.used_exact_estimator ? "mcl.estimates.exact"
                                       : "mcl.estimates.probabilistic");
-  obs::observe("mcl.chaos", rep.chaos);
-  obs::observe("mcl.cf", rep.cf);
-  obs::observe("mcl.phases", static_cast<double>(rep.phases));
-  obs::observe("mcl.nnz_after_prune", static_cast<double>(rep.nnz_after_prune));
+  obs::record("mcl.chaos", rep.chaos);
+  obs::record("mcl.cf", rep.cf);
+  obs::record("mcl.phases", static_cast<double>(rep.phases));
+  obs::record("mcl.nnz_after_prune", static_cast<double>(rep.nnz_after_prune));
   // Estimator error against the best available actual: the expansion's
   // measured unpruned nnz (free, every run) or, failing that, the
   // uncharged symbolic count (measure_estimation_error runs). Both equal
@@ -137,9 +137,8 @@ void report_iteration(const IterationReport& rep) {
                             ? static_cast<double>(rep.measured_unpruned_nnz)
                             : rep.exact_unpruned_nnz;
   if (actual > 0 && !rep.used_exact_estimator) {
-    const double err = std::abs(rep.est_unpruned_nnz - actual) / actual;
-    obs::observe("estimate.rel_error", err);
-    obs::record("estimate.rel_error", err);
+    obs::record("estimate.rel_error",
+                std::abs(rep.est_unpruned_nnz - actual) / actual);
   }
 }
 
@@ -223,10 +222,10 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
       util::WallTimer order_wall;
       perm = order::compute_order(
           okind, sparse::csc_from_triples(dist::TriplesD(init)));
-      if (obs::metrics()) {
+      if (obs::context().metrics) {
         obs::count(std::string("order.computed.") +
                    std::string(order::order_name(okind)));
-        obs::observe("order.compute_s", order_wall.elapsed_s());
+        obs::record("order.compute_s", order_wall.elapsed_s());
       }
     }
   }
@@ -235,10 +234,10 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     const auto bw_before = order::pattern_bandwidth(init);
     util::WallTimer permute_wall;
     perm.apply_symmetric(init);
-    if (obs::metrics()) {
-      obs::observe("order.permute_s", permute_wall.elapsed_s());
-      obs::observe("order.bandwidth_before", static_cast<double>(bw_before));
-      obs::observe("order.bandwidth_after",
+    if (obs::context().metrics) {
+      obs::record("order.permute_s", permute_wall.elapsed_s());
+      obs::record("order.bandwidth_before", static_cast<double>(bw_before));
+      obs::record("order.bandwidth_after",
                    static_cast<double>(order::pattern_bandwidth(init)));
     }
   }
@@ -343,12 +342,13 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
       obs::mem_measure("estimate.unpruned_nnz",
                        static_cast<double>(rep.measured_unpruned_nnz));
     }
-    // Accumulator hit-rate proxy: hits/flops = 1 − nnz(A·A)/flops. The
-    // quantity the reordered kernel's crossover is measured against
-    // (docs/PERFORMANCE.md "Reordering & locality").
-    if (permuted && obs::metrics() && rep.flops > 0 &&
+    // Accumulator hit-rate proxy: hits/flops = 1 − nnz(A·A)/flops, the
+    // share of products that add into an existing output entry. Recorded
+    // on reordered runs next to the order.* costs (docs/PERFORMANCE.md
+    // "Reordering & locality").
+    if (permuted && obs::context().metrics && rep.flops > 0 &&
         rep.measured_unpruned_nnz > 0) {
-      obs::observe("order.hit_rate_proxy",
+      obs::record("order.hit_rate_proxy",
                    1.0 - static_cast<double>(rep.measured_unpruned_nnz) /
                              static_cast<double>(rep.flops));
     }

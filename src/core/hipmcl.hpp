@@ -80,12 +80,13 @@ struct HipMclConfig {
   /// the same Cohen sketches an uninterrupted run would, which is half of
   /// the bitwise resume contract (docs/SERVICE.md).
   int start_iteration = 0;
-  /// Locality reordering (ROADMAP item 1, arXiv:2507.21253): permute the
-  /// graph once on entry, run the whole expand/prune/inflate loop in
-  /// permuted space, and map clusters (and final_matrix) back to input
-  /// space at interpret time — the permutation cost is paid once per
-  /// run. kDefault reads the MCLX_REORDER environment variable (unset →
-  /// none). A fresh ordering is computed only on fresh entry
+  /// Locality reordering (arXiv:2507.21253): permute the graph once on
+  /// entry by degree, RCM or cluster order (order/order.hpp), run the
+  /// whole expand/prune/inflate loop in permuted space, and map clusters
+  /// (and final_matrix) back to input space at interpret time — the
+  /// permutation cost is paid once per run. Labels are the reorder-off
+  /// labels. kDefault reads the MCLX_REORDER environment variable
+  /// (unset → none). A fresh ordering is computed only on fresh entry
   /// (start_iteration == 0 and !assume_stochastic); resumed chunks
   /// re-enter permuted space through resume_order so chunked and
   /// uninterrupted runs stay bitwise identical.

@@ -114,7 +114,7 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
     } else {
       mmergers.resize(static_cast<std::size_t>(nranks));
     }
-    if (obs::MemLedger* ml = obs::mem_ledger()) {
+    if (obs::MemLedger* ml = obs::context().ledger) {
       constexpr std::uint64_t kBytesPerElem = sizeof(vidx_t) + sizeof(val_t);
       for (int r = 0; r < nranks; ++r) {
         obs::MemTracker tracker(ml, "merge.resident.r" + std::to_string(r),
@@ -330,23 +330,19 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   // Per-call observability: the Table II per-operation intervals. The
   // per-rank interval detail is exported by the event log (sim/eventlog);
   // these summaries make each expansion's shape queryable from a report.
-  if (obs::metrics()) {
+  if (obs::context().metrics) {
     obs::count("summa.calls");
     obs::count("summa.phases", static_cast<std::uint64_t>(opt.phases));
     obs::count("summa.gpu_fallbacks",
                static_cast<std::uint64_t>(stats.gpu_fallbacks));
-    obs::observe("summa.spgemm_s", stats.spgemm_time);
-    obs::observe("summa.bcast_s", stats.bcast_time);
-    obs::observe("summa.merge_s", stats.merge_time);
-    obs::observe("summa.overall_s", stats.elapsed);
-    obs::observe("summa.cpu_idle_s", stats.cpu_idle);
-    obs::observe("summa.gpu_idle_s", stats.gpu_idle);
     // Per-call distributions (expansion times vary wildly across the
     // run's iterations; Table II's shape is about the heavy calls).
     obs::record("summa.spgemm_s", stats.spgemm_time);
     obs::record("summa.bcast_s", stats.bcast_time);
     obs::record("summa.merge_s", stats.merge_time);
     obs::record("summa.overall_s", stats.elapsed);
+    obs::record("summa.cpu_idle_s", stats.cpu_idle);
+    obs::record("summa.gpu_idle_s", stats.gpu_idle);
   }
   // Estimator-audit actual for the planner's per-rank-per-phase bytes
   // model (the nnz actual joins in core/hipmcl, which knows which

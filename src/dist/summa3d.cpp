@@ -251,15 +251,15 @@ Summa3dResult summa3d_multiply(const DistMat& a, const DistMat& b,
   stats.gpu_idle /= static_cast<double>(sim.nranks());
   stats.elapsed = sim.elapsed() - elapsed_before;
 
-  if (obs::metrics()) {
+  if (obs::context().metrics) {
     obs::count("summa3d.calls");
     obs::count("summa3d.layers", static_cast<std::uint64_t>(c));
-    obs::observe("summa3d.replication_s", result.replication_time);
-    obs::observe("summa3d.reduction_s", result.reduction_time);
-    obs::observe("summa3d.spgemm_s", stats.spgemm_time);
-    obs::observe("summa3d.bcast_s", stats.bcast_time);
-    obs::observe("summa3d.merge_s", stats.merge_time);
-    obs::observe("summa3d.overall_s", stats.elapsed);
+    obs::record("summa3d.replication_s", result.replication_time);
+    obs::record("summa3d.reduction_s", result.reduction_time);
+    obs::record("summa3d.spgemm_s", stats.spgemm_time);
+    obs::record("summa3d.bcast_s", stats.bcast_time);
+    obs::record("summa3d.merge_s", stats.merge_time);
+    obs::record("summa3d.overall_s", stats.elapsed);
   }
   return result;
 }

@@ -41,11 +41,11 @@ PhasePlan plan_phases(const PhasePlanInput& in) {
       1, (in.ncols_global + plan.phases - 1) / plan.phases);
   plan.est_bytes_per_rank_per_phase = static_cast<bytes_t>(
       full_bytes_per_rank / static_cast<double>(plan.phases));
-  if (obs::metrics()) {
+  if (obs::context().metrics) {
     obs::count("planner.calls");
-    obs::observe("planner.phases", static_cast<double>(plan.phases));
-    obs::observe("planner.est_input_nnz", in.est_output_nnz);
-    obs::observe(
+    obs::record("planner.phases", static_cast<double>(plan.phases));
+    obs::record("planner.est_input_nnz", in.est_output_nnz);
+    obs::record(
         "planner.est_bytes_per_rank_per_phase",
         static_cast<double>(plan.est_bytes_per_rank_per_phase));
   }

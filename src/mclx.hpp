@@ -43,6 +43,7 @@
 #include "merge/immediate.hpp"
 #include "merge/multiway.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/context.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/flight_recorder.hpp"

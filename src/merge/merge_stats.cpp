@@ -12,12 +12,10 @@ void MergeStats::record(const MergeEvent& e, std::uint64_t resident) {
   peak_elements = std::max(peak_elements, resident);
   ++merge_events;
   events.push_back(e);
-  if (obs::metrics()) {
+  if (obs::context().metrics) {
     obs::count("merge.events");
     obs::count("merge.elements", e.elements);
-    obs::observe("merge.ways", static_cast<double>(e.ways));
-    obs::observe("merge.peak_elements", static_cast<double>(resident));
-    // Distributions too: Table III's memory argument lives in the tail
+    // Distributions: Table III's memory argument lives in the tail
     // (p95/p99 widths and peaks), which min/max/mean alone hide.
     obs::record("merge.ways", static_cast<double>(e.ways));
     obs::record("merge.peak_elements", static_cast<double>(resident));

@@ -21,9 +21,8 @@ namespace mclx::obs {
 
 class MemLedger;
 
-/// Write the combined trace. `mem` may be null (duration events only —
-/// equivalent to EventLog::write_chrome_trace); its timeline must have
-/// been enabled for counter events to appear.
+/// Write the combined trace. `mem` may be null (duration events only);
+/// its timeline must have been enabled for counter events to appear.
 void write_chrome_trace(std::ostream& os, const sim::EventLog& events,
                         const MemLedger* mem);
 

@@ -88,22 +88,6 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& registry,
         header(os, base, "counter", name);
         sample(os, base, "", value);
       },
-      [&](std::string_view name, const Accumulator& acc) {
-        // An accumulator is count/sum/min/max — four gauges sharing the
-        // source name. (_count/_sum match the summary convention, so
-        // rate() and averaging recipes work unchanged.)
-        const std::string base = prometheus_name(name, options.prefix);
-        header(os, base + "_count", "gauge", name);
-        sample(os, base + "_count", "", acc.count);
-        header(os, base + "_sum", "gauge", name);
-        sample(os, base + "_sum", "", acc.sum);
-        if (acc.count > 0) {
-          header(os, base + "_min", "gauge", name);
-          sample(os, base + "_min", "", acc.min);
-          header(os, base + "_max", "gauge", name);
-          sample(os, base + "_max", "", acc.max);
-        }
-      },
       [&](std::string_view name, const Histogram& hist) {
         const std::string base = prometheus_name(name, options.prefix);
         header(os, base, "histogram", name);
@@ -128,6 +112,12 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& registry,
             sample(os, base + "_quantile", quantile_label(q),
                    hist.quantile(q));
           }
+        }
+        if (!hist.empty()) {
+          header(os, base + "_min", "gauge", name);
+          sample(os, base + "_min", "", hist.min());
+          header(os, base + "_max", "gauge", name);
+          sample(os, base + "_max", "", hist.max());
         }
       });
 }

@@ -1,15 +1,15 @@
 // Prometheus-text-format exposition over the metrics registry and the
 // live progress board (docs/OBSERVABILITY.md "Live observability").
 //
-// write_prometheus() maps the registry's three metric kinds onto the
-// exposition format (https://prometheus.io/docs/instrumenting/exposition_formats/):
+// write_prometheus() maps the registry's two metric kinds onto the
+// exposition format (https://prometheus.io/docs/instrumenting/exposition_formats/)
+// with one family per sample name:
 //
-//   counter "svc.jobs.submitted"  -> mclx_svc_jobs_submitted_total (counter)
-//   accumulator "svc.queue.depth" -> _count/_sum/_min/_max gauges
-//   histogram "merge.ways"        -> cumulative _bucket{le="2^e"} series +
-//                                    _sum/_count (histogram) and
-//                                    _quantile{quantile="0.5|0.95|0.99"}
-//                                    gauges from obs::Histogram
+//   counter "svc.jobs.submitted" -> mclx_svc_jobs_submitted_total (counter)
+//   histogram "merge.ways"       -> cumulative _bucket{le="2^e"} series +
+//                                   _sum/_count (histogram),
+//                                   _quantile{quantile="0.5|0.95|0.99"}
+//                                   and _min/_max gauges
 //
 // write_prometheus_jobs() adds one gauge row per live job
 // (mclx_job_iteration{job="x"}, mclx_job_chaos{...}, ...) from

@@ -1,4 +1,5 @@
-// Log-bucketed histogram: the distribution companion to Accumulator.
+// Log-bucketed histogram: the one value metric of the registry — a
+// streaming count / sum / min / max / stddev plus the distribution.
 // Values land in power-of-two buckets (2^(e-1), 2^e], so a fixed, tiny
 // footprint covers everything the pipeline observes — virtual seconds
 // around 1e-6, merge widths in the tens, broadcast payloads in the
@@ -32,6 +33,12 @@ class Histogram {
     sum_ += value;
     if (value < min_) min_ = value;
     if (value > max_) max_ = value;
+    // Welford update, with both means derived from the (single source of
+    // truth) running sum: m2 += (v - mean_before) * (v - mean_after).
+    const double mean_after = sum_ / static_cast<double>(count_);
+    const double mean_before =
+        count_ > 1 ? (sum_ - value) / static_cast<double>(count_ - 1) : value;
+    m2_ += (value - mean_before) * (value - mean_after);
     if (value > 0) {
       ++buckets_[bucket_exponent(value)];
     } else {
@@ -44,6 +51,11 @@ class Histogram {
   double min() const { return count_ ? min_ : 0; }
   double max() const { return count_ ? max_ : 0; }
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
+  /// Population variance / standard deviation (0 until two values).
+  double variance() const {
+    return count_ > 1 ? m2_ / static_cast<double>(count_) : 0;
+  }
+  double stddev() const { return std::sqrt(variance()); }
   bool empty() const { return count_ == 0; }
 
   /// Nearest-rank quantile with geometric interpolation inside the
@@ -94,11 +106,16 @@ class Histogram {
   static double bucket_hi(int e) { return std::ldexp(1.0, e); }
 
   /// Fold another histogram into this one. Buckets add; min/max/sum and
-  /// counts combine as if every value had been recorded here. Used to
-  /// move privately accumulated distributions (e.g. the MemLedger's
-  /// per-charge sizes, built under its own mutex) into a registry.
+  /// counts combine as if every value had been recorded here, and m2
+  /// by Chan et al.'s pairwise rule. Used to move privately accumulated
+  /// distributions (e.g. the MemLedger's per-charge sizes, built under
+  /// its own mutex) into a registry.
   void merge(const Histogram& other) {
     if (other.count_ == 0) return;
+    const double n = static_cast<double>(count_);
+    const double m = static_cast<double>(other.count_);
+    const double delta = other.mean() - mean();
+    m2_ += other.m2_ + delta * delta * n * m / (n + m);
     count_ += other.count_;
     nonpositive_ += other.nonpositive_;
     sum_ += other.sum_;
@@ -118,6 +135,7 @@ class Histogram {
   std::uint64_t count_ = 0;
   std::uint64_t nonpositive_ = 0;
   double sum_ = 0;
+  double m2_ = 0;  ///< sum of squared deviations from the mean (Welford)
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   std::map<int, std::uint64_t> buckets_;

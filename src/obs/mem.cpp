@@ -20,13 +20,6 @@ namespace mclx::obs {
 
 namespace {
 
-// Thread-local for the same reason as obs::metrics(): concurrent
-// service jobs each charge their own ledger. Pool worker lanes see the
-// dispatching thread's ledger via par::ThreadPool's sink propagation,
-// so charges from inside parallel regions keep landing where they did
-// when this was one process-global pointer.
-thread_local MemLedger* g_ledger = nullptr;
-
 #if defined(__unix__) || defined(__APPLE__)
 ProcMemSample rusage_fallback() {
   ProcMemSample s;
@@ -243,20 +236,18 @@ void MemLedger::publish(MetricsRegistry& registry) const {
   }
   for (const auto& [label, st] : labels_) {
     (void)label;
-    registry.observe("memory.hwm_bytes",
-                     static_cast<double>(st.high_water_bytes));
+    registry.record("memory.hwm_bytes",
+                    static_cast<double>(st.high_water_bytes));
   }
   for (const auto& [name, ch] : audits_) {
     const std::size_t n = std::min(ch.predicted.size(), ch.measured.size());
     for (std::size_t i = 0; i < n; ++i) {
       const double pred = ch.predicted[i];
       const double meas = ch.measured[i];
-      registry.observe(name + ".predicted", pred);
-      registry.observe(name + ".measured", meas);
+      registry.record(name + ".predicted", pred);
+      registry.record(name + ".measured", meas);
       if (meas > 0 && std::isfinite(pred)) {
-        const double err = std::abs(pred - meas) / meas;
-        registry.observe(name + ".rel_error", err);
-        registry.record(name + ".rel_error", err);
+        registry.record(name + ".rel_error", std::abs(pred - meas) / meas);
       }
     }
   }
@@ -300,9 +291,5 @@ void MemLedger::process_sample_locked() {
   checkpoints_.push_back(MemCheckpoint{"auto", proc});
   if (proc.available) timeline_point_locked("proc.vm_rss", proc.vm_rss_bytes);
 }
-
-void set_mem_ledger(MemLedger* ledger) { g_ledger = ledger; }
-
-MemLedger* mem_ledger() { return g_ledger; }
 
 }  // namespace mclx::obs

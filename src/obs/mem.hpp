@@ -6,12 +6,12 @@
 // joins the estimator's predictions (Cohen nnz, planner bytes) against
 // measured actuals.
 //
-// Mirrors the MetricsRegistry global-sink pattern (obs/metrics.hpp):
+// Installed through the thread's obs::Context (obs/context.hpp):
 // recording is off by default — instrumentation sites are a null check —
 // and installing a ledger never changes what the pipeline computes.
 // Unlike MetricsRegistry the ledger IS thread-safe: SpGEMM accumulators
-// and merge scratch are charged from pool worker threads, so every
-// mutating entry point takes an internal mutex. Charges are per
+// and merge scratch are charged from pool lanes (which keep the ledger),
+// so every mutating entry point takes an internal mutex. Charges are per
 // allocation (accumulator, chunk buffer, merge push), not per element,
 // so the lock is far off the hot path.
 //
@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/histogram.hpp"
 
 namespace mclx::obs {
@@ -145,10 +146,10 @@ class MemLedger {
   /// after parallel regions, from the reporting thread):
   ///   memory.charges                    counter: total charge() calls
   ///   memory.charge_bytes               histogram: per-charge sizes
-  ///   memory.hwm_bytes                  accumulator: per-label high-water
-  ///   <channel>.rel_error               histogram + accumulator per
-  ///                                     audit channel, |pred-meas|/meas
-  ///   <channel>.predicted / .measured   accumulators of joined values
+  ///   memory.hwm_bytes                  histogram: per-label high-water
+  ///   <channel>.rel_error               histogram per audit channel,
+  ///                                     |pred-meas|/meas
+  ///   <channel>.predicted / .measured   histograms of joined values
   void publish(MetricsRegistry& registry) const;
 
   /// Human-readable per-label table (for CLI / bench summaries).
@@ -178,25 +179,18 @@ class MemLedger {
   std::map<std::string, AuditChannel, std::less<>> audits_;
 };
 
-/// Global recording sink: when set, instrumented layers charge here.
-/// Call with nullptr to stop. Not owned. Set/replace only outside
-/// parallel regions (pool dispatch provides the happens-before for
-/// worker threads that then charge through it).
-void set_mem_ledger(MemLedger* ledger);
-MemLedger* mem_ledger();
-
 /// Instrumentation-site helpers: no-ops when no ledger is installed.
 inline void mem_charge(std::string_view label, std::uint64_t bytes) {
-  if (MemLedger* l = mem_ledger()) l->charge(label, bytes);
+  if (MemLedger* l = context().ledger) l->charge(label, bytes);
 }
 inline void mem_release(std::string_view label, std::uint64_t bytes) {
-  if (MemLedger* l = mem_ledger()) l->release(label, bytes);
+  if (MemLedger* l = context().ledger) l->release(label, bytes);
 }
 inline void mem_predict(std::string_view channel, double value) {
-  if (MemLedger* l = mem_ledger()) l->predict(channel, value);
+  if (MemLedger* l = context().ledger) l->predict(channel, value);
 }
 inline void mem_measure(std::string_view channel, double value) {
-  if (MemLedger* l = mem_ledger()) l->measure(channel, value);
+  if (MemLedger* l = context().ledger) l->measure(channel, value);
 }
 
 /// RAII charge: charges `bytes` against the installed ledger on
@@ -207,7 +201,7 @@ inline void mem_measure(std::string_view channel, double value) {
 class MemScope {
  public:
   MemScope(std::string_view label, std::uint64_t bytes)
-      : ledger_(mem_ledger()), label_(label), bytes_(bytes) {
+      : ledger_(context().ledger), label_(label), bytes_(bytes) {
     if (ledger_ && bytes_) ledger_->charge(label_, bytes_);
   }
   MemScope(const MemScope&) = delete;
@@ -250,20 +244,6 @@ class MemTracker {
   MemLedger* ledger_ = nullptr;
   std::string label_;
   std::uint64_t bytes_per_elem_ = 0;
-};
-
-/// RAII scope: charge into `ledger` for the current scope.
-class ScopedMemLedger {
- public:
-  explicit ScopedMemLedger(MemLedger& ledger) : previous_(mem_ledger()) {
-    set_mem_ledger(&ledger);
-  }
-  ScopedMemLedger(const ScopedMemLedger&) = delete;
-  ScopedMemLedger& operator=(const ScopedMemLedger&) = delete;
-  ~ScopedMemLedger() { set_mem_ledger(previous_); }
-
- private:
-  MemLedger* previous_;
 };
 
 }  // namespace mclx::obs

@@ -4,18 +4,6 @@
 
 namespace mclx::obs {
 
-namespace {
-// Thread-local, so concurrent service jobs (src/svc) each record into
-// their own registry from their own driver thread. Pool worker lanes
-// inherit the dispatching thread's sink via par::ThreadPool's sink
-// propagation (util/parallel.cpp), which keeps the single-driver
-// behavior indistinguishable from the old process-global pointer.
-thread_local MetricsRegistry* g_metrics = nullptr;
-}
-
-void set_metrics(MetricsRegistry* registry) { g_metrics = registry; }
-MetricsRegistry* metrics() { return g_metrics; }
-
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
@@ -23,14 +11,6 @@ void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
   } else {
     it->second += delta;
   }
-}
-
-void MetricsRegistry::observe(std::string_view name, double value) {
-  auto it = accumulators_.find(name);
-  if (it == accumulators_.end()) {
-    it = accumulators_.emplace(std::string(name), Accumulator{}).first;
-  }
-  it->second.observe(value);
 }
 
 void MetricsRegistry::record(std::string_view name, double value) {
@@ -55,11 +35,6 @@ std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-const Accumulator* MetricsRegistry::accumulator(std::string_view name) const {
-  const auto it = accumulators_.find(name);
-  return it == accumulators_.end() ? nullptr : &it->second;
-}
-
 const Histogram* MetricsRegistry::histogram(std::string_view name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
@@ -67,9 +42,8 @@ const Histogram* MetricsRegistry::histogram(std::string_view name) const {
 
 std::vector<std::string> MetricsRegistry::names() const {
   std::vector<std::string> out;
-  out.reserve(counters_.size() + accumulators_.size() + histograms_.size());
+  out.reserve(counters_.size() + histograms_.size());
   for (const auto& [name, value] : counters_) out.push_back(name);
-  for (const auto& [name, value] : accumulators_) out.push_back(name);
   for (const auto& [name, value] : histograms_) out.push_back(name);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -78,17 +52,12 @@ std::vector<std::string> MetricsRegistry::names() const {
 
 void MetricsRegistry::for_each(
     const std::function<void(std::string_view, std::uint64_t)>& counter_fn,
-    const std::function<void(std::string_view, const Accumulator&)>&
-        accumulator_fn,
     const std::function<void(std::string_view, const Histogram&)>&
         histogram_fn) const {
   // The maps are already name-sorted; the kind order is part of the
   // contract (see the header).
   if (counter_fn) {
     for (const auto& [name, value] : counters_) counter_fn(name, value);
-  }
-  if (accumulator_fn) {
-    for (const auto& [name, acc] : accumulators_) accumulator_fn(name, acc);
   }
   if (histogram_fn) {
     for (const auto& [name, hist] : histograms_) histogram_fn(name, hist);
@@ -97,7 +66,6 @@ void MetricsRegistry::for_each(
 
 void MetricsRegistry::clear() {
   counters_.clear();
-  accumulators_.clear();
   histograms_.clear();
 }
 

@@ -1,70 +1,34 @@
-// Run-metrics registry: named counters and value accumulators that any
-// layer can report into, without threading a sink through every call
-// signature. Mirrors sim::EventLog's global-sink pattern: recording is
-// off by default (a null check keeps instrumented hot paths cheap);
-// install a registry around the region of interest and every layer's
-// obs::count()/obs::observe() calls land in it.
+// Run-metrics registry: named counters and value metrics that any
+// layer can report into through the thread's obs::Context
+// (obs/context.hpp): recording is off by default (a null check keeps
+// instrumented hot paths cheap); install a registry around the region of
+// interest and every layer's obs::count()/obs::record() calls land in it.
+// Not thread-safe: only driver threads record (the pool's lane rule).
 //
 // Metric names are dot-scoped by layer ("spgemm.kernel.nsparse",
 // "planner.phases", "merge.events", ...); the full catalogue, with units
 // and the cost-model symbols they measure, lives in docs/OBSERVABILITY.md.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/histogram.hpp"
 
 namespace mclx::obs {
-
-/// Streaming summary of an observed value series: count / sum / min /
-/// max / variance (enough for the per-run reports; full series belong
-/// in the event log, full distributions in a Histogram).
-struct Accumulator {
-  std::uint64_t count = 0;
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  /// Sum of squared deviations from the running mean (Welford's m2).
-  double m2 = 0;
-
-  void observe(double value) {
-    ++count;
-    sum += value;
-    if (value < min) min = value;
-    if (value > max) max = value;
-    // Welford update, with both means derived from the (single source of
-    // truth) running sum: m2 += (v - mean_before) * (v - mean_after).
-    const double mean_after = sum / static_cast<double>(count);
-    const double mean_before =
-        count > 1 ? (sum - value) / static_cast<double>(count - 1) : value;
-    m2 += (value - mean_before) * (value - mean_after);
-  }
-  double mean() const { return count ? sum / static_cast<double>(count) : 0; }
-  /// Population variance / standard deviation (0 until two observations).
-  double variance() const {
-    return count > 1 ? m2 / static_cast<double>(count) : 0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-};
 
 class MetricsRegistry {
  public:
   /// Bump counter `name` by `delta` (creates it at zero first).
   void add(std::string_view name, std::uint64_t delta = 1);
 
-  /// Feed `value` into accumulator `name`.
-  void observe(std::string_view name, double value);
-
-  /// Feed `value` into histogram `name` (log-bucketed distribution with
-  /// percentiles; use alongside observe() when the spread matters, not
-  /// just the mean — merge widths, per-call stage times, payload sizes).
+  /// Feed `value` into value metric `name`: a log-bucketed histogram
+  /// carrying count/sum/min/max/stddev and percentiles.
   void record(std::string_view name, double value);
 
   /// Fold a privately accumulated histogram into histogram `name`
@@ -74,79 +38,45 @@ class MetricsRegistry {
   /// Counter value; 0 for a counter never bumped.
   std::uint64_t counter(std::string_view name) const;
 
-  /// Accumulator, or nullptr if nothing was observed under `name`.
-  const Accumulator* accumulator(std::string_view name) const;
-
   /// Histogram, or nullptr if nothing was recorded under `name`.
   const Histogram* histogram(std::string_view name) const;
 
   const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
     return counters_;
   }
-  const std::map<std::string, Accumulator, std::less<>>& accumulators() const {
-    return accumulators_;
-  }
   const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
 
-  /// Every metric name in the registry — counters, accumulators and
-  /// histograms — sorted and deduplicated (a name recorded as both an
-  /// observation and a histogram appears once). The stable iteration
-  /// surface exporters build on (obs/expo.cpp).
+  /// Every metric name in the registry — counters and histograms —
+  /// sorted and deduplicated. The stable iteration surface exporters
+  /// build on (obs/expo.cpp).
   std::vector<std::string> names() const;
 
   /// Visit every metric in sorted-name order, one callback per kind.
-  /// Counters first, then accumulators, then histograms — each group
-  /// internally name-sorted — so output built from it is deterministic
-  /// for a given registry content.
+  /// Counters first, then histograms — each group internally
+  /// name-sorted — so output built from it is deterministic for a given
+  /// registry content.
   void for_each(
       const std::function<void(std::string_view, std::uint64_t)>& counter_fn,
-      const std::function<void(std::string_view, const Accumulator&)>&
-          accumulator_fn,
       const std::function<void(std::string_view, const Histogram&)>&
           histogram_fn) const;
 
   void clear();
-  bool empty() const {
-    return counters_.empty() && accumulators_.empty() && histograms_.empty();
-  }
+  bool empty() const { return counters_.empty() && histograms_.empty(); }
 
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;
-  std::map<std::string, Accumulator, std::less<>> accumulators_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
-
-/// Global recording sink: when set, instrumented layers report here.
-/// Call with nullptr to stop. Not owned.
-void set_metrics(MetricsRegistry* registry);
-MetricsRegistry* metrics();
 
 /// Report helpers used at instrumentation sites: no-ops when no registry
 /// is installed.
 inline void count(std::string_view name, std::uint64_t delta = 1) {
-  if (MetricsRegistry* m = metrics()) m->add(name, delta);
-}
-inline void observe(std::string_view name, double value) {
-  if (MetricsRegistry* m = metrics()) m->observe(name, value);
+  if (MetricsRegistry* m = context().metrics) m->add(name, delta);
 }
 inline void record(std::string_view name, double value) {
-  if (MetricsRegistry* m = metrics()) m->record(name, value);
+  if (MetricsRegistry* m = context().metrics) m->record(name, value);
 }
-
-/// RAII scope: record into `registry` for the current scope.
-class ScopedMetrics {
- public:
-  explicit ScopedMetrics(MetricsRegistry& registry) : previous_(metrics()) {
-    set_metrics(&registry);
-  }
-  ScopedMetrics(const ScopedMetrics&) = delete;
-  ScopedMetrics& operator=(const ScopedMetrics&) = delete;
-  ~ScopedMetrics() { set_metrics(previous_); }
-
- private:
-  MetricsRegistry* previous_;
-};
 
 }  // namespace mclx::obs

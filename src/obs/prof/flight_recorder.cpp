@@ -361,19 +361,6 @@ void FlightRecorder::dump_fd(int fd, const char* job,
 }
 
 // ---------------------------------------------------------------------------
-// Thread-local sink
-
-namespace {
-thread_local FlightRecorder* t_flight_recorder = nullptr;
-}
-
-void set_flight_recorder(FlightRecorder* recorder) {
-  t_flight_recorder = recorder;
-}
-
-FlightRecorder* flight_recorder() { return t_flight_recorder; }
-
-// ---------------------------------------------------------------------------
 // Fatal-signal dump
 
 #if MCLX_FR_HAVE_SIGNALS

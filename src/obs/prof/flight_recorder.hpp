@@ -43,6 +43,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/context.hpp"
+
 namespace mclx::obs {
 
 enum class FrEventKind : std::uint32_t {
@@ -133,32 +135,14 @@ class FlightRecorder {
   double epoch_ = 0;
 };
 
-/// Thread-local recorder sink, mirroring obs::set_metrics /
-/// sim::set_event_log: instrumented layers record through fr_record(),
-/// a no-op (one TLS load + null check) when nothing is installed.
-void set_flight_recorder(FlightRecorder* recorder);
-FlightRecorder* flight_recorder();
-
+/// Instrumented layers record into the obs::Context's recorder through
+/// fr_record(), a no-op (one TLS load + null check) when none is
+/// installed.
 inline void fr_record(FrEventKind kind, std::string_view name,
                       std::uint64_t a = 0, std::uint64_t b = 0,
                       double v = 0) {
-  if (FlightRecorder* r = flight_recorder()) r->record(kind, name, a, b, v);
+  if (FlightRecorder* r = context().recorder) r->record(kind, name, a, b, v);
 }
-
-/// RAII sink install for the current scope.
-class ScopedFlightRecorder {
- public:
-  explicit ScopedFlightRecorder(FlightRecorder& recorder)
-      : previous_(flight_recorder()) {
-    set_flight_recorder(&recorder);
-  }
-  ScopedFlightRecorder(const ScopedFlightRecorder&) = delete;
-  ScopedFlightRecorder& operator=(const ScopedFlightRecorder&) = delete;
-  ~ScopedFlightRecorder() { set_flight_recorder(previous_); }
-
- private:
-  FlightRecorder* previous_;
-};
 
 /// Install a process-wide fatal-signal handler (SIGSEGV, SIGABRT,
 /// SIGBUS, SIGFPE) that dump_fd()s `recorder` to `path` and re-raises

@@ -183,7 +183,7 @@ HwCounters& kernel_thread_counters() {
 KernelCounterScope::KernelCounterScope(std::string_view kernel,
                                        std::uint64_t flops)
     : kernel_(kernel), flops_(flops) {
-  if (!kernel_profiling_enabled() || metrics() == nullptr) return;
+  if (!kernel_profiling_enabled() || context().metrics == nullptr) return;
   active_ = true;
   kernel_thread_counters().start();
 }
@@ -193,7 +193,7 @@ KernelCounterScope::~KernelCounterScope() {
   HwCounters& counters = kernel_thread_counters();
   counters.stop();
   const HwCounterValues v = counters.read();
-  MetricsRegistry* m = metrics();
+  MetricsRegistry* m = context().metrics;
   if (m == nullptr) return;  // sink swapped mid-kernel: drop, don't crash
   const std::string prefix = "prof.hw.kernel." + std::string(kernel_) + ".";
   m->add(prefix + "windows");
@@ -219,7 +219,7 @@ void StageHwProfiler::attribute() {
   if (open_stage_ < 0) return;
   counters_.stop();
   const HwCounterValues v = counters_.read();
-  MetricsRegistry* m = registry_ != nullptr ? registry_ : metrics();
+  MetricsRegistry* m = registry_ != nullptr ? registry_ : context().metrics;
   const int stage = open_stage_;
   open_stage_ = -1;
   if (m == nullptr) return;

@@ -23,26 +23,26 @@ void publish_roofline(MetricsRegistry& m, std::string_view kernel,
   const RooflinePrediction pred = predicted_bytes_per_flop(kernel);
   const std::string prefix = "prof.hw." + std::string(kernel) + ".";
   if (pred.known) {
-    m.observe(prefix + "bytes_per_flop.predicted", pred.bytes_per_flop);
+    m.record(prefix + "bytes_per_flop.predicted", pred.bytes_per_flop);
   }
   if (!v.available) return;
   const double fl = static_cast<double>(flops);
   const double measured =
       static_cast<double>(v.llc_misses) * kCacheLineBytes / fl;
-  m.observe(prefix + "bytes_per_flop.measured", measured);
+  m.record(prefix + "bytes_per_flop.measured", measured);
   if (pred.known) {
     // Same convention as estimate.unpruned_nnz.rel_error: relative to
     // the measured truth, guarded against a zero-traffic window (tiny
     // multiply fully resident in cache).
     const double denom = measured > 0 ? measured : pred.bytes_per_flop;
     if (denom > 0) {
-      m.observe(prefix + "bytes_per_flop.rel_error",
+      m.record(prefix + "bytes_per_flop.rel_error",
                 std::abs(pred.bytes_per_flop - measured) / denom);
     }
   }
-  m.observe(prefix + "cycles_per_flop", static_cast<double>(v.cycles) / fl);
+  m.record(prefix + "cycles_per_flop", static_cast<double>(v.cycles) / fl);
   if (v.instructions > 0) {
-    m.observe(prefix + "l1d_miss_rate",
+    m.record(prefix + "l1d_miss_rate",
               static_cast<double>(v.l1d_misses) /
                   static_cast<double>(v.instructions));
   }

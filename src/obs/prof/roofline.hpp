@@ -41,7 +41,7 @@ RooflinePrediction predicted_bytes_per_flop(std::string_view kernel);
 ///   prof.hw.<kernel>.bytes_per_flop.rel_error   (both sides present)
 ///   prof.hw.<kernel>.cycles_per_flop            (counters available)
 ///   prof.hw.<kernel>.l1d_miss_rate              (misses/instruction)
-/// All are accumulators (obs::MetricsRegistry::observe), so the perf
+/// All are value metrics (obs::MetricsRegistry::record), so the perf
 /// baseline records mean/min/max across windows.
 void publish_roofline(MetricsRegistry& m, std::string_view kernel,
                       std::uint64_t flops, const HwCounterValues& v);

@@ -192,17 +192,6 @@ void append_metrics_records(RunReport& report, const MetricsRegistry& metrics) {
     r.add("value", value);
     report.add(std::move(r));
   }
-  for (const auto& [name, acc] : metrics.accumulators()) {
-    Record r;
-    r.type = "observation";
-    r.add("name", name);
-    r.add("count", acc.count);
-    r.add("sum", acc.sum);
-    r.add("min", acc.count ? acc.min : 0.0);
-    r.add("max", acc.count ? acc.max : 0.0);
-    r.add("stddev", acc.stddev());
-    report.add(std::move(r));
-  }
   for (const auto& [name, hist] : metrics.histograms()) {
     Record r;
     r.type = "histogram";
@@ -211,6 +200,7 @@ void append_metrics_records(RunReport& report, const MetricsRegistry& metrics) {
     r.add("sum", hist.sum());
     r.add("min", hist.min());
     r.add("max", hist.max());
+    r.add("stddev", hist.stddev());
     r.add("p50", hist.p50());
     r.add("p95", hist.p95());
     r.add("p99", hist.p99());
@@ -324,18 +314,6 @@ const std::vector<FieldSpec>& counter_schema() {
   return schema;
 }
 
-const std::vector<FieldSpec>& observation_schema() {
-  static const std::vector<FieldSpec> schema = {
-      {"name", FieldType::kString},
-      {"count", FieldType::kUInt},
-      {"sum", FieldType::kDouble},
-      {"min", FieldType::kDouble},
-      {"max", FieldType::kDouble},
-      {"stddev", FieldType::kDouble},
-  };
-  return schema;
-}
-
 const std::vector<FieldSpec>& histogram_schema() {
   static const std::vector<FieldSpec> schema = {
       {"name", FieldType::kString},
@@ -343,6 +321,7 @@ const std::vector<FieldSpec>& histogram_schema() {
       {"sum", FieldType::kDouble},
       {"min", FieldType::kDouble},
       {"max", FieldType::kDouble},
+      {"stddev", FieldType::kDouble},
       {"p50", FieldType::kDouble},
       {"p95", FieldType::kDouble},
       {"p99", FieldType::kDouble},

@@ -7,10 +7,8 @@
 //                  breakdown, Tab 2's overlap, Tab 3's merge memory and
 //                  Fig 6's estimator error, in virtual seconds / counts
 //   counter      — one per MetricsRegistry counter (name, value)
-//   observation  — one per MetricsRegistry accumulator
-//                  (count/sum/min/max/stddev)
-//   histogram    — one per MetricsRegistry histogram
-//                  (count/sum/min/max/p50/p95/p99)
+//   histogram    — one per MetricsRegistry value metric
+//                  (count/sum/min/max/stddev/p50/p95/p99)
 //   run_summary  — one per file: whole-run stage budget and outcome
 //
 // Field names, units and the cost-model symbols each metric measures are
@@ -37,8 +35,9 @@ namespace mclx::obs {
 /// `vm_hwm_bytes` and iteration `measured_unpruned_nnz`. Version 5 tags
 /// run_meta with `job_id` so per-job streams from the service layer
 /// (docs/SERVICE.md) stay attributable after aggregation ("" for
-/// standalone runs).
-inline constexpr std::uint64_t kReportSchemaVersion = 5;
+/// standalone runs). Version 6 folds `observation` records into
+/// `histogram`, which gains `stddev`: one record per value metric.
+inline constexpr std::uint64_t kReportSchemaVersion = 6;
 
 /// Stage index -> report field name for the six Fig 1 stages
 /// ("t_local_spgemm_s" … "t_other_s"); the single source of truth shared
@@ -85,7 +84,6 @@ const std::vector<FieldSpec>& run_meta_schema();
 const std::vector<FieldSpec>& iteration_schema();
 const std::vector<FieldSpec>& run_summary_schema();
 const std::vector<FieldSpec>& counter_schema();
-const std::vector<FieldSpec>& observation_schema();
 const std::vector<FieldSpec>& histogram_schema();
 
 /// True when `r.fields` matches `schema` exactly (names, order, types);
@@ -135,20 +133,20 @@ struct RunInfo {
 Record make_run_meta_record(const RunInfo& info);
 Record make_iteration_record(const core::IterationReport& it);
 Record make_run_summary_record(const core::MclResult& result);
-/// Counter / observation / histogram records for every metric in the
-/// registry, appended in catalogue order.
+/// Counter and histogram records for every metric in the registry,
+/// appended in catalogue order.
 void append_metrics_records(RunReport& report, const MetricsRegistry& metrics);
 /// One JSONL line for a single record ("type" first, trailing newline) —
 /// the streaming writer's unit of output.
 void write_record_jsonl(std::ostream& os, const Record& r);
 
 /// Build the full report for a finished run: run_meta, one iteration
-/// record per MclResult iteration, the registry's counters/observations
+/// record per MclResult iteration, the registry's counters/histograms
 /// (when given), and the run_summary.
 RunReport make_run_report(const core::MclResult& result, const RunInfo& info,
                           const MetricsRegistry* metrics = nullptr);
 
-/// Counter/observation records only, no run attached — for harnesses
+/// Counter/histogram records only, no run attached — for harnesses
 /// that aggregate several runs into one registry.
 RunReport make_metrics_report(const MetricsRegistry& metrics);
 

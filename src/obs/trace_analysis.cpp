@@ -273,8 +273,8 @@ util::Table critical_path_table(const TraceAnalysis& a) {
 
 void print_trace_analysis(std::ostream& os, const TraceAnalysis& a) {
   if (a.nevents == 0) {
-    os << "trace analysis: empty event log (was a ScopedEventLog "
-          "installed around the run?)\n";
+    os << "trace analysis: empty event log (was one installed with "
+          "obs::ScopedContext around the run?)\n";
     return;
   }
   overlap_table(a).print(os);

@@ -1,28 +1,9 @@
 #include "sim/eventlog.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
-#include <stdexcept>
 
 namespace mclx::sim {
-
-namespace {
-// Thread-local so concurrent service jobs (src/svc) can trace their own
-// simulated timelines independently; pool lanes inherit the dispatching
-// thread's log via par::ThreadPool's sink propagation.
-thread_local EventLog* g_log = nullptr;
-}
-
-void set_event_log(EventLog* log) { g_log = log; }
-EventLog* event_log() { return g_log; }
-
-void EventLog::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  write_trace_events(os, first);
-  os << "]}";
-}
 
 void EventLog::write_trace_events(std::ostream& os, bool& first) const {
   for (const auto& e : events_) {
@@ -50,12 +31,6 @@ int EventLog::max_rank() const {
   int max_rank = -1;
   for (const auto& e : events_) max_rank = std::max(max_rank, e.rank);
   return max_rank;
-}
-
-void EventLog::write_chrome_trace_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("eventlog: cannot write " + path);
-  write_chrome_trace(out);
 }
 
 }  // namespace mclx::sim

@@ -1,16 +1,16 @@
 // Event log: optional recording of every timeline interval (rank,
 // resource, stage, start, end) during a simulated run, exportable as
-// Chrome tracing JSON (chrome://tracing, Perfetto) — the Fig 2 pipeline
-// made visible: broadcasts marching along the CPU rows while multiplies
-// fill the GPU rows, merges slotting into the gaps.
+// Chrome tracing JSON (obs/chrome_trace.hpp; chrome://tracing, Perfetto)
+// — the Fig 2 pipeline made visible: broadcasts marching along the CPU
+// rows while multiplies fill the GPU rows, merges slotting into the gaps.
 //
-// Recording is off by default (a global sink keeps RankTimeline's hot
-// path branch-cheap); enable it around the region of interest.
+// Recording is off by default (the obs::Context sink keeps
+// RankTimeline's hot path branch-cheap); install a log around the region
+// of interest with obs::ScopedContext.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "sim/stage.hpp"
@@ -40,16 +40,13 @@ class EventLog {
   void clear() { events_.clear(); }
   std::size_t size() const { return events_.size(); }
 
-  /// Chrome tracing "traceEvents" JSON. Virtual seconds are emitted as
+  /// Emit the Chrome tracing event list (duration + thread-name
+  /// metadata events, comma-separated, no surrounding array) for
+  /// obs::write_chrome_trace, which wraps it and can append the memory
+  /// ledger's counter events. Virtual seconds are emitted as
   /// microseconds (the viewer's native unit); each rank appears as a
-  /// process with a CPU and a GPU thread row.
-  void write_chrome_trace(std::ostream& os) const;
-  void write_chrome_trace_file(const std::string& path) const;
-
-  /// Emit just the event list (duration + thread-name metadata events,
-  /// comma-separated, no surrounding array) so callers can splice in
-  /// additional tracks — obs::write_chrome_trace appends the memory
-  /// ledger's counter events. `first` carries comma state across calls.
+  /// process with a CPU and a GPU thread row. `first` carries comma
+  /// state across calls.
   void write_trace_events(std::ostream& os, bool& first) const;
 
   /// Largest rank mentioned by any event, -1 when empty (combined
@@ -58,25 +55,6 @@ class EventLog {
 
  private:
   std::vector<Event> events_;
-};
-
-/// Global recording sink: when set, RankTimeline reports every busy
-/// interval here. Call with nullptr to stop. Not owned.
-void set_event_log(EventLog* log);
-EventLog* event_log();
-
-/// RAII scope: enable recording into `log` for the current scope.
-class ScopedEventLog {
- public:
-  explicit ScopedEventLog(EventLog& log) : previous_(event_log()) {
-    set_event_log(&log);
-  }
-  ScopedEventLog(const ScopedEventLog&) = delete;
-  ScopedEventLog& operator=(const ScopedEventLog&) = delete;
-  ~ScopedEventLog() { set_event_log(previous_); }
-
- private:
-  EventLog* previous_;
 };
 
 }  // namespace mclx::sim

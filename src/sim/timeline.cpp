@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/context.hpp"
 #include "sim/eventlog.hpp"
 
 namespace mclx::sim {
 
 void RankTimeline::cpu_run(Stage stage, vtime_t dur) {
   if (dur < 0) throw std::invalid_argument("cpu_run: negative duration");
-  if (EventLog* log = event_log(); log && dur > 0) {
+  if (EventLog* log = obs::context().events; log && dur > 0) {
     log->record({rank_, Resource::kCpu, stage, cpu_now_, cpu_now_ + dur});
   }
   cpu_now_ += dur;
@@ -34,7 +35,7 @@ void RankTimeline::gpu_skew_to(vtime_t t) {
 vtime_t RankTimeline::gpu_run(Stage stage, vtime_t dur, vtime_t ready) {
   if (dur < 0) throw std::invalid_argument("gpu_run: negative duration");
   const vtime_t start = std::max(gpu_now_, ready);
-  if (EventLog* log = event_log(); log && dur > 0) {
+  if (EventLog* log = obs::context().events; log && dur > 0) {
     log->record({rank_, Resource::kGpu, stage, start, start + dur});
   }
   gpu_idle_ += start - gpu_now_;

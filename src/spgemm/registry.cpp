@@ -21,11 +21,10 @@ namespace {
 /// each kernel was chosen, not just how often.
 void report_selection(KernelKind kind, std::uint64_t flops,
                       double cf_estimate) {
-  if (!obs::metrics()) return;
+  if (!obs::context().metrics) return;
   obs::count(std::string("spgemm.kernel.") + std::string(kernel_name(kind)));
-  obs::observe("spgemm.select.flops", static_cast<double>(flops));
   obs::record("spgemm.select.flops", static_cast<double>(flops));
-  if (cf_estimate > 0) obs::observe("spgemm.select.cf", cf_estimate);
+  if (cf_estimate > 0) obs::record("spgemm.select.cf", cf_estimate);
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ std::string Scheduler::submit(JobSpec spec) {
     jobs_.push_back(h);
     ++queued_;
     svc_metrics_.add("svc.jobs.submitted");
-    svc_metrics_.observe("svc.queue.depth", queued_);
+    svc_metrics_.record("svc.queue.depth", queued_);
   }
   dispatch_.notify_one();
   return h->spec.id;
@@ -123,7 +123,7 @@ bool Scheduler::cancel(const std::string& id) {
       --queued_;
       h->progress->mark_finished(board_.now());
       svc_metrics_.add("svc.jobs.cancelled");
-      svc_metrics_.observe("svc.queue.depth", queued_);
+      svc_metrics_.record("svc.queue.depth", queued_);
       settled_.notify_all();
       return true;
     case JobState::kRunning:
@@ -219,7 +219,7 @@ std::vector<HealthReport> Scheduler::sample_health() {
         default: break;
       }
     }
-    svc_metrics_.observe("svc.health.running", running);
+    svc_metrics_.record("svc.health.running", running);
   }
   // Policy actions go through the public cancel() with no locks held —
   // it takes mu_ itself, and a queued job cancelled here settles
@@ -388,8 +388,8 @@ void Scheduler::runner_loop() {
     --queued_;
     ++running_;
     h->outcome.wait_s = seconds_since(h->submitted);
-    svc_metrics_.observe("svc.queue.depth", queued_);
-    svc_metrics_.observe("svc.lanes.occupied", running_ * lane_share_);
+    svc_metrics_.record("svc.queue.depth", queued_);
+    svc_metrics_.record("svc.lanes.occupied", running_ * lane_share_);
     lk.unlock();
 
     h->progress->mark_started(board_.now());
@@ -406,7 +406,7 @@ void Scheduler::runner_loop() {
     }
     svc_metrics_.add("svc.iterations",
                      static_cast<std::uint64_t>(h->outcome.iterations));
-    svc_metrics_.observe("svc.lanes.share", h->outcome.lanes);
+    svc_metrics_.record("svc.lanes.share", h->outcome.lanes);
     // Wall-clock scheduling latencies (machine-dependent — the bench
     // reports them under its gate-ignored "real." keys) ...
     svc_metrics_.record("svc.job.wait_s", h->outcome.wait_s);
@@ -414,7 +414,7 @@ void Scheduler::runner_loop() {
     // ... and the deterministic per-job quantities the gate CAN pin:
     // virtual completion time and ledger-tracked peak bytes.
     svc_metrics_.record("svc.job.virtual_s", h->outcome.virtual_elapsed_s);
-    svc_metrics_.observe("svc.job.peak_bytes",
+    svc_metrics_.record("svc.job.peak_bytes",
                          static_cast<double>(h->outcome.peak_bytes));
     settled_.notify_all();
   }
@@ -426,13 +426,13 @@ void Scheduler::execute(Handle& h) {
   out.id = h.spec.id;
   out.lanes = lane_share_;
   try {
-    // Per-job sinks: thread-local on this runner, propagated to pool
-    // workers by the pool's per-job sink snapshot (util/parallel.hpp).
+    // Per-job sinks: this runner's obs::Context; pool lanes keep the
+    // ledger and the recorder (the lane rule, obs/context.hpp).
     obs::MetricsRegistry job_metrics;
     obs::MemLedger job_ledger;
-    obs::ScopedMetrics metrics_scope(job_metrics);
-    obs::ScopedMemLedger ledger_scope(job_ledger);
-    obs::ScopedFlightRecorder recorder_scope(*h.recorder);
+    const obs::ScopedContext sinks({.metrics = &job_metrics,
+                                    .ledger = &job_ledger,
+                                    .recorder = h.recorder.get()});
     par::ScopedLaneCap cap(lane_share_);
 
     sim::SimState sim(h.spec.cpu_only_machine

@@ -6,10 +6,7 @@
 #include <memory>
 #include <string>
 
-#include "obs/mem.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof/flight_recorder.hpp"
-#include "sim/eventlog.hpp"
 #include "util/cli.hpp"
 
 namespace mclx::par {
@@ -18,39 +15,6 @@ namespace {
 
 thread_local bool t_in_region = false;
 thread_local int t_lane_cap = 0;  // 0 = uncapped
-
-/// Installs a job's sink snapshot on the executing worker thread and
-/// restores the worker's previous sinks on destruction, so a worker can
-/// interleave lanes of jobs submitted by different drivers without
-/// cross-charging their observability state.
-class SinkGuard {
- public:
-  SinkGuard(obs::MetricsRegistry* metrics, obs::MemLedger* ledger,
-            sim::EventLog* events, obs::FlightRecorder* recorder)
-      : prev_metrics_(obs::metrics()),
-        prev_ledger_(obs::mem_ledger()),
-        prev_events_(sim::event_log()),
-        prev_recorder_(obs::flight_recorder()) {
-    obs::set_metrics(metrics);
-    obs::set_mem_ledger(ledger);
-    sim::set_event_log(events);
-    obs::set_flight_recorder(recorder);
-  }
-  SinkGuard(const SinkGuard&) = delete;
-  SinkGuard& operator=(const SinkGuard&) = delete;
-  ~SinkGuard() {
-    obs::set_metrics(prev_metrics_);
-    obs::set_mem_ledger(prev_ledger_);
-    sim::set_event_log(prev_events_);
-    obs::set_flight_recorder(prev_recorder_);
-  }
-
- private:
-  obs::MetricsRegistry* prev_metrics_;
-  obs::MemLedger* prev_ledger_;
-  sim::EventLog* prev_events_;
-  obs::FlightRecorder* prev_recorder_;
-};
 
 int hardware_threads() {
   const int n = static_cast<int>(std::thread::hardware_concurrency());
@@ -152,9 +116,9 @@ void ThreadPool::worker_loop() {
     if (claim_hook_) claim_hook_();
     lk.unlock();
     {
-      // Lanes run under the submitting driver's sinks, not whatever this
-      // worker executed last.
-      SinkGuard sinks(job->metrics, job->ledger, job->events, job->recorder);
+      // Lanes run under the submitting driver's lane context, not
+      // whatever this worker executed last.
+      const obs::ScopedContext sinks(job->context);
       t_in_region = true;
       work(*job);
       t_in_region = false;
@@ -177,11 +141,16 @@ void ThreadPool::run(int lanes, const std::function<void(int)>& fn) {
   obs::count("pool.runs");
   obs::count("pool.tasks", static_cast<std::uint64_t>(lanes));
 
+  // The lane rule (obs/context.hpp): every lane, wherever it runs, sees
+  // the caller's context without the two sinks that are not thread-safe.
+  const obs::Context lane_context = obs::context().lane();
+
   // Inline paths: a 1-lane job, a 1-thread pool, or a nested call from a
   // worker lane. Same lane order as the concurrent path, so identical
   // results — the pool is an execution detail, never a semantic one.
   if (lanes == 1 || size_ == 1 || t_in_region) {
     obs::count("pool.inline_runs");
+    const obs::ScopedContext sinks(lane_context);
     for (int lane = 0; lane < lanes; ++lane) fn(lane);
     return;
   }
@@ -189,10 +158,7 @@ void ThreadPool::run(int lanes, const std::function<void(int)>& fn) {
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->lanes = lanes;
-  job->metrics = obs::metrics();
-  job->ledger = obs::mem_ledger();
-  job->events = sim::event_log();
-  job->recorder = obs::flight_recorder();
+  job->context = lane_context;
   const std::uint64_t t0 = now_ns();
   std::size_t active_now = 0;
   {
@@ -200,14 +166,16 @@ void ThreadPool::run(int lanes, const std::function<void(int)>& fn) {
     active_.push_back(job);
     active_now = active_.size();
   }
-  obs::observe("pool.active_jobs", static_cast<double>(active_now));
+  obs::record("pool.active_jobs", static_cast<double>(active_now));
   wake_.notify_all();
 
-  // The caller is a lane-execution thread too — its own sinks are
-  // already installed, so no SinkGuard here.
-  t_in_region = true;
-  work(*job);
-  t_in_region = false;
+  // The caller is a lane-execution thread too, under the same rule.
+  {
+    const obs::ScopedContext sinks(job->context);
+    t_in_region = true;
+    work(*job);
+    t_in_region = false;
+  }
 
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -217,16 +185,13 @@ void ThreadPool::run(int lanes, const std::function<void(int)>& fn) {
     active_.erase(std::find(active_.begin(), active_.end(), job));
   }
 
-  // Utilization from the caller only — the obs registry is not
-  // thread-safe and must never be touched from a worker lane.
+  // Utilization from the caller, after the join: lanes have no registry.
   const double span_s = static_cast<double>(now_ns() - t0) * 1e-9;
   const double busy_s =
       static_cast<double>(job->busy_ns.load(std::memory_order_relaxed)) * 1e-9;
   const double idle_s =
       std::max(0.0, span_s * static_cast<double>(size_) - busy_s);
-  obs::observe("pool.busy_s", busy_s);
   obs::record("pool.busy_s", busy_s);
-  obs::observe("pool.idle_s", idle_s);
   obs::record("pool.idle_s", idle_s);
 }
 

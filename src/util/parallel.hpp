@@ -24,10 +24,11 @@
 // an independent job and the workers drain every active job's lanes, so
 // N concurrent clustering jobs share one pool instead of oversubscribing
 // the machine with N pools. Each job snapshots the submitting thread's
-// observability sinks (metrics registry, memory ledger, event log) and
-// the workers install that snapshot around each lane they execute, which
-// is what keeps per-job accounting exact when the sinks are thread-local
-// (obs/metrics.cpp). Fair-share lane allocation is cooperative: a driver
+// obs::Context, and every lane runs under that snapshot with the metrics
+// registry and event log cleared (the lane rule, obs/context.hpp): the
+// thread-safe ledger and flight recorder keep per-job accounting exact,
+// and the two sinks that are not thread-safe are only ever written by
+// driver threads. Fair-share lane allocation is cooperative: a driver
 // thread under a ScopedLaneCap plans its parallel constructs over at most
 // that many lanes (see effective_lanes()), leaving the rest of the pool
 // to the other drivers.
@@ -43,16 +44,10 @@
 #include <utility>
 #include <vector>
 
+#include "obs/context.hpp"
+
 namespace mclx::util {
 class Cli;
-}
-namespace mclx::obs {
-class MetricsRegistry;
-class MemLedger;
-class FlightRecorder;
-}
-namespace mclx::sim {
-class EventLog;
 }
 
 namespace mclx::par {
@@ -93,8 +88,8 @@ class ThreadPool {
   /// Safe to call from several driver threads concurrently: each call is
   /// an independent job, the workers drain all active jobs (FIFO), and
   /// the calling thread always participates in its own job — so a run()
-  /// completes even when every worker is busy with other jobs. Worker
-  /// lanes execute under the submitting thread's observability sinks.
+  /// completes even when every worker is busy with other jobs. Every
+  /// lane executes under the submitting thread's obs::Context::lane().
   void run(int lanes, const std::function<void(int)>& fn);
 
   /// Jobs currently dispatched and not yet completed (any driver).
@@ -116,12 +111,7 @@ class ThreadPool {
     std::atomic<int> next{0};
     std::atomic<int> done{0};
     std::atomic<std::uint64_t> busy_ns{0};
-    // Sink snapshot of the submitting thread, installed around every
-    // lane a worker executes for this job (thread-local sinks).
-    obs::MetricsRegistry* metrics = nullptr;
-    obs::MemLedger* ledger = nullptr;
-    sim::EventLog* events = nullptr;
-    obs::FlightRecorder* recorder = nullptr;
+    obs::Context context;  ///< installed around every lane of this job
   };
 
   void worker_loop();

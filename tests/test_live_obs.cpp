@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -367,11 +368,11 @@ TEST(Expo, NameAndLabelEscaping) {
   EXPECT_EQ(obs::prometheus_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
-TEST(Expo, RegistryRendersAllThreeKinds) {
+TEST(Expo, RegistryRendersCountersAndValueMetrics) {
   obs::MetricsRegistry reg;
   reg.add("svc.jobs.submitted", 3);
-  reg.observe("svc.queue.depth", 1);
-  reg.observe("svc.queue.depth", 2);
+  reg.record("svc.queue.depth", 1);
+  reg.record("svc.queue.depth", 2);
   reg.record("merge.ways", 2.0);
   reg.record("merge.ways", 4.0);
   reg.record("merge.ways", 4.0);
@@ -382,6 +383,8 @@ TEST(Expo, RegistryRendersAllThreeKinds) {
   EXPECT_NE(text.find("mclx_svc_jobs_submitted_total 3"), std::string::npos);
   EXPECT_NE(text.find("mclx_svc_queue_depth_count 2"), std::string::npos);
   EXPECT_NE(text.find("mclx_svc_queue_depth_sum 3.0"), std::string::npos);
+  EXPECT_NE(text.find("mclx_svc_queue_depth_min 1.0"), std::string::npos);
+  EXPECT_NE(text.find("mclx_svc_queue_depth_max 2.0"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mclx_merge_ways histogram"), std::string::npos);
   EXPECT_NE(text.find("mclx_merge_ways_bucket{le=\"+Inf\"} 3"),
             std::string::npos);
@@ -428,13 +431,50 @@ TEST(Expo, JobGaugesCarryTheJobLabel) {
 TEST(Expo, EveryRegistryNameAppearsViaForEach) {
   obs::MetricsRegistry reg;
   reg.add("c.one");
-  reg.observe("a.two", 1);
+  reg.record("a.two", 1);
   reg.record("b.three", 1);
   const std::string text = obs::prometheus_text(&reg, nullptr);
   for (const std::string& name : reg.names()) {
     EXPECT_NE(text.find(obs::prometheus_name(name, "mclx")),
               std::string::npos)
         << name;
+  }
+}
+
+TEST(Expo, RunRegistryExposesEachSeriesOnce) {
+  // A real run's registry: every sample series (name + labels) and every
+  // # TYPE family appears exactly once. A value metric is one histogram
+  // family plus _min/_max gauges, never a second _sum/_count pair.
+  const gen::Dataset data = gen::make_dataset("archaea-mini", 0.2, 1);
+  obs::MetricsRegistry registry;
+  sim::SimState sim(sim::summit_like(4));
+  {
+    obs::ScopedMetrics scope(registry);
+    core::run_hipmcl(data.graph.edges, {}, core::HipMclConfig::optimized(),
+                     sim);
+  }
+  std::ostringstream os;
+  obs::write_prometheus(os, registry);
+
+  std::map<std::string, int> series, families;
+  std::istringstream lines(os.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      ++families[line.substr(7, line.find(' ', 7) - 7)];
+    } else if (!line.empty() && line[0] != '#') {
+      ++series[line.substr(0, line.rfind(' '))];
+    }
+  }
+  ASSERT_GT(series.size(), 100u);
+  for (const auto& [name, n] : series) EXPECT_EQ(n, 1) << name;
+  for (const auto& [name, n] : families) EXPECT_EQ(n, 1) << name;
+
+  // Every value metric keeps its count/sum/min/max samples.
+  for (const std::string base : {"mclx_mcl_chaos", "mclx_summa_spgemm_s"}) {
+    for (const std::string suffix : {"_count", "_sum", "_min", "_max"}) {
+      EXPECT_EQ(series.count(base + suffix), 1u) << base + suffix;
+    }
   }
 }
 

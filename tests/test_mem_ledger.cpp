@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -88,7 +87,7 @@ TEST(MemLedger, PrefixHelpersFoldPerRankTracks) {
 TEST(MemLedger, MemScopeChargesAndReleasesExactly) {
   obs::MemLedger ledger;
   {
-    obs::ScopedMemLedger install(ledger);
+    obs::ScopedContext install(ledger);
     obs::MemScope scope("scoped.buffer", 4096);
     EXPECT_EQ(ledger.label_stats("scoped.buffer").current_bytes, 4096u);
     scope.add(1024);  // buffer grew after the scope opened
@@ -122,18 +121,18 @@ TEST(MemLedger, MemTrackerCountsElements) {
 }
 
 TEST(MemLedger, ScopedInstallIsNestable) {
-  EXPECT_EQ(obs::mem_ledger(), nullptr);
+  EXPECT_EQ(obs::context().ledger, nullptr);
   obs::MemLedger outer, inner;
   {
-    obs::ScopedMemLedger outer_scope(outer);
+    obs::ScopedContext outer_scope(outer);
     obs::mem_charge("x", 1);
     {
-      obs::ScopedMemLedger inner_scope(inner);
+      obs::ScopedContext inner_scope(inner);
       obs::mem_charge("x", 1);
     }
     obs::mem_charge("x", 1);
   }
-  EXPECT_EQ(obs::mem_ledger(), nullptr);
+  EXPECT_EQ(obs::context().ledger, nullptr);
   EXPECT_EQ(outer.label_stats("x").charges, 2u);
   EXPECT_EQ(inner.label_stats("x").charges, 1u);
 }
@@ -145,7 +144,7 @@ TEST(MemLedger, ConcurrentChargesFromThePoolStayExact) {
   // label each through the real pool. Totals must come out exact — the
   // ledger's mutex is the only synchronization.
   obs::MemLedger ledger;
-  obs::ScopedMemLedger install(ledger);
+  obs::ScopedContext install(ledger);
   par::ThreadPool pool(4);
   constexpr int kLanes = 8;
   constexpr int kOps = 500;
@@ -191,14 +190,13 @@ TEST(MemLedger, AuditJoinsPredictionsWithMeasurements) {
 
   obs::MetricsRegistry registry;
   ledger.publish(registry);
-  const obs::Accumulator* err =
-      registry.accumulator("estimate.unpruned_nnz.rel_error");
+  const obs::Histogram* err =
+      registry.histogram("estimate.unpruned_nnz.rel_error");
   ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->count, 1u);
+  EXPECT_EQ(err->count(), 1u);
   EXPECT_NEAR(err->mean(), 10.0 / 110.0, 1e-12);
-  ASSERT_NE(registry.accumulator("estimate.unpruned_nnz.predicted"), nullptr);
-  ASSERT_NE(registry.accumulator("estimate.unpruned_nnz.measured"), nullptr);
-  ASSERT_NE(registry.histogram("estimate.unpruned_nnz.rel_error"), nullptr);
+  ASSERT_NE(registry.histogram("estimate.unpruned_nnz.predicted"), nullptr);
+  ASSERT_NE(registry.histogram("estimate.unpruned_nnz.measured"), nullptr);
 }
 
 TEST(MemLedger, PublishFoldsChargesIntoRegistry) {
@@ -211,10 +209,10 @@ TEST(MemLedger, PublishFoldsChargesIntoRegistry) {
   const obs::Histogram* h = registry.histogram("memory.charge_bytes");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 2u);
-  const obs::Accumulator* hwm = registry.accumulator("memory.hwm_bytes");
+  const obs::Histogram* hwm = registry.histogram("memory.hwm_bytes");
   ASSERT_NE(hwm, nullptr);
-  EXPECT_EQ(hwm->count, 2u);  // one observation per label
-  EXPECT_DOUBLE_EQ(hwm->max, 4096.0);
+  EXPECT_EQ(hwm->count(), 2u);  // one value per label
+  EXPECT_DOUBLE_EQ(hwm->max(), 4096.0);
 }
 
 // ------------------------------------------------- process peak sampling
@@ -303,12 +301,8 @@ core::MclResult ledger_run(sim::SimState& sim, obs::MemLedger* ledger,
   params.prune.select_k = 25;
   const core::HipMclConfig config = core::HipMclConfig::optimized();
 
-  std::optional<obs::ScopedMemLedger> lscope;
-  std::optional<obs::ScopedMetrics> mscope;
-  std::optional<sim::ScopedEventLog> tscope;
-  if (ledger) lscope.emplace(*ledger);
-  if (registry) mscope.emplace(*registry);
-  if (trace) tscope.emplace(*trace);
+  const obs::ScopedContext sinks(
+      {.metrics = registry, .ledger = ledger, .events = trace});
   return core::run_hipmcl(g.edges, params, config, sim);
 }
 
@@ -362,12 +356,11 @@ TEST(MemLedgerE2E, RunReportV4CarriesMeasuredActualsAndVmHwm) {
 
   // The estimator audit populated without the uncharged exact pass:
   // measured actuals come free from the merged chunks.
-  const obs::Accumulator* err = registry.accumulator("estimate.rel_error");
+  const obs::Histogram* err = registry.histogram("estimate.rel_error");
   ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->count, static_cast<std::uint64_t>(result.iterations));
-  ASSERT_NE(registry.histogram("estimate.rel_error"), nullptr);
-  ASSERT_NE(registry.accumulator("estimate.unpruned_nnz.rel_error"), nullptr);
-  ASSERT_NE(registry.accumulator("memory.phase_bytes.rel_error"), nullptr);
+  EXPECT_EQ(err->count(), static_cast<std::uint64_t>(result.iterations));
+  ASSERT_NE(registry.histogram("estimate.unpruned_nnz.rel_error"), nullptr);
+  ASSERT_NE(registry.histogram("memory.phase_bytes.rel_error"), nullptr);
 
   obs::RunInfo info;
   info.workload = "planted:150";
@@ -378,7 +371,7 @@ TEST(MemLedgerE2E, RunReportV4CarriesMeasuredActualsAndVmHwm) {
   ASSERT_EQ(metas.size(), 1u);
   ASSERT_TRUE(obs::matches_schema(*metas[0], obs::run_meta_schema(), &why))
       << why;
-  EXPECT_EQ(std::get<std::uint64_t>(*metas[0]->find("schema_version")), 5u);
+  EXPECT_EQ(std::get<std::uint64_t>(*metas[0]->find("schema_version")), 6u);
 #if defined(__linux__)
   EXPECT_GT(std::get<std::uint64_t>(*metas[0]->find("vm_hwm_bytes")), 0u);
 #endif
@@ -434,8 +427,7 @@ TEST(MemLedgerE2E, ChromeTraceCounterTracksSurviveReordering) {
   core::HipMclConfig config = core::HipMclConfig::optimized();
   config.ordering = order::OrderKind::kRcm;
 
-  obs::ScopedMemLedger lscope(ledger);
-  sim::ScopedEventLog tscope(trace);
+  const obs::ScopedContext sinks({.ledger = &ledger, .events = &trace});
   const core::MclResult result =
       core::run_hipmcl(g.edges, params, config, sim);
   EXPECT_FALSE(result.order_perm.empty());  // the reorder pipeline ran

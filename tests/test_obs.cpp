@@ -7,12 +7,14 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 
 #include "core/hipmcl.hpp"
 #include "gen/planted.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/mem.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof/flight_recorder.hpp"
 #include "obs/run_report.hpp"
 #include "sim/eventlog.hpp"
 #include "sim/machine.hpp"
@@ -24,11 +26,11 @@ using namespace mclx;
 
 // ---------------------------------------------------------------- metrics
 
-TEST(Metrics, CountersAndAccumulators) {
+TEST(Metrics, CountersAndValueMetrics) {
   obs::MetricsRegistry reg;
   EXPECT_TRUE(reg.empty());
   EXPECT_EQ(reg.counter("never.bumped"), 0u);
-  EXPECT_EQ(reg.accumulator("never.observed"), nullptr);
+  EXPECT_EQ(reg.histogram("never.recorded"), nullptr);
 
   reg.add("a", 2);
   reg.add("a");
@@ -36,43 +38,69 @@ TEST(Metrics, CountersAndAccumulators) {
   EXPECT_EQ(reg.counter("a"), 3u);
   EXPECT_EQ(reg.counter("b"), 7u);
 
-  reg.observe("x", 1.5);
-  reg.observe("x", -0.5);
-  reg.observe("x", 4.0);
-  const obs::Accumulator* acc = reg.accumulator("x");
-  ASSERT_NE(acc, nullptr);
-  EXPECT_EQ(acc->count, 3u);
-  EXPECT_DOUBLE_EQ(acc->sum, 5.0);
-  EXPECT_DOUBLE_EQ(acc->min, -0.5);
-  EXPECT_DOUBLE_EQ(acc->max, 4.0);
-  EXPECT_DOUBLE_EQ(acc->mean(), 5.0 / 3.0);
+  reg.record("x", 1.5);
+  reg.record("x", -0.5);
+  reg.record("x", 4.0);
+  const obs::Histogram* h = reg.histogram("x");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 3u);
+  EXPECT_DOUBLE_EQ(h->sum(), 5.0);
+  EXPECT_DOUBLE_EQ(h->min(), -0.5);
+  EXPECT_DOUBLE_EQ(h->max(), 4.0);
+  EXPECT_DOUBLE_EQ(h->mean(), 5.0 / 3.0);
 
   reg.clear();
   EXPECT_TRUE(reg.empty());
 }
 
-TEST(Metrics, AccumulatorStddevIsWelfordExact) {
+TEST(Metrics, HistogramStddevIsWelfordExact) {
   obs::MetricsRegistry reg;
   // Classic textbook set: mean 5, population variance 4, stddev 2.
   for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    reg.observe("x", v);
+    reg.record("x", v);
   }
-  const obs::Accumulator* acc = reg.accumulator("x");
-  ASSERT_NE(acc, nullptr);
-  EXPECT_DOUBLE_EQ(acc->mean(), 5.0);
-  EXPECT_NEAR(acc->variance(), 4.0, 1e-12);
-  EXPECT_NEAR(acc->stddev(), 2.0, 1e-12);
+  const obs::Histogram* h = reg.histogram("x");
+  ASSERT_NE(h, nullptr);
+  EXPECT_DOUBLE_EQ(h->mean(), 5.0);
+  EXPECT_NEAR(h->variance(), 4.0, 1e-12);
+  EXPECT_NEAR(h->stddev(), 2.0, 1e-12);
 
   // Degenerate counts: no samples and one sample both report 0 spread.
-  obs::Accumulator empty;
+  const obs::Histogram empty;
   EXPECT_DOUBLE_EQ(empty.stddev(), 0.0);
-  reg.observe("one", 42.0);
-  EXPECT_DOUBLE_EQ(reg.accumulator("one")->stddev(), 0.0);
+  reg.record("one", 42.0);
+  EXPECT_DOUBLE_EQ(reg.histogram("one")->stddev(), 0.0);
 
   // Welford stays finite and accurate with a large offset, where the
   // naive sum-of-squares formulation loses all significant digits.
-  for (const double v : {1e9 + 1, 1e9 + 2, 1e9 + 3}) reg.observe("big", v);
-  EXPECT_NEAR(reg.accumulator("big")->variance(), 2.0 / 3.0, 1e-6);
+  for (const double v : {1e9 + 1, 1e9 + 2, 1e9 + 3}) reg.record("big", v);
+  EXPECT_NEAR(reg.histogram("big")->variance(), 2.0 / 3.0, 1e-6);
+
+  // Non-finite values are dropped from the spread like everywhere else.
+  reg.record("x", std::numeric_limits<double>::quiet_NaN());
+  EXPECT_NEAR(reg.histogram("x")->stddev(), 2.0, 1e-12);
+}
+
+TEST(Metrics, HistogramMergeCombinesSpread) {
+  // Merging two halves gives the spread of recording everything in one
+  // histogram (Chan et al.'s pairwise combination of Welford's m2).
+  const double values[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
+  obs::Histogram all, lo, hi, into_empty;
+  for (int i = 0; i < 8; ++i) {
+    all.record(values[i]);
+    (i < 3 ? lo : hi).record(values[i]);
+  }
+  lo.merge(hi);
+  EXPECT_EQ(lo.count(), all.count());
+  EXPECT_DOUBLE_EQ(lo.sum(), all.sum());
+  EXPECT_NEAR(lo.variance(), all.variance(), 1e-12);
+  EXPECT_NEAR(lo.stddev(), 2.0, 1e-12);
+
+  // An empty side changes nothing, in either direction.
+  into_empty.merge(all);
+  EXPECT_DOUBLE_EQ(into_empty.stddev(), all.stddev());
+  all.merge(obs::Histogram{});
+  EXPECT_DOUBLE_EQ(all.stddev(), into_empty.stddev());
 }
 
 TEST(Metrics, HistogramBucketsAndStats) {
@@ -259,44 +287,41 @@ TEST(Metrics, NamesAndForEachIterateSortedAndComplete) {
   obs::MetricsRegistry reg;
   reg.add("z.counter");
   reg.add("a.counter", 2);
-  reg.observe("m.acc", 1.5);
   reg.record("m.hist", 4.0);
-  // The same name as both an observation and a histogram dedups in
-  // names() but visits once per kind in for_each.
-  reg.observe("m.hist", 4.0);
+  // The same name as both a counter and a histogram dedups in names()
+  // but visits once per kind in for_each.
+  reg.add("m.hist");
 
   const std::vector<std::string> names = reg.names();
-  EXPECT_EQ(names, (std::vector<std::string>{"a.counter", "m.acc", "m.hist",
-                                             "z.counter"}));
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"a.counter", "m.hist", "z.counter"}));
 
-  std::vector<std::string> counters, accs, hists;
+  std::vector<std::string> counters, hists;
   reg.for_each(
       [&](std::string_view n, std::uint64_t v) {
         counters.emplace_back(n);
-        if (n == "a.counter") EXPECT_EQ(v, 2u);
-      },
-      [&](std::string_view n, const obs::Accumulator& a) {
-        accs.emplace_back(n);
-        EXPECT_GE(a.count, 1u);
+        if (n == "a.counter") {
+          EXPECT_EQ(v, 2u);
+        }
       },
       [&](std::string_view n, const obs::Histogram& h) {
         hists.emplace_back(n);
         EXPECT_EQ(h.count(), 1u);
       });
-  EXPECT_EQ(counters, (std::vector<std::string>{"a.counter", "z.counter"}));
-  EXPECT_EQ(accs, (std::vector<std::string>{"m.acc", "m.hist"}));
+  EXPECT_EQ(counters, (std::vector<std::string>{"a.counter", "m.hist",
+                                                "z.counter"}));
   EXPECT_EQ(hists, (std::vector<std::string>{"m.hist"}));
 
   // Null callbacks skip that kind rather than crashing — exporters that
   // only care about one kind pass just that one.
   std::size_t count_only = 0;
   reg.for_each([&](std::string_view, std::uint64_t) { ++count_only; },
-               nullptr, nullptr);
-  EXPECT_EQ(count_only, 2u);
+               nullptr);
+  EXPECT_EQ(count_only, 3u);
 }
 
 TEST(Metrics, GlobalSinkIsScopedAndNestable) {
-  EXPECT_EQ(obs::metrics(), nullptr);
+  EXPECT_EQ(obs::context().metrics, nullptr);
   obs::count("dropped.on.floor");  // no registry installed: no-op
 
   obs::MetricsRegistry outer, inner;
@@ -306,15 +331,58 @@ TEST(Metrics, GlobalSinkIsScopedAndNestable) {
     {
       obs::ScopedMetrics inner_scope(inner);
       obs::count("seen");
-      obs::observe("val", 2.0);
+      obs::record("val", 2.0);
     }
     obs::count("seen");  // back to outer
   }
-  EXPECT_EQ(obs::metrics(), nullptr);
+  EXPECT_EQ(obs::context().metrics, nullptr);
   EXPECT_EQ(outer.counter("seen"), 2u);
   EXPECT_EQ(inner.counter("seen"), 1u);
-  ASSERT_NE(inner.accumulator("val"), nullptr);
-  EXPECT_EQ(outer.accumulator("val"), nullptr);
+  ASSERT_NE(inner.histogram("val"), nullptr);
+  EXPECT_EQ(outer.histogram("val"), nullptr);
+}
+
+TEST(Context, ScopesSwapOneSinkOrInstallAWholeContext) {
+  obs::MetricsRegistry reg_a, reg_b;
+  obs::MemLedger ledger_a, ledger_b;
+  sim::EventLog log_a, log_b;
+  obs::FlightRecorder rec_a, rec_b;
+  const obs::Context all_a{&reg_a, &ledger_a, &log_a, &rec_a};
+  const auto is = [](const obs::Context& want) {
+    const obs::Context& c = obs::context();
+    return c.metrics == want.metrics && c.ledger == want.ledger &&
+           c.events == want.events && c.recorder == want.recorder;
+  };
+  EXPECT_TRUE(is({}));
+  {
+    obs::ScopedContext whole(all_a);
+    EXPECT_TRUE(is(all_a));
+    {
+      // A one-sink scope swaps its sink and keeps the other three.
+      obs::ScopedContext m(reg_b);
+      EXPECT_TRUE(is({&reg_b, &ledger_a, &log_a, &rec_a}));
+      obs::ScopedContext l(ledger_b);
+      EXPECT_TRUE(is({&reg_b, &ledger_b, &log_a, &rec_a}));
+      obs::ScopedContext e(log_b);
+      obs::ScopedContext r(rec_b);
+      EXPECT_TRUE(is({&reg_b, &ledger_b, &log_b, &rec_b}));
+    }
+    EXPECT_TRUE(is(all_a));  // nested scopes restore in order
+    {
+      // A whole context replaces every sink, nulls included.
+      obs::ScopedContext partial({.metrics = &reg_b});
+      EXPECT_TRUE(is({.metrics = &reg_b}));
+    }
+    EXPECT_TRUE(is(all_a));
+
+    // The lane view keeps exactly the thread-safe sinks.
+    const obs::Context lane = obs::context().lane();
+    EXPECT_EQ(lane.metrics, nullptr);
+    EXPECT_EQ(lane.ledger, &ledger_a);
+    EXPECT_EQ(lane.events, nullptr);
+    EXPECT_EQ(lane.recorder, &rec_a);
+  }
+  EXPECT_TRUE(is({}));
 }
 
 // ------------------------------------------------------------ json basics
@@ -385,10 +453,7 @@ core::MclResult small_run(sim::SimState& sim, obs::MetricsRegistry* registry,
   core::HipMclConfig config = core::HipMclConfig::optimized();
   config.measure_estimation_error = true;
 
-  std::optional<obs::ScopedMetrics> mscope;
-  std::optional<sim::ScopedEventLog> tscope;
-  if (registry) mscope.emplace(*registry);
-  if (trace) tscope.emplace(*trace);
+  const obs::ScopedContext sinks({.metrics = registry, .events = trace});
   return core::run_hipmcl(g.edges, params, config, sim);
 }
 
@@ -440,7 +505,8 @@ TEST(RunReportSchema, OneSchemaValidRecordPerIteration) {
 
   // Registry dump made it into the report.
   EXPECT_FALSE(report.records_of("counter").empty());
-  EXPECT_FALSE(report.records_of("observation").empty());
+  EXPECT_FALSE(report.records_of("histogram").empty());
+  EXPECT_TRUE(report.records_of("observation").empty());  // folded in v6
 }
 
 TEST(RunReportSchema, VersionFourMetricRecordSchemas) {
@@ -448,16 +514,17 @@ TEST(RunReportSchema, VersionFourMetricRecordSchemas) {
   // joined. v3: run_meta grew the per-rank `threads` field. v4: run_meta
   // grew `vm_hwm_bytes` and iterations grew `measured_unpruned_nnz`
   // (the memory-ledger PR). v5: run_meta grew `job_id` so concurrent
-  // service jobs stay attributable (the svc PR). Pin the version so a
-  // future bump is a conscious act.
-  EXPECT_EQ(obs::kReportSchemaVersion, 5u);
+  // service jobs stay attributable (the svc PR). v6: observation
+  // records folded into histogram, which grew `stddev` (one record per
+  // value metric). Pin the version so a future bump is a conscious act.
+  EXPECT_EQ(obs::kReportSchemaVersion, 6u);
 
   obs::MetricsRegistry reg;
   reg.add("calls", 3);
-  reg.observe("width", 4.0);
-  reg.observe("width", 8.0);
   reg.record("payload", 1024.0);
   reg.record("payload", 4096.0);
+  reg.record("width", 4.0);
+  reg.record("width", 8.0);
   const obs::RunReport report = obs::make_metrics_report(reg);
 
   std::string why;
@@ -465,23 +532,21 @@ TEST(RunReportSchema, VersionFourMetricRecordSchemas) {
   ASSERT_EQ(counters.size(), 1u);
   EXPECT_TRUE(obs::matches_schema(*counters[0], obs::counter_schema(), &why))
       << why;
-
-  const auto observations = report.records_of("observation");
-  ASSERT_EQ(observations.size(), 1u);
-  EXPECT_TRUE(
-      obs::matches_schema(*observations[0], obs::observation_schema(), &why))
-      << why;
-  EXPECT_DOUBLE_EQ(std::get<double>(*observations[0]->find("stddev")), 2.0);
+  EXPECT_TRUE(report.records_of("observation").empty());
 
   const auto histograms = report.records_of("histogram");
-  ASSERT_EQ(histograms.size(), 1u);
-  EXPECT_TRUE(
-      obs::matches_schema(*histograms[0], obs::histogram_schema(), &why))
-      << why;
+  ASSERT_EQ(histograms.size(), 2u);
+  for (const auto* rec : histograms) {
+    EXPECT_TRUE(obs::matches_schema(*rec, obs::histogram_schema(), &why))
+        << why;
+  }
+  EXPECT_EQ(std::get<std::string>(*histograms[0]->find("name")), "payload");
   EXPECT_EQ(std::get<std::uint64_t>(*histograms[0]->find("count")), 2u);
   const double p99 = std::get<double>(*histograms[0]->find("p99"));
   EXPECT_GT(p99, 1024.0);
   EXPECT_LE(p99, 4096.0);
+  EXPECT_EQ(std::get<std::string>(*histograms[1]->find("name")), "width");
+  EXPECT_DOUBLE_EQ(std::get<double>(*histograms[1]->find("stddev")), 2.0);
 }
 
 TEST(RunReportSchema, RealRunEmitsDistributionHistograms) {
@@ -548,8 +613,8 @@ TEST(PipelineMetrics, EveryLayerReports) {
   // core loop
   EXPECT_EQ(registry.counter("mcl.iterations"),
             static_cast<std::uint64_t>(result.iterations));
-  ASSERT_NE(registry.accumulator("mcl.chaos"), nullptr);
-  EXPECT_EQ(registry.accumulator("mcl.chaos")->count,
+  ASSERT_NE(registry.histogram("mcl.chaos"), nullptr);
+  EXPECT_EQ(registry.histogram("mcl.chaos")->count(),
             static_cast<std::uint64_t>(result.iterations));
   // planner: one plan per iteration
   EXPECT_EQ(registry.counter("planner.calls"),
@@ -564,13 +629,13 @@ TEST(PipelineMetrics, EveryLayerReports) {
     if (name.rfind("spgemm.kernel.", 0) == 0) kernel_total += value;
   }
   EXPECT_GT(kernel_total, 0u);
-  ASSERT_NE(registry.accumulator("spgemm.select.flops"), nullptr);
-  EXPECT_EQ(registry.accumulator("spgemm.select.flops")->count, kernel_total);
+  ASSERT_NE(registry.histogram("spgemm.select.flops"), nullptr);
+  EXPECT_EQ(registry.histogram("spgemm.select.flops")->count(), kernel_total);
   // merge layer
   EXPECT_GT(registry.counter("merge.events"), 0u);
-  ASSERT_NE(registry.accumulator("merge.peak_elements"), nullptr);
+  ASSERT_NE(registry.histogram("merge.peak_elements"), nullptr);
   // estimator error (measure_estimation_error was on)
-  ASSERT_NE(registry.accumulator("estimate.rel_error"), nullptr);
+  ASSERT_NE(registry.histogram("estimate.rel_error"), nullptr);
 }
 
 TEST(PipelineMetrics, SilentWithoutRegistry) {
@@ -614,7 +679,7 @@ TEST(CliObsFlow, MetricsOutAndTraceOutFiles) {
   // The trace holds real intervals and exports loadable Chrome JSON.
   EXPECT_GT(trace.size(), 0u);
   const std::string trace_path = testing::TempDir() + "/cli_run.trace.json";
-  trace.write_chrome_trace_file(trace_path);
+  obs::write_chrome_trace_file(trace_path, trace, nullptr);
   std::ifstream in(trace_path);
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());

@@ -18,6 +18,10 @@
 #include "gen/er.hpp"
 #include "io/matrix_market.hpp"
 #include "merge/kway.hpp"
+#include "obs/mem.hpp"
+#include "obs/metrics.hpp"
+#include "obs/prof/flight_recorder.hpp"
+#include "sim/eventlog.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm/hash.hpp"
@@ -147,6 +151,61 @@ TEST(ThreadPool, NestedSubmissionRunsInline) {
   EXPECT_EQ(outer_hits.load(), 4);
   for (const auto& h : inner_hits) EXPECT_EQ(h.load(), 4);  // once per outer
   EXPECT_FALSE(par::in_parallel_region());
+}
+
+TEST(ThreadPool, NestedRunsCountOnlyTheDriversOwn) {
+  // The lane rule (obs/context.hpp): lanes run without the driver's
+  // registry, so a run nested in a lane neither races on it nor counts
+  // into it — pool.* holds exactly the driver's own runs.
+  PoolGuard guard;
+  par::set_threads(4);
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedMetrics scope(registry);
+    for (int round = 0; round < 50; ++round) {
+      par::pool().run(4, [](int) { par::pool().run(2, [](int) {}); });
+    }
+  }
+  EXPECT_EQ(registry.counter("pool.runs"), 50u);
+  EXPECT_EQ(registry.counter("pool.tasks"), 200u);
+  EXPECT_EQ(registry.counter("pool.inline_runs"), 0u);
+}
+
+TEST(ThreadPool, LanesRunUnderTheLaneContext) {
+  // Inline, on the submitting thread or on a worker: every lane sees the
+  // driver's ledger and recorder, and no registry or event log.
+  PoolGuard guard;
+  par::set_threads(4);
+  obs::MetricsRegistry registry;
+  obs::MemLedger ledger;
+  sim::EventLog events;
+  obs::FlightRecorder recorder;
+  const obs::ScopedContext sinks({&registry, &ledger, &events, &recorder});
+  std::atomic<int> wrong{0};
+  const auto check = [&] {
+    const obs::Context& c = obs::context();
+    if (c.metrics != nullptr || c.events != nullptr || c.ledger != &ledger ||
+        c.recorder != &recorder) {
+      wrong.fetch_add(1);
+    }
+  };
+  par::pool().run(8, [&](int) {
+    check();
+    obs::mem_charge("lane", 1);
+    obs::fr_record(obs::FrEventKind::kMark, "lane");
+    par::pool().run(2, [&](int) { check(); });  // nested: inline
+  });
+  par::pool().run(1, [&](int) { check(); });  // one lane: inline
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(ledger.label_stats("lane").charges, 8u);
+  int marks = 0;  // the ledger adds its own high-water events
+  for (const obs::FrEvent& e : recorder.merged()) {
+    marks += e.kind == static_cast<std::uint32_t>(obs::FrEventKind::kMark);
+  }
+  EXPECT_EQ(marks, 8);
+  // The driver's own context is back after each run.
+  EXPECT_EQ(obs::context().metrics, &registry);
+  EXPECT_EQ(obs::context().events, &events);
 }
 
 TEST(ThreadPool, ReentrantAcrossManyRuns) {

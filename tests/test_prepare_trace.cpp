@@ -6,6 +6,8 @@
 
 #include "core/prepare.hpp"
 #include "dist/summa.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/context.hpp"
 #include "sim/eventlog.hpp"
 #include "sim/machine.hpp"
 #include "sim/timeline.hpp"
@@ -121,7 +123,7 @@ TEST(Prepare, RejectsRectangular) {
 // Event log.
 
 TEST(EventLog, DisabledByDefault) {
-  EXPECT_EQ(sim::event_log(), nullptr);
+  EXPECT_EQ(obs::context().events, nullptr);
   sim::RankTimeline tl;
   tl.cpu_run(sim::Stage::kOther, 1.0);  // must not crash or record
 }
@@ -129,7 +131,7 @@ TEST(EventLog, DisabledByDefault) {
 TEST(EventLog, RecordsTimelineIntervals) {
   sim::EventLog log;
   {
-    sim::ScopedEventLog scope(log);
+    obs::ScopedContext scope(log);
     sim::SimState s(sim::summit_like(4));
     s.rank(2).cpu_run(sim::Stage::kPrune, 1.5);
     s.rank(2).gpu_run(sim::Stage::kLocalSpGEMM, 2.0, 0.5);
@@ -143,12 +145,12 @@ TEST(EventLog, RecordsTimelineIntervals) {
   EXPECT_EQ(log.events()[1].resource, sim::Resource::kGpu);
   EXPECT_DOUBLE_EQ(log.events()[1].start, 0.5);
   // Recording stops when the scope ends.
-  EXPECT_EQ(sim::event_log(), nullptr);
+  EXPECT_EQ(obs::context().events, nullptr);
 }
 
 TEST(EventLog, ZeroDurationEventsSkipped) {
   sim::EventLog log;
-  sim::ScopedEventLog scope(log);
+  obs::ScopedContext scope(log);
   sim::RankTimeline tl;
   tl.cpu_run(sim::Stage::kOther, 0.0);
   EXPECT_EQ(log.size(), 0u);
@@ -169,7 +171,7 @@ TEST(EventLog, CapturesWholeSumma) {
 
   sim::EventLog log;
   {
-    sim::ScopedEventLog scope(log);
+    obs::ScopedContext scope(log);
     dist::SummaOptions opt;
     opt.pipelined = true;
     opt.binary_merge = true;
@@ -191,7 +193,7 @@ TEST(EventLog, ChromeTraceIsWellFormedJson) {
   log.record({0, sim::Resource::kCpu, sim::Stage::kMerge, 0.0, 1.0});
   log.record({1, sim::Resource::kGpu, sim::Stage::kLocalSpGEMM, 0.5, 2.0});
   std::ostringstream oss;
-  log.write_chrome_trace(oss);
+  obs::write_chrome_trace(oss, log, nullptr);
   const std::string json = oss.str();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');

@@ -137,16 +137,15 @@ TEST(KernelProfiling, CounterScopePublishesWindowsAndRoofline) {
   EXPECT_EQ(registry.counter("prof.hw.kernel.cpu-hash.windows"), 1u);
   // The predicted channel comes from the frozen model, so it populates
   // on the no-op backend too; measured/rel_error need real counters.
-  const obs::Accumulator* predicted =
-      registry.accumulator("prof.hw.cpu-hash.bytes_per_flop.predicted");
+  const obs::Histogram* predicted =
+      registry.histogram("prof.hw.cpu-hash.bytes_per_flop.predicted");
   ASSERT_NE(predicted, nullptr);
   EXPECT_DOUBLE_EQ(predicted->mean(), 0.48);
   if (obs::HwCounters().available()) {
-    EXPECT_NE(registry.accumulator("prof.hw.cpu-hash.bytes_per_flop.measured"),
+    EXPECT_NE(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.measured"),
               nullptr);
-    EXPECT_NE(
-        registry.accumulator("prof.hw.cpu-hash.bytes_per_flop.rel_error"),
-        nullptr);
+    EXPECT_NE(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.rel_error"),
+              nullptr);
   }
 }
 
@@ -196,9 +195,9 @@ TEST(Roofline, PublishesPredictedMeasuredAndRelError) {
     obs::publish_roofline(registry, kernel, flops, v);
 
     const auto mean = [&](const std::string& ch) {
-      const obs::Accumulator* a =
-          registry.accumulator("prof.hw." + kernel + "." + ch);
-      return a != nullptr ? a->mean() : -1.0;
+      const obs::Histogram* h =
+          registry.histogram("prof.hw." + kernel + "." + ch);
+      return h != nullptr ? h->mean() : -1.0;
     };
     const double measured =
         static_cast<double>(v.llc_misses) * 64.0 / static_cast<double>(flops);
@@ -216,11 +215,11 @@ TEST(Roofline, PublishesPredictedMeasuredAndRelError) {
 TEST(Roofline, UnavailableCountersPublishPredictionOnly) {
   obs::MetricsRegistry registry;
   obs::publish_roofline(registry, "cpu-hash", 1000, obs::HwCounterValues{});
-  EXPECT_NE(registry.accumulator("prof.hw.cpu-hash.bytes_per_flop.predicted"),
+  EXPECT_NE(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.predicted"),
             nullptr);
-  EXPECT_EQ(registry.accumulator("prof.hw.cpu-hash.bytes_per_flop.measured"),
+  EXPECT_EQ(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.measured"),
             nullptr);
-  EXPECT_EQ(registry.accumulator("prof.hw.cpu-hash.bytes_per_flop.rel_error"),
+  EXPECT_EQ(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.rel_error"),
             nullptr);
 }
 
@@ -362,22 +361,22 @@ TEST(FlightRecorder, SignalSafeDumpFdWritesTheSameSchema) {
 }
 
 TEST(FlightRecorder, SinkScopeInstallsAndRestores) {
-  EXPECT_EQ(obs::flight_recorder(), nullptr);
+  EXPECT_EQ(obs::context().recorder, nullptr);
   obs::fr_record(obs::FrEventKind::kMark, "dropped");  // no sink: no-op
   obs::FlightRecorder outer_rec;
   {
-    obs::ScopedFlightRecorder outer(outer_rec);
-    EXPECT_EQ(obs::flight_recorder(), &outer_rec);
+    obs::ScopedContext outer(outer_rec);
+    EXPECT_EQ(obs::context().recorder, &outer_rec);
     obs::FlightRecorder inner_rec;
     {
-      obs::ScopedFlightRecorder inner(inner_rec);
+      obs::ScopedContext inner(inner_rec);
       obs::fr_record(obs::FrEventKind::kMark, "inner");
     }
-    EXPECT_EQ(obs::flight_recorder(), &outer_rec);
+    EXPECT_EQ(obs::context().recorder, &outer_rec);
     obs::fr_record(obs::FrEventKind::kMark, "outer");
     EXPECT_EQ(inner_rec.total_recorded(), 1u);
   }
-  EXPECT_EQ(obs::flight_recorder(), nullptr);
+  EXPECT_EQ(obs::context().recorder, nullptr);
   EXPECT_EQ(outer_rec.total_recorded(), 1u);
 }
 
@@ -396,12 +395,9 @@ core::MclResult prof_run(sim::SimState& sim, bool profiled,
   params.prune.select_k = 25;
   core::HipMclConfig config = core::HipMclConfig::optimized();
 
-  std::optional<obs::ScopedMetrics> mscope;
-  std::optional<obs::ScopedFlightRecorder> fscope;
+  const obs::ScopedContext sinks({.metrics = registry, .recorder = recorder});
   std::optional<obs::ScopedKernelProfiling> kscope;
   std::optional<obs::StageHwProfiler> sprof;
-  if (registry) mscope.emplace(*registry);
-  if (recorder) fscope.emplace(*recorder);
   if (profiled) {
     kscope.emplace();
     sprof.emplace(registry);
@@ -581,7 +577,7 @@ TEST(ProfE2E, FatalSignalDumpSurvivesACrashingChild) {
     par::set_threads(2);
     obs::FlightRecorder recorder;
     obs::install_crash_dump(&recorder, path);
-    obs::ScopedFlightRecorder scope(recorder);
+    obs::ScopedContext scope(recorder);
 
     gen::PlantedParams gp;
     gp.n = 60;

@@ -176,9 +176,9 @@ TEST(SvcScheduler, AggregatesServiceMetrics) {
   EXPECT_EQ(m.counter("svc.jobs.completed"), 3u);
   EXPECT_EQ(m.counter("svc.jobs.cancelled"), 0u);
   EXPECT_GT(m.counter("svc.iterations"), 0u);
-  ASSERT_NE(m.accumulator("svc.queue.depth"), nullptr);
-  ASSERT_NE(m.accumulator("svc.lanes.occupied"), nullptr);
-  ASSERT_NE(m.accumulator("svc.job.peak_bytes"), nullptr);
+  ASSERT_NE(m.histogram("svc.queue.depth"), nullptr);
+  ASSERT_NE(m.histogram("svc.lanes.occupied"), nullptr);
+  ASSERT_NE(m.histogram("svc.job.peak_bytes"), nullptr);
   ASSERT_NE(m.histogram("svc.job.wait_s"), nullptr);
   ASSERT_NE(m.histogram("svc.job.run_s"), nullptr);
   const obs::Histogram* virt = m.histogram("svc.job.virtual_s");

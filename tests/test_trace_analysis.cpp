@@ -8,6 +8,7 @@
 
 #include "core/hipmcl.hpp"
 #include "gen/planted.hpp"
+#include "obs/context.hpp"
 #include "obs/trace_analysis.hpp"
 #include "sim/eventlog.hpp"
 #include "sim/machine.hpp"
@@ -184,7 +185,7 @@ TEST(TraceAnalysis, RealRunProducesConsistentAnalysis) {
   sim::EventLog trace;
   sim::SimState sim(sim::summit_like(4));
   {
-    sim::ScopedEventLog scope(trace);
+    obs::ScopedContext scope(trace);
     core::run_hipmcl(g.edges, params, core::HipMclConfig::optimized(), sim);
   }
   ASSERT_GT(trace.size(), 0u);
