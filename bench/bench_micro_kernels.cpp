@@ -1,9 +1,9 @@
-// Microbenchmark behind the hybrid policy's recipe (§VII-B narrative):
-// every local-SpGEMM kernel across the cf spectrum. Reports measured
-// wall time of the real computation (google-benchmark) and, via
-// counters, the cost model's virtual time for the same multiply — so any
-// drift between "what we compute" and "what we charge" is visible in one
-// table.
+// Microbenchmark of the two local-SpGEMM kernels the host runs — the
+// hash accumulator behind every kind, on one or more lanes, and the SPA
+// reference — across the cf spectrum. Reports measured wall time of the
+// real computation (google-benchmark) and, via counters, the cost
+// model's virtual time for the same multiply — so any drift between
+// "what we compute" and "what we charge" is visible in one table.
 // The BM_Planted* pairs benchmark each SIMD-specced loop (prune
 // threshold scan, inflate) against its scalar counterpart on the same
 // planted-partition workload; BM_PlantedAccumScalar times cpu-hash's
@@ -16,16 +16,13 @@
 #include <cmath>
 
 #include "gen/planted.hpp"
-#include "gpuk/esc.hpp"
 #include "obs/prof/hw_counters.hpp"
 #include "order/order.hpp"
-#include "gpuk/rmerge.hpp"
 #include "sim/costmodel.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/heap.hpp"
 #include "spgemm/kernels.hpp"
 #include "spgemm/spa.hpp"
 #include "util/parallel.hpp"
@@ -123,10 +120,6 @@ void run_kernel(benchmark::State& state, spgemm::KernelKind kind,
   state.SetLabel(regime.name);
 }
 
-void BM_CpuHeap(benchmark::State& state) {
-  run_kernel(state, spgemm::KernelKind::kCpuHeap,
-             [](const C& a, const C& b) { return spgemm::heap_spgemm(a, b); });
-}
 void BM_CpuHash(benchmark::State& state) {
   run_kernel(state, spgemm::KernelKind::kCpuHash,
              [](const C& a, const C& b) { return spgemm::hash_spgemm(a, b); });
@@ -148,23 +141,12 @@ void BM_CpuHashPar(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(nthreads);
   par::set_threads(0);
 }
-void BM_GpuEsc(benchmark::State& state) {
-  run_kernel(state, spgemm::KernelKind::kGpuBhsparse,
-             [](const C& a, const C& b) { return gpuk::esc_spgemm(a, b); });
-}
-void BM_GpuRmerge(benchmark::State& state) {
-  run_kernel(state, spgemm::KernelKind::kGpuRmerge2,
-             [](const C& a, const C& b) { return gpuk::rmerge_spgemm(a, b); });
-}
 
-BENCHMARK(BM_CpuHeap)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CpuHash)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CpuSpa)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CpuHashPar)
     ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GpuEsc)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GpuRmerge)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Planted-partition workloads: the hash accumulator alone, and

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "gpuk/esc.hpp"
-#include "gpuk/rmerge.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
 
@@ -18,15 +16,6 @@ bytes_t col_range_bytes(const CscD& m, vidx_t j0, vidx_t j1) {
   const auto nnz = static_cast<bytes_t>(m.colptr()[j1] - m.colptr()[j0]);
   return static_cast<bytes_t>(j1 - j0 + 1) * sizeof(vidx_t) +
          nnz * (sizeof(vidx_t) + sizeof(val_t));
-}
-
-CscD run_library(spgemm::KernelKind kind, const CscD& a, const CscD& b) {
-  switch (kind) {
-    case spgemm::KernelKind::kGpuBhsparse: return esc_spgemm(a, b);
-    case spgemm::KernelKind::kGpuNsparse: return spgemm::hash_spgemm(a, b);
-    case spgemm::KernelKind::kGpuRmerge2: return rmerge_spgemm(a, b);
-    default: throw std::invalid_argument("multi_gpu_spgemm: unreachable");
-  }
 }
 
 }  // namespace
@@ -111,7 +100,7 @@ MultiGpuResult multi_gpu_spgemm(spgemm::KernelKind kind, const CscD& a,
                               s.flops, out_bound));
   }
 
-  out.c = run_library(kind, a, b);
+  out.c = spgemm::hash_spgemm(a, b);
   for (const Slice& s : slices) {
     const auto width = static_cast<double>(s.j1 - s.j0);
     const auto c_nnz =

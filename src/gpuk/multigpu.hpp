@@ -2,11 +2,13 @@
 // device, B's columns are split evenly, each device computes its slice of
 // C, and the final product is a trivial column concatenation.
 //
-// The device libraries run for real on the host (host-side execution of
-// the device algorithm). All three are column-independent, so the product
-// is computed once over all of B; each device's memory reservation and
-// virtual cost come from its column range of B and C, exactly as if it
-// had multiplied that slice alone.
+// The product is computed once over all of B with hash_spgemm's row
+// accumulator, whichever library is named: all three libraries fold each
+// output column's products in B's column order (docs/KERNELS.md, "Fold
+// order"), so they differ in device time, working set and OOM, not in
+// bits. Each device's memory reservation and virtual cost come from its
+// column range of B and C, exactly as if it had multiplied that slice
+// alone.
 //
 // Transfers ride each GPU's own NVLink (parallel), so the aggregate cost
 // components are per-device maxima, not sums.

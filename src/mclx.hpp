@@ -65,7 +65,6 @@
 #include "sparse/submatrix.hpp"
 #include "sparse/triples.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/heap.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "spgemm/spa.hpp"

@@ -3,9 +3,18 @@
 // Stage results arrive one at a time (as the GPU finishes each local
 // multiply). A stack holds partial merges; after pushing stage i, the
 // number of trailing merges equals the number of times 2 divides i, and
-// each merge folds the top (nmerges+1) stack lists with one heap pass
-// (the paper found successive two-way merges inferior — "instead we
-// choose to merge all the lists in L by using a heap").
+// each merge folds the top (nmerges+1) stack lists in one pass (the
+// paper found successive two-way merges inferior — "instead we choose to
+// merge all the lists in L by using a heap"). The pass is kway_merge's
+// linear k-pointer fold, which adds in stage order; the virtual time
+// still charges Algorithm 2's heap merge (CostModel::merge, lg(ways+1)
+// per element).
+//
+// Grouping: up to five stages every merge folds a prefix of the stage
+// list, so the result is the left fold S1 + S2 + … bit for bit, as with
+// the multiway and immediate schemes. From six stages the tree groups
+// later stages first (stage 6 merges S5 + S6 before joining the rest),
+// so the sums agree only to rounding (docs/KERNELS.md, "Fold order").
 //
 // Versus multiway: a lg lg k factor more work, but (a) merges interleave
 // with the remaining SUMMA stages so their cost hides behind the GPU, and
@@ -90,7 +99,7 @@ class BinaryMerger {
       e.elements += stack_[p].nnz();
     }
     // Peak memory of this event is measured before compression: every
-    // input list is resident simultaneously with the heap.
+    // input list is resident while the merge runs.
     const std::uint64_t resident_at_event = resident_;
     sparse::Csc<IT, VT> merged = kway_merge<IT, VT>(tops);
     e.output_elements = merged.nnz();

@@ -1,21 +1,24 @@
-// k-way heap merge of equally-shaped CSC blocks: the summation step of
-// Sparse SUMMA (Cij = Σ_k Aik·Bkj) expressed as a merge of the k partial
-// products. Column-by-column: a min-heap over the k lists' current row
-// ids pops the smallest, folding equal (col,row) coordinates by addition.
+// k-way merge of equally-shaped CSC blocks: the summation step of Sparse
+// SUMMA (Cij = Σ_k Aik·Bkj) expressed as a merge of the k partial
+// products, column by column.
 //
-// Two blocks take a two-pointer merge instead. A tie there sums exactly
-// two values, and x + y == y + x bitwise for every non-NaN value (inputs
-// are checked finite at the run_hipmcl boundary), so the heap's pop order
-// never mattered for them. From three blocks up the pop order fixes the
-// fold order, which the bitwise contract pins, so they keep the heap.
+// Fold order: equal (col,row) coordinates add left to right in block
+// order — the first block holding the coordinate gives its value, the
+// later ones add theirs — the order every SpGEMM kind folds its products
+// in (docs/KERNELS.md, "Fold order"). Three or more blocks merge in one
+// linear k-pointer pass: the smallest head row is found by a scan over
+// the k cursors, then every cursor at that row folds in, in block order.
+// Two blocks take the two-pointer loop, the k = 2 case of the same fold.
+// No heap: a heap's tie order is its library's, not the blocks'.
 //
-// Columns merge independently, so the heap pass chunks over columns on
-// the shared pool with per-chunk output buffers stitched back in chunk
-// order. Per-column fold order is the heap's deterministic pop order
-// either way, so the result is bit-identical to the sequential merge.
+// Columns merge independently, so the pass chunks over columns on the
+// shared pool with per-chunk output buffers stitched back in chunk
+// order; every column folds in the same order either way, so the result
+// is bit-identical to the sequential merge.
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -39,15 +42,6 @@ sparse::Csc<IT, VT> kway_merge(
       throw std::invalid_argument("kway_merge: shape mismatch");
   }
   if (blocks.size() == 1) return *blocks.front();
-
-  struct Entry {
-    IT row;
-    IT pos;        // position within the block's arrays
-    std::size_t which;
-  };
-  auto entry_greater = [](const Entry& x, const Entry& y) {
-    return x.row > y.row;
-  };
 
   std::size_t total = 0;
   for (const auto* b : blocks) total += b->nnz();
@@ -99,47 +93,48 @@ sparse::Csc<IT, VT> kway_merge(
       merge_two_columns(j0, j1, out_rows, out_vals);
       return;
     }
-    std::vector<Entry> heap;
+    // One cursor per block over its part of column j; `head` is the row
+    // under the cursor, or kDone (above every real row) once it is spent.
+    struct Cursor {
+      const IT* row;
+      const IT* end;
+      const VT* val;
+      IT head;
+    };
+    constexpr IT kDone = std::numeric_limits<IT>::max();
+    const auto advance = [](Cursor& c) {
+      ++c.row;
+      ++c.val;
+      c.head = c.row != c.end ? *c.row : kDone;
+    };
+    std::vector<Cursor> cursors(blocks.size());
     for (IT j = j0; j < j1; ++j) {
-      heap.clear();
       for (std::size_t w = 0; w < blocks.size(); ++w) {
-        const auto* b = blocks[w];
-        if (b->col_nnz(j) > 0) {
-          heap.push_back({b->col_rows(j)[0], b->colptr()[j], w});
-        }
+        const auto rows = blocks[w]->col_rows(j);
+        Cursor& c = cursors[w];
+        c.row = rows.data();
+        c.end = rows.data() + rows.size();
+        c.val = blocks[w]->col_vals(j).data();
+        c.head = rows.empty() ? kDone : rows.front();
       }
-      std::make_heap(heap.begin(), heap.end(), entry_greater);
-
       const auto col_start = out_rows.size();
-      IT current_row = IT{-1};
-      VT current_val{};
-      bool has_current = false;
-      while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), entry_greater);
-        Entry top = heap.back();
-        heap.pop_back();
-        const auto* b = blocks[top.which];
-        const VT v = b->vals()[top.pos];
-        if (has_current && top.row == current_row) {
-          current_val += v;
-        } else {
-          if (has_current) {
-            out_rows.push_back(current_row);
-            out_vals.push_back(current_val);
+      for (;;) {
+        std::size_t first = 0;
+        for (std::size_t w = 1; w < cursors.size(); ++w) {
+          if (cursors[w].head < cursors[first].head) first = w;
+        }
+        const IT row = cursors[first].head;
+        if (row == kDone) break;
+        VT sum = *cursors[first].val;
+        advance(cursors[first]);
+        for (std::size_t w = first + 1; w < cursors.size(); ++w) {
+          if (cursors[w].head == row) {
+            sum += *cursors[w].val;
+            advance(cursors[w]);
           }
-          current_row = top.row;
-          current_val = v;
-          has_current = true;
         }
-        const IT next = top.pos + 1;
-        if (next < b->colptr()[j + 1]) {
-          heap.push_back({b->rowids()[next], next, top.which});
-          std::push_heap(heap.begin(), heap.end(), entry_greater);
-        }
-      }
-      if (has_current) {
-        out_rows.push_back(current_row);
-        out_vals.push_back(current_val);
+        out_rows.push_back(row);
+        out_vals.push_back(sum);
       }
       colptr[static_cast<std::size_t>(j) + 1] =
           static_cast<IT>(out_rows.size() - col_start);

@@ -1,7 +1,10 @@
 // Multiway merge: original HipMCL's scheme. All k stage results are kept
 // until the SUMMA finishes, then merged in one k-way pass — O(kn lg k)
-// time, but peak memory is the *sum of every intermediate result*, and
-// nothing can overlap with the local multiplications (§IV).
+// time with the heap the paper describes, which is what the virtual time
+// charges (CostModel::merge), but peak memory is the *sum of every
+// intermediate result*, and nothing can overlap with the local
+// multiplications (§IV). The host runs kway_merge's linear k-pointer
+// fold, which adds the stages left to right.
 #pragma once
 
 #include <utility>

@@ -12,9 +12,11 @@ RooflinePrediction predicted_bytes_per_flop(std::string_view kernel) {
   // (planted_matrix(2): the L2-spilling regime where DRAM traffic is the
   // story) and documented in docs/COSTMODEL.md "Roofline audit".
   if (kernel == "cpu-hash") return {0.48, true};
-  if (kernel == "cpu-heap") return {0.72, true};  // heap churn, no reuse
-  if (kernel == "cpu-spa") return {0.95, true};   // dense accumulator sweeps
-  return {};  // GPU-library kernels: traffic is on a device we don't count
+  if (kernel == "cpu-spa") return {0.95, true};  // dense accumulator sweeps
+  // GPU-library kernels: traffic is on a device we don't count. cpu-heap:
+  // its window measures the row accumulator, not a heap, so a heap's
+  // traffic would be wrong by construction.
+  return {};
 }
 
 void publish_roofline(MetricsRegistry& m, std::string_view kernel,

@@ -25,8 +25,9 @@ inline constexpr double kCacheLineBytes = 64.0;
 
 /// The cost model's frozen bytes-per-flop prediction for a local SpGEMM
 /// kernel (COSTMODEL.md "Roofline audit"). `known` is false for kernels
-/// the model carries no traffic constant for (GPU-library kernels,
-/// whose traffic happens on a device we do not count).
+/// the model carries no traffic constant for (GPU-library kernels, whose
+/// traffic happens on a device we do not count, and cpu-heap, whose
+/// product runs on the hash accumulator).
 struct RooflinePrediction {
   double bytes_per_flop = 0;
   bool known = false;

@@ -1,9 +1,10 @@
 // Compressed Sparse Column format.
 //
-// The workhorse local format: all column-by-column SpGEMM kernels
-// (heap, hash, SPA and the simulated-GPU kernels) consume and produce
-// CSC. Rows within each column are kept sorted by row index — the hash
-// kernel's output sort and the merge routines rely on it.
+// The workhorse local format: both column-by-column SpGEMM kernels
+// (the hash accumulator behind every kind, and the SPA reference)
+// consume and produce CSC. Rows within each column are kept sorted by
+// row index — the hash kernel's output sort and the merge routines rely
+// on it.
 #pragma once
 
 #include <cstddef>

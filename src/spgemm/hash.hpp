@@ -1,5 +1,9 @@
 // Hash SpGEMM on CPU, after Nagasaka, Matsuoka, Azad & Buluç
-// (ICPP-W 2018) — the kernel §VI integrates into HipMCL.
+// (ICPP-W 2018) — the kernel §VI integrates into HipMCL. It is also the
+// real product behind every other kind but the SPA reference: cpu-heap
+// and the three simulated device libraries differ in selection, virtual
+// cost and device memory, not in the bits they produce
+// (docs/KERNELS.md, "Fold order").
 //
 // Per output column, intermediate products accumulate in a row-indexed
 // table: one value slot and one uint32 stamp per row of A, i.e. a hash
@@ -225,6 +229,8 @@ void hash_columns(const sparse::Csc<IT, VT>& a, const sparse::Csc<IT, VT>& b,
 /// C = A * B with per-column row-indexed accumulation over `lanes` flops-
 /// balanced column ranges on the shared pool (capped at the column
 /// count). lanes <= 1 runs the whole product sequentially on the caller.
+/// Either way the lanes' outputs are copied into arrays sized to nnz(C),
+/// so a product held for a later merge carries no growth slack.
 template <typename IT, typename VT>
 sparse::Csc<IT, VT> hash_spgemm(const sparse::Csc<IT, VT>& a,
                                 const sparse::Csc<IT, VT>& b, int lanes = 1) {
@@ -233,38 +239,38 @@ sparse::Csc<IT, VT> hash_spgemm(const sparse::Csc<IT, VT>& a,
   const IT ncols = b.ncols();
   if (static_cast<IT>(lanes) > ncols) lanes = static_cast<int>(ncols);
 
-  std::vector<IT> colptr;
-  std::vector<IT> rowids;
-  std::vector<VT> vals;
-  if (lanes <= 1) {
-    detail::hash_columns(a, b, IT{0}, ncols, colptr, rowids, vals);
-    return sparse::Csc<IT, VT>(a.nrows(), ncols, std::move(colptr),
-                               std::move(rowids), std::move(vals));
-  }
-
   struct Part {
     std::vector<IT> colptr;
     std::vector<IT> rowids;
     std::vector<VT> vals;
   };
-  const auto bounds = detail::partition_columns_by_flops(a, b, lanes);
-  std::vector<Part> parts(static_cast<std::size_t>(lanes));
-  par::pool().run(lanes, [&](int t) {
+  const auto bounds = lanes <= 1
+                          ? std::vector<IT>{IT{0}, ncols}
+                          : detail::partition_columns_by_flops(a, b, lanes);
+  std::vector<Part> parts(bounds.size() - 1);
+  const auto run_part = [&](int t) {
     Part& part = parts[static_cast<std::size_t>(t)];
     detail::hash_columns(a, b, bounds[static_cast<std::size_t>(t)],
                          bounds[static_cast<std::size_t>(t) + 1], part.colptr,
                          part.rowids, part.vals);
-  });
+  };
+  if (parts.size() == 1) {
+    run_part(0);
+  } else {
+    par::pool().run(static_cast<int>(parts.size()), run_part);
+  }
 
   // Stitch the lanes together in lane order.
   std::size_t nnz = 0;
   for (const Part& part : parts) nnz += part.rowids.size();
-  colptr.assign(static_cast<std::size_t>(ncols) + 1, 0);
+  std::vector<IT> colptr(static_cast<std::size_t>(ncols) + 1, 0);
+  std::vector<IT> rowids;
+  std::vector<VT> vals;
   rowids.reserve(nnz);
   vals.reserve(nnz);
-  for (int t = 0; t < lanes; ++t) {
-    const Part& part = parts[static_cast<std::size_t>(t)];
-    const auto j0 = static_cast<std::size_t>(bounds[static_cast<std::size_t>(t)]);
+  for (std::size_t t = 0; t < parts.size(); ++t) {
+    const Part& part = parts[t];
+    const auto j0 = static_cast<std::size_t>(bounds[t]);
     const auto offset = static_cast<IT>(rowids.size());
     for (std::size_t k = 1; k < part.colptr.size(); ++k) {
       colptr[j0 + k] = part.colptr[k] + offset;

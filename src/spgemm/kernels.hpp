@@ -6,6 +6,9 @@
 
 namespace mclx::spgemm {
 
+// A kind names a selection rule, a cost row and a report label. Every
+// kind but cpu-spa computes its real product with hash_spgemm's row
+// accumulator (hash.hpp), so the kind never changes a bit of the output.
 enum class KernelKind {
   kCpuHeap,         ///< heap column merge — original HipMCL kernel
   kCpuHash,         ///< hash accumulation — §VI's CPU kernel (cpu-hash),

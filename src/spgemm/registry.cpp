@@ -7,7 +7,6 @@
 #include "obs/prof/hw_counters.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/heap.hpp"
 #include "spgemm/spa.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
@@ -64,11 +63,11 @@ LocalSpgemmResult LocalMultiplier::run_cpu(KernelKind kind, const CscD& a,
   obs::KernelCounterScope prof(kernel_name(kind), flops);
   switch (kind) {
     case KernelKind::kCpuHeap:
-      r.c = heap_spgemm(a, b);
-      break;
     case KernelKind::kCpuHash:
-      // Lanes are an execution detail: the product is bitwise the same
-      // at any count, so neither the kind nor the cost below sees them.
+      // Both kinds fold in the one order (docs/KERNELS.md, "Fold order"),
+      // so the heap's character lives in its cost row alone. Lanes are an
+      // execution detail: the product is bitwise the same at any count,
+      // so neither the kind nor the cost below sees them.
       r.c = hash_spgemm(a, b, flops >= kMinLaneFlops ? par::effective_lanes()
                                                      : 1);
       break;

@@ -1,7 +1,9 @@
 // SPA (sparse accumulator) SpGEMM: the Gilbert–Moler–Schreiber dense-
 // accumulator formulation. O(nrows) scratch per call but branch-light and
-// obviously correct — it is the reference implementation every other
-// kernel (heap, hash, the three simulated-GPU kernels) is tested against.
+// obviously correct — it is the reference every other kind is tested
+// against bitwise: it assigns each row's first product and adds the rest
+// in list order, the one fold order (docs/KERNELS.md), and shares no
+// code with hash_spgemm.
 #pragma once
 
 #include <algorithm>

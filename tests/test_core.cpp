@@ -4,9 +4,12 @@
 // clusters to MCL" property), and the interpretation helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/chaos.hpp"
 #include "core/hipmcl.hpp"
@@ -144,6 +147,73 @@ TEST(HipMcl, AllConfigurationsProduceIdenticalClusters) {
 
   EXPECT_EQ(original.labels, no_overlap.labels);
   EXPECT_EQ(original.labels, optimized.labels);
+}
+
+TEST(HipMcl, ConfigurationsAgreeBitwiseOnEveryGridAndPhaseCount) {
+  // One fold order (docs/KERNELS.md): the kernel kind, the merge scheme,
+  // pipelining and the phase count change when work runs and what it
+  // costs, never a bit of what is computed — on grids of up to 5×5,
+  // where every merge scheme is the left fold of the stages. Virtual
+  // times differ by design.
+  gen::PlantedParams gp;
+  gp.n = 240;
+  gp.seed = 12;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 30;
+
+  for (const int nodes : {1, 4, 9, 16}) {
+    for (const bytes_t budget : {bytes_t{0}, bytes_t{2 * 1024}}) {
+      SCOPED_TRACE(std::to_string(nodes) + " nodes, budget " +
+                   std::to_string(budget));
+      std::vector<core::MclResult> runs;
+      int phases_max = 0;
+      for (core::HipMclConfig config :
+           {core::HipMclConfig::original(),
+            core::HipMclConfig::optimized_no_overlap(),
+            core::HipMclConfig::optimized()}) {
+        config.keep_final_matrix = true;
+        config.mem_budget_per_rank = budget;
+        const bool gpus = config.kernel.fixed != spgemm::KernelKind::kCpuHeap;
+        sim::SimState sim(gpus ? sim::summit_like(nodes)
+                               : sim::summit_like_cpu_only(nodes));
+        runs.push_back(core::run_hipmcl(g.edges, params, config, sim));
+        for (const auto& it : runs.back().iters) {
+          phases_max = std::max(phases_max, it.phases);
+        }
+      }
+      if (budget == 0) {
+        EXPECT_EQ(phases_max, 1);
+      } else {
+        EXPECT_GE(phases_max, 3);
+      }
+      const core::MclResult& want = runs.front();
+      ASSERT_TRUE(want.converged);
+      const C want_final = want.final_matrix->to_csc();
+      for (std::size_t c = 1; c < runs.size(); ++c) {
+        const core::MclResult& got = runs[c];
+        SCOPED_TRACE("configuration " + std::to_string(c));
+        EXPECT_EQ(got.labels, want.labels);
+        const C got_final = got.final_matrix->to_csc();
+        EXPECT_EQ(got_final, want_final);
+        ASSERT_EQ(got_final.vals().size(), want_final.vals().size());
+        EXPECT_EQ(std::memcmp(got_final.vals().data(),
+                              want_final.vals().data(),
+                              want_final.vals().size() * sizeof(val_t)),
+                  0);
+        ASSERT_EQ(got.iters.size(), want.iters.size());
+        for (std::size_t i = 0; i < want.iters.size(); ++i) {
+          const auto& x = got.iters[i];
+          const auto& y = want.iters[i];
+          EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
+              << "iteration " << i << ": " << x.chaos << " vs " << y.chaos;
+          EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << i;
+          EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << i;
+          EXPECT_EQ(x.flops, y.flops) << "iteration " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(HipMcl, OptimizedFasterThanOriginal) {

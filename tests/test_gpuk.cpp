@@ -1,4 +1,4 @@
-// Simulated-GPU tests: the three device kernels' numerical equivalence to
+// Simulated-GPU tests: the three device kinds' products pinned bitwise to
 // the SPA reference (parameterized), device-memory accounting and OOM,
 // the dispatcher's cost reporting on one device, and multi-GPU column
 // splitting pinned bitwise to a per-slice reference.
@@ -8,9 +8,7 @@
 #include <string>
 
 #include "gpuk/device.hpp"
-#include "gpuk/esc.hpp"
 #include "gpuk/multigpu.hpp"
-#include "gpuk/rmerge.hpp"
 #include "sim/costmodel.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
@@ -48,22 +46,29 @@ struct Case {
   std::uint64_t seed;
 };
 
+/// The product a one-device multiply with library `kind` returns.
+C device_product(spgemm::KernelKind kind, const C& a, const C& b) {
+  const auto m = model();
+  std::vector<gpuk::GpuDevice> dev(1, gpuk::GpuDevice(m.machine().gpu_mem));
+  return gpuk::multi_gpu_spgemm(kind, a, b, dev, m).c;
+}
+
 class GpuKernelEquivalence : public testing::TestWithParam<Case> {};
 
 TEST_P(GpuKernelEquivalence, EscMatchesSpa) {
   const auto& c = GetParam();
   const C a = random_csc(c.m, c.k, c.da, c.seed);
   const C b = random_csc(c.k, c.n, c.db, c.seed + 1);
-  const C ref = spgemm::spa_spgemm(a, b);
-  EXPECT_TRUE(sparse::approx_equal(ref, gpuk::esc_spgemm(a, b)));
+  EXPECT_EQ(device_product(spgemm::KernelKind::kGpuBhsparse, a, b),
+            spgemm::spa_spgemm(a, b));
 }
 
 TEST_P(GpuKernelEquivalence, RmergeMatchesSpa) {
   const auto& c = GetParam();
   const C a = random_csc(c.m, c.k, c.da, c.seed);
   const C b = random_csc(c.k, c.n, c.db, c.seed + 1);
-  const C ref = spgemm::spa_spgemm(a, b);
-  EXPECT_TRUE(sparse::approx_equal(ref, gpuk::rmerge_spgemm(a, b)));
+  EXPECT_EQ(device_product(spgemm::KernelKind::kGpuRmerge2, a, b),
+            spgemm::spa_spgemm(a, b));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -167,7 +172,9 @@ TEST(GpuDispatch, EscWorkspaceLargerThanHash) {
 
 /// What a g-device multiply reports when every device multiplies its own
 /// copy of its B slice and the slices are concatenated: the definition
-/// multi_gpu_spgemm's single product must reproduce bit for bit. Throws
+/// multi_gpu_spgemm's single product must reproduce bit for bit. Every
+/// library folds in the one order, so each slice's product is
+/// hash_spgemm's; the kind shows in the working set and the cost. Throws
 /// GpuOom for the first slice whose working set exceeds `capacity`.
 gpuk::MultiGpuResult per_slice_reference(spgemm::KernelKind kind, const C& a,
                                          const C& b, int g,
@@ -188,10 +195,7 @@ gpuk::MultiGpuResult per_slice_reference(spgemm::KernelKind kind, const C& a,
     const bytes_t need = gpuk::gpu_working_set_bytes(
         kind, a.bytes() + bs.bytes(), flops, out_bound);
     if (need > capacity) throw gpuk::GpuOom(need, capacity);
-    C cs = kind == spgemm::KernelKind::kGpuBhsparse ? gpuk::esc_spgemm(a, bs)
-           : kind == spgemm::KernelKind::kGpuRmerge2
-               ? gpuk::rmerge_spgemm(a, bs)
-               : spgemm::hash_spgemm(a, bs);
+    C cs = spgemm::hash_spgemm(a, bs);
     const double cf = sparse::compression_factor(flops, cs.nnz());
     const double width =
         static_cast<double>(bs.nnz()) / static_cast<double>(bs.ncols());

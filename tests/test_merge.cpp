@@ -4,6 +4,8 @@
 // property (binary peak < multiway peak when lists overlap).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "merge/binary.hpp"
@@ -98,6 +100,68 @@ TEST(KwayMerge, TwoBlocksCommuteBitwise) {
   EXPECT_TRUE(xy.cols_sorted());
 }
 
+/// Same structure and the same value bits (operator== holds -0.0 ==
+/// +0.0, memcmp does not).
+void expect_bitwise(const C& got, const C& want) {
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(got.vals().size(), want.vals().size());
+  EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
+                        want.vals().size() * sizeof(val_t)),
+            0);
+}
+
+TEST(KwayMerge, FoldsLeftToRightInBlockOrder) {
+  // The fold order (docs/KERNELS.md): an entry is the first block's value
+  // at that coordinate, plus each later block's in block order. Dense
+  // overlapping blocks with magnitudes spread over 2^-60 … 1 make any
+  // other order show in the bits.
+  const vidx_t nrows = 30, ncols = 20;
+  for (int k = 3; k <= 6; ++k) {
+    std::vector<C> blocks;
+    util::Xoshiro256 rng(500 + static_cast<std::uint64_t>(k));
+    for (int w = 0; w < k; ++w) {
+      T t(nrows, ncols);
+      for (int e = 0; e < 1200; ++e) {
+        t.push_unchecked(static_cast<vidx_t>(rng.bounded(nrows)),
+                         static_cast<vidx_t>(rng.bounded(ncols)),
+                         std::exp2(-60.0 * rng.uniform()));
+      }
+      t.sort_and_combine();
+      blocks.push_back(sparse::csc_from_triples(std::move(t)));
+    }
+
+    // Dense left fold, column by column, in block order.
+    const auto cells = static_cast<std::size_t>(nrows);
+    std::vector<val_t> want_vals;
+    std::vector<vidx_t> want_rows, want_colptr{0};
+    std::size_t overlaps = 0;
+    for (vidx_t j = 0; j < ncols; ++j) {
+      std::vector<val_t> sum(cells);
+      std::vector<int> seen(cells, 0);
+      for (const C& b : blocks) {
+        const auto rows = b.col_rows(j);
+        const auto vals = b.col_vals(j);
+        for (std::size_t p = 0; p < rows.size(); ++p) {
+          const auto r = static_cast<std::size_t>(rows[p]);
+          sum[r] = seen[r]++ == 0 ? vals[p] : sum[r] + vals[p];
+        }
+      }
+      for (std::size_t r = 0; r < cells; ++r) {
+        if (seen[r] == 0) continue;
+        overlaps += seen[r] >= 3 ? 1 : 0;
+        want_rows.push_back(static_cast<vidx_t>(r));
+        want_vals.push_back(sum[r]);
+      }
+      want_colptr.push_back(static_cast<vidx_t>(want_rows.size()));
+    }
+    const C want(nrows, ncols, std::move(want_colptr), std::move(want_rows),
+                 std::move(want_vals));
+    SCOPED_TRACE("k = " + std::to_string(k));
+    EXPECT_GT(overlaps, want.nnz() / 2);  // most entries fold 3+ values
+    expect_bitwise(merge::kway_merge(blocks), want);
+  }
+}
+
 class MergeSchemeEquivalence : public testing::TestWithParam<int> {};
 
 TEST_P(MergeSchemeEquivalence, AllSchemesAgree) {
@@ -120,6 +184,13 @@ TEST_P(MergeSchemeEquivalence, AllSchemesAgree) {
   EXPECT_TRUE(sparse::approx_equal(ref, mw_result));
   EXPECT_TRUE(sparse::approx_equal(ref, bin_result));
   EXPECT_TRUE(sparse::approx_equal(ref, imm_result));
+  // Up to five stages every scheme is the left fold S1 + S2 + … From six,
+  // Algorithm 2 adds S5 + S6 before joining them to the rest, so the
+  // schemes agree only to rounding (docs/KERNELS.md, "Fold order").
+  if (k <= 5) {
+    expect_bitwise(bin_result, mw_result);
+    expect_bitwise(imm_result, mw_result);
+  }
 }
 
 TEST_P(MergeSchemeEquivalence, OperationCountOrdering) {

@@ -183,7 +183,7 @@ TEST(StageHwProfiler, AttributesOneWindowPerStage) {
 TEST(Roofline, PublishesPredictedMeasuredAndRelError) {
   // Every CPU kernel with a traffic constant gets counter-level
   // evidence channels.
-  for (const std::string kernel : {"cpu-hash", "cpu-heap", "cpu-spa"}) {
+  for (const std::string kernel : {"cpu-hash", "cpu-spa"}) {
     obs::MetricsRegistry registry;
     obs::HwCounterValues v;
     v.available = true;
@@ -224,13 +224,13 @@ TEST(Roofline, UnavailableCountersPublishPredictionOnly) {
 }
 
 TEST(Roofline, RoutingConstantsReflectTheLocalityLadder) {
-  // The model the audit checks: hash < heap < SPA in DRAM traffic per
-  // flop (COSTMODEL.md roofline-audit rows).
+  // The model the audit checks: hash < SPA in DRAM traffic per flop
+  // (COSTMODEL.md roofline-audit rows). cpu-heap's product runs on the
+  // hash accumulator, so it carries no heap prediction.
   const double hash = obs::predicted_bytes_per_flop("cpu-hash").bytes_per_flop;
-  const double heap = obs::predicted_bytes_per_flop("cpu-heap").bytes_per_flop;
   const double spa = obs::predicted_bytes_per_flop("cpu-spa").bytes_per_flop;
-  EXPECT_LT(hash, heap);
-  EXPECT_LT(heap, spa);
+  EXPECT_LT(hash, spa);
+  EXPECT_FALSE(obs::predicted_bytes_per_flop("cpu-heap").known);
   EXPECT_FALSE(obs::predicted_bytes_per_flop("nsparse").known);
 }
 

@@ -1,7 +1,13 @@
 // Hybrid kernel policy and the LocalMultiplier dispatcher: selection by
-// flops and cf, GPU fallback on OOM / GPU-less machines, and consistency
-// of the reported cost components.
+// flops and cf, GPU fallback on OOM / GPU-less machines, consistency of
+// the reported cost components, and every kind's product pinned bitwise
+// to the SPA reference (the one fold order).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
@@ -28,6 +34,50 @@ C random_csc(vidx_t n, double density, std::uint64_t seed) {
   }
   t.sort_and_combine();
   return sparse::csc_from_triples(std::move(t));
+}
+
+/// Operands for the fold-order pins: every entry of A·B sums at least
+/// three products of non-negative magnitudes spread over 2^-60 … 1, so
+/// adding them in any other order than B's column order changes bits.
+C spread_csc(vidx_t n, double density, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  T t(n, n);
+  const auto entries = static_cast<std::uint64_t>(
+      density * static_cast<double>(n) * static_cast<double>(n));
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    t.push_unchecked(static_cast<vidx_t>(rng.bounded(n)),
+                     static_cast<vidx_t>(rng.bounded(n)),
+                     std::exp2(-60.0 * rng.uniform()));
+  }
+  t.sort_and_combine();
+  return sparse::csc_from_triples(std::move(t));
+}
+
+/// Fewest products behind any stored entry of A·B.
+std::uint64_t min_contributions(const C& a, const C& b) {
+  std::uint64_t fewest = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> count(static_cast<std::size_t>(a.nrows()));
+  for (vidx_t j = 0; j < b.ncols(); ++j) {
+    std::fill(count.begin(), count.end(), 0);
+    for (const vidx_t k : b.col_rows(j)) {
+      for (const vidx_t r : a.col_rows(k)) ++count[static_cast<std::size_t>(r)];
+    }
+    for (const std::uint64_t c : count) {
+      if (c > 0) fewest = std::min(fewest, c);
+    }
+  }
+  return fewest;
+}
+
+/// Same structure and the same value bits (operator== holds -0.0 ==
+/// +0.0, memcmp does not).
+void expect_bitwise(const C& got, const C& want, spgemm::KernelKind kind) {
+  EXPECT_EQ(got, want) << spgemm::kernel_name(kind);
+  ASSERT_EQ(got.vals().size(), want.vals().size());
+  EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
+                        want.vals().size() * sizeof(val_t)),
+            0)
+      << spgemm::kernel_name(kind);
 }
 
 TEST(HybridPolicy, SmallFlopsStaysOnCpu) {
@@ -67,9 +117,13 @@ TEST(HybridPolicy, ThresholdBoundaries) {
 }
 
 TEST(LocalMultiplier, FixedCpuKernelsMatchReference) {
+  // Every kind folds in B's column order (docs/KERNELS.md, "Fold
+  // order"), so each one reproduces SPA — which shares no code with the
+  // accumulator — bit for bit.
   const sim::CostModel model(sim::summit_like(4));
-  const C a = random_csc(48, 0.15, 1);
-  const C b = random_csc(48, 0.15, 2);
+  const C a = spread_csc(48, 1.0, 1);
+  const C b = spread_csc(48, 1.0, 2);
+  ASSERT_GE(min_contributions(a, b), 3u);
   const C ref = spgemm::spa_spgemm(a, b);
   for (const auto kind :
        {KernelKind::kCpuHeap, KernelKind::kCpuHash, KernelKind::kCpuSpa}) {
@@ -77,7 +131,7 @@ TEST(LocalMultiplier, FixedCpuKernelsMatchReference) {
                                  spgemm::KernelPolicy::fixed_kernel(kind));
     const auto r = mult.multiply(a, b);
     EXPECT_EQ(r.used, kind);
-    EXPECT_TRUE(sparse::approx_equal(ref, r.c));
+    expect_bitwise(r.c, ref, kind);
     EXPECT_GT(r.cpu_time, 0.0);
     EXPECT_EQ(r.device_cost.kernel, 0.0);
     EXPECT_FALSE(r.gpu_fallback);
@@ -86,8 +140,9 @@ TEST(LocalMultiplier, FixedCpuKernelsMatchReference) {
 
 TEST(LocalMultiplier, FixedGpuKernelsMatchReference) {
   const sim::CostModel model(sim::summit_like(4));
-  const C a = random_csc(48, 0.15, 3);
-  const C b = random_csc(48, 0.15, 4);
+  const C a = spread_csc(48, 1.0, 3);
+  const C b = spread_csc(48, 1.0, 4);
+  ASSERT_GE(min_contributions(a, b), 3u);
   const C ref = spgemm::spa_spgemm(a, b);
   for (const auto kind :
        {KernelKind::kGpuNsparse, KernelKind::kGpuBhsparse,
@@ -96,7 +151,8 @@ TEST(LocalMultiplier, FixedGpuKernelsMatchReference) {
                                  spgemm::KernelPolicy::fixed_kernel(kind));
     const auto r = mult.multiply(a, b);
     EXPECT_EQ(r.used, kind);
-    EXPECT_TRUE(sparse::approx_equal(ref, r.c));
+    EXPECT_FALSE(r.gpu_fallback) << spgemm::kernel_name(kind);
+    expect_bitwise(r.c, ref, kind);
     EXPECT_GT(r.device_cost.kernel, 0.0);
     EXPECT_GT(r.device_cost.h2d, 0.0);
   }

@@ -1,6 +1,6 @@
-// Cross-kernel SpGEMM property suite: every CPU kernel must produce a
-// result structurally identical and numerically equal (1e-9 relative) to
-// the dense-accumulator (SPA) reference, across a parameter grid of
+// Cross-kernel SpGEMM property suite: hash_spgemm and the cpu-heap kind
+// (through LocalMultiplier, which runs it on the same accumulator) must
+// match the dense-accumulator (SPA) reference across a parameter grid of
 // shapes, densities and structures; plus symbolic-pass exactness and
 // cpu-hash's row-indexed accumulator pinned bitwise to SPA.
 #include <gtest/gtest.h>
@@ -11,10 +11,11 @@
 #include <cstring>
 #include <string>
 
+#include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/heap.hpp"
+#include "spgemm/registry.hpp"
 #include "spgemm/spa.hpp"
 #include "spgemm/symbolic.hpp"
 #include "util/rng.hpp"
@@ -40,6 +41,14 @@ C random_csc(vidx_t nrows, vidx_t ncols, double density, std::uint64_t seed) {
   return sparse::csc_from_triples(std::move(t));
 }
 
+/// The cpu-heap kind's product, as the pipeline gets it.
+C heap_kind(const C& a, const C& b) {
+  const sim::CostModel model(sim::summit_like_cpu_only(1));
+  spgemm::LocalMultiplier mult(
+      model, spgemm::KernelPolicy::fixed_kernel(spgemm::KernelKind::kCpuHeap));
+  return mult.multiply(a, b).c;
+}
+
 struct Case {
   std::string name;
   vidx_t m, k, n;       // A is m×k, B is k×n
@@ -54,9 +63,8 @@ TEST_P(SpgemmEquivalence, HeapMatchesSpa) {
   const C a = random_csc(c.m, c.k, c.density_a, c.seed);
   const C b = random_csc(c.k, c.n, c.density_b, c.seed + 1);
   const C ref = spgemm::spa_spgemm(a, b);
-  const C heap = spgemm::heap_spgemm(a, b);
-  EXPECT_TRUE(sparse::approx_equal(ref, heap))
-      << "max rel diff " << sparse::max_rel_diff(ref, heap);
+  const C heap = heap_kind(a, b);
+  EXPECT_EQ(heap, ref) << "max rel diff " << sparse::max_rel_diff(ref, heap);
 }
 
 TEST_P(SpgemmEquivalence, HashMatchesSpa) {
@@ -88,7 +96,7 @@ TEST_P(SpgemmEquivalence, OutputColumnsSorted) {
   const Case& c = GetParam();
   const C a = random_csc(c.m, c.k, c.density_a, c.seed);
   const C b = random_csc(c.k, c.n, c.density_b, c.seed + 1);
-  EXPECT_TRUE(spgemm::heap_spgemm(a, b).cols_sorted());
+  EXPECT_TRUE(heap_kind(a, b).cols_sorted());
   EXPECT_TRUE(spgemm::hash_spgemm(a, b).cols_sorted());
   EXPECT_TRUE(spgemm::spa_spgemm(a, b).cols_sorted());
 }
@@ -113,7 +121,7 @@ TEST(Spgemm, DimensionMismatchThrows) {
   const C a = random_csc(4, 5, 0.5, 1);
   const C b = random_csc(4, 4, 0.5, 2);
   EXPECT_THROW(spgemm::spa_spgemm(a, b), std::invalid_argument);
-  EXPECT_THROW(spgemm::heap_spgemm(a, b), std::invalid_argument);
+  EXPECT_THROW(heap_kind(a, b), std::invalid_argument);
   EXPECT_THROW(spgemm::hash_spgemm(a, b), std::invalid_argument);
   EXPECT_THROW(spgemm::symbolic_nnz(a, b), std::invalid_argument);
 }
@@ -123,7 +131,7 @@ TEST(Spgemm, IdentityIsNeutral) {
   const auto eye = sparse::identity<vidx_t, val_t>(30);
   EXPECT_TRUE(sparse::approx_equal(spgemm::hash_spgemm(a, eye), a));
   EXPECT_TRUE(sparse::approx_equal(spgemm::hash_spgemm(eye, a), a));
-  EXPECT_TRUE(sparse::approx_equal(spgemm::heap_spgemm(a, eye), a));
+  EXPECT_TRUE(sparse::approx_equal(heap_kind(a, eye), a));
 }
 
 TEST(Spgemm, MatrixSquareMatchesTransposeIdentity) {
@@ -149,8 +157,8 @@ TEST(Spgemm, CscTransposeTrickComputesBA) {
 }
 
 TEST(Spgemm, CancellationProducesExplicitZero) {
-  // Kernels keep structural nonzeros even when values cancel — all four
-  // implementations must agree on that structure.
+  // Kernels keep structural nonzeros even when values cancel — SPA, the
+  // accumulator and the cpu-heap kind must agree on that structure.
   T ta(2, 2);
   ta.push(0, 0, 1.0);
   ta.push(0, 1, -1.0);
@@ -162,7 +170,7 @@ TEST(Spgemm, CancellationProducesExplicitZero) {
   const C ref = spgemm::spa_spgemm(a, b);
   EXPECT_EQ(ref.nnz(), 1u);
   EXPECT_DOUBLE_EQ(ref.vals()[0], 0.0);
-  EXPECT_TRUE(sparse::approx_equal(ref, spgemm::heap_spgemm(a, b)));
+  EXPECT_TRUE(sparse::approx_equal(ref, heap_kind(a, b)));
   EXPECT_TRUE(sparse::approx_equal(ref, spgemm::hash_spgemm(a, b)));
 }
 
