@@ -14,7 +14,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mclx;
 
   util::Cli cli(argc, argv);
@@ -111,4 +111,7 @@ int main(int argc, char** argv) {
               util::Table::fmt(result.elapsed, 1) + " s");
   budget.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "protein_clustering: " << e.what() << "\n";
+  return 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -175,8 +176,20 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
                      const HipMclConfig& config, sim::SimState& sim) {
   if (graph.nrows() != graph.ncols())
     throw std::invalid_argument("run_hipmcl: graph matrix must be square");
-  if (params.inflation <= 1.0)
-    throw std::invalid_argument("run_hipmcl: inflation must exceed 1");
+  const auto reject = [](const char* field, const char* rule,
+                         const auto& value) {
+    std::ostringstream msg;
+    msg << "run_hipmcl: " << field << " must " << rule << ", got " << value;
+    throw std::invalid_argument(msg.str());
+  };
+  if (!std::isfinite(params.inflation) || params.inflation <= 1.0)
+    reject("inflation", "be finite and exceed 1", params.inflation);
+  if (!std::isfinite(params.prune.cutoff) || params.prune.cutoff < 0)
+    reject("cutoff", "be finite and non-negative", params.prune.cutoff);
+  if (params.prune.select_k < 1)
+    reject("select_k", "be at least 1", params.prune.select_k);
+  if (params.prune.recover_num < 0)
+    reject("recover_num", "be non-negative", params.prune.recover_num);
   // Weights are finite and non-negative from here on; the two-way merge's
   // bitwise argument (merge/kway.hpp) and column normalization need it.
   for (const auto& e : graph) {

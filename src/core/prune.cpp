@@ -1,14 +1,13 @@
 #include "core/prune.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
 
-#include "dist/topk.hpp"
 #include "obs/metrics.hpp"
 #include "sim/collectives.hpp"
 #include "sim/costmodel.hpp"
-#include "sparse/convert.hpp"
-#include "sparse/ops.hpp"
 #include "util/parallel.hpp"
 #include "util/simd.hpp"
 
@@ -18,131 +17,166 @@ namespace {
 
 using sim::Stage;
 
-/// Cutoff pruning with MCL recovery over the pieces of one grid column
-/// (all pieces share the same local column range; piece i holds the i-th
-/// row block). Entries below the cutoff are discarded, then columns left
-/// with fewer than recover_num survivors get their largest discards back.
-/// Returns the total entries processed (for cost charging).
-///
-/// Columns are independent throughout, so each phase runs column-chunked
-/// on the shared thread pool: keep flags and survivor counts are owned by
-/// exactly one column, recovery touches only its own column's discards,
-/// and the rebuild writes through per-column offsets. Results do not
-/// depend on the chunking.
-std::uint64_t cutoff_with_recovery(std::vector<dist::CscD*>& pieces,
-                                   val_t cutoff, int recover_num) {
-  if (pieces.empty()) return 0;
-  const vidx_t ncols = pieces.front()->ncols();
-  std::uint64_t processed = 0;
+/// A recovery or selection candidate: the key it is ranked by, its piece,
+/// a tie key within that piece, and its nnz position there.
+struct Candidate {
+  val_t key;
+  std::size_t piece;
+  vidx_t tie;
+  vidx_t pos;
+};
 
-  // keep[i][p]: whether piece i's p-th entry survives.
-  std::vector<std::vector<char>> keep(pieces.size());
-  std::vector<vidx_t> survivors(static_cast<std::size_t>(ncols), 0);
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const dist::CscD& piece = *pieces[i];
-    keep[i].assign(piece.nnz(), 0);
-    processed += piece.nnz();
-    // Vectorized threshold scan per column segment (pure predicate, so
-    // identical flags in every backend); survivors[c] is column-owned.
-    par::parallel_chunks(vidx_t{0}, ncols, [&](vidx_t c0, vidx_t c1, int) {
-      for (vidx_t c = c0; c < c1; ++c) {
-        const auto p0 = static_cast<std::size_t>(piece.colptr()[c]);
-        const auto p1 = static_cast<std::size_t>(piece.colptr()[c + 1]);
-        survivors[static_cast<std::size_t>(c)] +=
-            static_cast<vidx_t>(simd::threshold_flags(
-                piece.vals().data() + p0, p1 - p0, cutoff,
-                keep[i].data() + p0));
-      }
-    });
-    obs::count("kernel.simd.prune_elems", piece.nnz());
+/// Keep the `want` best candidates of column c, in the total order larger
+/// key, then smaller piece, then smaller tie key (so the kept set does not
+/// depend on the selection algorithm): set their keep flags and add them
+/// to the column's kept counts.
+void keep_best(std::vector<Candidate>& cands, std::size_t want, vidx_t c,
+               std::vector<std::vector<char>>& keep,
+               std::vector<std::vector<vidx_t>>& counts) {
+  std::nth_element(cands.begin(),
+                   cands.begin() + static_cast<std::ptrdiff_t>(want),
+                   cands.end(), [](const Candidate& x, const Candidate& y) {
+                     if (x.key != y.key) return x.key > y.key;
+                     return std::tie(x.piece, x.tie) <
+                            std::tie(y.piece, y.tie);
+                   });
+  for (std::size_t q = 0; q < want; ++q) {
+    keep[cands[q].piece][static_cast<std::size_t>(cands[q].pos)] = 1;
+    ++counts[cands[q].piece][static_cast<std::size_t>(c) + 1];
   }
+}
 
-  if (recover_num > 0) {
-    // Recover the largest discards of deficient columns. Each deficient
-    // column is processed independently with per-chunk scratch.
-    struct Discard {
-      val_t magnitude;
-      std::size_t piece;
-      vidx_t pos;
-    };
-    std::vector<vidx_t> deficient;
-    for (vidx_t c = 0; c < ncols; ++c) {
-      if (survivors[static_cast<std::size_t>(c)] < recover_num)
-        deficient.push_back(c);
-    }
-    par::parallel_chunks(
-        std::size_t{0}, deficient.size(),
-        [&](std::size_t d0, std::size_t d1, int) {
-          std::vector<Discard> discards;
-          for (std::size_t d = d0; d < d1; ++d) {
-            const vidx_t c = deficient[d];
-            const vidx_t have = survivors[static_cast<std::size_t>(c)];
-            discards.clear();
-            for (std::size_t i = 0; i < pieces.size(); ++i) {
+/// Fill the keep masks of one grid column's pieces (all pieces share the
+/// local column range; piece i holds the i-th row block). Each column runs
+/// MCL's prune in order:
+///  1. cutoff: entries with |v| >= cutoff survive;
+///  2. recovery: a column left with fewer than recover_num survivors gets
+///     back its largest discards by |v|, ties to the earlier piece then
+///     position, until it has recover_num or no discards remain;
+///  3. selection: a column with more than select_k survivors, recovered
+///     ones included, keeps its exact top select_k by v, ties to the
+///     earlier piece then the smaller row.
+/// counts[i][c + 1] receives piece i's kept entries in column c. Returns
+/// each piece's nnz after recovery, which the selection is charged on.
+///
+/// Columns are independent: every write lands in the column's own mask
+/// positions and counts, so the pass runs column-chunked on the shared
+/// pool and its result does not depend on the chunking.
+std::vector<std::uint64_t> fill_keep_masks(
+    const std::vector<dist::CscD*>& pieces, const PruneParams& params,
+    std::vector<std::vector<char>>& keep,
+    std::vector<std::vector<vidx_t>>& counts) {
+  using PerPiece = std::vector<std::uint64_t>;
+  const std::size_t npieces = pieces.size();
+  const auto recover =
+      static_cast<std::size_t>(std::max(params.recover_num, 0));
+  const auto k = static_cast<std::size_t>(std::max(params.select_k, 0));
+  return par::parallel_reduce(
+      vidx_t{0}, pieces.front()->ncols(), PerPiece(npieces, 0),
+      [&](vidx_t c0, vidx_t c1) {
+        PerPiece after_recovery(npieces, 0);
+        std::vector<Candidate> cands;
+        for (vidx_t c = c0; c < c1; ++c) {
+          const auto slot = static_cast<std::size_t>(c) + 1;
+          // Vectorized threshold scan per column segment (a pure
+          // predicate, so identical flags in every backend).
+          std::size_t survivors = 0;
+          for (std::size_t i = 0; i < npieces; ++i) {
+            const dist::CscD& piece = *pieces[i];
+            const auto p0 = static_cast<std::size_t>(piece.colptr()[c]);
+            const auto p1 = static_cast<std::size_t>(piece.colptr()[c + 1]);
+            const auto kept = simd::threshold_flags(
+                piece.vals().data() + p0, p1 - p0, params.cutoff,
+                keep[i].data() + p0);
+            counts[i][slot] = static_cast<vidx_t>(kept);
+            survivors += kept;
+          }
+          if (survivors < recover) {
+            cands.clear();
+            for (std::size_t i = 0; i < npieces; ++i) {
               const dist::CscD& piece = *pieces[i];
               for (vidx_t p = piece.colptr()[c]; p < piece.colptr()[c + 1];
                    ++p) {
-                if (!keep[i][static_cast<std::size_t>(p)]) {
-                  discards.push_back({std::abs(piece.vals()[p]), i, p});
-                }
+                if (!keep[i][static_cast<std::size_t>(p)])
+                  cands.push_back({std::abs(piece.vals()[p]), i, p, p});
               }
             }
-            const auto want = static_cast<std::size_t>(
-                std::min<vidx_t>(recover_num - have,
-                                 static_cast<vidx_t>(discards.size())));
-            std::partial_sort(discards.begin(), discards.begin() + want,
-                              discards.end(),
-                              [](const auto& x, const auto& y) {
-                                if (x.magnitude != y.magnitude)
-                                  return x.magnitude > y.magnitude;
-                                return std::tie(x.piece, x.pos) <
-                                       std::tie(y.piece, y.pos);
-                              });
-            for (std::size_t q = 0; q < want; ++q) {
-              keep[discards[q].piece]
-                  [static_cast<std::size_t>(discards[q].pos)] = 1;
+            const std::size_t want =
+                std::min(recover - survivors, cands.size());
+            keep_best(cands, want, c, keep, counts);
+            survivors += want;
+          }
+          for (std::size_t i = 0; i < npieces; ++i)
+            after_recovery[i] += static_cast<std::uint64_t>(counts[i][slot]);
+          if (survivors > k) {
+            cands.clear();
+            for (std::size_t i = 0; i < npieces; ++i) {
+              const dist::CscD& piece = *pieces[i];
+              for (vidx_t p = piece.colptr()[c]; p < piece.colptr()[c + 1];
+                   ++p) {
+                char& flag = keep[i][static_cast<std::size_t>(p)];
+                if (flag) {
+                  cands.push_back({piece.vals()[p], i, piece.rowids()[p], p});
+                  flag = 0;
+                }
+              }
+              counts[i][slot] = 0;
             }
+            keep_best(cands, k, c, keep, counts);
           }
-        });
-  }
+        }
+        return after_recovery;
+      },
+      [](PerPiece acc, const PerPiece& part) {
+        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += part[i];
+        return acc;
+      });
+}
 
-  // Rebuild each piece: per-column kept counts -> prefix-sum offsets ->
-  // column-chunked scatter into the preallocated arrays.
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const dist::CscD& piece = *pieces[i];
-    std::vector<vidx_t> colptr(static_cast<std::size_t>(ncols) + 1, 0);
-    par::parallel_chunks(vidx_t{0}, ncols, [&](vidx_t c0, vidx_t c1, int) {
-      for (vidx_t c = c0; c < c1; ++c) {
-        vidx_t kept = 0;
-        for (vidx_t p = piece.colptr()[c]; p < piece.colptr()[c + 1]; ++p) {
-          if (keep[i][static_cast<std::size_t>(p)]) ++kept;
-        }
-        colptr[static_cast<std::size_t>(c) + 1] = kept;
-      }
-    });
-    for (vidx_t c = 0; c < ncols; ++c) {
-      colptr[static_cast<std::size_t>(c) + 1] +=
-          colptr[static_cast<std::size_t>(c)];
-    }
-    std::vector<vidx_t> rowids(
-        static_cast<std::size_t>(colptr[static_cast<std::size_t>(ncols)]));
-    std::vector<val_t> vals(rowids.size());
-    par::parallel_chunks(vidx_t{0}, ncols, [&](vidx_t c0, vidx_t c1, int) {
-      for (vidx_t c = c0; c < c1; ++c) {
-        auto dst = static_cast<std::size_t>(colptr[static_cast<std::size_t>(c)]);
-        for (vidx_t p = piece.colptr()[c]; p < piece.colptr()[c + 1]; ++p) {
-          if (keep[i][static_cast<std::size_t>(p)]) {
-            rowids[dst] = piece.rowids()[p];
-            vals[dst] = piece.vals()[p];
-            ++dst;
-          }
-        }
-      }
-    });
-    *pieces[i] = dist::CscD(piece.nrows(), ncols, std::move(colptr),
-                            std::move(rowids), std::move(vals));
+/// Rebuild a piece from its kept entries: prefix-sum the per-column kept
+/// counts into colptr, then scatter column-chunked through it.
+void rebuild(dist::CscD& piece, const std::vector<char>& keep,
+             std::vector<vidx_t> colptr) {
+  const vidx_t ncols = piece.ncols();
+  for (vidx_t c = 0; c < ncols; ++c) {
+    colptr[static_cast<std::size_t>(c) + 1] +=
+        colptr[static_cast<std::size_t>(c)];
   }
-  return processed;
+  std::vector<vidx_t> rowids(static_cast<std::size_t>(colptr.back()));
+  std::vector<val_t> vals(rowids.size());
+  par::parallel_chunks(vidx_t{0}, ncols, [&](vidx_t c0, vidx_t c1, int) {
+    for (vidx_t c = c0; c < c1; ++c) {
+      auto dst = static_cast<std::size_t>(colptr[static_cast<std::size_t>(c)]);
+      for (vidx_t p = piece.colptr()[c]; p < piece.colptr()[c + 1]; ++p) {
+        if (keep[static_cast<std::size_t>(p)]) {
+          rowids[dst] = piece.rowids()[p];
+          vals[dst] = piece.vals()[p];
+          ++dst;
+        }
+      }
+    }
+  });
+  piece = dist::CscD(piece.nrows(), ncols, std::move(colptr),
+                     std::move(rowids), std::move(vals));
+}
+
+/// Prune one grid column's pieces in place: one keep mask per piece, one
+/// rebuild. Returns each piece's nnz after recovery.
+std::vector<std::uint64_t> prune_grid_column(
+    const std::vector<dist::CscD*>& pieces, const PruneParams& params) {
+  const auto ncols = static_cast<std::size_t>(pieces.front()->ncols());
+  std::vector<std::vector<char>> keep(pieces.size());
+  std::vector<std::vector<vidx_t>> counts(pieces.size());
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    keep[i].resize(pieces[i]->nnz());
+    counts[i].assign(ncols + 1, 0);
+    obs::count("kernel.simd.prune_elems", pieces[i]->nnz());
+  }
+  std::vector<std::uint64_t> after_recovery =
+      fill_keep_masks(pieces, params, keep, counts);
+  for (std::size_t i = 0; i < pieces.size(); ++i)
+    rebuild(*pieces[i], keep[i], std::move(counts[i]));
+  return after_recovery;
 }
 
 /// Charge one grid column's cutoff(+recovery) pass: the local sweep per
@@ -161,61 +195,65 @@ void charge_cutoff(sim::SimState& sim, const std::vector<int>& group,
   }
 }
 
-/// Shared implementation over per-rank pieces arranged on a grid.
-void prune_pieces(std::vector<dist::CscD*>& by_rank, const dist::ProcGrid& grid,
-                  const PruneParams& params, sim::SimState& sim) {
-  const int dim = grid.dim();
-  for (int j = 0; j < dim; ++j) {
-    std::vector<dist::CscD*> pieces;
-    std::vector<std::uint64_t> rank_nnz;
-    std::uint64_t ncols = 0;
-    for (int i = 0; i < dim; ++i) {
-      dist::CscD* piece = by_rank[static_cast<std::size_t>(grid.rank_of(i, j))];
-      pieces.push_back(piece);
-      rank_nnz.push_back(piece->nnz());
-      ncols = static_cast<std::uint64_t>(piece->ncols());
-    }
-    cutoff_with_recovery(pieces, params.cutoff, params.recover_num);
-    charge_cutoff(sim, grid.col_ranks(j), rank_nnz, ncols,
-                  params.recover_num > 0);
+/// Charge one grid column's top-k selection as HipMCL runs it: each global
+/// column is scattered across the √P ranks of the grid column, so every
+/// rank selects its local top-k, the candidates are exchanged within the
+/// grid column, and a final selection runs on the combined set. That is
+/// exact, because the global top-k is a subset of the union of the local
+/// top-k sets. `rank_nnz` is each rank's nnz entering the selection.
+void charge_selection(sim::SimState& sim, const std::vector<int>& group,
+                      const std::vector<std::uint64_t>& rank_nnz,
+                      std::uint64_t ncols, int k) {
+  const sim::CostModel model(sim.machine());
+  std::uint64_t total_candidates = 0;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const std::uint64_t local_cand =
+        std::min<std::uint64_t>(rank_nnz[i],
+                                ncols * static_cast<std::uint64_t>(k));
+    total_candidates += local_cand;
+    // Local top-k pass over the rank's entries.
+    sim.rank(group[i]).cpu_run(Stage::kPrune,
+                               model.topk_select(rank_nnz[i], ncols, k));
+  }
+  // Candidate exchange within the grid column.
+  const bytes_t per_rank_bytes =
+      total_candidates / std::max<std::uint64_t>(1, group.size()) *
+      (sizeof(vidx_t) + sizeof(val_t));
+  sim::sim_allgather(sim, group, per_rank_bytes, Stage::kPrune);
+  // Final selection over the combined candidates.
+  for (const int r : group) {
+    sim.rank(r).cpu_run(Stage::kPrune,
+                        model.topk_select(total_candidates, ncols, k));
   }
 }
 
 }  // namespace
 
-void distributed_prune(dist::DistMat& m, const PruneParams& params,
-                       sim::SimState& sim) {
-  // Materialize pieces, run cutoff(+recovery) per grid column, then the
-  // top-k selection.
-  std::vector<dist::CscD> pieces(static_cast<std::size_t>(m.grid().nranks()));
-  std::vector<dist::CscD*> by_rank(pieces.size());
-  for (int i = 0; i < m.dim(); ++i) {
-    for (int j = 0; j < m.dim(); ++j) {
-      const int r = m.grid().rank_of(i, j);
-      pieces[static_cast<std::size_t>(r)] = sparse::csc_from_dcsc(m.block(i, j));
-      by_rank[static_cast<std::size_t>(r)] = &pieces[static_cast<std::size_t>(r)];
-    }
-  }
-  prune_pieces(by_rank, m.grid(), params, sim);
-
-  std::vector<dist::CscD> chunks;
-  chunks.reserve(pieces.size());
-  for (auto& p : pieces) chunks.push_back(std::move(p));
-  dist::topk_chunks(chunks, m.grid(), params.select_k, sim);
-  for (int i = 0; i < m.dim(); ++i) {
-    for (int j = 0; j < m.dim(); ++j) {
-      m.set_block(i, j,
-                  chunks[static_cast<std::size_t>(m.grid().rank_of(i, j))]);
-    }
-  }
-}
-
 void prune_chunks(std::vector<dist::CscD>& chunks, const dist::ProcGrid& grid,
                   const PruneParams& params, sim::SimState& sim) {
-  std::vector<dist::CscD*> by_rank(chunks.size());
-  for (std::size_t r = 0; r < chunks.size(); ++r) by_rank[r] = &chunks[r];
-  prune_pieces(by_rank, grid, params, sim);
-  dist::topk_chunks(chunks, grid, params.select_k, sim);
+  // Virtual time models the paper's two passes in order: every grid
+  // column's cutoff(+recovery) sweep, then every grid column's selection.
+  const int dim = grid.dim();
+  std::vector<std::vector<std::uint64_t>> selected_nnz;
+  std::vector<std::uint64_t> ncols;
+  for (int j = 0; j < dim; ++j) {
+    std::vector<dist::CscD*> pieces;
+    std::vector<std::uint64_t> rank_nnz;
+    for (int i = 0; i < dim; ++i) {
+      dist::CscD& chunk = chunks[static_cast<std::size_t>(grid.rank_of(i, j))];
+      pieces.push_back(&chunk);
+      rank_nnz.push_back(chunk.nnz());
+    }
+    ncols.push_back(static_cast<std::uint64_t>(pieces.front()->ncols()));
+    selected_nnz.push_back(prune_grid_column(pieces, params));
+    charge_cutoff(sim, grid.col_ranks(j), rank_nnz, ncols.back(),
+                  params.recover_num > 0);
+  }
+  for (int j = 0; j < dim; ++j) {
+    const auto col = static_cast<std::size_t>(j);
+    charge_selection(sim, grid.col_ranks(j), selected_nnz[col], ncols[col],
+                     params.select_k);
+  }
 }
 
 }  // namespace mclx::core

@@ -1,7 +1,9 @@
-// MCL pruning (Algorithm 1, line 4): drop entries below the cutoff, then
-// keep at most the top-k ("selection number") entries per column to bound
-// density. Both the whole-matrix form and the fused per-phase chunk form
-// (HipMCL's expand+prune fusion, §II) are provided.
+// MCL pruning (Algorithm 1, line 4): drop entries below the cutoff,
+// recover the largest discards of over-pruned columns, then keep at most
+// the top-k ("selection number") entries per column to bound density.
+// HipMCL prunes each SUMMA phase's product before the next phase is
+// formed (the expand+prune fusion, §II), so the prune runs on the
+// per-rank column chunks of one phase.
 #pragma once
 
 #include <vector>
@@ -23,12 +25,10 @@ struct PruneParams {
   int recover_num = 0;
 };
 
-/// Prune a whole distributed matrix in place.
-void distributed_prune(dist::DistMat& m, const PruneParams& params,
-                       sim::SimState& sim);
-
-/// Prune the per-rank column chunks of one SUMMA phase in place. Used as
-/// the PhaseSink so the unpruned product of only one batch is ever
+/// Prune the per-rank column chunks of one SUMMA phase in place. `chunks`
+/// is indexed by rank; the ranks of one grid column hold the same local
+/// column range, so every global column is pruned exactly across them.
+/// Used as the PhaseSink so the unpruned product of only one batch is ever
 /// resident (the paper's memory-limiting trick).
 void prune_chunks(std::vector<dist::CscD>& chunks, const dist::ProcGrid& grid,
                   const PruneParams& params, sim::SimState& sim);

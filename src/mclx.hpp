@@ -30,7 +30,6 @@
 #include "dist/grid.hpp"
 #include "dist/summa.hpp"
 #include "dist/summa3d.hpp"
-#include "dist/topk.hpp"
 #include "estimate/cohen.hpp"
 #include "estimate/planner.hpp"
 #include "gen/datasets.hpp"

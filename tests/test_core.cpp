@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/chaos.hpp"
@@ -21,6 +22,8 @@
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "util/rng.hpp"
+
+#include "prune_blocks.hpp"
 
 namespace {
 
@@ -48,7 +51,7 @@ TEST(DistributedPrune, CutoffAndSelectApplied) {
   core::PruneParams p;
   p.cutoff = 0.3;
   p.select_k = 5;
-  core::distributed_prune(m, p, sim);
+  prune_blocks(m, p, sim);
   const C g = m.to_csc();
   for (vidx_t j = 0; j < g.ncols(); ++j) {
     EXPECT_LE(g.col_nnz(j), 5);
@@ -58,6 +61,84 @@ TEST(DistributedPrune, CutoffAndSelectApplied) {
   EXPECT_GT(sim.critical_stage_times()[static_cast<std::size_t>(
                 sim::Stage::kPrune)],
             0.0);
+}
+
+// The prune against a dense per-column oracle written from the definition:
+// cutoff on |v|, then recovery of the largest discards by |v|, then top-k
+// by v, ties to the smaller row in both. Values come from {1/16 … 8/16},
+// so ties are common and cross block rows; recover_num 10 exceeds
+// select_k, so recovered entries must count toward the selection.
+TEST(PruneChunks, MatchesDenseOracle) {
+  constexpr vidx_t n = 45;
+  constexpr std::size_t select_k = 6;
+  constexpr val_t cutoff = 0.3;
+  util::Xoshiro256 rng(45);
+  std::vector<std::vector<val_t>> dense(  // dense[col][row], 0 = absent
+      n, std::vector<val_t>(n, 0.0));
+  T t(n, n);
+  for (vidx_t c = 0; c < n; ++c) {
+    for (vidx_t r = 0; r < n; ++r) {
+      if (rng.bounded(10) >= 3) continue;
+      const val_t v = static_cast<val_t>(rng.bounded(8) + 1) / 16.0;
+      dense[c][r] = v;
+      t.push(r, c, v);
+    }
+  }
+  t.sort_and_combine();
+
+  using Entry = std::pair<vidx_t, val_t>;  // (row, value)
+  const auto oracle = [&](vidx_t c, std::size_t recover_num) {
+    std::vector<Entry> kept;
+    std::vector<Entry> discarded;
+    for (vidx_t r = 0; r < n; ++r) {
+      const val_t v = dense[c][r];
+      if (v == 0.0) continue;
+      (std::abs(v) >= cutoff ? kept : discarded).push_back({r, v});
+    }
+    if (kept.size() < recover_num) {
+      std::sort(discarded.begin(), discarded.end(),
+                [](const Entry& x, const Entry& y) {
+                  if (std::abs(x.second) != std::abs(y.second))
+                    return std::abs(x.second) > std::abs(y.second);
+                  return x.first < y.first;
+                });
+      const std::size_t take =
+          std::min(recover_num - kept.size(), discarded.size());
+      kept.insert(kept.end(), discarded.begin(),
+                  discarded.begin() + static_cast<std::ptrdiff_t>(take));
+    }
+    if (kept.size() > select_k) {
+      std::sort(kept.begin(), kept.end(), [](const Entry& x, const Entry& y) {
+        if (x.second != y.second) return x.second > y.second;
+        return x.first < y.first;
+      });
+      kept.resize(select_k);
+    }
+    std::sort(kept.begin(), kept.end());
+    return kept;
+  };
+
+  for (const int nodes : {1, 4, 9, 16}) {
+    for (const std::size_t recover_num : {0, 4, 10}) {
+      SCOPED_TRACE("nodes " + std::to_string(nodes) + ", recover_num " +
+                   std::to_string(recover_num));
+      DistMat m = DistMat::from_triples(t, ProcGrid(nodes));
+      sim::SimState sim(sim::summit_like(nodes));
+      core::PruneParams p;
+      p.cutoff = cutoff;
+      p.select_k = static_cast<int>(select_k);
+      p.recover_num = static_cast<int>(recover_num);
+      prune_blocks(m, p, sim);
+      const C g = m.to_csc();
+      for (vidx_t c = 0; c < n; ++c) {
+        std::vector<Entry> got;
+        for (std::size_t q = 0; q < g.col_rows(c).size(); ++q)
+          got.emplace_back(g.col_rows(c)[q], g.col_vals(c)[q]);
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, oracle(c, recover_num)) << "column " << c;
+      }
+    }
+  }
 }
 
 TEST(DistributedInflate, MatchesLocalInflation) {
@@ -337,6 +418,31 @@ TEST(HipMcl, RejectsBadInputs) {
   params.inflation = 1.0;
   EXPECT_THROW(core::run_hipmcl(square, params, {}, sim),
                std::invalid_argument);
+
+  // Bad prune and inflation parameters get an error naming the field.
+  const auto expect_rejected = [&](const char* field, auto set) {
+    core::MclParams bad;
+    set(bad);
+    try {
+      core::run_hipmcl(square, bad, {}, sim);
+      ADD_FAILURE() << "expected std::invalid_argument for " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const val_t nan = std::numeric_limits<val_t>::quiet_NaN();
+  const val_t inf = std::numeric_limits<val_t>::infinity();
+  expect_rejected("inflation", [&](core::MclParams& b) { b.inflation = nan; });
+  expect_rejected("inflation", [&](core::MclParams& b) { b.inflation = inf; });
+  expect_rejected("select_k", [](core::MclParams& b) { b.prune.select_k = 0; });
+  expect_rejected("select_k",
+                  [](core::MclParams& b) { b.prune.select_k = -1; });
+  expect_rejected("cutoff", [&](core::MclParams& b) { b.prune.cutoff = nan; });
+  expect_rejected("cutoff", [&](core::MclParams& b) { b.prune.cutoff = inf; });
+  expect_rejected("cutoff", [](core::MclParams& b) { b.prune.cutoff = -0.1; });
+  expect_rejected("recover_num",
+                  [](core::MclParams& b) { b.prune.recover_num = -1; });
 }
 
 /// A small symmetric graph with one edge weight replaced by `bad`.

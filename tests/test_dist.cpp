@@ -5,16 +5,18 @@
 
 #include <string>
 
+#include "core/prune.hpp"
 #include "dist/cc.hpp"
 #include "dist/distmat.hpp"
 #include "dist/grid.hpp"
 #include "dist/summa.hpp"
-#include "dist/topk.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/spa.hpp"
 #include "util/rng.hpp"
+
+#include "prune_blocks.hpp"
 
 namespace {
 
@@ -336,14 +338,24 @@ TEST(Summa, MergePeakTrackedForBothSchemes) {
 }
 
 // ---------------------------------------------------------------------------
-// Distributed top-k.
+// Distributed top-k selection (core::prune_chunks with cutoff and recovery
+// off).
+
+/// Keep the k largest entries of every global column of m.
+void select_topk(DistMat& m, int k, sim::SimState& sim) {
+  core::PruneParams p;
+  p.cutoff = 0.0;
+  p.select_k = k;
+  p.recover_num = 0;
+  prune_blocks(m, p, sim);
+}
 
 TEST(TopK, KeepsExactlyKPerColumn) {
   T t = random_triples(50, 50, 2000, 20);
   const ProcGrid grid(4);
   DistMat m = DistMat::from_triples(t, grid);
   sim::SimState sim(sim::summit_like(4));
-  dist::distributed_topk(m, 5, sim);
+  select_topk(m, 5, sim);
 
   const CscD g = m.to_csc();
   for (vidx_t j = 0; j < g.ncols(); ++j) EXPECT_LE(g.col_nnz(j), 5);
@@ -356,7 +368,7 @@ TEST(TopK, KeepsTheLargestValues) {
   const CscD before = m.to_csc();
   sim::SimState sim(sim::summit_like(9));
   const int k = 4;
-  dist::distributed_topk(m, k, sim);
+  select_topk(m, k, sim);
   const CscD after = m.to_csc();
 
   for (vidx_t j = 0; j < before.ncols(); ++j) {
@@ -374,31 +386,6 @@ TEST(TopK, KeepsTheLargestValues) {
     const val_t max_dropped = orig[static_cast<std::size_t>(k)];
     EXPECT_GE(min_kept, max_dropped);
   }
-}
-
-TEST(TopK, ChunkVariantMatchesWholeMatrix) {
-  T t = random_triples(40, 40, 1200, 22);
-  const ProcGrid grid(4);
-
-  DistMat whole = DistMat::from_triples(t, grid);
-  sim::SimState s1(sim::summit_like(4));
-  dist::distributed_topk(whole, 6, s1);
-
-  // Chunk route: run a 1-phase "identity" by treating each block as the
-  // phase chunk directly.
-  DistMat chunked = DistMat::from_triples(t, grid);
-  std::vector<CscD> chunks;
-  for (int r = 0; r < 4; ++r) {
-    const auto [i, j] = grid.coords(r);
-    chunks.push_back(sparse::csc_from_dcsc(chunked.block(i, j)));
-  }
-  sim::SimState s2(sim::summit_like(4));
-  dist::topk_chunks(chunks, grid, 6, s2);
-  for (int r = 0; r < 4; ++r) {
-    const auto [i, j] = grid.coords(r);
-    chunked.set_block(i, j, chunks[static_cast<std::size_t>(r)]);
-  }
-  EXPECT_EQ(whole.to_csc(), chunked.to_csc());
 }
 
 // ---------------------------------------------------------------------------

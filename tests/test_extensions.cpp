@@ -15,6 +15,8 @@
 #include "spgemm/spa.hpp"
 #include "util/rng.hpp"
 
+#include "prune_blocks.hpp"
+
 namespace {
 
 using namespace mclx;
@@ -164,7 +166,7 @@ TEST(Recovery, RestoresLargestDiscards) {
   p.cutoff = 0.1;
   p.select_k = 10;
   p.recover_num = 3;
-  core::distributed_prune(m, p, sim);
+  prune_blocks(m, p, sim);
 
   const C g = m.to_csc();
   EXPECT_EQ(g.col_nnz(0), 3);
@@ -186,8 +188,8 @@ TEST(Recovery, NoOpWhenColumnsHealthy) {
   p.select_k = 50;
   core::PruneParams pr = p;
   pr.recover_num = 5;
-  core::distributed_prune(with, pr, s1);
-  core::distributed_prune(without, p, s2);
+  prune_blocks(with, pr, s1);
+  prune_blocks(without, p, s2);
   EXPECT_EQ(with.to_csc(), without.to_csc());
 }
 
@@ -209,7 +211,7 @@ TEST(Recovery, CrossBlockRecovery) {
   p.cutoff = 0.1;
   p.select_k = 10;
   p.recover_num = 2;
-  core::distributed_prune(m, p, sim);
+  prune_blocks(m, p, sim);
   EXPECT_EQ(m.to_csc().col_nnz(5), 2);
 }
 

@@ -31,6 +31,8 @@
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
+#include "prune_blocks.hpp"
+
 namespace {
 
 using namespace mclx;
@@ -371,13 +373,13 @@ TEST_P(ThreadSweep, PruneWithRecoveryAndTopK) {
   par::set_threads(1);
   DistMat m_seq = DistMat::from_triples(t, ProcGrid(4));
   sim::SimState sim_seq(sim::summit_like(4));
-  core::distributed_prune(m_seq, p, sim_seq);
+  prune_blocks(m_seq, p, sim_seq);
   const C seq = m_seq.to_csc();
 
   par::set_threads(GetParam());
   DistMat m_par = DistMat::from_triples(t, ProcGrid(4));
   sim::SimState sim_par(sim::summit_like(4));
-  core::distributed_prune(m_par, p, sim_par);
+  prune_blocks(m_par, p, sim_par);
   EXPECT_EQ(seq, m_par.to_csc());
 }
 
