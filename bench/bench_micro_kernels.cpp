@@ -16,7 +16,6 @@
 #include <cmath>
 
 #include "gen/planted.hpp"
-#include "obs/prof/hw_counters.hpp"
 #include "order/order.hpp"
 #include "sim/costmodel.hpp"
 #include "sim/machine.hpp"
@@ -70,31 +69,11 @@ void run_kernel(benchmark::State& state, spgemm::KernelKind kind,
   const C a = matrix_for_cf(regime.n, regime.density, 42);
   const std::uint64_t flops = sparse::spgemm_flops(a, a);
 
-  // Hardware-counter columns (docs/OBSERVABILITY.md "Profiling &
-  // post-mortems"): one counting window over the whole timed loop,
-  // normalized per flop below. On the no-op backend (CI runners,
-  // perf_event_paranoid) the columns are simply absent.
-  obs::HwCounters counters;
   std::uint64_t out_nnz = 0;
-  std::uint64_t timed_iters = 0;
-  counters.start();
   for (auto _ : state) {
     C c = kernel(a, a);
     out_nnz = c.nnz();
     benchmark::DoNotOptimize(c);
-    ++timed_iters;
-  }
-  counters.stop();
-  const obs::HwCounterValues hw = counters.read();
-  if (hw.available && timed_iters > 0) {
-    const double total_flops =
-        static_cast<double>(flops) * static_cast<double>(timed_iters);
-    state.counters["cycles_per_flop"] =
-        static_cast<double>(hw.cycles) / total_flops;
-    state.counters["llc_miss_per_flop"] =
-        static_cast<double>(hw.llc_misses) / total_flops;
-    state.counters["l1d_miss_per_flop"] =
-        static_cast<double>(hw.l1d_misses) / total_flops;
   }
   const double cf = sparse::compression_factor(flops, out_nnz);
 
@@ -175,8 +154,7 @@ C planted_matrix(int workload) {
   } else if (workload == 2) {
     // "hub" (arg 2): the family regime scaled up to 8,000 rows with
     // heavy-tailed families, so the worst column's flops are orders of
-    // magnitude above its output nnz — the L2-spilling regime the
-    // roofline audit's cpu-hash row is set in.
+    // magnitude above its output nnz — the L2-spilling regime.
     p.n = 8000;
     p.mean_family = 80.0;
     p.max_family = 800;

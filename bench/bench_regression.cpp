@@ -16,10 +16,7 @@
 #include "gen/planted.hpp"
 #include "obs/expo.hpp"
 #include "obs/json_writer.hpp"
-#include "obs/prof/hw_counters.hpp"
-#include "obs/prof/roofline.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
 #include "svc/scheduler.hpp"
 #include "util/parallel.hpp"
@@ -99,16 +96,12 @@ int main(int argc, char** argv) try {
   // populated run registry — the --status-out cost per rewrite).
   // Version 7: the real.spgemm_reord_* fields (RCM ordering cost and the
   // blocked reordered kernel's wall time + bitmatch on the permuted
-  // operand). Version 8: the `prof` block — hardware-counter backend and
-  // the per-kernel roofline audit on the hub workload. Counter values are
-  // machine-dependent (a different CPU has different caches), so the
-  // whole block is gate-ignored like "real." (perf_diff skips "prof.");
-  // unavailable counters land as -1 sentinels so the schema is stable
-  // across privileged and unprivileged runners. Version 9: one hash
-  // kernel — real.spgemm_par_s times hash_spgemm on `threads` lanes, the
-  // real.spgemm_simd_* / real.spgemm_reord_* fields are gone, and the
-  // prof block audits cpu-hash only.
-  w.field("schema_version", std::uint64_t{9});
+  // operand). Version 8: the `prof` block (hardware-counter roofline
+  // audit). Version 9: one hash kernel — real.spgemm_par_s times
+  // hash_spgemm on `threads` lanes, and the real.spgemm_simd_* /
+  // real.spgemm_reord_* fields are gone. Version 10: the `prof` block is
+  // gone; its counters read -1 wherever perf_event is refused.
+  w.field("schema_version", std::uint64_t{10});
   w.field("bench", "bench_regression");
 
   w.begin_object("workload");
@@ -323,62 +316,6 @@ int main(int argc, char** argv) try {
     w.field("status_export_s", expo_wall.elapsed_s());
     w.field("status_export_bytes",
             static_cast<std::uint64_t>(status_text.size()));
-    w.end_object();
-  }
-
-  // Roofline audit (gate-ignored "prof."): the CPU hash kernel on the
-  // hub workload — the heavy-tailed regime whose flops-bound table
-  // sizing spills L2 (docs/COSTMODEL.md "Roofline audit"). The counter
-  // window is joined with the frozen bytes/flop prediction via
-  // obs::publish_roofline; on the no-op backend every measured channel
-  // is a -1 sentinel.
-  {
-    gen::PlantedParams hp;
-    hp.n = 8000;
-    hp.seed = 5;
-    hp.mean_family = 80.0;
-    hp.max_family = 800;
-    const auto hub = sparse::csc_from_triples(gen::planted_partition(hp).edges);
-    const std::uint64_t hub_flops = sparse::spgemm_flops(hub, hub);
-
-    obs::MetricsRegistry prof_registry;
-    std::uint64_t audit_nnz = 0;  // keep the kernels observable
-    const auto window = [&](const char* kernel, auto&& fn) {
-      obs::HwCounters counters;
-      counters.start();
-      audit_nnz += fn().nnz();
-      counters.stop();
-      obs::publish_roofline(prof_registry, kernel, hub_flops, counters.read());
-    };
-    window("cpu-hash", [&] { return spgemm::hash_spgemm(hub, hub); });
-
-    const obs::HwCounters probe;
-    w.begin_object("prof");
-    w.field("backend", probe.backend());
-    w.field("available", probe.available());
-    w.begin_object("workload");
-    w.field("generator", "planted_partition_hub");
-    w.field("vertices", static_cast<std::uint64_t>(hub.nrows()));
-    w.field("flops", hub_flops);
-    w.field("audit_nnz", audit_nnz);
-    w.end_object();
-    w.begin_object("hw");
-    {
-      const std::string kernel = "cpu-hash";
-      const auto channel = [&](const std::string& name) {
-        const obs::Histogram* h =
-            prof_registry.histogram("prof.hw." + kernel + "." + name);
-        return h != nullptr ? h->mean() : -1.0;
-      };
-      w.begin_object(kernel, obs::JsonWriter::Style::kCompact);
-      w.field("bytes_per_flop_predicted", channel("bytes_per_flop.predicted"));
-      w.field("bytes_per_flop_measured", channel("bytes_per_flop.measured"));
-      w.field("bytes_per_flop_rel_error", channel("bytes_per_flop.rel_error"));
-      w.field("cycles_per_flop", channel("cycles_per_flop"));
-      w.field("l1d_miss_rate", channel("l1d_miss_rate"));
-      w.end_object();
-    }
-    w.end_object();
     w.end_object();
   }
 

@@ -12,7 +12,7 @@
 //                [--order none|degree|rcm|cluster|env]
 //                [--metrics-out run.jsonl] [--trace-out run.trace.json]
 //                [--trace-chrome run.chrome.json] [--analyze]
-//                [--prof] [--postmortem-dir dir]
+//                [--postmortem-dir dir]
 //
 // --metrics-out writes the run's JSONL RunReport (one record per MCL
 // iteration plus counters; schema in docs/OBSERVABILITY.md);
@@ -24,20 +24,15 @@
 // efficiency (Table II), per-stage idle attribution (Table V) and the
 // critical path — without needing a trace viewer.
 //
-// --prof opens perf_event hardware-counter windows around every
-// pipeline stage and local-SpGEMM kernel dispatch (prof.hw.* metrics +
-// the roofline audit printed after the run; falls back to a no-op
-// backend when the platform forbids counting). --postmortem-dir arms
-// the flight recorder: fatal signals (SIGSEGV/SIGABRT) dump
-// <dir>/hipmcl_cli.crash.json from the signal handler, and an
-// interrupted run dumps <dir>/hipmcl_cli.postmortem.json. SIGINT is
-// graceful either way: the run stops at the next iteration boundary
-// and every requested output is still flushed (exit status 130).
+// --postmortem-dir arms the flight recorder: fatal signals
+// (SIGSEGV/SIGABRT) dump <dir>/hipmcl_cli.crash.json from the signal
+// handler, and an interrupted run dumps <dir>/hipmcl_cli.postmortem.json.
+// SIGINT is graceful either way: the run stops at the next iteration
+// boundary and every requested output is still flushed (exit status 130).
 #include <atomic>
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <optional>
 
 #include "mclx.hpp"
 #include "util/cli.hpp"
@@ -112,9 +107,6 @@ int main(int argc, char** argv) try {
   const bool analyze = cli.get_bool("analyze", false,
       "print trace analytics: overlap efficiency, idle attribution, "
       "critical path");
-  const bool prof = cli.get_bool("prof", false,
-      "hardware-counter profiling: per-stage and per-kernel perf_event "
-      "windows, roofline audit table (no-op fallback when unsupported)");
   const std::string postmortem_dir = cli.get("postmortem-dir", "",
       "arm the flight recorder: crash/interrupt post-mortem JSON dumps "
       "land in this directory");
@@ -195,32 +187,18 @@ int main(int argc, char** argv) try {
                             postmortem_dir + "/hipmcl_cli.crash.json");
   }
 
-  // --prof: per-stage counter windows ride the on_stage hook; per-kernel
-  // windows are armed process-wide for the run's scope.
-  obs::StageHwProfiler stage_prof(&registry);
-  std::optional<obs::ScopedKernelProfiling> kernel_prof;
-  if (prof) {
-    kernel_prof.emplace();
-    const std::function<void(obs::RunStage)> user_stage = config.on_stage;
-    config.on_stage = [&stage_prof, user_stage](obs::RunStage s) {
-      stage_prof.on_stage(static_cast<int>(s));
-      if (user_stage) user_stage(s);
-    };
-  }
-
   core::MclResult result;
   {
     const bool want_trace = !trace_out.empty() || !trace_chrome.empty() ||
                             analyze;
     const obs::ScopedContext sinks({
-        .metrics = !metrics_out.empty() || prof ? &registry : nullptr,
+        .metrics = !metrics_out.empty() ? &registry : nullptr,
         .ledger = want_ledger ? &ledger : nullptr,
         .events = want_trace ? &trace : nullptr,
         .recorder = &recorder,
     });
     result = core::run_hipmcl(network, params, config, sim);
   }
-  stage_prof.finish();
   if (want_ledger) ledger.publish(registry);
 
   const bool interrupted = g_interrupted.load(std::memory_order_relaxed);
@@ -261,42 +239,6 @@ int main(int argc, char** argv) try {
   }
   if (analyze) {
     obs::print_trace_analysis(std::cout, obs::analyze_trace(trace));
-  }
-  if (prof) {
-    std::cout << "hw counters: "
-              << (stage_prof.available() ? "perf_event backend"
-                                         : "no-op backend (perf_event "
-                                           "unavailable; zeros below)")
-              << "\n";
-    util::Table t("Roofline audit (prof.hw.*, mean over windows)");
-    t.header({"kernel", "windows", "B/flop pred", "B/flop meas", "rel err",
-              "cyc/flop"});
-    const std::string kprefix = "prof.hw.kernel.";
-    for (const auto& [name, windows] : registry.counters()) {
-      if (name.rfind(kprefix, 0) != 0) continue;
-      const std::string suffix = ".windows";
-      if (name.size() <= kprefix.size() + suffix.size() ||
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-              0) {
-        continue;
-      }
-      const std::string kernel = name.substr(
-          kprefix.size(), name.size() - kprefix.size() - suffix.size());
-      const auto mean_of = [&](const std::string& channel) {
-        const obs::Histogram* h =
-            registry.histogram("prof.hw." + kernel + "." + channel);
-        return h ? h->mean() : -1.0;
-      };
-      const auto cell = [](double v) {
-        return v < 0 ? std::string("-") : util::Table::fmt(v, 4);
-      };
-      t.row({kernel, std::to_string(windows),
-             cell(mean_of("bytes_per_flop.predicted")),
-             cell(mean_of("bytes_per_flop.measured")),
-             cell(mean_of("bytes_per_flop.rel_error")),
-             cell(mean_of("cycles_per_flop"))});
-    }
-    t.print(std::cout);
   }
 
   std::cout << (result.converged ? "converged" : "hit iteration cap")

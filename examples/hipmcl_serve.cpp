@@ -17,7 +17,7 @@
 // --watchdog-cancel, which cancels stalled/diverging jobs through the
 // scheduler's cooperative cancel.
 //
-// Post-mortems (docs/OBSERVABILITY.md "Profiling & post-mortems"):
+// Post-mortems (docs/OBSERVABILITY.md "Post-mortems"):
 // --postmortem-dir arms every job's flight recorder; the watchdog dumps
 // `<dir>/<job>.postmortem.json` the first time it classifies a job
 // stalled/diverging, and GET /jobs reports each job's dump path. SIGINT

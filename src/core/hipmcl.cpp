@@ -212,10 +212,15 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
                                  : sim.machine().mem_per_rank;
 
   // --- initialization: self loops + column-stochastic normalization -----
-  dist::TriplesD init = graph;
+  // No sort here: DistMat::from_triples canonicalizes (sums duplicates in
+  // input order), and so does the reorder path's apply_symmetric.
+  dist::TriplesD init(graph.nrows(), graph.ncols());
+  init.reserve(graph.nnz() + (params.add_self_loops
+                                  ? static_cast<std::size_t>(graph.nrows())
+                                  : 0));
+  init.data().assign(graph.begin(), graph.end());
   if (params.add_self_loops) {
     for (vidx_t v = 0; v < graph.nrows(); ++v) init.push_unchecked(v, v, 1.0);
-    init.sort_and_combine();
   }
 
   // --- locality reordering (order/order.hpp) ----------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/mem.hpp"
 #include "sparse/convert.hpp"
@@ -56,31 +57,148 @@ void DistMat::set_block(int i, int j, const CscD& b) {
 DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid) {
   DistMat m(t.nrows(), t.ncols(), grid);
   const int dim = grid.dim();
+  const auto ncols = static_cast<std::size_t>(t.ncols());
 
-  // Bucket triples per block, then build each block's DCSC.
-  std::vector<TriplesD> buckets;
-  buckets.reserve(static_cast<std::size_t>(grid.nranks()));
-  for (int i = 0; i < dim; ++i) {
-    for (int j = 0; j < dim; ++j) {
-      buckets.emplace_back(m.block_rows(i), m.block_cols(j));
+  // Stage the input column-major in one stable scatter: count each
+  // global column, then place rows and values so every column keeps
+  // input order. After the scatter colptr[c] is column c's end, so
+  // shifting it by one slot makes it the start again.
+  std::vector<vidx_t> colptr(ncols + 1, 0);
+  for (const auto& e : t) ++colptr[static_cast<std::size_t>(e.col) + 1];
+  for (std::size_t c = 1; c <= ncols; ++c) colptr[c] += colptr[c - 1];
+  std::vector<vidx_t> rows(t.nnz());
+  std::vector<val_t> vals(t.nnz());
+  for (const auto& e : t) {
+    const auto p = static_cast<std::size_t>(
+        colptr[static_cast<std::size_t>(e.col)]++);
+    rows[p] = e.row;
+    vals[p] = e.val;
+  }
+  std::copy_backward(colptr.begin(), colptr.end() - 1, colptr.end());
+  colptr[0] = 0;
+
+  // A column is sorted in place by stable insertion when short — a self
+  // loop appended after a sorted column moves one entry — and through a
+  // scratch buffer of (row, value) pairs when long, where insertion
+  // could go quadratic.
+  constexpr vidx_t kInsertionMax = 64;
+  const auto col_sorted = [&](std::size_t c) {
+    return std::is_sorted(rows.begin() + colptr[c],
+                          rows.begin() + colptr[c + 1]);
+  };
+  std::size_t scratch_len = 0;
+  for (std::size_t c = 0; c < ncols; ++c) {
+    const vidx_t len = colptr[c + 1] - colptr[c];
+    if (len > kInsertionMax && !col_sorted(c)) {
+      scratch_len = std::max(scratch_len, static_cast<std::size_t>(len));
     }
   }
-  for (const auto& e : t) {
-    const int bi = static_cast<int>(e.row / m.row_block_);
-    const int bj = static_cast<int>(e.col / m.col_block_);
-    buckets[static_cast<std::size_t>(grid.rank_of(bi, bj))].push_unchecked(
-        e.row - m.row_offset(bi), e.col - m.col_offset(bj), e.val);
+  std::vector<std::pair<vidx_t, val_t>> scratch;
+  scratch.reserve(scratch_len);
+  // The staging and the scratch buffer coexist with the input until the
+  // blocks are built.
+  const obs::MemScope staging_mem(
+      "dist.staging",
+      colptr.size() * sizeof(vidx_t) +
+          rows.size() * (sizeof(vidx_t) + sizeof(val_t)) +
+          scratch.capacity() * sizeof(decltype(scratch)::value_type));
+
+  // Canonicalize each column in place: order it by row, then sum equal
+  // rows left to right in input order — sort_and_combine's order, so the
+  // sums are bitwise its sums.
+  std::size_t out = 0;
+  for (std::size_t c = 0; c < ncols; ++c) {
+    const auto b = static_cast<std::size_t>(colptr[c]);
+    const auto e = static_cast<std::size_t>(colptr[c + 1]);
+    if (e - b <= static_cast<std::size_t>(kInsertionMax)) {
+      for (std::size_t p = b + 1; p < e; ++p) {
+        const vidx_t r = rows[p];
+        const val_t v = vals[p];
+        std::size_t q = p;
+        for (; q > b && rows[q - 1] > r; --q) {
+          rows[q] = rows[q - 1];
+          vals[q] = vals[q - 1];
+        }
+        rows[q] = r;
+        vals[q] = v;
+      }
+    } else if (!col_sorted(c)) {
+      scratch.clear();
+      for (std::size_t p = b; p < e; ++p) {
+        scratch.emplace_back(rows[p], vals[p]);
+      }
+      std::stable_sort(
+          scratch.begin(), scratch.end(),
+          [](const auto& x, const auto& y) { return x.first < y.first; });
+      for (std::size_t p = b; p < e; ++p) {
+        rows[p] = scratch[p - b].first;
+        vals[p] = scratch[p - b].second;
+      }
+    }
+    colptr[c] = static_cast<vidx_t>(out);
+    for (std::size_t p = b; p < e;) {
+      const vidx_t r = rows[p];
+      val_t v = vals[p++];
+      while (p < e && rows[p] == r) v += vals[p++];
+      rows[out] = r;
+      vals[out++] = v;
+    }
   }
-  // The filled buckets coexist with the input until the blocks are
-  // built; charge them as distribution staging.
-  obs::MemScope staging_mem(
-      "dist.staging", t.nnz() * static_cast<std::uint64_t>(
-                                    sizeof(decltype(*t.begin()))));
+  colptr[ncols] = static_cast<vidx_t>(out);
+
+  // Each column's rows are sorted, so a block row's share of it is one
+  // run. Count every block's entries and nonempty columns, size its
+  // arrays exactly, then fill them in a second walk.
+  const auto nranks = static_cast<std::size_t>(grid.nranks());
+  const auto for_each_run = [&](auto&& fn) {
+    for (int j = 0; j < dim; ++j) {
+      const vidx_t co = m.col_offset(j);
+      for (vidx_t c = co; c < m.col_offset(j + 1); ++c) {
+        const auto e = static_cast<std::size_t>(colptr[c + 1]);
+        auto p = static_cast<std::size_t>(colptr[c]);
+        for (int i = 0; i < dim && p < e; ++i) {
+          const vidx_t row_end = m.row_offset(i + 1);
+          std::size_t q = p;
+          while (q < e && rows[q] < row_end) ++q;
+          if (q > p) fn(static_cast<std::size_t>(i * dim + j), i, c - co, p, q);
+          p = q;
+        }
+      }
+    }
+  };
+  std::vector<std::size_t> bnnz(nranks, 0);
+  std::vector<std::size_t> bnzc(nranks, 0);
+  for_each_run([&](std::size_t r, int, vidx_t, std::size_t p, std::size_t q) {
+    bnnz[r] += q - p;
+    ++bnzc[r];
+  });
+
+  std::vector<std::vector<vidx_t>> jc(nranks), cp(nranks), ir(nranks);
+  std::vector<std::vector<val_t>> num(nranks);
+  for (std::size_t r = 0; r < nranks; ++r) {
+    jc[r].reserve(bnzc[r]);
+    cp[r].reserve(bnzc[r] + 1);
+    cp[r].push_back(0);
+    ir[r].reserve(bnnz[r]);
+    num[r].reserve(bnnz[r]);
+  }
+  for_each_run([&](std::size_t r, int i, vidx_t local_col, std::size_t p,
+                   std::size_t q) {
+    const vidx_t ro = m.row_offset(i);
+    jc[r].push_back(local_col);
+    for (std::size_t k = p; k < q; ++k) ir[r].push_back(rows[k] - ro);
+    num[r].insert(num[r].end(),
+                  vals.begin() + static_cast<std::ptrdiff_t>(p),
+                  vals.begin() + static_cast<std::ptrdiff_t>(q));
+    cp[r].push_back(static_cast<vidx_t>(ir[r].size()));
+  });
   for (int i = 0; i < dim; ++i) {
     for (int j = 0; j < dim; ++j) {
+      const auto r = static_cast<std::size_t>(grid.rank_of(i, j));
       m.set_block(i, j,
-                  sparse::dcsc_from_triples(std::move(
-                      buckets[static_cast<std::size_t>(grid.rank_of(i, j))])));
+                  DcscD(m.block_rows(i), m.block_cols(j), std::move(jc[r]),
+                        std::move(cp[r]), std::move(ir[r]),
+                        std::move(num[r])));
     }
   }
   return m;

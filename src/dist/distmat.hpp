@@ -27,7 +27,9 @@ class DistMat {
   /// Empty matrix of the given global shape on the grid.
   DistMat(vidx_t nrows, vidx_t ncols, ProcGrid grid);
 
-  /// Scatter global triples into blocks.
+  /// Scatter global triples, in any order, into blocks. Duplicates are
+  /// summed in input order, so the blocks are bitwise those of
+  /// sort_and_combine followed by a per-block dcsc_from_triples.
   static DistMat from_triples(const TriplesD& t, ProcGrid grid);
 
   /// Gather to global triples (canonicalized).

@@ -46,8 +46,6 @@
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/flight_recorder.hpp"
-#include "obs/prof/hw_counters.hpp"
-#include "obs/prof/roofline.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace_analysis.hpp"
 #include "sim/collectives.hpp"

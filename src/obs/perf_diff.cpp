@@ -236,13 +236,9 @@ Direction direction_of(std::string_view path) {
 
 bool is_ignored(std::string_view path, const DiffOptions& opt) {
   // "real." covers the measured-multicore block (schema v3): wall-clock
-  // numbers vary by machine exactly like real_wall_s. "prof." (schema
-  // v8) is hardware-counter evidence — cycles and cache misses are as
-  // machine-dependent as wall time, so the roofline block informs but
-  // never gates.
+  // numbers vary by machine exactly like real_wall_s.
   if (opt.ignore_real_wall &&
-      (path == "real_wall_s" || path.rfind("real.", 0) == 0 ||
-       path.rfind("prof.", 0) == 0)) {
+      (path == "real_wall_s" || path.rfind("real.", 0) == 0)) {
     return true;
   }
   for (const std::string& prefix : opt.ignored_prefixes) {

@@ -28,7 +28,7 @@
 // partial-file risk is acceptable mid-crash); the stall/on-demand path
 // (dump_file) uses the atomic-rewrite idiom like every other exporter.
 //
-// Sizing (docs/OBSERVABILITY.md "Profiling & post-mortems"): a slot is
+// Sizing (docs/OBSERVABILITY.md "Post-mortems"): a slot is
 // 64 bytes (one cache line); the defaults — 16 rings × 1024 slots —
 // cost 1 MiB per recorder, and a recorder per svc job at the default
 // event rate (~4 events/iteration + per-kernel dispatches) retains on

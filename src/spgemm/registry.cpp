@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/prof/flight_recorder.hpp"
-#include "obs/prof/hw_counters.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
 #include "spgemm/spa.hpp"
@@ -54,13 +53,10 @@ LocalSpgemmResult LocalMultiplier::run_cpu(KernelKind kind, const CscD& a,
   r.used = kind;
   r.flops = flops;
   // The registry wrapper is the one per-kernel instrumentation point:
-  // every dispatch leaves a flight-recorder event, and — only when
-  // profiling is on — a hardware-counter window whose deltas join the
-  // roofline audit (obs/prof/roofline.hpp). Neither touches the
-  // multiply's inputs or outputs, preserving bit-identity with
-  // profiling off (tests/test_prof.cpp pins this).
+  // every dispatch leaves a flight-recorder event. It never touches the
+  // multiply's inputs or outputs, preserving bit-identity with the
+  // recorder off (tests/test_prof.cpp pins this).
   obs::fr_record(obs::FrEventKind::kKernel, kernel_name(kind), flops);
-  obs::KernelCounterScope prof(kernel_name(kind), flops);
   switch (kind) {
     case KernelKind::kCpuHeap:
     case KernelKind::kCpuHash:

@@ -1,9 +1,14 @@
-// Distributed layer: grid geometry, DistMat round trips, the SUMMA
+// Distributed layer: grid geometry, DistMat round trips, from_triples
+// pinned bitwise against the sort-then-bucket path, the SUMMA
 // property suite (every variant × grid size × phasing equals the local
 // reference product), distributed top-k, and connected components.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/prune.hpp"
 #include "dist/cc.hpp"
@@ -143,6 +148,131 @@ TEST_P(GatherPin, SummaPlusPruneOutputGathersBitwise) {
 INSTANTIATE_TEST_SUITE_P(GridDims, GatherPin, testing::Values(1, 2, 3, 4),
                          [](const testing::TestParamInfo<int>& info) {
                            return "dim" + std::to_string(info.param);
+                         });
+
+// from_triples canonicalizes in one column-major scatter. The reference
+// is the path it replaced: sort_and_combine over the whole input, then
+// one dcsc_from_triples per block. Equal means operator== and the same
+// value bits, so -0.0 does not pass for 0.0.
+
+DistMat sort_then_bucket(T t, const ProcGrid& grid) {
+  t.sort_and_combine();
+  DistMat m(t.nrows(), t.ncols(), grid);
+  const int dim = grid.dim();
+  std::vector<T> buckets;
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) {
+      buckets.emplace_back(m.block_rows(i), m.block_cols(j));
+    }
+  }
+  for (const auto& e : t) {
+    int i = 0, j = 0;
+    while (e.row >= m.row_offset(i + 1)) ++i;
+    while (e.col >= m.col_offset(j + 1)) ++j;
+    buckets[static_cast<std::size_t>(grid.rank_of(i, j))].push(
+        e.row - m.row_offset(i), e.col - m.col_offset(j), e.val);
+  }
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) {
+      m.set_block(i, j,
+                  sparse::dcsc_from_triples(std::move(
+                      buckets[static_cast<std::size_t>(grid.rank_of(i, j))])));
+    }
+  }
+  return m;
+}
+
+bool same_value_bits(const DistMat& a, const DistMat& b) {
+  for (int i = 0; i < a.dim(); ++i) {
+    for (int j = 0; j < a.dim(); ++j) {
+      const auto& x = a.block(i, j).num();
+      const auto& y = b.block(i, j).num();
+      if (x.size() != y.size()) return false;
+      if (!x.empty() &&
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(val_t)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+class FromTriplesPin : public testing::TestWithParam<int> {};
+
+TEST_P(FromTriplesPin, EqualsSortThenBucketPathBitwise) {
+  const ProcGrid grid(GetParam());
+  std::vector<std::pair<std::string, T>> cases;
+  {
+    // Unsorted, with many duplicates over magnitudes 2^-30..2^30 and
+    // both signs, so most multi-way sums round differently in another
+    // order.
+    util::Xoshiro256 rng(11);
+    T t(45, 45);
+    for (int e = 0; e < 900; ++e) {
+      const double mag =
+          std::ldexp(1.0, static_cast<int>(rng.bounded(61)) - 30);
+      t.push(static_cast<vidx_t>(rng.bounded(45)),
+             static_cast<vidx_t>(rng.bounded(45)),
+             (rng.uniform_pos() - 0.5) * mag);
+    }
+    cases.emplace_back("unsorted 45x45", std::move(t));
+  }
+  {
+    T t(7, 5);
+    // Three-way: (1e16 + 1) + 1 is 1e16, (1 + 1) + 1e16 is 1e16 + 2.
+    t.push(3, 2, 1e16);
+    t.push(0, 2, 0.5);
+    t.push(3, 2, 1.0);
+    t.push(3, 2, 1.0);
+    // Two-way, out of row order within the column.
+    t.push(6, 4, 0.1);
+    t.push(1, 4, 2.0);
+    t.push(6, 4, 0.2);
+    // Signed zeros: -0.0 + -0.0 stays -0.0 (a sum started from +0.0
+    // would not), lone explicit zeros stay, and 1 + -1 is an explicit 0.
+    t.push(2, 0, -0.0);
+    t.push(2, 0, -0.0);
+    t.push(5, 0, 0.0);
+    t.push(4, 0, -0.0);
+    t.push(0, 0, 1.0);
+    t.push(0, 0, -1.0);
+    // Column 1 and column 3 stay empty.
+    cases.emplace_back("duplicates 7x5", std::move(t));
+  }
+  // Sorted and combined, as the Matrix Market reader emits it.
+  cases.emplace_back("canonical 45x45", random_triples(45, 45, 300, 12));
+  {
+    // Self loops appended to a canonical graph, as run_hipmcl builds
+    // its input: every column ends out of row order.
+    T t = random_triples(45, 45, 300, 13);
+    for (vidx_t v = 0; v < 45; ++v) t.push(v, v, 1.0);
+    cases.emplace_back("self loops 45x45", std::move(t));
+  }
+  {
+    // Whole block columns empty: entries only in columns 3 and 40.
+    util::Xoshiro256 rng(14);
+    T t(45, 45);
+    for (int e = 0; e < 60; ++e) {
+      t.push(static_cast<vidx_t>(rng.bounded(45)), e % 2 ? 3 : 40,
+             rng.uniform_pos());
+    }
+    cases.emplace_back("two columns 45x45", std::move(t));
+  }
+  cases.emplace_back("no entries 45x45", T(45, 45));
+  cases.emplace_back("0x0", T(0, 0));
+
+  for (const auto& [name, t] : cases) {
+    const DistMat got = DistMat::from_triples(t, grid);
+    const DistMat want = sort_then_bucket(t, grid);
+    EXPECT_TRUE(got == want) << name << " on " << GetParam() << " nodes";
+    EXPECT_TRUE(same_value_bits(got, want))
+        << name << " on " << GetParam() << " nodes";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Nodes, FromTriplesPin, testing::Values(1, 4, 9, 16),
+                         [](const testing::TestParamInfo<int>& info) {
+                           return "nodes" + std::to_string(info.param);
                          });
 
 TEST(DistMat, SetBlockValidatesShape) {

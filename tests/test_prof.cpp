@@ -1,11 +1,8 @@
-// Profiling & post-mortems (docs/OBSERVABILITY.md): the
-// perf_event_open hardware-counter session and its no-op fallback, the
-// roofline audit channels joining counters with the COSTMODEL.md
-// bytes/flop predictions, the lock-free flight recorder (record/merge/
-// wrap/concurrency), the async-signal-safe dump path (including a
-// forked child crashing mid-iteration), the scheduler's watchdog-routed
-// stall post-mortem on a fake clock, and the headline contract that
-// turning all of it on changes no clustering bit.
+// Post-mortems (docs/OBSERVABILITY.md): the lock-free flight recorder
+// (record/merge/wrap/concurrency), the async-signal-safe dump path
+// (including a forked child crashing mid-iteration), the scheduler's
+// watchdog-routed stall post-mortem on a fake clock, and the headline
+// contract that recording a run changes no clustering bit.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -19,7 +16,6 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,8 +26,6 @@
 #include "obs/metrics.hpp"
 #include "obs/perf_diff.hpp"
 #include "obs/prof/flight_recorder.hpp"
-#include "obs/prof/hw_counters.hpp"
-#include "obs/prof/roofline.hpp"
 #include "obs/progress.hpp"
 #include "sim/machine.hpp"
 #include "sim/timeline.hpp"
@@ -54,184 +48,6 @@ std::string slurp(const std::string& path) {
   std::ifstream in(path);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-}
-
-// ---------------------------------------------------------------------------
-// HwCounters: the no-op fallback is the portable contract; the real
-// backend is asserted only where the platform grants it.
-
-TEST(HwCounters, ForcedNoopBackendEngagesCleanly) {
-  obs::HwCounters::Options opt;
-  opt.force_noop = true;
-  obs::HwCounters counters(opt);
-  EXPECT_FALSE(counters.available());
-  EXPECT_EQ(counters.backend(), "noop");
-  counters.start();  // every window op must be safe on the no-op backend
-  counters.stop();
-  const obs::HwCounterValues v = counters.read();
-  EXPECT_FALSE(v.available);
-  EXPECT_EQ(v.cycles, 0u);
-  EXPECT_EQ(v.instructions, 0u);
-  EXPECT_EQ(v.llc_misses, 0u);
-}
-
-TEST(HwCounters, UnsupportedPlatformImpliesNoopBackend) {
-  obs::HwCounters counters;
-  if (!obs::HwCounters::platform_supported()) {
-    EXPECT_FALSE(counters.available());
-    EXPECT_EQ(counters.backend(), "noop");
-  } else {
-    // Support is necessary, not sufficient (a VM may still refuse the
-    // PMU) — whichever way construction went, the object must behave.
-    counters.start();
-    counters.stop();
-    EXPECT_EQ(counters.read().available, counters.available());
-  }
-}
-
-TEST(HwCounters, RealWindowsCountWork) {
-  obs::HwCounters counters;
-  if (!counters.available()) {
-    GTEST_SKIP() << "perf_event unavailable here (no-op backend)";
-  }
-  counters.start();
-  volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 2'000'000; ++i) sink = sink + i * i;
-  counters.stop();
-  const obs::HwCounterValues v = counters.read();
-  EXPECT_TRUE(v.available);
-  EXPECT_GT(v.cycles, 0u);
-  // ~5 instructions per loop trip; any real counter lands far above 1e6.
-  EXPECT_GT(v.instructions, 1'000'000u);
-
-  // start() resets: a tiny second window must not inherit the first.
-  counters.start();
-  counters.stop();
-  EXPECT_LT(counters.read().instructions, v.instructions);
-}
-
-TEST(KernelProfiling, ScopedEnableNestsAndRestores) {
-  if (obs::prof_env_enabled()) {
-    GTEST_SKIP() << "MCLX_PROF=ON pins kernel profiling process-wide";
-  }
-  EXPECT_FALSE(obs::kernel_profiling_enabled());
-  {
-    obs::ScopedKernelProfiling outer;
-    EXPECT_TRUE(obs::kernel_profiling_enabled());
-    {
-      obs::ScopedKernelProfiling inner;
-      EXPECT_TRUE(obs::kernel_profiling_enabled());
-    }
-    EXPECT_TRUE(obs::kernel_profiling_enabled());
-  }
-  EXPECT_FALSE(obs::kernel_profiling_enabled());
-}
-
-TEST(KernelProfiling, CounterScopePublishesWindowsAndRoofline) {
-  obs::MetricsRegistry registry;
-  obs::ScopedMetrics metrics_scope(registry);
-  obs::ScopedKernelProfiling enable;
-  {
-    obs::KernelCounterScope scope("cpu-hash", 1'000'000);
-  }
-  EXPECT_EQ(registry.counter("prof.hw.kernel.cpu-hash.windows"), 1u);
-  // The predicted channel comes from the frozen model, so it populates
-  // on the no-op backend too; measured/rel_error need real counters.
-  const obs::Histogram* predicted =
-      registry.histogram("prof.hw.cpu-hash.bytes_per_flop.predicted");
-  ASSERT_NE(predicted, nullptr);
-  EXPECT_DOUBLE_EQ(predicted->mean(), 0.48);
-  if (obs::HwCounters().available()) {
-    EXPECT_NE(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.measured"),
-              nullptr);
-    EXPECT_NE(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.rel_error"),
-              nullptr);
-  }
-}
-
-TEST(KernelProfiling, CounterScopeIsInertWithoutEnableOrRegistry) {
-  if (obs::prof_env_enabled()) GTEST_SKIP() << "MCLX_PROF=ON";
-  obs::MetricsRegistry registry;
-  {
-    // Registry installed, profiling not enabled.
-    obs::ScopedMetrics metrics_scope(registry);
-    obs::KernelCounterScope scope("cpu-hash", 100);
-  }
-  {
-    // Profiling enabled, no registry.
-    obs::ScopedKernelProfiling enable;
-    obs::KernelCounterScope scope("cpu-hash", 100);
-  }
-  EXPECT_EQ(registry.counter("prof.hw.kernel.cpu-hash.windows"), 0u);
-}
-
-TEST(StageHwProfiler, AttributesOneWindowPerStage) {
-  obs::MetricsRegistry registry;
-  obs::StageHwProfiler prof(&registry);
-  prof.on_stage(static_cast<int>(obs::RunStage::kExpand));
-  prof.on_stage(static_cast<int>(obs::RunStage::kInflate));
-  prof.on_stage(static_cast<int>(obs::RunStage::kFinished));
-  prof.finish();  // idempotent: the finished transition already closed
-  EXPECT_EQ(registry.counter("prof.hw.stage.expand.windows"), 1u);
-  EXPECT_EQ(registry.counter("prof.hw.stage.inflate.windows"), 1u);
-  EXPECT_EQ(registry.counter("prof.hw.stage.finished.windows"), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Roofline audit channels.
-
-TEST(Roofline, PublishesPredictedMeasuredAndRelError) {
-  // Every CPU kernel with a traffic constant gets counter-level
-  // evidence channels.
-  for (const std::string kernel : {"cpu-hash", "cpu-spa"}) {
-    obs::MetricsRegistry registry;
-    obs::HwCounterValues v;
-    v.available = true;
-    v.cycles = 4'000'000;
-    v.instructions = 10'000'000;
-    v.l1d_misses = 200'000;
-    v.llc_misses = 50'000;
-    const std::uint64_t flops = 8'000'000;
-    obs::publish_roofline(registry, kernel, flops, v);
-
-    const auto mean = [&](const std::string& ch) {
-      const obs::Histogram* h =
-          registry.histogram("prof.hw." + kernel + "." + ch);
-      return h != nullptr ? h->mean() : -1.0;
-    };
-    const double measured =
-        static_cast<double>(v.llc_misses) * 64.0 / static_cast<double>(flops);
-    const double predicted = obs::predicted_bytes_per_flop(kernel).bytes_per_flop;
-    EXPECT_DOUBLE_EQ(mean("bytes_per_flop.predicted"), predicted) << kernel;
-    EXPECT_DOUBLE_EQ(mean("bytes_per_flop.measured"), measured) << kernel;
-    EXPECT_DOUBLE_EQ(mean("bytes_per_flop.rel_error"),
-                     std::abs(predicted - measured) / measured)
-        << kernel;
-    EXPECT_DOUBLE_EQ(mean("cycles_per_flop"), 0.5) << kernel;
-    EXPECT_DOUBLE_EQ(mean("l1d_miss_rate"), 0.02) << kernel;
-  }
-}
-
-TEST(Roofline, UnavailableCountersPublishPredictionOnly) {
-  obs::MetricsRegistry registry;
-  obs::publish_roofline(registry, "cpu-hash", 1000, obs::HwCounterValues{});
-  EXPECT_NE(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.predicted"),
-            nullptr);
-  EXPECT_EQ(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.measured"),
-            nullptr);
-  EXPECT_EQ(registry.histogram("prof.hw.cpu-hash.bytes_per_flop.rel_error"),
-            nullptr);
-}
-
-TEST(Roofline, RoutingConstantsReflectTheLocalityLadder) {
-  // The model the audit checks: hash < SPA in DRAM traffic per flop
-  // (COSTMODEL.md roofline-audit rows). cpu-heap's product runs on the
-  // hash accumulator, so it carries no heap prediction.
-  const double hash = obs::predicted_bytes_per_flop("cpu-hash").bytes_per_flop;
-  const double spa = obs::predicted_bytes_per_flop("cpu-spa").bytes_per_flop;
-  EXPECT_LT(hash, spa);
-  EXPECT_FALSE(obs::predicted_bytes_per_flop("cpu-heap").known);
-  EXPECT_FALSE(obs::predicted_bytes_per_flop("nsparse").known);
 }
 
 // ---------------------------------------------------------------------------
@@ -381,44 +197,32 @@ TEST(FlightRecorder, SinkScopeInstallsAndRestores) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end: profiling on vs off is bit-identical, and the recorder
+// End to end: recorder on vs off is bit-identical, and the recorder
 // sees the run's stage/iteration/kernel timeline through the pool.
 
-core::MclResult prof_run(sim::SimState& sim, bool profiled,
-                         obs::MetricsRegistry* registry,
-                         obs::FlightRecorder* recorder) {
+core::MclResult recorded_run(sim::SimState& sim,
+                             obs::FlightRecorder* recorder) {
   gen::PlantedParams gp;
   gp.n = 150;
   gp.seed = 91;
   const auto g = gen::planted_partition(gp);
   core::MclParams params;
   params.prune.select_k = 25;
-  core::HipMclConfig config = core::HipMclConfig::optimized();
-
-  const obs::ScopedContext sinks({.metrics = registry, .recorder = recorder});
-  std::optional<obs::ScopedKernelProfiling> kscope;
-  std::optional<obs::StageHwProfiler> sprof;
-  if (profiled) {
-    kscope.emplace();
-    sprof.emplace(registry);
-    config.on_stage = [&sprof](obs::RunStage s) {
-      sprof->on_stage(static_cast<int>(s));
-    };
-  }
-  return core::run_hipmcl(g.edges, params, config, sim);
+  const obs::ScopedContext sinks({.recorder = recorder});
+  return core::run_hipmcl(g.edges, params, core::HipMclConfig::optimized(),
+                          sim);
 }
 
-TEST(ProfE2E, CountersOnVsOffIsBitIdentical) {
+TEST(ProfE2E, RecorderOnVsOffIsBitIdentical) {
   PoolGuard guard;
   par::set_threads(4);
 
   sim::SimState sim_off(sim::summit_like(4));
-  const core::MclResult off = prof_run(sim_off, false, nullptr, nullptr);
+  const core::MclResult off = recorded_run(sim_off, nullptr);
 
-  obs::MetricsRegistry registry;
   obs::FlightRecorder recorder;
   sim::SimState sim_on(sim::summit_like(4));
-  const core::MclResult on = prof_run(sim_on, true, &registry, &recorder);
+  const core::MclResult on = recorded_run(sim_on, &recorder);
 
   // The headline contract: instrumentation wraps, never alters.
   EXPECT_EQ(on.labels, off.labels);
@@ -432,18 +236,8 @@ TEST(ProfE2E, CountersOnVsOffIsBitIdentical) {
     EXPECT_EQ(on.iters[i].flops, off.iters[i].flops) << i;
   }
 
-  // ... and it did observe the run: kernel windows in the registry,
-  // the stage/iteration/kernel timeline in the recorder.
-  std::uint64_t windows = 0;
-  for (const auto& [name, value] : registry.counters()) {
-    if (name.rfind("prof.hw.kernel.", 0) == 0 &&
-        name.find(".windows") != std::string::npos) {
-      windows += value;
-    }
-  }
-  EXPECT_GT(windows, 0u);
-  EXPECT_GT(registry.counter("prof.hw.stage.expand.windows"), 0u);
-
+  // ... and it did observe the run: the stage/iteration/kernel timeline
+  // in the recorder.
   bool saw_stage = false, saw_iter = false, saw_kernel = false;
   for (const auto& e : recorder.merged()) {
     switch (static_cast<obs::FrEventKind>(e.kind)) {
