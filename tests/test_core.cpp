@@ -18,6 +18,7 @@
 #include "core/interpret.hpp"
 #include "core/prune.hpp"
 #include "gen/planted.hpp"
+#include "order/order.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
@@ -293,6 +294,77 @@ TEST(HipMcl, ConfigurationsAgreeBitwiseOnEveryGridAndPhaseCount) {
           EXPECT_EQ(x.flops, y.flops) << "iteration " << i;
         }
       }
+    }
+  }
+}
+
+TEST(HipMcl, UnsortedInputWithSplitDuplicatesRunsBitwiseLikeItsCanonicalForm) {
+  // run_hipmcl does not sort its input: DistMat::from_triples (and, when
+  // reordering, apply_symmetric) canonicalizes it. The same graph fed
+  // shuffled, with every third edge split into two halves that sum back
+  // exactly, must run bitwise like its sorted, combined form.
+  gen::PlantedParams gp;
+  gp.n = 200;
+  gp.seed = 14;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 30;
+
+  const T messy = [&g] {
+    T t(g.edges.nrows(), g.edges.ncols());
+    std::vector<std::size_t> idx(g.edges.nnz());
+    for (std::size_t k = 0; k < idx.size(); ++k) idx[k] = k;
+    util::Xoshiro256 rng(15);
+    for (std::size_t k = idx.size(); k > 1; --k) {
+      std::swap(idx[k - 1], idx[rng.bounded(k)]);
+    }
+    std::vector<T::triple_type> late;
+    for (const std::size_t k : idx) {
+      const auto& e = g.edges.data()[k];
+      if (k % 3 == 0) {
+        t.push(e.row, e.col, e.val * 0.5);
+        late.push_back({e.row, e.col, e.val * 0.5});
+      } else {
+        t.push(e.row, e.col, e.val);
+      }
+    }
+    for (const auto& e : late) t.push(e.row, e.col, e.val);
+    return t;
+  }();
+  ASSERT_GT(messy.nnz(), g.edges.nnz());
+
+  for (const order::OrderKind ordering :
+       {order::OrderKind::kNone, order::OrderKind::kRcm}) {
+    SCOPED_TRACE(std::string("order ") +
+                 std::string(order::order_name(ordering)));
+    std::vector<core::MclResult> runs;
+    for (const T* input : {&g.edges, &messy}) {
+      core::HipMclConfig config = core::HipMclConfig::optimized();
+      config.keep_final_matrix = true;
+      config.ordering = ordering;
+      sim::SimState sim(sim::summit_like(4));
+      runs.push_back(core::run_hipmcl(*input, params, config, sim));
+    }
+    const core::MclResult& want = runs[0];
+    const core::MclResult& got = runs[1];
+    ASSERT_TRUE(want.converged);
+    EXPECT_EQ(got.labels, want.labels);
+    const C want_final = want.final_matrix->to_csc();
+    const C got_final = got.final_matrix->to_csc();
+    EXPECT_EQ(got_final, want_final);
+    ASSERT_EQ(got_final.vals().size(), want_final.vals().size());
+    EXPECT_EQ(std::memcmp(got_final.vals().data(), want_final.vals().data(),
+                          want_final.vals().size() * sizeof(val_t)),
+              0);
+    ASSERT_EQ(got.iters.size(), want.iters.size());
+    for (std::size_t i = 0; i < want.iters.size(); ++i) {
+      const auto& x = got.iters[i];
+      const auto& y = want.iters[i];
+      EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
+          << "iteration " << i;
+      EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << i;
+      EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << i;
+      EXPECT_EQ(x.flops, y.flops) << "iteration " << i;
     }
   }
 }

@@ -270,6 +270,61 @@ TEST_P(FromTriplesPin, EqualsSortThenBucketPathBitwise) {
   }
 }
 
+TEST_P(FromTriplesPin, LongColumnsEqualSortThenBucketPathBitwise) {
+  // A column longer than the 64-entry insertion limit is ordered through
+  // the scratch buffer's stable sort, or left alone when already sorted;
+  // the cases above never get that long.
+  const ProcGrid grid(GetParam());
+  std::vector<std::pair<std::string, T>> cases;
+  {
+    // 150 unsorted entries per column over 40 rows: each row repeats
+    // about four times, with magnitudes 2^-30..2^30 and both signs.
+    util::Xoshiro256 rng(21);
+    T t(40, 30);
+    for (int e = 0; e < 30 * 150; ++e) {
+      const double mag =
+          std::ldexp(1.0, static_cast<int>(rng.bounded(61)) - 30);
+      t.push(static_cast<vidx_t>(rng.bounded(40)), e % 30,
+             (rng.uniform_pos() - 0.5) * mag);
+    }
+    cases.emplace_back("unsorted long 40x30", std::move(t));
+  }
+  {
+    // Around the limit: 64 unsorted entries (insertion), 65 unsorted
+    // (scratch) and 65 sorted with runs of duplicates (no sort). Row
+    // 7k mod 22 repeats three times per column, and every third value
+    // is 1e16, so a sum in another order rounds differently.
+    T t(22, 3);
+    for (int k = 0; k < 64; ++k) {
+      t.push((7 * k) % 22, 0, k % 3 == 0 ? 1e16 : 1.0);
+    }
+    for (int k = 0; k < 65; ++k) {
+      t.push((7 * k) % 22, 1, k % 3 == 0 ? 1e16 : 1.0);
+    }
+    for (int k = 0; k < 65; ++k) {
+      t.push(k / 3, 2, k % 3 == 1 ? 1e16 : 1.0);
+    }
+    cases.emplace_back("limit 22x3", std::move(t));
+  }
+  // Sorted long columns, as the Matrix Market reader emits them ...
+  cases.emplace_back("canonical long 200x5", random_triples(200, 5, 800, 22));
+  {
+    // ... and with a self loop appended to each, as run_hipmcl builds
+    // its input from them.
+    T t = random_triples(200, 5, 800, 23);
+    for (vidx_t v = 0; v < 5; ++v) t.push(v, v, 1.0);
+    cases.emplace_back("self loops long 200x5", std::move(t));
+  }
+
+  for (const auto& [name, t] : cases) {
+    const DistMat got = DistMat::from_triples(t, grid);
+    const DistMat want = sort_then_bucket(t, grid);
+    EXPECT_TRUE(got == want) << name << " on " << GetParam() << " nodes";
+    EXPECT_TRUE(same_value_bits(got, want))
+        << name << " on " << GetParam() << " nodes";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Nodes, FromTriplesPin, testing::Values(1, 4, 9, 16),
                          [](const testing::TestParamInfo<int>& info) {
                            return "nodes" + std::to_string(info.param);

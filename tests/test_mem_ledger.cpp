@@ -1,7 +1,8 @@
 // The memory ledger: scripted charge/release accounting, RAII scopes,
 // thread-safety under the shared pool (the TSan CI job runs this), the
-// estimator-audit join, process-peak sampling, and the end-to-end
-// contract on a real run — the ledger's per-rank merge track must land
+// estimator-audit join, process-peak sampling, the input staging that
+// DistMat::from_triples charges, and the end-to-end contract on a real
+// run — the ledger's per-rank merge track must land
 // on exactly the number the legacy element counters report, RunReport
 // v4 must carry the measured actuals, and the Chrome trace must hold
 // both duration and counter events.
@@ -12,8 +13,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/hipmcl.hpp"
+#include "dist/distmat.hpp"
+#include "dist/grid.hpp"
 #include "gen/planted.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/mem.hpp"
@@ -286,6 +290,47 @@ TEST(ChromeTrace, EmitsCounterEventsFromTheLedgerTimeline) {
   std::ostringstream plain;
   obs::write_chrome_trace(plain, empty, nullptr);
   EXPECT_EQ(plain.str(), "{\"traceEvents\":[]}");
+}
+
+// ----------------------------------------------------- input staging
+
+TEST(MemLedger, FromTriplesChargesTheStagingItHolds) {
+  // DistMat::from_triples stages its input column-major: the column
+  // pointers, one row and one value per input entry, and a (row, value)
+  // scratch as long as the longest unsorted column past the 64-entry
+  // insertion limit. The charge lasts until the blocks are built.
+  dist::TriplesD t(100, 4);
+  for (vidx_t r = 0; r < 10; ++r) t.push(r, 0, 1.0);       // short
+  for (vidx_t r = 79; r >= 0; --r) t.push(r, 1, 1.0);      // long, unsorted
+  for (vidx_t r = 0; r < 70; ++r) t.push(r, 2, 1.0);       // long, sorted
+  for (vidx_t k = 0; k < 66; ++k) t.push(65 - k / 2, 3, 1.0);  // unsorted
+  const std::uint64_t staging = 5 * sizeof(vidx_t) + t.nnz() * kBytesPerElem;
+  const std::uint64_t pair_bytes = sizeof(std::pair<vidx_t, val_t>);
+
+  obs::MemLedger ledger;
+  {
+    obs::ScopedContext install(ledger);
+    (void)dist::DistMat::from_triples(t, dist::ProcGrid(4));
+  }
+  EXPECT_EQ(ledger.label_stats("dist.staging").charges, 1u);
+  EXPECT_EQ(ledger.label_stats("dist.staging").high_water_bytes,
+            staging + 80 * pair_bytes);
+  EXPECT_EQ(ledger.label_stats("dist.staging").current_bytes, 0u);
+
+  // Sorted columns need no scratch; duplicates still count as staged
+  // entries until they are summed.
+  dist::TriplesD sorted = t;
+  sorted.sort_and_combine();
+  sorted.push(99, 3, 1.0);
+  sorted.push(99, 3, 2.0);
+  obs::MemLedger sorted_ledger;
+  {
+    obs::ScopedContext install(sorted_ledger);
+    (void)dist::DistMat::from_triples(sorted, dist::ProcGrid(4));
+  }
+  EXPECT_EQ(sorted_ledger.label_stats("dist.staging").high_water_bytes,
+            5 * sizeof(vidx_t) + sorted.nnz() * kBytesPerElem);
+  EXPECT_EQ(sorted_ledger.label_stats("dist.staging").current_bytes, 0u);
 }
 
 // ------------------------------------------------------------ end to end
