@@ -16,7 +16,6 @@
 #include <cmath>
 
 #include "gen/planted.hpp"
-#include "order/order.hpp"
 #include "sim/costmodel.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
@@ -209,30 +208,6 @@ void BM_PlantedAccumScalar(benchmark::State& state) {
   spgemm::detail::RowAccumulator<vidx_t, val_t> acc(a.nrows());
   planted_accum_loop(state, a, acc);
 }
-/// Ordering construction + symmetric application, the one-off cost a
-/// reordered run pays up front (arg: 0 = degree, 1 = rcm, 2 = cluster).
-void BM_ReorderPermute(benchmark::State& state) {
-  const C a = planted_matrix(0);
-  const auto kind = static_cast<order::OrderKind>(
-      static_cast<int>(order::OrderKind::kDegree) +
-      static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    const auto perm = order::compute_order(kind, a);
-    const C pa = perm.apply_symmetric(a);
-    benchmark::DoNotOptimize(pa.colptr().data());
-  }
-  const auto perm = order::compute_order(kind, a);
-  state.counters["n"] = static_cast<double>(a.ncols());
-  state.counters["nnz"] = static_cast<double>(a.nnz());
-  state.counters["bandwidth_before"] =
-      static_cast<double>(order::pattern_bandwidth(a));
-  state.counters["bandwidth_after"] =
-      static_cast<double>(order::pattern_bandwidth(perm.apply_symmetric(a)));
-  // Permute moves every entry once: read + write of (row, col, val).
-  state.counters["bytes_per_entry"] =
-      2.0 * (2 * sizeof(vidx_t) + sizeof(val_t));
-  state.SetLabel(std::string(order::order_name(kind)));
-}
 
 void BM_PlantedPruneScalar(benchmark::State& state) {
   const C a = planted_matrix(0);
@@ -294,9 +269,6 @@ void BM_PlantedInflateSimd(benchmark::State& state) {
 }
 
 BENCHMARK(BM_PlantedAccumScalar)
-    ->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReorderPermute)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlantedPruneScalar)->Unit(benchmark::kMicrosecond);

@@ -177,9 +177,8 @@ int main(int argc, char** argv) try {
   // Distribution percentiles (all virtual/deterministic): the tails the
   // mean-only trajectory hides — merge widths, per-call SUMMA times,
   // broadcast payloads, estimator error. A fixed list, not every value
-  // metric: pool.* and order.*_s are measured wall time and
-  // memory.hwm_bytes depends on lane timing, so they stay out of the
-  // gated block.
+  // metric: pool.* is measured wall time and memory.hwm_bytes depends
+  // on lane timing, so they stay out of the gated block.
   static constexpr const char* kGatedDistributions[] = {
       "estimate.rel_error",  "estimate.unpruned_nnz.rel_error",
       "memory.charge_bytes", "memory.phase_bytes.rel_error",

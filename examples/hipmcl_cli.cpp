@@ -9,20 +9,18 @@
 //                [--nodes 16] [--inflation 2.0] [--select-k 80]
 //                [--cutoff 1e-4] [--recover 0] [--mem-gb 0]
 //                [--config optimized] [--estimator probabilistic]
-//                [--order none|degree|rcm|cluster|env]
 //                [--metrics-out run.jsonl] [--trace-out run.trace.json]
-//                [--trace-chrome run.chrome.json] [--analyze]
-//                [--postmortem-dir dir]
+//                [--analyze] [--postmortem-dir dir]
 //
 // --metrics-out writes the run's JSONL RunReport (one record per MCL
 // iteration plus counters; schema in docs/OBSERVABILITY.md);
 // --trace-out writes the simulated timelines as Chrome-tracing JSON
-// (open in Perfetto / chrome://tracing); --trace-chrome additionally
-// folds the memory ledger's byte tracks into the trace as counter
-// events, so resident merge/staging/broadcast bytes plot under the
-// rank timelines; --analyze prints the trace analytics — overlap
-// efficiency (Table II), per-stage idle attribution (Table V) and the
-// critical path — without needing a trace viewer.
+// (open in Perfetto / chrome://tracing), with the memory ledger's byte
+// tracks folded in as counter events, so resident merge/staging/
+// broadcast bytes plot under the rank timelines; --analyze prints the
+// trace analytics — overlap efficiency (Table II), per-stage idle
+// attribution (Table V) and the critical path — without needing a trace
+// viewer.
 //
 // --postmortem-dir arms the flight recorder: fatal signals
 // (SIGSEGV/SIGABRT) dump <dir>/hipmcl_cli.crash.json from the signal
@@ -93,17 +91,13 @@ int main(int argc, char** argv) try {
       "original | no-overlap | optimized");
   const std::string estimator = cli.get("estimator", "probabilistic",
       "exact | probabilistic | adaptive");
-  const std::string order_name = cli.get("order", "env",
-      "locality reordering: none | degree | rcm | cluster | env "
-      "(env reads MCLX_REORDER)");
   const bool report = cli.get_bool("report", false,
       "print per-cluster cohesion statistics");
   const std::string metrics_out = cli.get("metrics-out", "",
       "write the run's JSONL metrics report here");
   const std::string trace_out = cli.get("trace-out", "",
-      "write a Chrome-tracing JSON of the simulated timelines here");
-  const std::string trace_chrome = cli.get("trace-chrome", "",
-      "write a Chrome trace-event JSON with memory counter tracks here");
+      "write a Chrome-tracing JSON of the simulated timelines, with "
+      "memory counter tracks, here");
   const bool analyze = cli.get_bool("analyze", false,
       "print trace analytics: overlap efficiency, idle attribution, "
       "critical path");
@@ -138,11 +132,6 @@ int main(int argc, char** argv) try {
   params.prune.select_k = select_k;
   params.prune.recover_num = recover;
   core::HipMclConfig config = make_config(config_name, estimator);
-  if (order_name != "env") {
-    const auto okind = order::parse_order_kind(order_name);
-    if (!okind) throw std::invalid_argument("unknown --order: " + order_name);
-    config.ordering = *okind;
-  }
   if (mem_gb > 0) {
     config.mem_budget_per_rank =
         static_cast<bytes_t>(mem_gb * 1024.0 * 1024.0 * 1024.0);
@@ -170,12 +159,12 @@ int main(int argc, char** argv) try {
   // Observability sinks, installed only when an output was requested
   // (--analyze needs the event log even without --trace-out; the memory
   // ledger rides along with the metrics report and drives the
-  // --trace-chrome counter tracks, stamped in virtual seconds).
+  // --trace-out counter tracks, stamped in virtual seconds).
   obs::MetricsRegistry registry;
   sim::EventLog trace;
   obs::MemLedger ledger;
-  const bool want_ledger = !metrics_out.empty() || !trace_chrome.empty();
-  if (!trace_chrome.empty()) {
+  const bool want_ledger = !metrics_out.empty() || !trace_out.empty();
+  if (!trace_out.empty()) {
     ledger.enable_timeline([&sim] { return sim.elapsed(); });
     ledger.set_process_sample_interval(64);
   }
@@ -189,8 +178,7 @@ int main(int argc, char** argv) try {
 
   core::MclResult result;
   {
-    const bool want_trace = !trace_out.empty() || !trace_chrome.empty() ||
-                            analyze;
+    const bool want_trace = !trace_out.empty() || analyze;
     const obs::ScopedContext sinks({
         .metrics = !metrics_out.empty() ? &registry : nullptr,
         .ledger = want_ledger ? &ledger : nullptr,
@@ -227,15 +215,10 @@ int main(int argc, char** argv) try {
               << " iteration records) to " << metrics_out << "\n";
   }
   if (!trace_out.empty()) {
-    obs::write_chrome_trace_file(trace_out, trace, nullptr);
-    std::cout << "wrote " << trace.size() << " timeline events to "
-              << trace_out << " (open in chrome://tracing or Perfetto)\n";
-  }
-  if (!trace_chrome.empty()) {
-    obs::write_chrome_trace_file(trace_chrome, trace, &ledger);
+    obs::write_chrome_trace_file(trace_out, trace, &ledger);
     std::cout << "wrote " << trace.size() << " timeline events and "
               << ledger.timeline().size() << " memory counter points to "
-              << trace_chrome << " (open in chrome://tracing or Perfetto)\n";
+              << trace_out << " (open in chrome://tracing or Perfetto)\n";
   }
   if (analyze) {
     obs::print_trace_analysis(std::cout, obs::analyze_trace(trace));

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -12,8 +13,10 @@ namespace mclx::core {
 
 namespace {
 
-// v2 appends the locality permutation after the matrix entries; v1 files
-// (pre-reordering) still load, with an empty permutation.
+// v1 is the matrix alone. v2 files, from when runs could be reordered,
+// append a vertex permutation after the entries. Their matrix is stored
+// in the input's vertex ids like v1's, so the permutation is checked and
+// discarded.
 constexpr char kMagicV1[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '1'};
 constexpr char kMagicV2[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '2'};
 
@@ -51,7 +54,7 @@ void save_checkpoint(const std::string& path, const Checkpoint& cp) {
   {
     std::ofstream out(tmp, std::ios::binary);
     if (!out) fail("cannot open for write: " + tmp);
-    out.write(kMagicV2, 8);
+    out.write(kMagicV1, 8);
     write_pod(out, static_cast<std::int64_t>(cp.completed_iterations));
     write_pod(out, cp.matrix.nrows());
     write_pod(out, cp.matrix.ncols());
@@ -61,8 +64,6 @@ void save_checkpoint(const std::string& path, const Checkpoint& cp) {
       write_pod(out, e.col);
       write_pod(out, e.val);
     }
-    write_pod(out, static_cast<std::uint64_t>(cp.order_perm.size()));
-    for (const vidx_t v : cp.order_perm) write_pod(out, v);
     if (!out) fail("write failed: " + tmp);
   }
   std::filesystem::rename(tmp, path);
@@ -77,14 +78,15 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
   const bool v2 = std::memcmp(magic, kMagicV2, 8) == 0;
   if (!v2 && std::memcmp(magic, kMagicV1, 8) != 0)
     fail("bad magic in " + path);
-  Checkpoint cp;
-  cp.completed_iterations =
-      static_cast<int>(read_pod<std::int64_t>(in));
+  const auto completed = read_pod<std::int64_t>(in);
   const auto nrows = read_pod<vidx_t>(in);
   const auto ncols = read_pod<vidx_t>(in);
   const auto nnz = read_pod<std::uint64_t>(in);
-  if (nrows < 0 || ncols < 0 || cp.completed_iterations < 0)
+  if (nrows < 0 || ncols < 0 || completed < 0 ||
+      completed > std::numeric_limits<int>::max())
     fail("corrupt header in " + path);
+  Checkpoint cp;
+  cp.completed_iterations = static_cast<int>(completed);
   cp.matrix = sparse::Triples<vidx_t, val_t>(nrows, ncols);
   cp.matrix.reserve(trusted_reserve(nnz));
   for (std::uint64_t e = 0; e < nnz; ++e) {
@@ -99,11 +101,9 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
     const auto perm_size = read_pod<std::uint64_t>(in);
     if (perm_size != 0 && perm_size != static_cast<std::uint64_t>(nrows))
       fail("corrupt permutation in " + path);
-    cp.order_perm.reserve(trusted_reserve(perm_size));
     for (std::uint64_t v = 0; v < perm_size; ++v) {
       const auto p = read_pod<vidx_t>(in);
       if (p < 0 || p >= nrows) fail("permutation entry out of range in " + path);
-      cp.order_perm.push_back(p);
     }
   }
   return cp;
@@ -121,11 +121,9 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
   dist::TriplesD current = graph;
   int done = 0;
   bool resumed = false;
-  std::vector<vidx_t> order_perm = config.resume_order;
   if (auto cp = load_checkpoint(path)) {
     current = std::move(cp->matrix);
     done = cp->completed_iterations;
-    order_perm = std::move(cp->order_perm);
     resumed = true;
     util::log_info("checkpoint: resuming after ", done, " iterations");
   }
@@ -145,20 +143,15 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
   // chunk boundaries (docs/SERVICE.md "Resume semantics").
   bool stochastic = resumed;
 
-  while (done < params.max_iters) {
-    chunk_params.max_iters = std::min(every, params.max_iters - done);
+  // The first chunk always runs. When the checkpoint already holds
+  // params.max_iters iterations it runs none and goes straight to
+  // interpreting the stored matrix, so a rerun returns its clusters.
+  do {
+    chunk_params.max_iters = std::clamp(params.max_iters - done, 0, every);
     chunk_config.start_iteration = done;
     chunk_config.assume_stochastic = stochastic;
-    // Every chunk after the first (and every resumed chunk) re-enters
-    // the permuted space of the fresh run through the saved handle; the
-    // permute→un-permute round trip at chunk boundaries is a pure
-    // relabeling, so the in-loop trajectory stays bitwise identical to
-    // the uninterrupted run's.
-    chunk_config.resume_order = order_perm;
     MclResult chunk =
         run_hipmcl(current, chunk_params, chunk_config, sim);
-    if (order_perm.empty()) order_perm = chunk.order_perm;
-    total.order_perm = chunk.order_perm;
 
     done += chunk.iterations;
     total.iterations += chunk.iterations;
@@ -177,7 +170,7 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
     total.cancelled = chunk.cancelled;
 
     current = chunk.final_matrix->to_triples();
-    save_checkpoint(path, {current, done, order_perm});
+    save_checkpoint(path, {current, done});
     if (config.keep_final_matrix) {
       total.final_matrix = std::move(chunk.final_matrix);
     }
@@ -185,7 +178,7 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
     // Subsequent chunks continue from a stochastic matrix.
     chunk_params.add_self_loops = false;
     stochastic = true;
-  }
+  } while (done < params.max_iters);
   return total;
 }
 

@@ -7,7 +7,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/hipmcl.hpp"
 #include "sparse/triples.hpp"
@@ -16,20 +15,16 @@
 namespace mclx::core {
 
 struct Checkpoint {
-  sparse::Triples<vidx_t, val_t> matrix;  ///< current A (stochastic, input space)
+  sparse::Triples<vidx_t, val_t> matrix;  ///< current A (stochastic)
   int completed_iterations = 0;
-  /// The locality permutation the run executes under (new_of_old form;
-  /// empty when reordering is off). The matrix above is always stored in
-  /// *input* space — this is the handle that re-enters the same permuted
-  /// space on resume (HipMclConfig::resume_order), which keeps resumed
-  /// reordered runs on the uninterrupted run's bitwise trajectory.
-  std::vector<vidx_t> order_perm;
 };
 
-/// Write a checkpoint (binary; magic-tagged, versioned via snapshot IO).
+/// Write a checkpoint (binary, magic-tagged v1 layout: header + entries).
 void save_checkpoint(const std::string& path, const Checkpoint& cp);
 
 /// Load, or nullopt when the file does not exist. Corrupt files throw.
+/// Also reads v2 files (the v1 layout followed by a vertex permutation):
+/// the permutation is checked and discarded.
 std::optional<Checkpoint> load_checkpoint(const std::string& path);
 
 /// run_hipmcl with checkpointing: writes `path` every `every` iterations
@@ -46,7 +41,9 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path);
 /// and any thread count (tests/test_svc.cpp pins this).
 ///
 /// config.should_stop cancels at the next iteration boundary; the
-/// checkpoint written then lets a later call (same path) resume.
+/// checkpoint written then lets a later call (same path) resume. A file
+/// that already holds params.max_iters iterations runs none and returns
+/// its matrix's clusters.
 MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
                                   const MclParams& params,
                                   const HipMclConfig& config,

@@ -17,11 +17,9 @@
 #include "obs/prof/flight_recorder.hpp"
 #include "sim/collectives.hpp"
 #include "sim/costmodel.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/symbolic.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace mclx::core {
 
@@ -29,13 +27,11 @@ namespace {
 
 using sim::Stage;
 
-/// Charge the communication sweep of the *exact* estimator: it mimics the
-/// Sparse SUMMA broadcast schedule (symbolic multiply needs the same
-/// operand movement), which is why it scales as poorly as expansion (§V,
-/// Fig 8).
-void charge_symbolic_sweep(const dist::DistMat& a, sim::SimState& sim,
-                           std::uint64_t total_flops) {
-  const sim::CostModel model(sim.machine());
+/// Both estimators move the operand blocks on the Sparse SUMMA broadcast
+/// schedule: stage k broadcasts block (i, k) along grid row i and block
+/// (k, j) along grid column j. Un-pipelined (future work ports it to the
+/// pipelined GPU path).
+void charge_operand_sweep(const dist::DistMat& a, sim::SimState& sim) {
   const int dim = a.dim();
   for (int k = 0; k < dim; ++k) {
     for (int i = 0; i < dim; ++i) {
@@ -47,6 +43,15 @@ void charge_symbolic_sweep(const dist::DistMat& a, sim::SimState& sim,
                      Stage::kMemEstimation);
     }
   }
+}
+
+/// Charge the *exact* estimator: the symbolic multiply needs the same
+/// operand movement as SUMMA, which is why it scales as poorly as
+/// expansion (§V, Fig 8).
+void charge_symbolic_sweep(const dist::DistMat& a, sim::SimState& sim,
+                           std::uint64_t total_flops) {
+  const sim::CostModel model(sim.machine());
+  charge_operand_sweep(a, sim);
   const std::uint64_t per_rank =
       total_flops / static_cast<std::uint64_t>(sim.nranks());
   for (int r = 0; r < sim.nranks(); ++r) {
@@ -70,19 +75,7 @@ void charge_cohen(const dist::DistMat& a, sim::SimState& sim, int keys,
   const std::uint64_t share = a.nnz() / std::max<std::uint64_t>(1, nranks);
   const bool on_gpu = gpu_offload && sim.machine().gpus_per_rank > 0;
 
-  // The un-pipelined SUMMA-like operand sweep (future work ports it to
-  // the pipelined GPU path).
-  const int dim = a.dim();
-  for (int k = 0; k < dim; ++k) {
-    for (int i = 0; i < dim; ++i) {
-      sim::sim_bcast(sim, a.grid().row_ranks(i), a.block(i, k).bytes(),
-                     Stage::kMemEstimation);
-    }
-    for (int j = 0; j < dim; ++j) {
-      sim::sim_bcast(sim, a.grid().col_ranks(j), a.block(k, j).bytes(),
-                     Stage::kMemEstimation);
-    }
-  }
+  charge_operand_sweep(a, sim);
   for (int r = 0; r < sim.nranks(); ++r) {
     auto& tl = sim.rank(r);
     if (on_gpu) {
@@ -100,7 +93,7 @@ void charge_cohen(const dist::DistMat& a, sim::SimState& sim, int keys,
     }
   }
   // Mid-layer key exchange: r doubles per (block-local) column.
-  for (int j = 0; j < dim; ++j) {
+  for (int j = 0; j < a.dim(); ++j) {
     const bytes_t bytes = static_cast<bytes_t>(a.block_cols(j)) *
                           static_cast<bytes_t>(keys) * sizeof(double);
     sim::sim_allreduce(sim, a.grid().col_ranks(j), bytes,
@@ -213,7 +206,7 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
 
   // --- initialization: self loops + column-stochastic normalization -----
   // No sort here: DistMat::from_triples canonicalizes (sums duplicates in
-  // input order), and so does the reorder path's apply_symmetric.
+  // input order).
   dist::TriplesD init(graph.nrows(), graph.ncols());
   init.reserve(graph.nnz() + (params.add_self_loops
                                   ? static_cast<std::size_t>(graph.nrows())
@@ -223,48 +216,10 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     for (vidx_t v = 0; v < graph.nrows(); ++v) init.push_unchecked(v, v, 1.0);
   }
 
-  // --- locality reordering (order/order.hpp) ----------------------------
-  // Permute once here; the whole iteration loop below runs in permuted
-  // space and only the interpretation maps back. A fresh ordering is
-  // computed only on fresh entry — resumed chunks must re-enter the
-  // *same* permuted space (resume_order) or none at all, otherwise the
-  // bitwise chunked-equals-uninterrupted contract breaks.
-  order::Permutation perm;
-  if (!config.resume_order.empty()) {
-    perm = order::Permutation(config.resume_order);  // validates
-    if (perm.size() != graph.nrows())
-      throw std::invalid_argument("run_hipmcl: resume_order size mismatch");
-  } else if (config.start_iteration == 0 && !config.assume_stochastic) {
-    const order::OrderKind okind = order::resolve_order_kind(config.ordering);
-    if (okind != order::OrderKind::kNone) {
-      util::WallTimer order_wall;
-      perm = order::compute_order(
-          okind, sparse::csc_from_triples(dist::TriplesD(init)));
-      if (obs::context().metrics) {
-        obs::count(std::string("order.computed.") +
-                   std::string(order::order_name(okind)));
-        obs::record("order.compute_s", order_wall.elapsed_s());
-      }
-    }
-  }
-  const bool permuted = !perm.empty();
-  if (permuted) {
-    const auto bw_before = order::pattern_bandwidth(init);
-    util::WallTimer permute_wall;
-    perm.apply_symmetric(init);
-    if (obs::context().metrics) {
-      obs::record("order.permute_s", permute_wall.elapsed_s());
-      obs::record("order.bandwidth_before", static_cast<double>(bw_before));
-      obs::record("order.bandwidth_after",
-                   static_cast<double>(order::pattern_bandwidth(init)));
-    }
-  }
-
   dist::DistMat a = dist::DistMat::from_triples(init, grid);
   if (!config.assume_stochastic) distributed_normalize(a, sim);
 
   MclResult result;
-  if (permuted) result.order_perm = perm.new_of_old();
   const sim::StageTimes run_before = sim.critical_stage_times();
   const vtime_t run_elapsed_before = sim.elapsed();
 
@@ -360,16 +315,6 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
       obs::mem_measure("estimate.unpruned_nnz",
                        static_cast<double>(rep.measured_unpruned_nnz));
     }
-    // Accumulator hit-rate proxy: hits/flops = 1 − nnz(A·A)/flops, the
-    // share of products that add into an existing output entry. Recorded
-    // on reordered runs next to the order.* costs (docs/PERFORMANCE.md
-    // "Reordering & locality").
-    if (permuted && obs::context().metrics && rep.flops > 0 &&
-        rep.measured_unpruned_nnz > 0) {
-      obs::record("order.hit_rate_proxy",
-                   1.0 - static_cast<double>(rep.measured_unpruned_nnz) /
-                             static_cast<double>(rep.flops));
-    }
     rep.merge_peak_sum = expansion.stats.merge_peak_elements_sum;
     rep.merge_peak_max = expansion.stats.merge_peak_elements_max;
     rep.cpu_idle = expansion.stats.cpu_idle;
@@ -416,35 +361,7 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
   dist::ComponentsResult cc = dist::connected_components(a, sim);
   result.labels = std::move(cc.labels);
   result.num_clusters = cc.num_components;
-  if (permuted) {
-    // Map labels back to input space, then renumber by first occurrence
-    // in input-vertex order. connected_components numbers clusters by
-    // smallest member — already first-occurrence order for an unpermuted
-    // run — so a reordered run's label *array* comes out equal to the
-    // reorder-off one, not merely the same partition.
-    std::vector<vidx_t> lab = perm.to_old_space(result.labels);
-    std::vector<vidx_t> remap(static_cast<std::size_t>(result.num_clusters),
-                              vidx_t{-1});
-    vidx_t next = 0;
-    for (auto& l : lab) {
-      auto& r = remap[static_cast<std::size_t>(l)];
-      if (r < 0) r = next++;
-      l = r;
-    }
-    result.labels = std::move(lab);
-  }
-  if (config.keep_final_matrix) {
-    if (permuted) {
-      // Un-permute so checkpoints / interpret_attractors see input-space
-      // vertex ids; the resume handle (order_perm) re-enters permuted
-      // space when the run continues.
-      dist::TriplesD t = a.to_triples();
-      perm.inverted().apply_symmetric(t);
-      result.final_matrix = dist::DistMat::from_triples(t, grid);
-    } else {
-      result.final_matrix = std::move(a);
-    }
-  }
+  if (config.keep_final_matrix) result.final_matrix = std::move(a);
 
   result.stage_times = stage_delta(sim, run_before);
   result.elapsed = sim.elapsed() - run_elapsed_before;

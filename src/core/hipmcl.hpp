@@ -20,11 +20,15 @@
 #include "dist/distmat.hpp"
 #include "dist/summa.hpp"
 #include "obs/progress.hpp"
-#include "order/order.hpp"
 #include "sim/stage.hpp"
 #include "sim/timeline.hpp"
 #include "spgemm/registry.hpp"
 #include "util/types.hpp"
+
+namespace mclx::order {
+/// Kept only because bench/e2e/mclx_e2e.cpp assigns HipMclConfig::ordering.
+enum class OrderKind { kNone };
+}  // namespace mclx::order
 
 namespace mclx::core {
 
@@ -80,22 +84,7 @@ struct HipMclConfig {
   /// the same Cohen sketches an uninterrupted run would, which is half of
   /// the bitwise resume contract (docs/SERVICE.md).
   int start_iteration = 0;
-  /// Locality reordering (arXiv:2507.21253): permute the graph once on
-  /// entry by degree, RCM or cluster order (order/order.hpp), run the
-  /// whole expand/prune/inflate loop in permuted space, and map clusters
-  /// (and final_matrix) back to input space at interpret time — the
-  /// permutation cost is paid once per run. Labels are the reorder-off
-  /// labels. kDefault reads the MCLX_REORDER environment variable
-  /// (unset → none). A fresh ordering is computed only on fresh entry
-  /// (start_iteration == 0 and !assume_stochastic); resumed chunks
-  /// re-enter permuted space through resume_order so chunked and
-  /// uninterrupted runs stay bitwise identical.
-  order::OrderKind ordering = order::OrderKind::kDefault;
-  /// Resume contract for reordered runs: when non-empty, the input (in
-  /// input space) is permuted by exactly this permutation instead of
-  /// computing a fresh ordering. run_hipmcl_checkpointed threads
-  /// MclResult::order_perm through here between chunks.
-  std::vector<vidx_t> resume_order;
+  order::OrderKind ordering = order::OrderKind::kNone;  ///< unread
   /// The input is already column-stochastic (a checkpoint of a running
   /// iteration): skip the initial normalization. Renormalizing an
   /// already-stochastic matrix is mathematically a no-op but not bitwise
@@ -154,15 +143,8 @@ struct IterationReport {
 struct MclResult {
   std::vector<vidx_t> labels;          ///< cluster id per vertex
   vidx_t num_clusters = 0;
-  /// The converged matrix (only when config.keep_final_matrix), always
-  /// in *input* space — reordered runs un-permute it before returning,
-  /// so checkpoints and interpret_attractors never see permuted ids.
+  /// The converged matrix (only when config.keep_final_matrix).
   std::optional<dist::DistMat> final_matrix;
-  /// The locality permutation the run executed under (new_of_old form);
-  /// empty when no reordering was active. Labels and final_matrix are
-  /// already mapped back to input space — this is the resume handle
-  /// (HipMclConfig::resume_order), not something callers must undo.
-  std::vector<vidx_t> order_perm;
   int iterations = 0;
   bool converged = false;
   /// True when config.should_stop ended the run before convergence or

@@ -60,7 +60,7 @@ ProcMemSample read_proc_mem();
 
 /// One point on a label's memory-over-time track, stamped by the
 /// ledger's clock (virtual seconds when driven from the simulator).
-/// Only recorded while the timeline is enabled (--trace-chrome).
+/// Only recorded while the timeline is enabled (hipmcl_cli --trace-out).
 struct MemTimelinePoint {
   double t = 0;
   std::string label;

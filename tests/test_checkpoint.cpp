@@ -1,9 +1,14 @@
-// Checkpoint / restart: format round trip, crash-safe rename, chunked
-// execution equivalence, and interrupted-run resume.
+// Checkpoint / restart: format round trip, the v1 layout the writer
+// emits and the v2 layout the loader still reads, crash-safe rename,
+// chunked execution equivalence, and interrupted-run resume.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <numeric>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "gen/planted.hpp"
@@ -32,15 +37,98 @@ core::MclParams test_params() {
   return p;
 }
 
+template <typename V>
+void put(std::string& out, V value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(V));
+}
+
+/// The v1 layout by hand: magic, completed count, nrows, ncols, nnz, then
+/// (row, col, val) per entry.
+std::string v1_bytes(const dist::TriplesD& m, std::int64_t done) {
+  std::string out = "MCLXCKP1";
+  put(out, done);
+  put(out, m.nrows());
+  put(out, m.ncols());
+  put(out, static_cast<std::uint64_t>(m.nnz()));
+  for (const auto& e : m) {
+    put(out, e.row);
+    put(out, e.col);
+    put(out, e.val);
+  }
+  return out;
+}
+
+/// The v2 layout by hand: v1's fields, then a permutation's size and its
+/// entries.
+std::string v2_bytes(const dist::TriplesD& m, std::int64_t done,
+                     const std::vector<vidx_t>& perm) {
+  std::string out = v1_bytes(m, done);
+  out[7] = '2';
+  put(out, static_cast<std::uint64_t>(perm.size()));
+  for (const vidx_t v : perm) put(out, v);
+  return out;
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::vector<vidx_t> reversed_ids(vidx_t n) {
+  std::vector<vidx_t> perm(static_cast<std::size_t>(n));
+  std::iota(perm.rbegin(), perm.rend(), vidx_t{0});
+  return perm;
+}
+
 TEST(Checkpoint, SaveLoadRoundTrip) {
   const auto g = test_graph(101);
   const std::string path = temp_path("ckp_roundtrip.bin");
   core::Checkpoint cp{g.edges, 7};
   core::save_checkpoint(path, cp);
+  EXPECT_EQ(read_file(path), v1_bytes(g.edges, 7));  // the matrix-only v1
   const auto back = core::load_checkpoint(path);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->completed_iterations, 7);
   EXPECT_EQ(back->matrix, g.edges);
+}
+
+TEST(Checkpoint, V2FilesStillLoad) {
+  const auto g = test_graph(107);
+  const std::string path = temp_path("ckp_v2_legacy.bin");
+  for (const auto& perm :
+       {std::vector<vidx_t>{}, reversed_ids(g.edges.nrows())}) {
+    write_file(path, v2_bytes(g.edges, 3, perm));
+    const auto back = core::load_checkpoint(path);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->completed_iterations, 3);
+    EXPECT_EQ(back->matrix, g.edges);
+  }
+}
+
+TEST(Checkpoint, CorruptV2PermutationThrows) {
+  const auto g = test_graph(108);
+  const vidx_t n = g.edges.nrows();
+  std::vector<vidx_t> out_of_range = reversed_ids(n);
+  out_of_range[0] = n;
+  const std::pair<std::vector<vidx_t>, const char*> cases[] = {
+      {{0, 1, 2, 3, 4, 5, 6}, "corrupt permutation"},  // size neither 0 nor n
+      {out_of_range, "permutation entry out of range"},
+  };
+  const std::string path = temp_path("ckp_v2_corrupt.bin");
+  for (const auto& [perm, error] : cases) {
+    write_file(path, v2_bytes(g.edges, 1, perm));
+    try {
+      core::load_checkpoint(path);
+      ADD_FAILURE() << error << ": loaded without error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Checkpoint, MissingFileIsFreshStart) {
@@ -111,6 +199,70 @@ TEST(Checkpoint, ResumesAfterInterruption) {
   EXPECT_TRUE(resumed.converged);
   EXPECT_EQ(resumed.iterations, reference.iterations - 4);
   EXPECT_EQ(resumed.labels, reference.labels);
+}
+
+TEST(Checkpoint, ResumeFromV2FileIgnoresItsPermutation) {
+  // A v2 file's matrix is in input space. Its permutation, valid and not
+  // the identity here, is read, checked and dropped: the resumed run must
+  // continue the uninterrupted run bit for bit.
+  const auto g = test_graph(104);
+  const auto params = test_params();
+  sim::SimState s0(sim::summit_like(4));
+  const auto reference = core::run_hipmcl(
+      g.edges, params, core::HipMclConfig::optimized(), s0);
+  constexpr int kDone = 4;
+  ASSERT_GT(reference.iterations, kDone);
+
+  core::MclParams first_leg = params;
+  first_leg.max_iters = kDone;
+  const std::string path = temp_path("ckp_v2_resume.bin");
+  sim::SimState s1(sim::summit_like(4));
+  core::run_hipmcl_checkpointed(g.edges, first_leg,
+                                core::HipMclConfig::optimized(), s1, path, 2);
+  const auto cp = core::load_checkpoint(path);
+  ASSERT_TRUE(cp.has_value());
+  ASSERT_EQ(cp->completed_iterations, kDone);
+  write_file(path, v2_bytes(cp->matrix, kDone,
+                            reversed_ids(cp->matrix.nrows())));
+
+  sim::SimState s2(sim::summit_like(4));
+  const auto resumed = core::run_hipmcl_checkpointed(
+      g.edges, params, core::HipMclConfig::optimized(), s2, path, 2);
+  EXPECT_EQ(resumed.labels, reference.labels);
+  ASSERT_EQ(resumed.iters.size() + kDone, reference.iters.size());
+  for (std::size_t i = 0; i < resumed.iters.size(); ++i) {
+    const auto& x = resumed.iters[i];
+    const auto& y = reference.iters[i + kDone];
+    EXPECT_EQ(x.iter, y.iter);
+    EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
+        << "iteration " << y.iter;
+    EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << y.iter;
+    EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << y.iter;
+  }
+}
+
+TEST(Checkpoint, RerunOfAFinishedCheckpointReturnsItsClusters) {
+  // The file already holds max_iters iterations: the rerun runs none and
+  // interprets the stored matrix instead of returning no labels.
+  const auto g = test_graph(109);
+  core::MclParams params = test_params();
+  params.max_iters = 4;
+  const std::string path = temp_path("ckp_finished.bin");
+  sim::SimState s1(sim::summit_like(4));
+  const auto first = core::run_hipmcl_checkpointed(
+      g.edges, params, core::HipMclConfig::optimized(), s1, path, 2);
+  ASSERT_EQ(first.iterations, 4);
+  ASSERT_FALSE(first.converged);
+
+  sim::SimState s2(sim::summit_like(4));
+  const auto again = core::run_hipmcl_checkpointed(
+      g.edges, params, core::HipMclConfig::optimized(), s2, path, 2);
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_EQ(again.labels, first.labels);
+  EXPECT_EQ(again.num_clusters, first.num_clusters);
+  const auto cp = core::load_checkpoint(path);
+  ASSERT_TRUE(cp.has_value());
+  EXPECT_EQ(cp->completed_iterations, 4);
 }
 
 TEST(Checkpoint, InvalidEveryThrows) {

@@ -18,7 +18,6 @@
 #include "core/interpret.hpp"
 #include "core/prune.hpp"
 #include "gen/planted.hpp"
-#include "order/order.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
@@ -299,10 +298,10 @@ TEST(HipMcl, ConfigurationsAgreeBitwiseOnEveryGridAndPhaseCount) {
 }
 
 TEST(HipMcl, UnsortedInputWithSplitDuplicatesRunsBitwiseLikeItsCanonicalForm) {
-  // run_hipmcl does not sort its input: DistMat::from_triples (and, when
-  // reordering, apply_symmetric) canonicalizes it. The same graph fed
-  // shuffled, with every third edge split into two halves that sum back
-  // exactly, must run bitwise like its sorted, combined form.
+  // run_hipmcl does not sort its input: DistMat::from_triples
+  // canonicalizes it. The same graph fed shuffled, with every third edge
+  // split into two halves that sum back exactly, must run bitwise like
+  // its sorted, combined form.
   gen::PlantedParams gp;
   gp.n = 200;
   gp.seed = 14;
@@ -333,39 +332,33 @@ TEST(HipMcl, UnsortedInputWithSplitDuplicatesRunsBitwiseLikeItsCanonicalForm) {
   }();
   ASSERT_GT(messy.nnz(), g.edges.nnz());
 
-  for (const order::OrderKind ordering :
-       {order::OrderKind::kNone, order::OrderKind::kRcm}) {
-    SCOPED_TRACE(std::string("order ") +
-                 std::string(order::order_name(ordering)));
-    std::vector<core::MclResult> runs;
-    for (const T* input : {&g.edges, &messy}) {
-      core::HipMclConfig config = core::HipMclConfig::optimized();
-      config.keep_final_matrix = true;
-      config.ordering = ordering;
-      sim::SimState sim(sim::summit_like(4));
-      runs.push_back(core::run_hipmcl(*input, params, config, sim));
-    }
-    const core::MclResult& want = runs[0];
-    const core::MclResult& got = runs[1];
-    ASSERT_TRUE(want.converged);
-    EXPECT_EQ(got.labels, want.labels);
-    const C want_final = want.final_matrix->to_csc();
-    const C got_final = got.final_matrix->to_csc();
-    EXPECT_EQ(got_final, want_final);
-    ASSERT_EQ(got_final.vals().size(), want_final.vals().size());
-    EXPECT_EQ(std::memcmp(got_final.vals().data(), want_final.vals().data(),
-                          want_final.vals().size() * sizeof(val_t)),
-              0);
-    ASSERT_EQ(got.iters.size(), want.iters.size());
-    for (std::size_t i = 0; i < want.iters.size(); ++i) {
-      const auto& x = got.iters[i];
-      const auto& y = want.iters[i];
-      EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
-          << "iteration " << i;
-      EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << i;
-      EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << i;
-      EXPECT_EQ(x.flops, y.flops) << "iteration " << i;
-    }
+  std::vector<core::MclResult> runs;
+  for (const T* input : {&g.edges, &messy}) {
+    core::HipMclConfig config = core::HipMclConfig::optimized();
+    config.keep_final_matrix = true;
+    sim::SimState sim(sim::summit_like(4));
+    runs.push_back(core::run_hipmcl(*input, params, config, sim));
+  }
+  const core::MclResult& want = runs[0];
+  const core::MclResult& got = runs[1];
+  ASSERT_TRUE(want.converged);
+  EXPECT_EQ(got.labels, want.labels);
+  const C want_final = want.final_matrix->to_csc();
+  const C got_final = got.final_matrix->to_csc();
+  EXPECT_EQ(got_final, want_final);
+  ASSERT_EQ(got_final.vals().size(), want_final.vals().size());
+  EXPECT_EQ(std::memcmp(got_final.vals().data(), want_final.vals().data(),
+                        want_final.vals().size() * sizeof(val_t)),
+            0);
+  ASSERT_EQ(got.iters.size(), want.iters.size());
+  for (std::size_t i = 0; i < want.iters.size(); ++i) {
+    const auto& x = got.iters[i];
+    const auto& y = want.iters[i];
+    EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
+        << "iteration " << i;
+    EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << i;
+    EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << i;
+    EXPECT_EQ(x.flops, y.flops) << "iteration " << i;
   }
 }
 
@@ -577,14 +570,8 @@ TEST(HipMcl, GpuIdleLowerThanCpuIdleOnDenseGraphs) {
   sim::SimState sim(sim::summit_like(16));
   core::MclParams params;
   params.prune.select_k = 100;
-  core::HipMclConfig config = core::HipMclConfig::optimized();
-  // Pin reordering off (immune to the MCLX_REORDER CI leg): the idle
-  // balance under test presumes HipMCL's scattered input distribution —
-  // locality reordering deliberately re-concentrates flops into the
-  // diagonal blocks, which shifts it (docs/PERFORMANCE.md "Reordering
-  // & locality" on the balance trade-off).
-  config.ordering = order::OrderKind::kNone;
-  const auto result = core::run_hipmcl(g.edges, params, config, sim);
+  const auto result = core::run_hipmcl(
+      g.edges, params, core::HipMclConfig::optimized(), sim);
   EXPECT_GT(result.mean_cpu_idle, result.mean_gpu_idle);
 }
 

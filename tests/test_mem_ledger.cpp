@@ -24,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/perf_diff.hpp"
 #include "obs/run_report.hpp"
-#include "order/order.hpp"
 #include "sim/eventlog.hpp"
 #include "sim/machine.hpp"
 #include "sim/timeline.hpp"
@@ -447,42 +446,6 @@ TEST(MemLedgerE2E, ChromeTraceHoldsDurationAndCounterEvents) {
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   // Loads as JSON and holds both event kinds.
-  EXPECT_NO_THROW(obs::flatten_json(text));
-  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(text.find("merge.resident.r0"), std::string::npos);
-}
-
-TEST(MemLedgerE2E, ChromeTraceCounterTracksSurviveReordering) {
-  // The v7 locality pipeline (MCLX_REORDER=ON resolves to an active
-  // OrderKind; pinned to kRcm here so the test never depends on the
-  // environment): the permuted run must feed the same counter tracks
-  // into the Chrome trace as the identity run does.
-  obs::MemLedger ledger;
-  sim::EventLog trace;
-  sim::SimState sim(sim::summit_like(4));
-  ledger.enable_timeline([&sim] { return sim.elapsed(); });
-
-  gen::PlantedParams gp;
-  gp.n = 150;
-  gp.seed = 91;
-  const auto g = gen::planted_partition(gp);
-  core::MclParams params;
-  params.prune.select_k = 25;
-  core::HipMclConfig config = core::HipMclConfig::optimized();
-  config.ordering = order::OrderKind::kRcm;
-
-  const obs::ScopedContext sinks({.ledger = &ledger, .events = &trace});
-  const core::MclResult result =
-      core::run_hipmcl(g.edges, params, config, sim);
-  EXPECT_FALSE(result.order_perm.empty());  // the reorder pipeline ran
-
-  const std::string path =
-      testing::TempDir() + "/mem_ledger.reorder.chrome.json";
-  obs::write_chrome_trace_file(path, trace, &ledger);
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
   EXPECT_NO_THROW(obs::flatten_json(text));
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);

@@ -3,7 +3,7 @@
 // inflation, chaos with run_hipmcl's convergence rule, and connected
 // components — sharing no code with sparse/, spgemm/, merge/ or dist/.
 // run_hipmcl must find the same partition, up to renaming, under every
-// configuration, grid, phase count, pool width and ordering. select_k
+// configuration, grid, phase count and pool width. select_k
 // covers every column and recovery is off, so the prune is a threshold
 // on both sides.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "core/hipmcl.hpp"
 #include "gen/er.hpp"
 #include "gen/planted.hpp"
-#include "order/order.hpp"
 #include "sim/machine.hpp"
 #include "util/parallel.hpp"
 
@@ -184,31 +183,26 @@ TEST_P(DenseOracle, EveryConfigurationFindsTheOraclePartition) {
     for (const int nodes : {1, 4, 16, 36}) {
       for (const bytes_t budget : {bytes_t{0}, bytes_t{256}}) {
         int phases_max = 0;
-        for (const order::OrderKind ordering :
-             {order::OrderKind::kNone, order::OrderKind::kRcm}) {
-          for (core::HipMclConfig config :
-               {core::HipMclConfig::original(),
-                core::HipMclConfig::optimized_no_overlap(),
-                core::HipMclConfig::optimized()}) {
-            config.mem_budget_per_rank = budget;
-            config.ordering = ordering;
-            const bool gpus =
-                config.kernel.fixed != spgemm::KernelKind::kCpuHeap;
-            sim::SimState sim(gpus ? sim::summit_like(nodes)
-                                   : sim::summit_like_cpu_only(nodes));
-            const core::MclResult got =
-                core::run_hipmcl(g.edges, params, config, sim);
-            for (const auto& it : got.iters) {
-              phases_max = std::max(phases_max, it.phases);
-            }
-            EXPECT_TRUE(got.converged);
-            EXPECT_TRUE(same_partition(got.labels, want))
-                << g.name << ": " << threads << " threads, " << nodes
-                << " nodes, budget " << budget << ", order "
-                << order::order_name(ordering) << ", "
-                << (gpus ? (config.pipelined ? "optimized" : "no-overlap")
-                         : "original");
+        for (core::HipMclConfig config :
+             {core::HipMclConfig::original(),
+              core::HipMclConfig::optimized_no_overlap(),
+              core::HipMclConfig::optimized()}) {
+          config.mem_budget_per_rank = budget;
+          const bool gpus =
+              config.kernel.fixed != spgemm::KernelKind::kCpuHeap;
+          sim::SimState sim(gpus ? sim::summit_like(nodes)
+                                 : sim::summit_like_cpu_only(nodes));
+          const core::MclResult got =
+              core::run_hipmcl(g.edges, params, config, sim);
+          for (const auto& it : got.iters) {
+            phases_max = std::max(phases_max, it.phases);
           }
+          EXPECT_TRUE(got.converged);
+          EXPECT_TRUE(same_partition(got.labels, want))
+              << g.name << ": " << threads << " threads, " << nodes
+              << " nodes, budget " << budget << ", "
+              << (gpus ? (config.pipelined ? "optimized" : "no-overlap")
+                       : "original");
         }
         if (budget == 0) {
           EXPECT_EQ(phases_max, 1) << g.name << " on " << nodes << " nodes";

@@ -236,7 +236,9 @@ TEST(Guards, UnderestimationCompensatedByGuardFactor) {
 
 // ---------------------------------------------------------------------------
 // Hostile headers: a tiny file claiming 2^40 elements must fail with the
-// parser's named truncation error, never by allocating the claimed count.
+// parser's named truncation error, never by allocating the claimed count;
+// a count that does not fit its field fails as a corrupt header, never
+// by wrapping.
 
 /// Little-endian POD bytes, the checkpoint's on-disk encoding.
 template <typename V>
@@ -279,6 +281,10 @@ TEST(HostileHeaders, HugeClaimedCountsFailWithNamedError) {
        "MCLXCKP2" + pod(std::int64_t{1}) + pod(static_cast<vidx_t>(kClaim)) +
            pod(vidx_t{3}) + pod(std::uint64_t{0}) + pod(kClaim),
        "truncated file"},
+      {"checkpoint iteration count", read_checkpoint,
+       "MCLXCKP1" + pod((std::int64_t{1} << 32) + 3) + pod(vidx_t{3}) +
+           pod(vidx_t{3}) + pod(std::uint64_t{0}),
+       "corrupt header"},
   };
   for (const Case& c : cases) {
     try {
