@@ -1,18 +1,26 @@
 // Checkpoint / restart: format round trip, the v1 layout the writer
-// emits and the v2 layout the loader still reads, crash-safe rename,
-// chunked execution equivalence, and interrupted-run resume.
+// emits and the v2 layout the loader still reads, named errors for
+// corrupt or truncated files, crash-safe rename, bitwise chunked
+// execution at any thread count, interrupted-run resume and reruns of
+// finished checkpoints.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "gen/planted.hpp"
 #include "sim/machine.hpp"
+#include "sparse/convert.hpp"
+#include "sparse/ops.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -84,6 +92,40 @@ std::vector<vidx_t> reversed_ids(vidx_t n) {
   return perm;
 }
 
+/// `got` ran the iterations of `want` from index `skip` on: the same
+/// global indices, chaos bits and nnz counts.
+void expect_same_trajectory(const core::MclResult& got,
+                            const core::MclResult& want, std::size_t skip) {
+  ASSERT_EQ(got.iters.size() + skip, want.iters.size());
+  for (std::size_t i = 0; i < got.iters.size(); ++i) {
+    const auto& x = got.iters[i];
+    const auto& y = want.iters[i + skip];
+    EXPECT_EQ(x.iter, y.iter);
+    EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
+        << "iteration " << y.iter;
+    EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << y.iter;
+    EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << y.iter;
+  }
+}
+
+struct PoolGuard {
+  ~PoolGuard() { par::set_threads(0); }
+};
+
+/// Loads `bytes` from a file and expects a runtime_error naming `error`.
+void expect_load_error(const std::string& bytes, const std::string& error,
+                       const std::string& what) {
+  const std::string path = temp_path("ckp_load_error.bin");
+  write_file(path, bytes);
+  try {
+    core::load_checkpoint(path);
+    ADD_FAILURE() << what << ": loaded without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
 TEST(Checkpoint, SaveLoadRoundTrip) {
   const auto g = test_graph(101);
   const std::string path = temp_path("ckp_roundtrip.bin");
@@ -128,6 +170,81 @@ TEST(Checkpoint, CorruptV2PermutationThrows) {
       EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(Checkpoint, LargestIterationCountLoads) {
+  const auto g = test_graph(110);
+  const std::string path = temp_path("ckp_int_max.bin");
+  constexpr int kMax = std::numeric_limits<int>::max();
+  write_file(path, v1_bytes(g.edges, kMax));
+  const auto back = core::load_checkpoint(path);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->completed_iterations, kMax);
+  EXPECT_EQ(back->matrix, g.edges);
+}
+
+TEST(Checkpoint, CorruptHeaderFieldsThrow) {
+  const dist::TriplesD m(3, 3);
+  // nrows follows the 8-byte magic and the 8-byte count; ncols follows it.
+  constexpr std::size_t kRowsAt = 16;
+  std::string negative_rows = v1_bytes(m, 1);
+  const vidx_t minus_one = -1;
+  std::memcpy(&negative_rows[kRowsAt], &minus_one, sizeof(vidx_t));
+  std::string negative_cols = v1_bytes(m, 1);
+  std::memcpy(&negative_cols[kRowsAt + sizeof(vidx_t)], &minus_one,
+              sizeof(vidx_t));
+  const std::pair<std::string, const char*> cases[] = {
+      {v1_bytes(m, -1), "negative iteration count"},
+      {v1_bytes(m, std::int64_t{std::numeric_limits<int>::max()} + 1),
+       "iteration count past INT_MAX"},
+      {v2_bytes(m, std::int64_t{1} << 40, {}), "v2 iteration count"},
+      {negative_rows, "negative row count"},
+      {negative_cols, "negative column count"},
+  };
+  for (const auto& [bytes, what] : cases) {
+    expect_load_error(bytes, "corrupt header", what);
+  }
+}
+
+TEST(Checkpoint, EntryOutOfBoundsThrows) {
+  const std::pair<vidx_t, vidx_t> outside[] = {{3, 0}, {0, 3}, {-1, 0},
+                                                {0, -1}};
+  for (const auto& [row, col] : outside) {
+    dist::TriplesD m(3, 3);
+    m.push_unchecked(1, 1, 0.5);
+    m.push_unchecked(row, col, 0.5);
+    expect_load_error(v1_bytes(m, 1), "entry out of bounds",
+                      "entry (" + std::to_string(row) + ", " +
+                          std::to_string(col) + ")");
+  }
+}
+
+TEST(Checkpoint, TruncatedFilesThrow) {
+  const auto g = test_graph(111);
+  const std::string v1 = v1_bytes(g.edges, 2);
+  const std::string v2 = v2_bytes(g.edges, 2, reversed_ids(g.edges.nrows()));
+  const std::pair<std::string, const char*> cases[] = {
+      {v1.substr(0, 20), "v1 header"},
+      {v1.substr(0, v1.size() - 1), "v1 last entry"},
+      {"MCLXCKP2" + v1.substr(8), "v2 without its permutation size"},
+      {v2.substr(0, v2.size() - sizeof(vidx_t)), "v2 last permutation entry"},
+  };
+  for (const auto& [bytes, what] : cases) {
+    expect_load_error(bytes, "truncated file", what);
+  }
+}
+
+TEST(Checkpoint, EmptyMatrixRoundTrips) {
+  for (const vidx_t n : {vidx_t{0}, vidx_t{5}}) {
+    const dist::TriplesD m(n, n);
+    const std::string path = temp_path("ckp_empty.bin");
+    core::save_checkpoint(path, {m, 0});
+    EXPECT_EQ(read_file(path), v1_bytes(m, 0));
+    const auto back = core::load_checkpoint(path);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->completed_iterations, 0);
+    EXPECT_EQ(back->matrix, m);
   }
 }
 
@@ -229,16 +346,7 @@ TEST(Checkpoint, ResumeFromV2FileIgnoresItsPermutation) {
   const auto resumed = core::run_hipmcl_checkpointed(
       g.edges, params, core::HipMclConfig::optimized(), s2, path, 2);
   EXPECT_EQ(resumed.labels, reference.labels);
-  ASSERT_EQ(resumed.iters.size() + kDone, reference.iters.size());
-  for (std::size_t i = 0; i < resumed.iters.size(); ++i) {
-    const auto& x = resumed.iters[i];
-    const auto& y = reference.iters[i + kDone];
-    EXPECT_EQ(x.iter, y.iter);
-    EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
-        << "iteration " << y.iter;
-    EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << y.iter;
-    EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << y.iter;
-  }
+  expect_same_trajectory(resumed, reference, kDone);
 }
 
 TEST(Checkpoint, RerunOfAFinishedCheckpointReturnsItsClusters) {
@@ -263,6 +371,149 @@ TEST(Checkpoint, RerunOfAFinishedCheckpointReturnsItsClusters) {
   const auto cp = core::load_checkpoint(path);
   ASSERT_TRUE(cp.has_value());
   EXPECT_EQ(cp->completed_iterations, 4);
+}
+
+TEST(Checkpoint, RerunOfAFinishedCheckpointRewritesTheSameBytes) {
+  const auto g = test_graph(112);
+  core::MclParams params = test_params();
+  params.max_iters = 4;
+  const std::string path = temp_path("ckp_finished_bytes.bin");
+  sim::SimState s1(sim::summit_like(4));
+  core::run_hipmcl_checkpointed(g.edges, params,
+                                core::HipMclConfig::optimized(), s1, path, 2);
+  const std::string before = read_file(path);
+
+  sim::SimState s2(sim::summit_like(4));
+  core::run_hipmcl_checkpointed(g.edges, params,
+                                core::HipMclConfig::optimized(), s2, path, 2);
+  EXPECT_EQ(read_file(path), before);
+}
+
+TEST(Checkpoint, RerunOfAFinishedCheckpointKeepsItsFinalMatrix) {
+  const auto g = test_graph(113);
+  core::MclParams params = test_params();
+  params.max_iters = 4;
+  core::HipMclConfig config = core::HipMclConfig::optimized();
+  config.keep_final_matrix = true;
+  const std::string path = temp_path("ckp_finished_matrix.bin");
+  sim::SimState s1(sim::summit_like(4));
+  const auto first =
+      core::run_hipmcl_checkpointed(g.edges, params, config, s1, path, 2);
+  sim::SimState s2(sim::summit_like(4));
+  const auto again =
+      core::run_hipmcl_checkpointed(g.edges, params, config, s2, path, 2);
+  ASSERT_TRUE(first.final_matrix.has_value());
+  ASSERT_TRUE(again.final_matrix.has_value());
+  const auto want = first.final_matrix->to_csc();
+  const auto got = again.final_matrix->to_csc();
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(got.vals().size(), want.vals().size());
+  EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
+                        want.vals().size() * sizeof(val_t)),
+            0);
+}
+
+TEST(Checkpoint, CancelledRunResumesBitwise) {
+  // should_stop ends the run at an iteration boundary inside a chunk; the
+  // checkpoint written then holds exactly the iterations that ran, and a
+  // later call continues the uninterrupted trajectory.
+  const auto g = test_graph(114);
+  const auto params = test_params();
+  sim::SimState s0(sim::summit_like(4));
+  const auto reference = core::run_hipmcl(
+      g.edges, params, core::HipMclConfig::optimized(), s0);
+  constexpr int kStopAfter = 3;
+  ASSERT_GT(reference.iterations, kStopAfter);
+
+  const std::string path = temp_path("ckp_cancelled.bin");
+  core::HipMclConfig stopping = core::HipMclConfig::optimized();
+  int seen = 0;
+  stopping.on_iteration = [&seen](const core::IterationReport&) { ++seen; };
+  stopping.should_stop = [&seen] { return seen >= kStopAfter; };
+  sim::SimState s1(sim::summit_like(4));
+  const auto partial =
+      core::run_hipmcl_checkpointed(g.edges, params, stopping, s1, path, 5);
+  EXPECT_TRUE(partial.cancelled);
+  EXPECT_FALSE(partial.converged);
+  EXPECT_EQ(partial.iterations, kStopAfter);
+  const auto cp = core::load_checkpoint(path);
+  ASSERT_TRUE(cp.has_value());
+  EXPECT_EQ(cp->completed_iterations, kStopAfter);
+
+  sim::SimState s2(sim::summit_like(4));
+  const auto resumed = core::run_hipmcl_checkpointed(
+      g.edges, params, core::HipMclConfig::optimized(), s2, path, 5);
+  EXPECT_TRUE(resumed.converged);
+  EXPECT_EQ(resumed.labels, reference.labels);
+  expect_same_trajectory(resumed, reference, kStopAfter);
+}
+
+TEST(Checkpoint, ChunkedRunTrajectoryMatchesMonolithicBitwise) {
+  const auto g = test_graph(115);
+  const auto params = test_params();
+  core::HipMclConfig config = core::HipMclConfig::optimized();
+  config.keep_final_matrix = true;
+  sim::SimState s1(sim::summit_like(4));
+  const auto plain = core::run_hipmcl(g.edges, params, config, s1);
+  for (const int every : {1, 2, 5}) {
+    SCOPED_TRACE("every " + std::to_string(every));
+    sim::SimState s2(sim::summit_like(4));
+    const auto chunked = core::run_hipmcl_checkpointed(
+        g.edges, params, config, s2,
+        temp_path("ckp_chunked_bitwise.bin"), every);
+    EXPECT_EQ(chunked.labels, plain.labels);
+    expect_same_trajectory(chunked, plain, 0);
+    ASSERT_TRUE(chunked.final_matrix.has_value());
+    const auto want = plain.final_matrix->to_csc();
+    const auto got = chunked.final_matrix->to_csc();
+    EXPECT_EQ(got, want);
+    ASSERT_EQ(got.vals().size(), want.vals().size());
+    EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
+                          want.vals().size() * sizeof(val_t)),
+              0);
+  }
+}
+
+TEST(Checkpoint, ChunkedRunBitIdenticalAcrossThreadCounts) {
+  PoolGuard guard;
+  const auto g = test_graph(116);
+  const auto params = test_params();
+  const std::string path = temp_path("ckp_threads.bin");
+  const auto run = [&](int threads) {
+    std::remove(path.c_str());
+    par::set_threads(threads);
+    sim::SimState sim(sim::summit_like(4));
+    return core::run_hipmcl_checkpointed(
+        g.edges, params, core::HipMclConfig::optimized(), sim, path, 3);
+  };
+  const auto one = run(1);
+  const std::string one_file = read_file(path);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto many = run(threads);
+    EXPECT_EQ(many.labels, one.labels);
+    expect_same_trajectory(many, one, 0);
+    EXPECT_EQ(read_file(path), one_file);  // the stored matrix too
+  }
+}
+
+TEST(Checkpoint, StoredMatrixIsColumnStochastic) {
+  const auto g = test_graph(117);
+  core::MclParams params = test_params();
+  params.max_iters = 3;
+  const std::string path = temp_path("ckp_stochastic.bin");
+  sim::SimState sim(sim::summit_like(4));
+  core::run_hipmcl_checkpointed(g.edges, params,
+                                core::HipMclConfig::optimized(), sim, path, 2);
+  const auto cp = core::load_checkpoint(path);
+  ASSERT_TRUE(cp.has_value());
+  ASSERT_EQ(cp->completed_iterations, 3);
+  const auto sums =
+      sparse::column_sums(sparse::csc_from_triples(cp->matrix));
+  ASSERT_EQ(sums.size(), static_cast<std::size_t>(g.edges.ncols()));
+  for (std::size_t j = 0; j < sums.size(); ++j) {
+    EXPECT_NEAR(sums[j], 1.0, 1e-9) << "column " << j;
+  }
 }
 
 TEST(Checkpoint, InvalidEveryThrows) {

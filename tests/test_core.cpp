@@ -21,6 +21,8 @@
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/permute.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 #include "prune_blocks.hpp"
@@ -359,6 +361,142 @@ TEST(HipMcl, UnsortedInputWithSplitDuplicatesRunsBitwiseLikeItsCanonicalForm) {
     EXPECT_EQ(x.nnz_before, y.nnz_before) << "iteration " << i;
     EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << i;
     EXPECT_EQ(x.flops, y.flops) << "iteration " << i;
+  }
+}
+
+/// `labels` renumbered by first occurrence in vertex order.
+std::vector<vidx_t> by_first_vertex(const std::vector<vidx_t>& labels) {
+  std::vector<vidx_t> renamed(labels.size());
+  std::vector<vidx_t> id(labels.size(), -1);
+  vidx_t next = 0;
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    auto& slot = id[static_cast<std::size_t>(labels[v])];
+    if (slot < 0) slot = next++;
+    renamed[v] = slot;
+  }
+  return renamed;
+}
+
+TEST(HipMcl, LabelsNumberClustersByTheirSmallestVertex) {
+  gen::PlantedParams gp;
+  gp.n = 240;
+  gp.seed = 15;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 25;
+  sim::SimState sim(sim::summit_like(4));
+  const auto result = core::run_hipmcl(g.edges, params,
+                                       core::HipMclConfig::optimized(), sim);
+  ASSERT_EQ(result.labels.size(), static_cast<std::size_t>(gp.n));
+  ASSERT_GT(result.num_clusters, 1);
+  EXPECT_EQ(result.labels, by_first_vertex(result.labels));
+  EXPECT_EQ(*std::max_element(result.labels.begin(), result.labels.end()) + 1,
+            result.num_clusters);
+}
+
+TEST(HipMcl, RelabeledInputFindsTheRelabeledPartition) {
+  // run_hipmcl works in the input's own vertex ids: the same graph under
+  // other ids spreads over the grid differently, yet must cluster the
+  // same vertices together, reported under their new ids.
+  gen::PlantedParams gp;
+  gp.n = 240;
+  gp.seed = 16;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 25;
+  sim::SimState s1(sim::summit_like(4));
+  const auto base = core::run_hipmcl(g.edges, params,
+                                     core::HipMclConfig::optimized(), s1);
+  ASSERT_TRUE(base.converged);
+  util::Xoshiro256 rng(17);
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE("permutation " + std::to_string(trial));
+    const auto perm = sparse::random_permutation<vidx_t>(gp.n, rng);
+    T relabeled = g.edges;
+    sparse::permute_symmetric(relabeled, perm);
+    relabeled.sort_and_combine();
+    sim::SimState s2(sim::summit_like(4));
+    const auto moved = core::run_hipmcl(relabeled, params,
+                                        core::HipMclConfig::optimized(), s2);
+    EXPECT_TRUE(moved.converged);
+    EXPECT_EQ(moved.num_clusters, base.num_clusters);
+    EXPECT_EQ(moved.labels,
+              by_first_vertex(sparse::permute_labels(base.labels, perm)));
+  }
+}
+
+TEST(HipMcl, FinalMatrixLinksOnlyVerticesOfOneCluster) {
+  // The kept matrix is in the input's vertex ids, the space the labels
+  // are reported in: each entry joins two vertices of the same cluster.
+  gen::PlantedParams gp;
+  gp.n = 200;
+  gp.seed = 18;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 25;
+  core::HipMclConfig config = core::HipMclConfig::optimized();
+  config.keep_final_matrix = true;
+  sim::SimState sim(sim::summit_like(4));
+  const auto result = core::run_hipmcl(g.edges, params, config, sim);
+  ASSERT_TRUE(result.final_matrix.has_value());
+  const C final_matrix = result.final_matrix->to_csc();
+  ASSERT_EQ(final_matrix.ncols(), gp.n);
+  for (vidx_t j = 0; j < final_matrix.ncols(); ++j) {
+    const auto begin = final_matrix.colptr()[j];
+    const auto end = final_matrix.colptr()[j + 1];
+    EXPECT_LT(begin, end) << "column " << j << " is empty";
+    for (auto p = begin; p < end; ++p) {
+      const vidx_t i = final_matrix.rowids()[p];
+      EXPECT_EQ(result.labels[static_cast<std::size_t>(i)],
+                result.labels[static_cast<std::size_t>(j)])
+          << "entry (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(HipMcl, OptimizedRunBitIdenticalAcrossThreadCounts) {
+  // The pool width never reaches results or the virtual clock on the
+  // GPU path either: labels, per-iteration reports and the final matrix
+  // are bit-identical at any thread count.
+  struct PoolGuard {
+    ~PoolGuard() { par::set_threads(0); }
+  } guard;
+  gen::PlantedParams gp;
+  gp.n = 240;
+  gp.seed = 19;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 25;
+  core::HipMclConfig config = core::HipMclConfig::optimized();
+  config.keep_final_matrix = true;
+  const auto run = [&](int threads) {
+    par::set_threads(threads);
+    sim::SimState sim(sim::summit_like(4));
+    return core::run_hipmcl(g.edges, params, config, sim);
+  };
+  const auto one = run(1);
+  const C want = one.final_matrix->to_csc();
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto many = run(threads);
+    EXPECT_EQ(many.labels, one.labels);
+    EXPECT_EQ(many.elapsed, one.elapsed);
+    ASSERT_EQ(many.iters.size(), one.iters.size());
+    for (std::size_t i = 0; i < one.iters.size(); ++i) {
+      const auto& x = many.iters[i];
+      const auto& y = one.iters[i];
+      EXPECT_EQ(std::memcmp(&x.chaos, &y.chaos, sizeof(double)), 0)
+          << "iteration " << i;
+      EXPECT_EQ(x.nnz_after_prune, y.nnz_after_prune) << "iteration " << i;
+      EXPECT_EQ(x.phases, y.phases) << "iteration " << i;
+      EXPECT_EQ(x.stage_times, y.stage_times) << "iteration " << i;
+    }
+    const C got = many.final_matrix->to_csc();
+    EXPECT_EQ(got, want);
+    ASSERT_EQ(got.vals().size(), want.vals().size());
+    EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
+                          want.vals().size() * sizeof(val_t)),
+              0);
   }
 }
 

@@ -2,7 +2,9 @@
 // and the pair-counting cluster scorer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "gen/datasets.hpp"
 #include "gen/er.hpp"
@@ -142,6 +144,52 @@ TEST(Planted, HeavyTailedFamilySizes) {
   }
   EXPECT_GT(max_size, 30);  // a large family exists
   EXPECT_GT(singles, 10);   // and many tiny ones
+}
+
+TEST(Planted, PermutedVerticesScatterTheSameFamilies) {
+  // permute_vertices relabels the graph drawn from the same seed: the
+  // consecutive families land scattered over the vertex ids, with the
+  // same sizes, edges and weights.
+  gen::PlantedParams p;
+  p.n = 500;
+  p.seed = 21;
+  p.permute_vertices = false;
+  const auto plain = gen::planted_partition(p);
+  p.permute_vertices = true;
+  const auto scattered = gen::planted_partition(p);
+
+  const auto boundaries = [](const std::vector<vidx_t>& labels) {
+    int changes = 0;
+    for (std::size_t v = 1; v < labels.size(); ++v) {
+      changes += labels[v] != labels[v - 1];
+    }
+    return changes;
+  };
+  EXPECT_TRUE(std::is_sorted(plain.labels.begin(), plain.labels.end()));
+  EXPECT_EQ(boundaries(plain.labels), plain.num_families - 1);
+  EXPECT_GT(boundaries(scattered.labels), 4 * boundaries(plain.labels));
+
+  const auto family_sizes = [](const gen::PlantedGraph& g) {
+    std::vector<vidx_t> sizes(static_cast<std::size_t>(g.num_families));
+    for (const vidx_t l : g.labels) ++sizes[static_cast<std::size_t>(l)];
+    return sizes;
+  };
+  EXPECT_EQ(scattered.num_families, plain.num_families);
+  EXPECT_EQ(family_sizes(scattered), family_sizes(plain));
+
+  const auto weights = [](const gen::PlantedGraph& g, bool intra) {
+    std::vector<val_t> out;
+    for (const auto& e : g.edges) {
+      const bool same = g.labels[static_cast<std::size_t>(e.row)] ==
+                        g.labels[static_cast<std::size_t>(e.col)];
+      if (same == intra) out.push_back(e.val);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  ASSERT_EQ(scattered.edges.nnz(), plain.edges.nnz());
+  EXPECT_EQ(weights(scattered, true), weights(plain, true));
+  EXPECT_EQ(weights(scattered, false), weights(plain, false));
 }
 
 TEST(Planted, InvalidParamsThrow) {

@@ -364,6 +364,35 @@ TEST_P(SvcCancelResume, ResumedTrajectoryMatchesBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(PoolWidths, SvcCancelResume, testing::Values(1, 4));
 
+TEST(SvcScheduler, ResubmittedFinishedCheckpointJobReturnsItsLabels) {
+  // A job whose checkpoint already holds max_iters iterations runs none
+  // on resubmission and still ends done with the stored matrix's labels.
+  const std::string ckpt = temp_path("svc_finished.ckpt");
+  std::remove(ckpt.c_str());
+  svc::SchedulerOptions options;
+  options.max_concurrent = 1;
+  svc::Scheduler scheduler(options);
+  const auto submit = [&](const std::string& id) {
+    svc::JobSpec spec = tiny_job(id);
+    spec.params.max_iters = 4;
+    spec.checkpoint_path = ckpt;
+    spec.checkpoint_every = 2;
+    scheduler.submit(spec);
+    return scheduler.wait(id);
+  };
+  const svc::JobOutcome first = submit("first");
+  ASSERT_EQ(first.state, svc::JobState::kDone);
+  ASSERT_EQ(first.iterations, 4);
+  ASSERT_FALSE(first.labels.empty());
+
+  const svc::JobOutcome again = submit("again");
+  EXPECT_EQ(again.state, svc::JobState::kDone);
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_EQ(again.labels, first.labels);
+  EXPECT_EQ(again.num_clusters, first.num_clusters);
+  std::remove(ckpt.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Manifest loading.
 
