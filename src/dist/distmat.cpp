@@ -78,18 +78,22 @@ DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid) {
   colptr[0] = 0;
 
   // A column is sorted in place by stable insertion when short — a self
-  // loop appended after a sorted column moves one entry — and through a
-  // scratch buffer of (row, value) pairs when long, where insertion
-  // could go quadratic.
+  // loop appended after a sorted column moves one entry. A long column,
+  // where insertion could go quadratic, takes such a last entry by one
+  // binary search and rotate; any other disorder goes through a scratch
+  // buffer of (row, value) pairs.
   constexpr vidx_t kInsertionMax = 64;
-  const auto col_sorted = [&](std::size_t c) {
-    return std::is_sorted(rows.begin() + colptr[c],
-                          rows.begin() + colptr[c + 1]);
+  const auto sorted_until = [&](std::size_t c) {
+    return static_cast<std::size_t>(
+        std::is_sorted_until(rows.begin() + colptr[c],
+                             rows.begin() + colptr[c + 1]) -
+        rows.begin());
   };
   std::size_t scratch_len = 0;
   for (std::size_t c = 0; c < ncols; ++c) {
     const vidx_t len = colptr[c + 1] - colptr[c];
-    if (len > kInsertionMax && !col_sorted(c)) {
+    if (len > kInsertionMax &&
+        sorted_until(c) + 1 < static_cast<std::size_t>(colptr[c + 1])) {
       scratch_len = std::max(scratch_len, static_cast<std::size_t>(len));
     }
   }
@@ -122,7 +126,15 @@ DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid) {
         rows[q] = r;
         vals[q] = v;
       }
-    } else if (!col_sorted(c)) {
+    } else if (const std::size_t until = sorted_until(c); until + 1 == e) {
+      // Upper bound: the last entry goes after the rows equal to it,
+      // which all came before it in input order.
+      vidx_t* const r = rows.data();
+      val_t* const v = vals.data();
+      vidx_t* const at = std::upper_bound(r + b, r + until, r[until]);
+      std::rotate(v + (at - r), v + until, v + e);
+      std::rotate(at, r + until, r + e);
+    } else if (until < e) {
       scratch.clear();
       for (std::size_t p = b; p < e; ++p) {
         scratch.emplace_back(rows[p], vals[p]);

@@ -3,9 +3,11 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -218,6 +220,39 @@ void write_file_atomic(const std::string& path, std::string_view content) {
 // ---------------------------------------------------------------------------
 // StatusServer
 
+namespace {
+
+/// How long a client has to send its request line. The server answers
+/// one connection at a time, so this bounds how long a silent or slow
+/// client holds up every other request and the server's shutdown.
+constexpr std::chrono::microseconds kRequestDeadline = std::chrono::seconds(1);
+
+/// Longest request line read; a longer one is a bad request.
+constexpr std::size_t kMaxRequestLine = 2048;
+
+constexpr std::string_view kPlainText =
+    "text/plain; version=0.0.4; charset=utf-8";
+
+void respond(int fd, std::string_view status, std::string_view type,
+             std::string_view body) {
+  std::ostringstream response;
+  response << "HTTP/1.1 " << status << "\r\n"
+           << "Content-Type: " << type << "\r\n"
+           << "Content-Length: " << body.size() << "\r\n"
+           << "Connection: close\r\n\r\n"
+           << body;
+  const std::string out = response.str();
+  std::size_t sent = 0;
+  while (sent < out.size()) {
+    const ssize_t w =
+        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (w <= 0) return;
+    sent += static_cast<std::size_t>(w);
+  }
+}
+
+}  // namespace
+
 StatusServer::StatusServer(int port, Content content)
     : content_(std::move(content)) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -264,37 +299,60 @@ void StatusServer::serve_loop() {
 }
 
 void StatusServer::handle(int fd) {
-  // One short GET per connection; the request line is all we route on.
-  char buf[2048];
-  const ssize_t n = ::recv(fd, buf, sizeof(buf) - 1, 0);
-  if (n <= 0) return;
-  buf[n] = '\0';
-  const std::string request(buf);
-  std::string body;
-  std::string status = "200 OK";
-  std::string type = "text/plain; version=0.0.4; charset=utf-8";
-  if (request.rfind("GET /metrics", 0) == 0) {
-    body = content_.metrics_text ? content_.metrics_text() : "";
-  } else if (request.rfind("GET /jobs", 0) == 0) {
-    body = content_.jobs_json ? content_.jobs_json() : "[]";
-    type = "application/json";
-  } else {
-    status = "404 Not Found";
-    body = "try /metrics or /jobs\n";
+  // One short GET per connection, routed on its request line. The line
+  // must arrive before the deadline: every recv waits at most the time
+  // left, so a client that trickles bytes cannot stretch it either.
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
+  std::string request;
+  bool timed_out = false;
+  while (request.find('\n') == std::string::npos &&
+         request.size() < kMaxRequestLine) {
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      timed_out = true;
+      break;
+    }
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(left.count() / 1'000'000);
+    tv.tv_usec = static_cast<suseconds_t>(left.count() % 1'000'000);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    char buf[512];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      request.append(buf, static_cast<std::size_t>(n));
+    } else if (n < 0 && errno != EINTR) {
+      timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
+      break;
+    } else if (n == 0) {
+      break;  // the client closed its side: route what it sent
+    }
   }
-  std::ostringstream response;
-  response << "HTTP/1.1 " << status << "\r\n"
-           << "Content-Type: " << type << "\r\n"
-           << "Content-Length: " << body.size() << "\r\n"
-           << "Connection: close\r\n\r\n"
-           << body;
-  const std::string out = response.str();
-  std::size_t sent = 0;
-  while (sent < out.size()) {
-    const ssize_t w =
-        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-    if (w <= 0) return;
-    sent += static_cast<std::size_t>(w);
+  if (timed_out) {
+    respond(fd, "408 Request Timeout", kPlainText,
+            "no request line within the deadline\n");
+    return;
+  }
+  if (request.empty()) return;
+
+  // "GET <path>[ <version>]"; a query string does not change the route.
+  const std::string_view line = std::string_view(request).substr(
+      0, request.find_first_of("\r\n"));
+  std::string_view path;
+  if (line.substr(0, 4) == "GET ") {
+    path = line.substr(4, line.find(' ', 4) - 4);
+    path = path.substr(0, path.find('?'));
+  }
+  if (line.size() >= kMaxRequestLine || path.empty() || path[0] != '/') {
+    respond(fd, "400 Bad Request", kPlainText, "expected GET <path>\n");
+  } else if (path == "/metrics") {
+    respond(fd, "200 OK", kPlainText,
+            content_.metrics_text ? content_.metrics_text() : "");
+  } else if (path == "/jobs") {
+    respond(fd, "200 OK", "application/json",
+            content_.jobs_json ? content_.jobs_json() : "[]");
+  } else {
+    respond(fd, "404 Not Found", kPlainText, "try /metrics or /jobs\n");
   }
 }
 

@@ -74,8 +74,11 @@ void write_file_atomic(const std::string& path, std::string_view content);
 
 /// Minimal blocking loopback HTTP status endpoint. One accept loop on its
 /// own thread, one request per connection, 127.0.0.1 only. GET /metrics
-/// returns Content.metrics_text(), GET /jobs returns Content.jobs_json();
-/// anything else is a 404. Not a production web server — a scrape target.
+/// returns Content.metrics_text(), GET /jobs returns Content.jobs_json(),
+/// and any other path is a 404. A request line that is not `GET <path>`
+/// gets a 400, and one that has not arrived a second after the accept a
+/// 408, so a silent client delays other requests and the destructor by
+/// at most that second. Not a production web server — a scrape target.
 class StatusServer {
  public:
   struct Content {

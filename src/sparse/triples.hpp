@@ -75,8 +75,11 @@ class Triples {
   /// when `drop_zeros` is set. Stable sort keeps duplicates in insertion
   /// order so floating-point summation is deterministic — symmetric
   /// generators rely on (i,j) and (j,i) accumulating in the same order.
+  /// Sorted data skips the sort: a stable sort of it is the identity.
   void sort_and_combine(bool drop_zeros = false) {
-    std::stable_sort(data_.begin(), data_.end(), col_major_less<IT, VT>);
+    if (!is_sorted()) {
+      std::stable_sort(data_.begin(), data_.end(), col_major_less<IT, VT>);
+    }
     std::size_t out = 0;
     for (std::size_t i = 0; i < data_.size();) {
       triple_type acc = data_[i++];

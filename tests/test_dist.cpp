@@ -271,9 +271,10 @@ TEST_P(FromTriplesPin, EqualsSortThenBucketPathBitwise) {
 }
 
 TEST_P(FromTriplesPin, LongColumnsEqualSortThenBucketPathBitwise) {
-  // A column longer than the 64-entry insertion limit is ordered through
-  // the scratch buffer's stable sort, or left alone when already sorted;
-  // the cases above never get that long.
+  // A column longer than the 64-entry insertion limit is left alone when
+  // already sorted, takes a last entry out of order by binary search and
+  // rotate, and is otherwise ordered through the scratch buffer's stable
+  // sort; the cases above never get that long.
   const ProcGrid grid(GetParam());
   std::vector<std::pair<std::string, T>> cases;
   {
@@ -314,6 +315,24 @@ TEST_P(FromTriplesPin, LongColumnsEqualSortThenBucketPathBitwise) {
     T t = random_triples(200, 5, 800, 23);
     for (vidx_t v = 0; v < 5; ++v) t.push(v, v, 1.0);
     cases.emplace_back("self loops long 200x5", std::move(t));
+  }
+  {
+    // A loop appended after a long sorted column that already holds its
+    // row twice, with 1.0 each: in input order the sum is (1 + 1) + 1e16
+    // = 1e16 + 2, while the loop placed first would give (1e16 + 1) + 1
+    // = 1e16. Column 0's loop lands at its start, column 3's in its
+    // middle, and column 4, which never holds row 4, takes its loop as a
+    // new row.
+    T t(80, 5);
+    for (vidx_t c = 0; c < 5; ++c) {
+      for (vidx_t r = 0; r < 80; ++r) {
+        if (r == 4 && c == 4) continue;
+        t.push(r, c, 1.0);
+        if (r == c) t.push(r, c, 1.0);
+      }
+    }
+    for (vidx_t v = 0; v < 5; ++v) t.push(v, v, 1e16);
+    cases.emplace_back("loops on held rows 80x5", std::move(t));
   }
 
   for (const auto& [name, t] : cases) {

@@ -1,8 +1,13 @@
 // Matrix Market IO: round trips, header variants (pattern / integer /
-// symmetric), and malformed-input rejection.
+// symmetric), the entry-line grammar line by line, and malformed-input
+// rejection.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "io/matrix_market.hpp"
 #include "util/rng.hpp"
@@ -109,6 +114,193 @@ TEST(MatrixMarket, FileRoundTrip) {
 TEST(MatrixMarket, MissingFileThrows) {
   EXPECT_THROW(io::read_matrix_market_file("/nonexistent/nope.mtx"),
                std::runtime_error);
+}
+
+// One entry line of a 3x3 file each: either the triple it reads as
+// (0-based, value compared by bits), or the error it raises, which must
+// quote the line. Each row is also the answer of a reader built on
+// istream extraction, except where an index runs into text: extraction
+// read "1 1.5 0.5" as (1, 1, 0.5) and the pattern line "1 2x" as (1, 2).
+struct EntryLine {
+  std::string line;
+  const char* error = nullptr;  // nullptr: the line reads as the triple
+  vidx_t row = 0;
+  vidx_t col = 0;
+  double val = 0.0;
+};
+
+MmTriples read_one_entry(const std::string& field, const std::string& line) {
+  std::istringstream in("%%MatrixMarket matrix coordinate " + field +
+                        " general\n3 3 1\n" + line + "\n");
+  return io::read_matrix_market(in);
+}
+
+void expect_entry(const std::string& field, const EntryLine& c) {
+  SCOPED_TRACE("entry line \"" + c.line + "\"");
+  if (c.error) {
+    try {
+      (void)read_one_entry(field, c.line);
+      ADD_FAILURE() << "parsed without error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(c.error) + ": " +
+                                           c.line),
+                std::string::npos)
+          << e.what();
+    }
+    return;
+  }
+  const MmTriples m = read_one_entry(field, c.line);
+  ASSERT_EQ(m.nnz(), 1u);
+  EXPECT_EQ(m.data()[0].row, c.row);
+  EXPECT_EQ(m.data()[0].col, c.col);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.data()[0].val),
+            std::bit_cast<std::uint64_t>(c.val))
+      << m.data()[0].val;
+}
+
+TEST(MatrixMarket, EntryLineCorpus) {
+  constexpr double kMinSubnormal = std::numeric_limits<double>::denorm_min();
+  const EntryLine cases[] = {
+      // A leading '+' that no other sign follows.
+      {"+1 1 0.5", nullptr, 0, 0, 0.5},
+      {"1 +2 0.5", nullptr, 0, 1, 0.5},
+      {"1 1 +0.5", nullptr, 0, 0, 0.5},
+      {"+-1 1 0.5", "bad entry line"},
+      {"1 1 +-0.5", "missing value"},
+      {"1 1 ++0.5", "missing value"},
+      // Underflow reads as ±0, or as the subnormal it rounds to.
+      {"1 1 1e-400", nullptr, 0, 0, 0.0},
+      {"1 1 -1e-400", nullptr, 0, 0, -0.0},
+      {"1 1 2.47e-324", nullptr, 0, 0, 0.0},
+      {"1 1 4.9e-324", nullptr, 0, 0, kMinSubnormal},
+      {"1 1 2.4703282292062328e-324", nullptr, 0, 0, kMinSubnormal},
+      {"1 1 1e-320", nullptr, 0, 0, 1e-320},
+      {"1 1 2.2250738585072011e-308", nullptr, 0, 0, 2.2250738585072011e-308},
+      // Overflow, NaN and infinity fail.
+      {"1 1 1e308", nullptr, 0, 0, 1e308},
+      {"1 1 1.8e308", "missing value"},
+      {"1 1 -1e400", "missing value"},
+      {"1 1 nan", "missing value"},
+      {"1 1 NaN", "missing value"},
+      {"1 1 inf", "missing value"},
+      {"1 1 -inf", "missing value"},
+      {"1 1 infinity", "missing value"},
+      // An exponent needs digits; an 'e' after a complete one is
+      // trailing text.
+      {"1 1 0.5e", "missing value"},
+      {"1 1 1e+", "missing value"},
+      {"1 1 1E-", "missing value"},
+      {"1 1 5.e", "missing value"},
+      {"1 1 5e3e", nullptr, 0, 0, 5000.0},
+      {"1 1 5E+3x", nullptr, 0, 0, 5000.0},
+      // An index ends at a blank: the one deliberate tightening.
+      {"1 1.5 0.5", "bad entry line"},
+      {"1.5 1 0.5", "bad entry line"},
+      {"1e0 1 0.5", "bad entry line"},
+      // The value's digits end where extraction's do.
+      {"1 1 0x10", nullptr, 0, 0, 0.0},
+      {"1 1 .5", nullptr, 0, 0, 0.5},
+      {"1 1 5.", nullptr, 0, 0, 5.0},
+      {"1 1 0.5.3", nullptr, 0, 0, 0.5},
+      {"1 1 0.5abc", nullptr, 0, 0, 0.5},
+      {"1 1 0.5 trailing words", nullptr, 0, 0, 0.5},
+      {"1 1 -0", nullptr, 0, 0, -0.0},
+      {"1 1 -0.0", nullptr, 0, 0, -0.0},
+      {"1 1 0.1", nullptr, 0, 0, 0.1},
+      {"1 1 1.00000000000000011102230246251565404236316680908203125",
+       nullptr, 0, 0, 1.0},
+      {"1 1 1.00000000000000011102230246251565404236316680908203126",
+       nullptr, 0, 0, 1.0000000000000002},
+      {"2 3 -7.25e-3", nullptr, 1, 2, -7.25e-3},
+      {"3 3 007", nullptr, 2, 2, 7.0},
+      // Blanks: tabs, a CRLF line end, leading blanks.
+      {"1\t2\t0.5", nullptr, 0, 1, 0.5},
+      {"2 1 0.5\r", nullptr, 1, 0, 0.5},
+      {"  \t3 2 \v0.5\f", nullptr, 2, 1, 0.5},
+      // Lines that are not entries.
+      {"", "bad entry line"},
+      {"\r", "bad entry line"},
+      {"% a comment", "bad entry line"},
+      {"1,1,0.5", "bad entry line"},
+      {"1 x 0.5", "bad entry line"},
+      {"1", "bad entry line"},
+      {"99999999999999999999 1 0.5", "bad entry line"},
+      {"1 -99999999999999999999 0.5", "bad entry line"},
+      {"1 1", "missing value"},
+      {"1 1 \r", "missing value"},
+      {"1 1 .", "missing value"},
+      {"1 1 - 5", "missing value"},
+      {"1 1 x", "missing value"},
+      // Indices outside 1..3.
+      {"0 1 0.5", "entry out of bounds"},
+      {"1 0 0.5", "entry out of bounds"},
+      {"4 1 0.5", "entry out of bounds"},
+      {"1 4 0.5", "entry out of bounds"},
+      {"-1 1 0.5", "entry out of bounds"},
+      {"9223372036854775807 1 0.5", "entry out of bounds"},
+  };
+  for (const EntryLine& c : cases) expect_entry("real", c);
+}
+
+TEST(MatrixMarket, PatternAndIntegerEntryLines) {
+  const EntryLine pattern[] = {
+      {"1 2", nullptr, 0, 1, 1.0},
+      {"1 2\r", nullptr, 0, 1, 1.0},
+      {"1 2 7.5 ignored", nullptr, 0, 1, 1.0},
+      {"1 2 nan", nullptr, 0, 1, 1.0},
+      {"1 2x", "bad entry line"},  // an index ends at a blank
+      {"1", "bad entry line"},
+      {"4 2", "entry out of bounds"},
+  };
+  for (const EntryLine& c : pattern) expect_entry("pattern", c);
+  const EntryLine integer[] = {
+      {"1 2 3", nullptr, 0, 1, 3.0},
+      {"1 2 -3", nullptr, 0, 1, -3.0},
+      {"1 2 3.5", nullptr, 0, 1, 3.5},
+      {"1 2", "missing value"},
+  };
+  for (const EntryLine& c : integer) expect_entry("integer", c);
+}
+
+TEST(MatrixMarket, EntryListRules) {
+  const std::string header = "%%MatrixMarket matrix coordinate real general\n";
+  const auto read = [&](const std::string& body) {
+    std::istringstream in(header + body);
+    return io::read_matrix_market(in);
+  };
+  const auto error_of = [&](const std::string& body) -> std::string {
+    try {
+      (void)read(body);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // Lines after the claimed count are ignored, whatever they hold.
+  EXPECT_EQ(read("3 3 1\n1 1 0.5\nnot an entry\n").nnz(), 1u);
+  // The last line may end without a '\n', and lines may end in CRLF.
+  EXPECT_EQ(read("3 3 2\r\n1 1 0.5\r\n2 2 0.25").nnz(), 2u);
+  // An empty line or a comment among the entries is a bad line.
+  EXPECT_NE(error_of("3 3 3\n1 1 0.5\n\n2 2 0.5\n").find("bad entry line: "),
+            std::string::npos);
+  EXPECT_NE(error_of("3 3 3\n1 1 0.5\n% late\n2 2 0.5\n")
+                .find("bad entry line: % late"),
+            std::string::npos);
+  // The earliest bad line is the one named ...
+  EXPECT_NE(error_of("3 3 3\n1 1 0.5\n4 1 0.5\n1 1 nan\n")
+                .find("entry out of bounds: 4 1 0.5"),
+            std::string::npos);
+  // ... also when the file then ends early (a reader that collected
+  // every line before parsing reported the end instead).
+  EXPECT_NE(error_of("3 3 5\n1 1 0.5\n1 1 nan\n")
+                .find("missing value: 1 1 nan"),
+            std::string::npos);
+  EXPECT_NE(error_of("3 3 5\n1 1 0.5\n2 2 0.5\n")
+                .find("unexpected end of entries"),
+            std::string::npos);
+  EXPECT_NE(error_of("3 3 1\n").find("unexpected end of entries"),
+            std::string::npos);
+  EXPECT_EQ(read("3 3 0\n").nnz(), 0u);
 }
 
 TEST(MatrixMarket, OneBasedIndexingOnDisk) {

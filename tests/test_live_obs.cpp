@@ -10,14 +10,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -513,19 +517,30 @@ TEST(Expo, WriteFileAtomicThrowsCleanlyWhenOpenFails) {
 // ---------------------------------------------------------------------------
 // StatusServer over localhost.
 
-std::string http_get(int port, const std::string& target) {
+/// How long a test client waits for an answer before giving up: far
+/// above the server's one-second request deadline, so a loaded host
+/// cannot fail a test, while a server stuck on a client still fails it
+/// instead of hanging it.
+constexpr int kClientWaitSeconds = 10;
+
+/// A loopback client connected to `port`.
+int connect_client(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  const timeval wait{kClientWaitSeconds, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof(wait));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  const std::string request =
-      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
+  return fd;
+}
+
+/// Everything the server sends until it closes (or the wait runs out),
+/// then closes the client.
+std::string read_response(int fd) {
   std::string response;
   char buf[1024];
   ssize_t n;
@@ -534,6 +549,18 @@ std::string http_get(int port, const std::string& target) {
   }
   ::close(fd);
   return response;
+}
+
+std::string http_send(int port, const std::string& request) {
+  const int fd = connect_client(port);
+  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  return read_response(fd);
+}
+
+std::string http_get(int port, const std::string& target) {
+  return http_send(port,
+                   "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n");
 }
 
 TEST(StatusServer, ServesMetricsJobsAnd404OverLoopback) {
@@ -572,6 +599,55 @@ TEST(StatusServer, RendersContentPerRequestNotPerConstruction) {
             std::string::npos);
   EXPECT_NE(http_get(server.port(), "/metrics").find("count 2"),
             std::string::npos);
+}
+
+TEST(StatusServer, AnswersMalformedRequestLinesWith400) {
+  obs::StatusServer::Content content;
+  content.metrics_text = [] { return std::string("mclx_up 1\n"); };
+  obs::StatusServer server(0, content);
+  const std::string requests[] = {
+      "POST /metrics HTTP/1.1\r\n\r\n", "GET\r\n\r\n",
+      "GET metrics HTTP/1.1\r\n\r\n", "hello\n",
+      // No line end within the longest request line the server reads.
+      std::string(2048, 'G')};
+  for (const std::string& request : requests) {
+    EXPECT_NE(http_send(server.port(), request).find("400 Bad Request"),
+              std::string::npos)
+        << request.substr(0, 40);
+  }
+  // A query string does not change the route, and the server still
+  // answers after the bad requests.
+  EXPECT_NE(http_get(server.port(), "/metrics?x=1").find("mclx_up 1"),
+            std::string::npos);
+}
+
+TEST(StatusServer, SilentClientDelaysNeitherMetricsNorShutdown) {
+  obs::StatusServer::Content content;
+  content.metrics_text = [] { return std::string("mclx_up 1\n"); };
+  auto server = std::make_unique<obs::StatusServer>(0, content);
+  const int port = server->port();
+
+  // A client that connects and sends nothing: the server answers the
+  // next client's scrape once the request deadline has passed, and the
+  // silent one with a 408.
+  const int silent = connect_client(port);
+  const std::string metrics = http_get(port, "/metrics");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  EXPECT_NE(metrics.find("mclx_up 1\n"), std::string::npos);
+  EXPECT_NE(read_response(silent).find("408 Request Timeout"),
+            std::string::npos);
+
+  // Destroying the server while a silent client is connected returns.
+  const int second_silent = connect_client(port);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto destroyed = std::async(std::launch::async, [&server] { server.reset(); });
+  const bool returned = destroyed.wait_for(std::chrono::seconds(
+                            kClientWaitSeconds)) == std::future_status::ready;
+  // Closing the client lets a server stuck on it finish, so the test
+  // fails rather than hangs.
+  ::close(second_silent);
+  destroyed.wait();
+  EXPECT_TRUE(returned);
 }
 
 }  // namespace

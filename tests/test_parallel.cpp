@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -455,6 +456,93 @@ TEST_P(ThreadSweep, MatrixMarketParse) {
   par::set_threads(GetParam());
   std::istringstream in_par(text);
   EXPECT_EQ(seq, io::read_matrix_market(in_par));
+}
+
+/// A symmetric Matrix Market file of more than 2.5 MiB, so its entry
+/// lines span three of the reader's 1 MiB blocks, with the triples it must
+/// read as. Lines vary in length, so the blocks end mid-line; every
+/// seventh line ends in CRLF, every fifth is tab-separated, and the
+/// last one has no '\n'.
+struct BigSymmetricFile {
+  std::string text;
+  T expected;
+};
+
+const BigSymmetricFile& big_symmetric_file() {
+  static const BigSymmetricFile file = [] {
+    constexpr vidx_t kN = 3'000;
+    constexpr int kEntries = 110'000;
+    BigSymmetricFile f;
+    f.expected = T(kN, kN);
+    std::ostringstream mtx;
+    mtx.precision(17);
+    mtx << "%%MatrixMarket matrix coordinate real symmetric\n"
+        << "% generated\n"
+        << kN << ' ' << kN << ' ' << kEntries << '\n';
+    util::Xoshiro256 rng(41);
+    for (int e = 0; e < kEntries; ++e) {
+      auto r = static_cast<vidx_t>(rng.bounded(kN));
+      auto c = static_cast<vidx_t>(rng.bounded(kN));
+      if (r < c) std::swap(r, c);
+      const double v = std::ldexp(rng.uniform_pos() - 0.5,
+                                  static_cast<int>(rng.bounded(40)) - 20);
+      f.expected.push(r, c, v);
+      if (r != c) f.expected.push(c, r, v);
+      const char* sep = e % 5 == 0 ? "\t" : " ";
+      mtx << r + 1 << sep << c + 1 << sep << v;
+      if (e + 1 < kEntries) mtx << (e % 7 == 0 ? "\r\n" : "\n");
+    }
+    f.text = mtx.str();
+    f.expected.sort_and_combine();
+    return f;
+  }();
+  return file;
+}
+
+/// `text` with the whole line that starts after byte `offset` replaced.
+std::string replace_line_after(std::string text, std::size_t offset,
+                               const std::string& line) {
+  const std::size_t begin = text.find('\n', offset) + 1;
+  const std::size_t end = text.find_first_of("\r\n", begin);
+  return text.replace(begin, end - begin, line);
+}
+
+TEST_P(ThreadSweep, MatrixMarketBlocks) {
+  const BigSymmetricFile& file = big_symmetric_file();
+  ASSERT_GE(file.text.size(), std::size_t{5} << 19);
+
+  std::istringstream in(file.text);
+  const io::MmTriples got = io::read_matrix_market(in);
+  ASSERT_EQ(got.nnz(), file.expected.nnz());
+  for (std::size_t i = 0; i < got.nnz(); ++i) {
+    const auto& a = got.data()[i];
+    const auto& b = file.expected.data()[i];
+    ASSERT_EQ(a.row, b.row) << i;
+    ASSERT_EQ(a.col, b.col) << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.val),
+              std::bit_cast<std::uint64_t>(b.val))
+        << i;
+  }
+
+  // Bad lines past the first block: the earliest is named, also when a
+  // later one falls in the same block at another lane, or in a later
+  // block.
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::istringstream bad_in(text);
+    try {
+      (void)io::read_matrix_market(bad_in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  std::string bad = replace_line_after(file.text, 1'300'000, "17 x 0.5");
+  bad = replace_line_after(bad, 1'900'000, "1 1 nan");
+  bad = replace_line_after(bad, 2'600'000, "0 1 0.5");
+  EXPECT_NE(error_of(bad).find("bad entry line: 17 x 0.5"), std::string::npos);
+  EXPECT_NE(error_of(replace_line_after(file.text, 2'600'000, "3001 1 0.5"))
+                .find("entry out of bounds: 3001 1 0.5"),
+            std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ThreadSweep,
