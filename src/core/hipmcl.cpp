@@ -205,18 +205,11 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
                                  : sim.machine().mem_per_rank;
 
   // --- initialization: self loops + column-stochastic normalization -----
-  // No sort here: DistMat::from_triples canonicalizes (sums duplicates in
-  // input order).
-  dist::TriplesD init(graph.nrows(), graph.ncols());
-  init.reserve(graph.nnz() + (params.add_self_loops
-                                  ? static_cast<std::size_t>(graph.nrows())
-                                  : 0));
-  init.data().assign(graph.begin(), graph.end());
-  if (params.add_self_loops) {
-    for (vidx_t v = 0; v < graph.nrows(); ++v) init.push_unchecked(v, v, 1.0);
-  }
-
-  dist::DistMat a = dist::DistMat::from_triples(init, grid);
+  // No sort and no copy here: DistMat::from_triples canonicalizes (sums
+  // duplicates in input order) and appends each self loop after its
+  // column's edges.
+  dist::DistMat a =
+      dist::DistMat::from_triples(graph, grid, params.add_self_loops);
   if (!config.assume_stochastic) distributed_normalize(a, sim);
 
   MclResult result;
@@ -248,32 +241,31 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     }
     rep.used_exact_estimator = use_exact;
 
-    {
-      // Gathered view used for real math: the flop count and the
-      // estimator. Scoped so it is freed before expansion, where the
-      // run's memory peaks.
-      const dist::CscD ga = a.to_csc();
-      rep.flops = sparse::spgemm_flops(ga, ga);
-      if (use_exact) {
+    // Gathered view used for real math: the flop count, the estimator
+    // and the expansion's product, which reuses it rather than gather
+    // again.
+    const dist::CscD ga = a.to_csc();
+    const obs::MemScope ga_mem("dist.gather", ga.bytes());
+    rep.flops = sparse::spgemm_flops(ga, ga);
+    if (use_exact) {
+      rep.exact_unpruned_nnz =
+          static_cast<double>(spgemm::symbolic_nnz(ga, ga));
+      rep.est_unpruned_nnz = rep.exact_unpruned_nnz;
+      charge_symbolic_sweep(a, sim, rep.flops);
+    } else {
+      // Seeds derive from the *global* iteration index so a checkpoint-
+      // resumed run (start_iteration > 0) draws the sketches the
+      // uninterrupted run would have drawn.
+      const auto est = estimate::cohen_nnz_estimate(
+          ga, ga, config.cohen_keys,
+          util::derive_seed(config.seed,
+                            static_cast<std::uint64_t>(
+                                config.start_iteration + iter)));
+      rep.est_unpruned_nnz = est.total;
+      charge_cohen(a, sim, config.cohen_keys, config.gpu_estimation);
+      if (config.measure_estimation_error) {
         rep.exact_unpruned_nnz =
-            static_cast<double>(spgemm::symbolic_nnz(ga, ga));
-        rep.est_unpruned_nnz = rep.exact_unpruned_nnz;
-        charge_symbolic_sweep(a, sim, rep.flops);
-      } else {
-        // Seeds derive from the *global* iteration index so a checkpoint-
-        // resumed run (start_iteration > 0) draws the sketches the
-        // uninterrupted run would have drawn.
-        const auto est = estimate::cohen_nnz_estimate(
-            ga, ga, config.cohen_keys,
-            util::derive_seed(config.seed,
-                              static_cast<std::uint64_t>(
-                                  config.start_iteration + iter)));
-        rep.est_unpruned_nnz = est.total;
-        charge_cohen(a, sim, config.cohen_keys, config.gpu_estimation);
-        if (config.measure_estimation_error) {
-          rep.exact_unpruned_nnz =
-              static_cast<double>(spgemm::symbolic_nnz(ga, ga));  // uncharged
-        }
+            static_cast<double>(spgemm::symbolic_nnz(ga, ga));  // uncharged
       }
     }
     rep.cf = rep.est_unpruned_nnz > 0
@@ -300,7 +292,7 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     opt.cf_estimate = rep.cf;
     const PruneParams prune = params.prune;
     dist::SummaResult expansion = dist::summa_multiply(
-        a, a, sim, opt,
+        a, a, ga, ga, sim, opt,
         [&prune, &grid, &sim](int /*phase*/, std::vector<dist::CscD>& chunks) {
           prune_chunks(chunks, grid, prune, sim);
         });

@@ -54,25 +54,35 @@ void DistMat::set_block(int i, int j, const CscD& b) {
   set_block(i, j, sparse::dcsc_from_csc(b));
 }
 
-DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid) {
+DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid,
+                              bool unit_diagonal) {
   DistMat m(t.nrows(), t.ncols(), grid);
   const int dim = grid.dim();
   const auto ncols = static_cast<std::size_t>(t.ncols());
+  const std::size_t diagonal =
+      unit_diagonal ? static_cast<std::size_t>(std::min(t.nrows(), t.ncols()))
+                    : 0;
 
   // Stage the input column-major in one stable scatter: count each
   // global column, then place rows and values so every column keeps
-  // input order. After the scatter colptr[c] is column c's end, so
-  // shifting it by one slot makes it the start again.
+  // input order, the unit diagonal last. After the scatter colptr[c] is
+  // column c's end, so shifting it by one slot makes it the start again.
   std::vector<vidx_t> colptr(ncols + 1, 0);
   for (const auto& e : t) ++colptr[static_cast<std::size_t>(e.col) + 1];
+  for (std::size_t c = 0; c < diagonal; ++c) ++colptr[c + 1];
   for (std::size_t c = 1; c <= ncols; ++c) colptr[c] += colptr[c - 1];
-  std::vector<vidx_t> rows(t.nnz());
-  std::vector<val_t> vals(t.nnz());
+  std::vector<vidx_t> rows(t.nnz() + diagonal);
+  std::vector<val_t> vals(rows.size());
   for (const auto& e : t) {
     const auto p = static_cast<std::size_t>(
         colptr[static_cast<std::size_t>(e.col)]++);
     rows[p] = e.row;
     vals[p] = e.val;
+  }
+  for (std::size_t c = 0; c < diagonal; ++c) {
+    const auto p = static_cast<std::size_t>(colptr[c]++);
+    rows[p] = static_cast<vidx_t>(c);
+    vals[p] = 1.0;
   }
   std::copy_backward(colptr.begin(), colptr.end() - 1, colptr.end());
   colptr[0] = 0;

@@ -29,8 +29,12 @@ class DistMat {
 
   /// Scatter global triples, in any order, into blocks. Duplicates are
   /// summed in input order, so the blocks are bitwise those of
-  /// sort_and_combine followed by a per-block dcsc_from_triples.
-  static DistMat from_triples(const TriplesD& t, ProcGrid grid);
+  /// sort_and_combine followed by a per-block dcsc_from_triples. With
+  /// `unit_diagonal`, every column c < min(nrows, ncols) also gets a
+  /// (c, c, 1.0) after its input entries: the blocks of `t` with those
+  /// triples appended, without copying `t`.
+  static DistMat from_triples(const TriplesD& t, ProcGrid grid,
+                              bool unit_diagonal = false);
 
   /// Gather to global triples (canonicalized).
   TriplesD to_triples() const;

@@ -1,10 +1,12 @@
 #include "dist/summa.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "gpuk/multigpu.hpp"
 #include "merge/binary.hpp"
 #include "merge/multiway.hpp"
 #include "obs/mem.hpp"
@@ -12,7 +14,7 @@
 #include "sim/collectives.hpp"
 #include "sim/costmodel.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/ops.hpp"
+#include "spgemm/hash.hpp"
 
 namespace mclx::dist {
 
@@ -35,6 +37,352 @@ struct RankDelta {
   vtime_t gpu_idle_before = 0;
 };
 
+/// The phase pass's per-row state over A's rows, one output column at a
+/// time: the running total of the row's earlier stages, the partial of
+/// its current stage, and that stage (-1 while the row is untouched).
+/// A product of a new stage folds the partial into the total; totals and
+/// partials rest at -0.0, the identity of +, so the first fold assigns
+/// bit for bit. The column then emits total + partial per row: the left
+/// fold S1 + S2 + … of the per-stage products, each summed in B's
+/// column order — the bits of hash_spgemm per block and kway_merge's
+/// left fold over the stages (docs/KERNELS.md, "Fold order").
+class StageAccumulator {
+ public:
+  explicit StageAccumulator(vidx_t nrows)
+      : sums_(static_cast<std::size_t>(nrows), Sums{-0.0, -0.0}),
+        stage_(sums_.size(), -1),
+        touched_(sums_.size()),
+        bits_((sums_.size() + 63) / 64, 0) {}
+
+  std::uint64_t bytes() const {
+    return static_cast<std::uint64_t>(sums_.size()) *
+               (sizeof(Sums) + sizeof(int) + sizeof(vidx_t)) +
+           static_cast<std::uint64_t>(bits_.size()) * sizeof(std::uint64_t);
+  }
+
+  /// Adds stage k's product v to `row`. Returns the stage of the row's
+  /// previous product in this column (-1 for none): k unless this is the
+  /// row's first product of stage k.
+  int add(vidx_t row, int k, val_t v) {
+    const auto r = static_cast<std::size_t>(row);
+    const int prev = stage_[r];
+    Sums& s = sums_[r];
+    if (prev == k) {
+      s.partial += v;
+    } else {
+      if (prev < 0) touched_[size_++] = row;
+      s.total += s.partial;
+      s.partial = v;
+      stage_[r] = k;
+    }
+    return prev;
+  }
+
+  /// Appends the column's entries sorted by row, then starts a new column.
+  void extract(std::vector<vidx_t>& rows, std::vector<val_t>& vals) {
+    rows.resize(size_);
+    vals.resize(size_);
+    vidx_t* out_rows = rows.data();
+    val_t* out_vals = vals.data();
+    spgemm::detail::visit_sorted(
+        touched_.data(), size_, bits_.data(), [&](std::size_t r) {
+          *out_rows++ = static_cast<vidx_t>(r);
+          *out_vals++ = sums_[r].total + sums_[r].partial;
+          sums_[r] = {-0.0, -0.0};
+          stage_[r] = -1;
+        });
+    size_ = 0;
+  }
+
+ private:
+  struct Sums {
+    val_t total;
+    val_t partial;
+  };
+
+  std::vector<Sums> sums_;
+  std::vector<int> stage_;
+  std::vector<vidx_t> touched_;
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> bits_;
+};
+
+/// Builds each phase's chunks in one pass over the phase's global columns
+/// of the gathered operands, and counts what the stage loop charges for
+/// them. A product's stage is the block that holds its inner index; B's
+/// column entries are sorted by row, so stages arrive in order. Each
+/// column of A is split by row block once (`alen_`), so a B entry's flops
+/// per rank are known without touching its products, and only a row's
+/// first product of a stage looks up its rank.
+class PhasePass {
+ public:
+  /// `device_slices`: the devices per rank whose column slices to count
+  /// (0: none). With `binary_merge`, the pass also counts the size of
+  /// every stage range Algorithm 2 folds short of the whole phase.
+  PhasePass(const DistMat& a, const DistMat& b, const CscD& ga,
+            const CscD& gb, int device_slices, bool binary_merge)
+      : a_(a), b_(b), ga_(ga), gb_(gb), dim_(a.dim()),
+        device_slices_(device_slices > 0),
+        nslices_(std::max(device_slices, 1)), acc_(ga.nrows()),
+        row_block_(static_cast<std::size_t>(ga.nrows())),
+        alen_(static_cast<std::size_t>(ga.ncols()) *
+              static_cast<std::size_t>(dim_)),
+        ranges_of_(static_cast<std::size_t>(dim_)),
+        rows_(static_cast<std::size_t>(dim_)),
+        vals_(static_cast<std::size_t>(dim_)),
+        mem_("summa.accumulator", 0) {
+    const auto dim = static_cast<std::size_t>(dim_);
+    for (int i = 0; i <= dim_; ++i) {
+      row_off_.push_back(a.row_offset(i));
+      inner_off_.push_back(b.row_offset(i));
+    }
+    for (std::size_t i = 0; i < dim; ++i) {
+      std::fill(row_block_.begin() + row_off_[i],
+                row_block_.begin() + row_off_[i + 1], static_cast<int>(i));
+    }
+    for (vidx_t kk = 0; kk < ga.ncols(); ++kk) {
+      for (const vidx_t row : ga.col_rows(kk)) {
+        ++alen_[static_cast<std::size_t>(kk) * dim +
+                static_cast<std::size_t>(
+                    row_block_[static_cast<std::size_t>(row)])];
+      }
+    }
+    if (binary_merge) {
+      for (const auto& range : merge::BinarySchedule::merged_ranges(dim_)) {
+        if (range == std::pair{0, dim_}) continue;  // the chunk itself
+        for (int k = range.first; k < range.second; ++k) {
+          ranges_of_[static_cast<std::size_t>(k)].push_back(
+              {range.first, static_cast<int>(ranges_.size())});
+        }
+        ranges_.push_back(range);
+      }
+    }
+    charged_ = fixed_bytes();
+    mem_.add(charged_);
+  }
+
+  /// Builds phase `phase`'s chunks and counts.
+  void run(int phase, int phases);
+
+  /// Rank (i, j)'s stage-k multiply as the stage loop sees it: A(i, k)
+  /// and the phase's columns of B(k, j), decompressed to CSC.
+  spgemm::MultiplyCounts multiply(int i, int j, int k) const;
+
+  /// Bytes of the phase's columns of B(k, j) as a CSC.
+  bytes_t b_chunk_bytes(int k, int j) const {
+    return CscD::bytes_for(width_[static_cast<std::size_t>(j)],
+                           multiply(0, j, k).b_nnz);
+  }
+
+  /// Entries of the sum of rank r's stage products [first, end).
+  std::uint64_t merged_size(int r, int first, int end) const {
+    const auto ri = static_cast<std::size_t>(r);
+    if (first == 0 && end == dim_) return chunks_[ri].nnz();
+    const auto u = static_cast<std::size_t>(
+        std::find(ranges_.begin(), ranges_.end(), std::pair{first, end}) -
+        ranges_.begin());
+    return unions_[ri * ranges_.size() + u];
+  }
+
+  /// Per rank: the phase's chunk, block-local rows and phase-local
+  /// columns.
+  std::vector<CscD>& chunks() { return chunks_; }
+
+ private:
+  struct RangeRef {
+    int first;
+    int index;
+  };
+
+  std::uint64_t fixed_bytes() const {
+    return acc_.bytes() + row_block_.size() * sizeof(int) +
+           alen_.size() * sizeof(vidx_t);
+  }
+
+  const DistMat& a_;
+  const DistMat& b_;
+  const CscD& ga_;
+  const CscD& gb_;
+  int dim_;
+  bool device_slices_;
+  int nslices_;
+  StageAccumulator acc_;
+  std::vector<vidx_t> row_off_;    ///< C's (and A's) row-block offsets
+  std::vector<vidx_t> inner_off_;  ///< stage offsets of the inner index
+  std::vector<int> row_block_;     ///< per row of A: its row block
+  std::vector<vidx_t> alen_;       ///< [kk·dim + i]: A(:,kk)'s rows in block i
+  std::vector<std::pair<int, int>> ranges_;       ///< counted stage ranges
+  std::vector<std::vector<RangeRef>> ranges_of_;  ///< per stage
+  std::vector<vidx_t> col_rows_;   ///< one output column, sorted by row
+  std::vector<val_t> col_vals_;
+  std::vector<std::vector<vidx_t>> rows_;  ///< per row block: chunk buffers,
+  std::vector<std::vector<val_t>> vals_;   ///< reused across grid columns
+  obs::MemScope mem_;
+  std::uint64_t charged_ = 0;
+
+  // One phase's results.
+  std::vector<CscD> chunks_;
+  std::vector<vidx_t> width_;  ///< per grid column: the chunk width
+  /// Per grid column j, slice d, stage k and row block i, at
+  /// ((j·nslices + d)·dim + k)·dim + i, so a B entry's row blocks are
+  /// adjacent; B entries need no row block.
+  std::vector<std::uint64_t> flops_;
+  std::vector<std::uint64_t> c_nnz_;
+  std::vector<std::uint64_t> b_nnz_;  ///< at (j·nslices + d)·dim + k
+  /// Per rank r, stage k and slice d, at (r·dim + k)·nslices + d: the
+  /// counts above, laid out for MultiplyCounts::slices.
+  std::vector<gpuk::SliceCounts> slices_;
+  /// Per rank r and counted range u, at r·ranges_.size() + u.
+  std::vector<std::uint64_t> unions_;
+};
+
+void PhasePass::run(int phase, int phases) {
+  const auto dim = static_cast<std::size_t>(dim_);
+  const auto ns = static_cast<std::size_t>(nslices_);
+  const std::size_t nr = ranges_.size();
+  flops_.assign(dim * ns * dim * dim, 0);
+  c_nnz_.assign(flops_.size(), 0);
+  b_nnz_.assign(dim * ns * dim, 0);
+  width_.assign(dim, 0);
+  unions_.assign(dim * dim * nr, 0);
+  chunks_.resize(dim * dim);
+
+  const vidx_t* acp = ga_.colptr().data();
+  const vidx_t* arows = ga_.rowids().data();
+  const val_t* avals = ga_.vals().data();
+  const vidx_t* bcp = gb_.colptr().data();
+  const vidx_t* brows = gb_.rowids().data();
+  const val_t* bvals = gb_.vals().data();
+  std::vector<std::size_t> rank_of(dim);
+  std::vector<std::vector<vidx_t>> colptr(dim);
+
+  for (std::size_t j = 0; j < dim; ++j) {
+    const auto [c0, c1] =
+        phase_col_range(b_.block_cols(static_cast<int>(j)), phase, phases);
+    const vidx_t width = c1 - c0;
+    width_[j] = width;
+    const vidx_t per = gpuk::slice_width(width, nslices_);
+    for (std::size_t i = 0; i < dim; ++i) {
+      rank_of[i] = static_cast<std::size_t>(
+          a_.grid().rank_of(static_cast<int>(i), static_cast<int>(j)));
+      rows_[i].clear();
+      vals_[i].clear();
+      colptr[i].assign(static_cast<std::size_t>(width) + 1, 0);
+    }
+
+    const vidx_t gc0 = b_.col_offset(static_cast<int>(j)) + c0;
+    for (vidx_t c = 0; c < width; ++c) {
+      const std::size_t jd = j * ns + static_cast<std::size_t>(c / per);
+      std::uint64_t* const flops = flops_.data() + jd * dim * dim;
+      std::uint64_t* const c_nnz = c_nnz_.data() + jd * dim * dim;
+      std::uint64_t* const b_nnz = b_nnz_.data() + jd * dim;
+      int k = 0;
+      for (vidx_t p = bcp[gc0 + c]; p < bcp[gc0 + c + 1]; ++p) {
+        const vidx_t kk = brows[p];
+        const val_t bv = bvals[p];
+        while (kk >= inner_off_[static_cast<std::size_t>(k) + 1]) ++k;
+        const auto sk = static_cast<std::size_t>(k);
+        ++b_nnz[sk];
+        const vidx_t* len = alen_.data() + static_cast<std::size_t>(kk) * dim;
+        for (std::size_t i = 0; i < dim; ++i) {
+          flops[sk * dim + i] += static_cast<std::uint64_t>(len[i]);
+        }
+        const auto& ranges = ranges_of_[sk];
+        for (vidx_t q = acp[kk]; q < acp[kk + 1]; ++q) {
+          const vidx_t row = arows[q];
+          const int prev = acc_.add(row, k, avals[q] * bv);
+          if (prev == k) continue;
+          const auto i =
+              static_cast<std::size_t>(row_block_[static_cast<std::size_t>(row)]);
+          ++c_nnz[sk * dim + i];
+          for (const RangeRef& range : ranges) {
+            if (prev < range.first) {
+              ++unions_[rank_of[i] * nr + static_cast<std::size_t>(range.index)];
+            }
+          }
+        }
+      }
+
+      // The column's rows are sorted, so each row block's are one run.
+      acc_.extract(col_rows_, col_vals_);
+      auto from = col_rows_.begin();
+      for (std::size_t i = 0; i < dim; ++i) {
+        const auto to = std::lower_bound(from, col_rows_.end(), row_off_[i + 1]);
+        const vidx_t offset = row_off_[i];
+        for (auto it = from; it != to; ++it) rows_[i].push_back(*it - offset);
+        vals_[i].insert(vals_[i].end(),
+                        col_vals_.begin() + (from - col_rows_.begin()),
+                        col_vals_.begin() + (to - col_rows_.begin()));
+        colptr[i][static_cast<std::size_t>(c) + 1] =
+            static_cast<vidx_t>(rows_[i].size());
+        from = to;
+      }
+    }
+
+    // Exact-size copies: the growth slack stays in the reused buffers.
+    std::uint64_t buffers = 0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      chunks_[rank_of[i]] = CscD(
+          a_.block_rows(static_cast<int>(i)), width, std::move(colptr[i]),
+          std::vector<vidx_t>(rows_[i].begin(), rows_[i].end()),
+          std::vector<val_t>(vals_[i].begin(), vals_[i].end()));
+      buffers += rows_[i].capacity() * sizeof(vidx_t) +
+                 vals_[i].capacity() * sizeof(val_t);
+    }
+    const std::uint64_t held = fixed_bytes() + buffers +
+                               col_rows_.capacity() * sizeof(vidx_t) +
+                               col_vals_.capacity() * sizeof(val_t);
+    if (held > charged_) {
+      mem_.add(held - charged_);
+      charged_ = held;
+    }
+  }
+
+  // Lay the counts out per rank for the stage loop.
+  slices_.assign(dim * dim * dim * ns, {});
+  for (std::size_t j = 0; j < dim; ++j) {
+    const vidx_t per = gpuk::slice_width(width_[j], nslices_);
+    for (std::size_t d = 0; d < ns; ++d) {
+      const vidx_t ncols = std::clamp<vidx_t>(
+          width_[j] - static_cast<vidx_t>(d) * per, 0, per);
+      for (std::size_t k = 0; k < dim; ++k) {
+        const std::size_t at = ((j * ns + d) * dim + k) * dim;
+        for (std::size_t i = 0; i < dim; ++i) {
+          const auto r = static_cast<std::size_t>(
+              a_.grid().rank_of(static_cast<int>(i), static_cast<int>(j)));
+          gpuk::SliceCounts& s = slices_[(r * dim + k) * ns + d];
+          s.ncols = ncols;
+          s.b_nnz = b_nnz_[(j * ns + d) * dim + k];
+          s.flops = flops_[at + i];
+          s.c_nnz = c_nnz_[at + i];
+        }
+      }
+    }
+  }
+}
+
+spgemm::MultiplyCounts PhasePass::multiply(int i, int j, int k) const {
+  const auto first = (static_cast<std::size_t>(a_.grid().rank_of(i, j)) *
+                          static_cast<std::size_t>(dim_) +
+                      static_cast<std::size_t>(k)) *
+                     static_cast<std::size_t>(nslices_);
+  const std::span<const gpuk::SliceCounts> slices(
+      slices_.data() + first, static_cast<std::size_t>(nslices_));
+  spgemm::MultiplyCounts n;
+  n.a_nrows = a_.block_rows(i);
+  n.a_bytes = CscD::bytes_for(a_.block_cols(k), a_.block_nnz(i, k));
+  n.b_ncols = width_[static_cast<std::size_t>(j)];
+  std::size_t used = 0;
+  for (std::size_t d = 0; d < slices.size(); ++d) {
+    n.b_nnz += slices[d].b_nnz;
+    n.flops += slices[d].flops;
+    n.c_nnz += slices[d].c_nnz;
+    if (slices[d].ncols > 0) used = d + 1;
+  }
+  if (device_slices_) n.slices = slices.first(used);
+  return n;
+}
+
 }  // namespace
 
 std::pair<vidx_t, vidx_t> phase_col_range(vidx_t block_cols, int phase,
@@ -50,6 +398,18 @@ std::pair<vidx_t, vidx_t> phase_col_range(vidx_t block_cols, int phase,
 SummaResult summa_multiply(const DistMat& a, const DistMat& b,
                            sim::SimState& sim, const SummaOptions& opt,
                            const PhaseSink& sink) {
+  const CscD ga = a.to_csc();
+  const obs::MemScope ga_mem("dist.gather", ga.bytes());
+  if (&a == &b) return summa_multiply(a, b, ga, ga, sim, opt, sink);
+  const CscD gb = b.to_csc();
+  const obs::MemScope gb_mem("dist.gather", gb.bytes());
+  return summa_multiply(a, b, ga, gb, sim, opt, sink);
+}
+
+SummaResult summa_multiply(const DistMat& a, const DistMat& b,
+                           const CscD& ga, const CscD& gb,
+                           sim::SimState& sim, const SummaOptions& opt,
+                           const PhaseSink& sink) {
   if (a.ncols() != b.nrows())
     throw std::invalid_argument("summa: inner dimension mismatch");
   if (a.dim() != b.dim())
@@ -57,6 +417,10 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   if (sim.nranks() != a.grid().nranks())
     throw std::invalid_argument("summa: simulator rank count mismatch");
   if (opt.phases <= 0) throw std::invalid_argument("summa: phases <= 0");
+  if (ga.nrows() != a.nrows() || ga.ncols() != a.ncols() ||
+      ga.nnz() != a.nnz() || gb.nrows() != b.nrows() ||
+      gb.ncols() != b.ncols() || gb.nnz() != b.nnz())
+    throw std::invalid_argument("summa: gathered operand mismatch");
 
   const int dim = a.dim();
   const int nranks = sim.nranks();
@@ -66,6 +430,12 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   std::vector<spgemm::LocalMultiplier> mults;
   mults.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) mults.emplace_back(model, opt.kernel);
+
+  // The pass counts device slices only when a GPU kind can run.
+  PhasePass pass(a, b, ga, gb,
+                 mults.front().may_use_devices() ? mults.front().num_devices()
+                                                 : 0,
+                 opt.binary_merge);
 
   // Snapshot per-rank counters so stats reflect only this call.
   std::vector<RankDelta> deltas(static_cast<std::size_t>(nranks));
@@ -102,28 +472,28 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
         sim.rank(r).gpu_skew_to(sim.rank(r).cpu_now());
       }
     }
-    // Fresh mergers each phase. Per-rank ledger tracks mirror each
-    // merger's resident elements as bytes: the simulation visits ranks
-    // sequentially, so a shared label would conflate ranks, while
-    // per-rank labels let prefix_high_water_max("merge.resident.")
-    // re-derive merge_peak_elements_max independently.
-    std::vector<merge::BinaryMerger<vidx_t, val_t>> bmergers;
-    std::vector<merge::MultiwayMerger<vidx_t, val_t>> mmergers;
-    if (opt.binary_merge) {
-      bmergers.resize(static_cast<std::size_t>(nranks));
-    } else {
-      mmergers.resize(static_cast<std::size_t>(nranks));
-    }
+    pass.run(phase, opt.phases);
+
+    // Fresh merge schedules each phase, replayed on the counted stage
+    // products. Per-rank ledger tracks mirror each schedule's resident
+    // elements as bytes: the simulation visits ranks sequentially, so a
+    // shared label would conflate ranks, while per-rank labels let
+    // prefix_high_water_max("merge.resident.") re-derive
+    // merge_peak_elements_max independently.
+    std::vector<merge::BinarySchedule> binary(
+        opt.binary_merge ? static_cast<std::size_t>(nranks) : 0);
+    std::vector<merge::MultiwaySchedule> multiway(
+        opt.binary_merge ? 0 : static_cast<std::size_t>(nranks));
     if (obs::MemLedger* ml = obs::context().ledger) {
       constexpr std::uint64_t kBytesPerElem = sizeof(vidx_t) + sizeof(val_t);
       for (int r = 0; r < nranks; ++r) {
         obs::MemTracker tracker(ml, "merge.resident.r" + std::to_string(r),
                                 kBytesPerElem);
         if (opt.binary_merge) {
-          bmergers[static_cast<std::size_t>(r)].set_mem_tracker(
+          binary[static_cast<std::size_t>(r)].set_mem_tracker(
               std::move(tracker));
         } else {
-          mmergers[static_cast<std::size_t>(r)].set_mem_tracker(
+          multiway[static_cast<std::size_t>(r)].set_mem_tracker(
               std::move(tracker));
         }
       }
@@ -151,23 +521,13 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
     };
 
     for (int k = 0; k < dim; ++k) {
-      // Decompress this stage's operand blocks once (real work); every
-      // receiving rank is charged its own conversion below.
-      std::vector<CscD> a_csc(static_cast<std::size_t>(dim));
-      std::vector<CscD> b_chunk(static_cast<std::size_t>(dim));
-      for (int i = 0; i < dim; ++i) {
-        a_csc[static_cast<std::size_t>(i)] =
-            sparse::csc_from_dcsc(a.block(i, k));
-      }
-      for (int j = 0; j < dim; ++j) {
-        const CscD full = sparse::csc_from_dcsc(b.block(k, j));
-        const auto [c0, c1] = phase_col_range(full.ncols(), phase, opt.phases);
-        b_chunk[static_cast<std::size_t>(j)] =
-            sparse::csc_col_slice(full, c0, c1);
-      }
+      // Every receiving rank decompresses its operand blocks to CSC; the
+      // staging they would take is charged from the counts.
       std::uint64_t staging_bytes = 0;
-      for (const CscD& m : a_csc) staging_bytes += m.bytes();
-      for (const CscD& m : b_chunk) staging_bytes += m.bytes();
+      for (int i = 0; i < dim; ++i) {
+        staging_bytes += CscD::bytes_for(a.block_cols(k), a.block_nnz(i, k));
+      }
+      for (int j = 0; j < dim; ++j) staging_bytes += pass.b_chunk_bytes(k, j);
       obs::MemScope staging_mem("summa.staging", staging_bytes);
 
       // Row broadcasts of A(i,k); column broadcasts of B(k,j)'s chunk.
@@ -180,27 +540,25 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
       }
       for (int j = 0; j < dim; ++j) {
         const auto group = a.grid().col_ranks(j);
-        const bytes_t bytes = b_chunk[static_cast<std::size_t>(j)].bytes();
+        const bytes_t bytes = pass.b_chunk_bytes(k, j);
         obs::record("summa.bcast_bytes", static_cast<double>(bytes));
         obs::MemScope payload_mem("summa.bcast_payload", bytes);
         sim::sim_bcast(sim, group, bytes, Stage::kSummaBcast);
       }
 
-      // Local multiplies.
+      // Local multiplies, charged from their counts.
       for (int i = 0; i < dim; ++i) {
         for (int j = 0; j < dim; ++j) {
           const int r = a.grid().rank_of(i, j);
           auto& tl = sim.rank(r);
-          const CscD& ablk = a_csc[static_cast<std::size_t>(i)];
-          const CscD& bblk = b_chunk[static_cast<std::size_t>(j)];
+          const spgemm::MultiplyCounts n = pass.multiply(i, j, k);
 
           tl.cpu_run(Stage::kOther,
                      conversion_cost(model, static_cast<std::uint64_t>(
-                                                ablk.ncols() + bblk.ncols())));
+                                                a.block_cols(k) + n.b_ncols)));
 
-          spgemm::LocalSpgemmResult lr =
-              mults[static_cast<std::size_t>(r)].multiply(ablk, bblk,
-                                                          opt.cf_estimate);
+          const spgemm::LocalSpgemmResult lr =
+              mults[static_cast<std::size_t>(r)].charge(n, opt.cf_estimate);
           stats.total_flops += lr.flops;
           if (lr.gpu_fallback) ++stats.gpu_fallbacks;
 
@@ -224,8 +582,10 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
           flush_pending(r);
 
           if (opt.binary_merge) {
-            auto outcome =
-                bmergers[static_cast<std::size_t>(r)].push(std::move(lr.c));
+            const auto outcome = binary[static_cast<std::size_t>(r)].push(
+                n.c_nnz, [&](int, int first, int end) {
+                  return pass.merged_size(r, first, end);
+                });
             if (outcome.merged) {
               auto& p = pending[static_cast<std::size_t>(r)];
               p.armed = true;
@@ -234,42 +594,42 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
               p.ready = result_ready[static_cast<std::size_t>(r)];
             }
           } else {
-            mmergers[static_cast<std::size_t>(r)].push(std::move(lr.c));
+            multiway[static_cast<std::size_t>(r)].push(n.c_nnz);
           }
         }
       }
     }
 
-    // Finalize mergers; collect this phase's chunks.
-    std::vector<CscD> chunks(static_cast<std::size_t>(nranks));
+    // Finalize the merge schedules; this phase's chunks are the pass's.
     for (int r = 0; r < nranks; ++r) {
       auto& tl = sim.rank(r);
       const auto ri = static_cast<std::size_t>(r);
       if (opt.binary_merge) {
         flush_pending(r);  // any merge still armed from the last stage
-        auto [chunk, outcome] = bmergers[ri].finalize();
+        const auto outcome =
+            binary[ri].finalize([&](int, int first, int end) {
+              return pass.merged_size(r, first, end);
+            });
         tl.cpu_wait_until(result_ready[ri]);
         if (outcome.merged) {
           tl.cpu_run(Stage::kMerge,
                      model.merge(outcome.elements, outcome.ways));
         }
         rank_peak[ri] = std::max(rank_peak[ri],
-                                 bmergers[ri].stats().peak_elements);
-        chunks[ri] = std::move(chunk);
+                                 binary[ri].stats().peak_elements);
       } else {
         tl.cpu_wait_until(result_ready[ri]);
-        CscD chunk = mmergers[ri].finalize();
-        const auto& ev = mmergers[ri].stats().events;
-        if (!ev.empty()) {
-          tl.cpu_run(Stage::kMerge,
-                     model.merge(ev.back().elements, ev.back().ways));
+        const merge::MergeEvent e = multiway[ri].finalize(
+            [&] { return pass.merged_size(r, 0, dim); });
+        if (e.ways > 0) {
+          tl.cpu_run(Stage::kMerge, model.merge(e.elements, e.ways));
         }
         rank_peak[ri] = std::max(rank_peak[ri],
-                                 mmergers[ri].stats().peak_elements);
-        chunks[ri] = std::move(chunk);
+                                 multiway[ri].stats().peak_elements);
       }
       tl.join();
     }
+    std::vector<CscD>& chunks = pass.chunks();
 
     // Measure the unpruned product before the sink mutates the chunks:
     // summed over ranks and phases this is exactly nnz(A·B), the actual

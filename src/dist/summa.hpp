@@ -5,6 +5,16 @@
 // multiplies its received pair locally and merges the per-stage partial
 // products into its C block.
 //
+// The host computes each phase's chunks once, in one pass over the
+// phase's global columns of the gathered operands, folding the stages
+// left to right exactly as the per-block products and their merges
+// would. The pass counts what the stage loop charges — per rank and
+// stage the flops and product nnz, per device slice the same, and the
+// size of every stage range the binary merge folds — and the stage loop
+// replays kernel selection, GPU reservations, merges and every virtual
+// time from those counts: stage products and merge intermediates are
+// counted, not built.
+//
 // Variants (§III, §IV):
 //  * blocking   — original HipMCL: bcast → multiply → next stage; merging
 //                 deferred to a single multiway pass after the last stage.
@@ -79,8 +89,17 @@ struct SummaResult {
 };
 
 /// Distributed multiply. `a` and `b` must share the grid size and agree on
-/// the inner dimension; `sim` must have grid-size ranks.
+/// the inner dimension; `sim` must have grid-size ranks. Gathers the
+/// operands (once when `a` and `b` are one matrix).
 SummaResult summa_multiply(const DistMat& a, const DistMat& b,
+                           sim::SimState& sim, const SummaOptions& opt,
+                           const PhaseSink& sink = {});
+
+/// The same multiply on operands the caller has gathered already:
+/// `ga` is a.to_csc() and `gb` is b.to_csc() (one object when `a` and
+/// `b` are one matrix).
+SummaResult summa_multiply(const DistMat& a, const DistMat& b,
+                           const CscD& ga, const CscD& gb,
                            sim::SimState& sim, const SummaOptions& opt,
                            const PhaseSink& sink = {});
 

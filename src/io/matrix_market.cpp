@@ -244,10 +244,12 @@ MmTriples read_matrix_market(std::istream& in) {
     if (!line.empty() && line[0] != '%') break;
   }
   std::istringstream size_line(line);
-  std::uint64_t entries = 0;
-  if (!(size_line >> shape.nrows >> shape.ncols >> entries))
+  // Read signed: extraction into an unsigned type would wrap "-5".
+  std::int64_t claimed = 0;
+  if (!(size_line >> shape.nrows >> shape.ncols >> claimed) || claimed < 0)
     fail("bad size line");
   if (shape.nrows < 0 || shape.ncols < 0) fail("negative dimensions");
+  const auto entries = static_cast<std::uint64_t>(claimed);
 
   // The header's entry count is untrusted until that many lines have
   // been read: the output grows with the input instead of being sized

@@ -5,8 +5,12 @@
 // intermediate result*, and nothing can overlap with the local
 // multiplications (§IV). The host runs kway_merge's linear k-pointer
 // fold, which adds the stages left to right.
+//
+// As with the binary merge, the bookkeeping (MultiwaySchedule) sees list
+// sizes only, so the SUMMA pipeline replays it on counted lists.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -17,53 +21,83 @@
 
 namespace mclx::merge {
 
-template <typename IT, typename VT>
-class MultiwayMerger {
+/// The multiway scheme's bookkeeping over list sizes: every push stays
+/// resident, and finalize records one event when more than one list
+/// needs merging; `fold()` merges them and returns the merged size.
+class MultiwaySchedule {
  public:
   /// Attach a ledger track mirroring resident elements as bytes (see
-  /// BinaryMerger::set_mem_tracker). Default tracker is inert.
+  /// BinarySchedule::set_mem_tracker). Default tracker is inert.
   void set_mem_tracker(obs::MemTracker tracker) {
     tracker_ = std::move(tracker);
   }
 
-  /// Stage results accumulate; no work happens until finalize().
-  void push(sparse::Csc<IT, VT> list) {
-    resident_ += list.nnz();
-    tracker_.charge_elements(list.nnz());
-    lists_.push_back(std::move(list));
+  void push(std::uint64_t nnz) {
+    resident_ += nnz;
+    tracker_.charge_elements(nnz);
+    ++lists_;
   }
 
-  /// The single k-way merge. Consumes the stored lists. A single stored
-  /// list needs no merge and records no event.
-  sparse::Csc<IT, VT> finalize() {
-    if (lists_.empty()) return {};
-    if (lists_.size() == 1) {
-      sparse::Csc<IT, VT> only = std::move(lists_.front());
-      lists_.clear();
-      tracker_.release_elements(resident_);
-      resident_ = 0;
-      return only;
-    }
+  /// The single k-way merge; a single list needs none and records no
+  /// event. Returns the event (ways 0 when none) and starts over.
+  template <typename Fold>
+  MergeEvent finalize(Fold&& fold) {
     MergeEvent e;
-    e.ways = static_cast<int>(lists_.size());
-    for (const auto& l : lists_) e.elements += l.nnz();
-    sparse::Csc<IT, VT> merged = kway_merge(lists_);
-    e.output_elements = merged.nnz();
-    stats_.record(e, resident_);
-    lists_.clear();
+    if (lists_ > 1) {
+      e.ways = lists_;
+      e.elements = resident_;
+      e.output_elements = fold();
+      stats_.record(e, resident_);
+    }
     tracker_.release_elements(resident_);
     resident_ = 0;
-    return merged;
+    lists_ = 0;
+    return e;
   }
 
   const MergeStats& stats() const { return stats_; }
   std::uint64_t resident_elements() const { return resident_; }
 
  private:
-  std::vector<sparse::Csc<IT, VT>> lists_;
+  int lists_ = 0;
   std::uint64_t resident_ = 0;
   MergeStats stats_;
   obs::MemTracker tracker_;
+};
+
+template <typename IT, typename VT>
+class MultiwayMerger {
+ public:
+  void set_mem_tracker(obs::MemTracker tracker) {
+    schedule_.set_mem_tracker(std::move(tracker));
+  }
+
+  /// Stage results accumulate; no work happens until finalize().
+  void push(sparse::Csc<IT, VT> list) {
+    schedule_.push(list.nnz());
+    lists_.push_back(std::move(list));
+  }
+
+  /// The single k-way merge. Consumes the stored lists.
+  sparse::Csc<IT, VT> finalize() {
+    sparse::Csc<IT, VT> out;
+    if (lists_.size() == 1) out = std::move(lists_.front());
+    schedule_.finalize([&] {
+      out = kway_merge(lists_);
+      return static_cast<std::uint64_t>(out.nnz());
+    });
+    lists_.clear();
+    return out;
+  }
+
+  const MergeStats& stats() const { return schedule_.stats(); }
+  std::uint64_t resident_elements() const {
+    return schedule_.resident_elements();
+  }
+
+ private:
+  std::vector<sparse::Csc<IT, VT>> lists_;
+  MultiwaySchedule schedule_;
 };
 
 }  // namespace mclx::merge

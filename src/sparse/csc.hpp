@@ -61,10 +61,12 @@ class Csc {
   }
 
   /// Memory footprint in bytes (arrays only), as used for phase planning.
-  std::uint64_t bytes() const {
-    return static_cast<std::uint64_t>(colptr_.size()) * sizeof(IT) +
-           static_cast<std::uint64_t>(rowids_.size()) * sizeof(IT) +
-           static_cast<std::uint64_t>(vals_.size()) * sizeof(VT);
+  std::uint64_t bytes() const { return bytes_for(ncols_, nnz()); }
+
+  /// bytes() of a matrix with `ncols` columns and `nnz` entries.
+  static std::uint64_t bytes_for(IT ncols, std::uint64_t nnz) {
+    return (static_cast<std::uint64_t>(ncols) + 1) * sizeof(IT) +
+           nnz * (sizeof(IT) + sizeof(VT));
   }
 
   /// True when every column's row indices are strictly increasing.

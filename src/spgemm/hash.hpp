@@ -68,13 +68,50 @@ class RowMarks {
   std::uint32_t epoch_ = 1;
 };
 
-/// extract_sorted() walks the occupancy bitmap while the lowest and
+/// visit_sorted() walks the occupancy bitmap while the lowest and
 /// highest touched 64-row words lie fewer than this many words apart per
 /// touched row, and sorts the touched rows beyond that. Sorting starts
 /// to win at 3 to 30 words per row depending on the row count; whole
 /// runs do not move across that range (docs/KERNELS.md, "The extraction
 /// crossover").
 inline constexpr std::size_t kWalkWordsPerRow = 8;
+
+/// Calls visit(row) for the `size` distinct rows in `touched`, in
+/// increasing order: through the occupancy bitmap `bits` (all zero
+/// before and after) when the rows are dense enough, else by sorting
+/// `touched` in place.
+template <typename IT, typename Visit>
+void visit_sorted(IT* touched, std::size_t size, std::uint64_t* bits,
+                  Visit&& visit) {
+  if (size == 0) return;
+  IT lo = touched[0];
+  IT hi = lo;
+  for (std::size_t p = 1; p < size; ++p) {
+    lo = std::min(lo, touched[p]);
+    hi = std::max(hi, touched[p]);
+  }
+  const auto w0 = static_cast<std::size_t>(lo) / 64;
+  const auto w1 = static_cast<std::size_t>(hi) / 64;
+  if (w1 - w0 < kWalkWordsPerRow * size) {
+    for (std::size_t p = 0; p < size; ++p) {
+      const auto r = static_cast<std::size_t>(touched[p]);
+      bits[r / 64] |= std::uint64_t{1} << (r % 64);
+    }
+    for (std::size_t w = w0; w <= w1; ++w) {
+      std::uint64_t word = bits[w];
+      if (word == 0) continue;
+      bits[w] = 0;
+      for (; word != 0; word &= word - 1) {
+        visit(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+      }
+    }
+  } else {
+    std::sort(touched, touched + size);
+    for (std::size_t p = 0; p < size; ++p) {
+      visit(static_cast<std::size_t>(touched[p]));
+    }
+  }
+}
 
 /// Row-indexed accumulator for C(:, j), one column at a time: a value
 /// slot per row of A, the RowMarks stamps, the list of touched rows and
@@ -114,39 +151,10 @@ class RowAccumulator {
     vals.resize(base + size_);
     IT* out_rows = rowids.data() + base;
     VT* out_vals = vals.data() + base;
-    if (size_ > 0) {
-      IT lo = touched_[0];
-      IT hi = lo;
-      for (std::size_t p = 1; p < size_; ++p) {
-        lo = std::min(lo, touched_[p]);
-        hi = std::max(hi, touched_[p]);
-      }
-      const auto w0 = static_cast<std::size_t>(lo) / 64;
-      const auto w1 = static_cast<std::size_t>(hi) / 64;
-      if (w1 - w0 < kWalkWordsPerRow * size_) {
-        for (std::size_t p = 0; p < size_; ++p) {
-          const auto r = static_cast<std::size_t>(touched_[p]);
-          bits_[r / 64] |= std::uint64_t{1} << (r % 64);
-        }
-        for (std::size_t w = w0; w <= w1; ++w) {
-          std::uint64_t word = bits_[w];
-          if (word == 0) continue;
-          bits_[w] = 0;
-          for (; word != 0; word &= word - 1) {
-            const std::size_t r =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-            *out_rows++ = static_cast<IT>(r);
-            *out_vals++ = vals_[r];
-          }
-        }
-      } else {
-        std::sort(touched_.get(), touched_.get() + size_);
-        for (std::size_t p = 0; p < size_; ++p) {
-          *out_rows++ = touched_[p];
-          *out_vals++ = vals_[static_cast<std::size_t>(touched_[p])];
-        }
-      }
-    }
+    visit_sorted(touched_.get(), size_, bits_.data(), [&](std::size_t r) {
+      *out_rows++ = static_cast<IT>(r);
+      *out_vals++ = vals_[r];
+    });
     size_ = 0;
     marks_.next_column();
   }

@@ -1,7 +1,5 @@
 #include "spgemm/registry.hpp"
 
-#include <stdexcept>
-
 #include "obs/metrics.hpp"
 #include "obs/prof/flight_recorder.hpp"
 #include "sparse/ops.hpp"
@@ -46,79 +44,88 @@ LocalMultiplier::LocalMultiplier(const sim::CostModel& model,
   for (int g = 0; g < m.gpus_per_rank; ++g) devices_.emplace_back(m.gpu_mem);
 }
 
-LocalSpgemmResult LocalMultiplier::run_cpu(KernelKind kind, const CscD& a,
-                                           const CscD& b,
-                                           std::uint64_t flops) {
+bool LocalMultiplier::may_use_devices() const {
+  return !devices_.empty() && (!policy_.fixed || is_gpu_kernel(*policy_.fixed));
+}
+
+LocalSpgemmResult LocalMultiplier::charge_cpu(KernelKind kind,
+                                              const MultiplyCounts& counts) {
+  // The registry is the one per-kernel instrumentation point: every CPU
+  // dispatch leaves a flight-recorder event. It never touches a product,
+  // preserving bit-identity with the recorder off (tests/test_prof.cpp
+  // pins this).
+  obs::fr_record(obs::FrEventKind::kKernel, kernel_name(kind), counts.flops);
   LocalSpgemmResult r;
   r.used = kind;
-  r.flops = flops;
-  // The registry wrapper is the one per-kernel instrumentation point:
-  // every dispatch leaves a flight-recorder event. It never touches the
-  // multiply's inputs or outputs, preserving bit-identity with the
-  // recorder off (tests/test_prof.cpp pins this).
-  obs::fr_record(obs::FrEventKind::kKernel, kernel_name(kind), flops);
-  switch (kind) {
-    case KernelKind::kCpuHeap:
-    case KernelKind::kCpuHash:
-      // Both kinds fold in the one order (docs/KERNELS.md, "Fold order"),
-      // so the heap's character lives in its cost row alone. Lanes are an
-      // execution detail: the product is bitwise the same at any count,
-      // so neither the kind nor the cost below sees them.
-      r.c = hash_spgemm(a, b, flops >= kMinLaneFlops ? par::effective_lanes()
-                                                     : 1);
-      break;
-    case KernelKind::kCpuSpa:
-      r.c = spa_spgemm(a, b);
-      break;
-    default:
-      throw std::invalid_argument("run_cpu: not a CPU kernel");
-  }
-  r.cf = sparse::compression_factor(flops, r.c.nnz());
-  const double width = b.ncols() == 0
+  r.flops = counts.flops;
+  r.cf = sparse::compression_factor(counts.flops, counts.c_nnz);
+  const double width = counts.b_ncols == 0
                            ? 0.0
-                           : static_cast<double>(b.nnz()) /
-                                 static_cast<double>(b.ncols());
-  r.cpu_time = model_.local_spgemm(kind, flops, r.cf, width);
+                           : static_cast<double>(counts.b_nnz) /
+                                 static_cast<double>(counts.b_ncols);
+  r.cpu_time = model_.local_spgemm(kind, counts.flops, r.cf, width);
   return r;
 }
 
-LocalSpgemmResult LocalMultiplier::multiply(const CscD& a, const CscD& b,
-                                            double cf_estimate) {
-  const std::uint64_t flops = sparse::spgemm_flops(a, b);
+LocalSpgemmResult LocalMultiplier::charge(const MultiplyCounts& counts,
+                                          double cf_estimate) {
   const KernelKind kind =
       policy_.fixed ? *policy_.fixed
-                    : policy_.hybrid.select(flops, cf_estimate,
+                    : policy_.hybrid.select(counts.flops, cf_estimate,
                                             !devices_.empty());
-  report_selection(kind, flops, cf_estimate);
+  report_selection(kind, counts.flops, cf_estimate);
 
-  if (!is_gpu_kernel(kind)) return run_cpu(kind, a, b, flops);
+  if (!is_gpu_kernel(kind)) return charge_cpu(kind, counts);
 
-  if (devices_.empty()) {
-    // A GPU kernel was requested on a GPU-less rank: honest fallback.
-    LocalSpgemmResult r = run_cpu(KernelKind::kCpuHash, a, b, flops);
+  const auto fall_back = [&] {
+    LocalSpgemmResult r = charge_cpu(KernelKind::kCpuHash, counts);
     r.gpu_fallback = true;
     obs::count("spgemm.gpu_fallbacks");
     return r;
-  }
+  };
+  // A GPU kernel requested on a GPU-less rank: honest fallback.
+  if (devices_.empty()) return fall_back();
 
   try {
-    gpuk::MultiGpuResult g = gpuk::multi_gpu_spgemm(kind, a, b, devices_,
-                                                    model_);
     LocalSpgemmResult r;
-    r.c = std::move(g.c);
+    r.device_cost = gpuk::charge_slices(kind, counts.a_nrows, counts.a_bytes,
+                                        counts.slices, devices_, model_);
     r.used = kind;
-    r.flops = g.flops;
-    r.cf = g.cf;
-    r.device_cost = g.cost;
+    r.flops = counts.flops;
+    r.cf = sparse::compression_factor(counts.flops, counts.c_nnz);
     return r;
   } catch (const gpuk::GpuOom& oom) {
     util::log_debug("gpu oom (", oom.requested(), " > ", oom.available(),
                     " bytes); falling back to cpu-hash");
-    LocalSpgemmResult r = run_cpu(KernelKind::kCpuHash, a, b, flops);
-    r.gpu_fallback = true;
-    obs::count("spgemm.gpu_fallbacks");
-    return r;
+    return fall_back();
   }
+}
+
+LocalSpgemmResult LocalMultiplier::multiply(const CscD& a, const CscD& b,
+                                            double cf_estimate) {
+  // Every kind but the SPA reference multiplies on hash_spgemm's row
+  // accumulator, so the product does not wait for the selection. Lanes
+  // are an execution detail: the product is bitwise the same at any
+  // count, so neither the kind nor the cost sees them.
+  const std::uint64_t flops = sparse::spgemm_flops(a, b);
+  CscD c = policy_.fixed == KernelKind::kCpuSpa
+               ? spa_spgemm(a, b)
+               : hash_spgemm(a, b, flops >= kMinLaneFlops
+                                       ? par::effective_lanes()
+                                       : 1);
+  std::vector<gpuk::SliceCounts> slices;
+  if (may_use_devices()) slices = gpuk::count_slices(a, b, c, num_devices());
+  MultiplyCounts counts;
+  counts.a_nrows = a.nrows();
+  counts.a_bytes = a.bytes();
+  counts.b_ncols = b.ncols();
+  counts.b_nnz = b.nnz();
+  counts.flops = flops;
+  counts.c_nnz = c.nnz();
+  counts.slices = slices;
+  LocalSpgemmResult r = charge(counts, cf_estimate);
+  r.c = std::move(c);
+  return r;
 }
 
 }  // namespace mclx::spgemm

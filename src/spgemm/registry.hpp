@@ -11,6 +11,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gpuk/device.hpp"
@@ -71,23 +72,48 @@ struct LocalSpgemmResult {
   bool gpu_fallback = false;     ///< GPU OOM forced the CPU path
 };
 
+/// What selecting and costing a multiply C = A*B needs: sizes and counts
+/// of its operands and product, not the matrices themselves.
+struct MultiplyCounts {
+  vidx_t a_nrows = 0;
+  bytes_t a_bytes = 0;  ///< A as a CSC
+  vidx_t b_ncols = 0;
+  std::uint64_t b_nnz = 0;
+  std::uint64_t flops = 0;
+  std::uint64_t c_nnz = 0;
+  /// The multiply split over the rank's devices (gpuk::count_slices);
+  /// read only when a GPU kind runs, so it may stay empty unless
+  /// LocalMultiplier::may_use_devices().
+  std::span<const gpuk::SliceCounts> slices;
+};
+
 /// Executes one local multiply with kernel selection, real computation,
 /// and virtual-cost reporting. Owns the rank's simulated devices.
 class LocalMultiplier {
  public:
   LocalMultiplier(const sim::CostModel& model, KernelPolicy policy);
 
-  /// `cf_estimate`: the iteration-level cf estimate used for selection
-  /// (<= 0 means unknown; a neutral default is used).
+  /// The product, its counts and charge() on them. `cf_estimate`: the
+  /// iteration-level cf estimate used for selection (<= 0 means unknown;
+  /// a neutral default is used).
   LocalSpgemmResult multiply(const CscD& a, const CscD& b,
                              double cf_estimate = -1);
+
+  /// Kernel selection, GPU reservations with their OOM fallback, the
+  /// selection report and the virtual cost of a multiply, from its
+  /// counts alone; the result's `c` stays empty. The SUMMA pipeline
+  /// charges its block products this way without building them.
+  LocalSpgemmResult charge(const MultiplyCounts& counts,
+                           double cf_estimate = -1);
+
+  /// True when charge() can run a GPU kind, i.e. needs counts.slices.
+  bool may_use_devices() const;
 
   const KernelPolicy& policy() const { return policy_; }
   int num_devices() const { return static_cast<int>(devices_.size()); }
 
  private:
-  LocalSpgemmResult run_cpu(KernelKind kind, const CscD& a, const CscD& b,
-                            std::uint64_t flops);
+  LocalSpgemmResult charge_cpu(KernelKind kind, const MultiplyCounts& counts);
 
   sim::CostModel model_;
   KernelPolicy policy_;

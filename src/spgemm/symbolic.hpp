@@ -32,9 +32,15 @@ std::vector<std::uint64_t> symbolic_nnz_per_col(const sparse::Csc<IT, VT>& a,
   const IT ncols = b.ncols();
 
   std::vector<std::uint64_t> out(static_cast<std::size_t>(ncols), 0);
+  // Every chunk holds its own marks. They are charged once, here on the
+  // calling thread, as if all chunks ran at once, so the label's high
+  // water does not depend on how the lanes interleave.
+  const obs::MemScope marks_mem(
+      "spgemm.symbolic",
+      static_cast<std::uint64_t>(par::plan_chunks(IT{0}, ncols)) *
+          static_cast<std::uint64_t>(a.nrows()) * sizeof(std::uint32_t));
   par::parallel_chunks(IT{0}, ncols, [&](IT j0, IT j1, int) {
     detail::RowMarks marks(static_cast<std::size_t>(a.nrows()));
-    obs::MemScope marks_mem("spgemm.symbolic", marks.bytes());
     for (IT j = j0; j < j1; ++j) {
       std::uint64_t count = 0;
       for (IT k : b.col_rows(j)) {

@@ -235,9 +235,10 @@ TEST(HipMcl, AllConfigurationsProduceIdenticalClusters) {
 TEST(HipMcl, ConfigurationsAgreeBitwiseOnEveryGridAndPhaseCount) {
   // One fold order (docs/KERNELS.md): the kernel kind, the merge scheme,
   // pipelining and the phase count change when work runs and what it
-  // costs, never a bit of what is computed — on grids of up to 5×5,
-  // where every merge scheme is the left fold of the stages. Virtual
-  // times differ by design.
+  // costs, never a bit of what is computed. SUMMA builds every chunk in
+  // one pass that folds the stages left to right, whatever the merge
+  // scheme it charges, so this holds on every grid, 6×6 and 7×7
+  // included. Virtual times differ by design.
   gen::PlantedParams gp;
   gp.n = 240;
   gp.seed = 12;
@@ -245,7 +246,7 @@ TEST(HipMcl, ConfigurationsAgreeBitwiseOnEveryGridAndPhaseCount) {
   core::MclParams params;
   params.prune.select_k = 30;
 
-  for (const int nodes : {1, 4, 9, 16}) {
+  for (const int nodes : {1, 4, 9, 16, 36, 49}) {
     for (const bytes_t budget : {bytes_t{0}, bytes_t{2 * 1024}}) {
       SCOPED_TRACE(std::to_string(nodes) + " nodes, budget " +
                    std::to_string(budget));

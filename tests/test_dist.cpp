@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,9 +16,18 @@
 #include "dist/distmat.hpp"
 #include "dist/grid.hpp"
 #include "dist/summa.hpp"
+#include "merge/binary.hpp"
+#include "merge/multiway.hpp"
+#include "obs/context.hpp"
+#include "obs/mem.hpp"
+#include "obs/metrics.hpp"
+#include "sim/collectives.hpp"
+#include "sim/costmodel.hpp"
+#include "sim/eventlog.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
+#include "spgemm/registry.hpp"
 #include "spgemm/spa.hpp"
 #include "util/rng.hpp"
 
@@ -344,6 +354,63 @@ TEST_P(FromTriplesPin, LongColumnsEqualSortThenBucketPathBitwise) {
   }
 }
 
+TEST_P(FromTriplesPin, UnitDiagonalEqualsCopyThenScatterBitwise) {
+  // run_hipmcl's self loops: from_triples appends (c, c, 1.0) after
+  // column c's entries in its own scatter. The reference is the copy it
+  // replaced: the input with the loops pushed at its end, scattered.
+  const ProcGrid grid(GetParam());
+  std::vector<std::pair<std::string, T>> cases;
+  {
+    // Unsorted, with duplicates on the diagonal whose sums depend on the
+    // order: (1e16 + 1) + 1 is 1e16, the loop first would give 1e16 + 2.
+    util::Xoshiro256 rng(31);
+    T t(45, 45);
+    for (int e = 0; e < 600; ++e) {
+      t.push(static_cast<vidx_t>(rng.bounded(45)),
+             static_cast<vidx_t>(rng.bounded(45)), rng.uniform_pos());
+    }
+    for (vidx_t v = 0; v < 45; v += 2) {
+      t.push(v, v, 1.0);
+      t.push(v, v, v % 4 == 0 ? 1e16 : -0.0);
+    }
+    cases.emplace_back("diagonal duplicates 45x45", std::move(t));
+  }
+  // Canonical input, as the Matrix Market reader emits it.
+  cases.emplace_back("canonical 45x45", random_triples(45, 45, 300, 32));
+  {
+    // Long columns (past the insertion limit) holding their diagonal
+    // twice, and one column that never holds it.
+    T t(80, 80);
+    for (vidx_t c = 0; c < 80; c += 9) {
+      for (vidx_t r = 0; r < 80; ++r) {
+        if (r == c && c == 72) continue;
+        t.push(r, c, r == c ? 1e16 : 1.0);
+        if (r == c) t.push(r, c, 1.0);
+      }
+    }
+    cases.emplace_back("long columns 80x80", std::move(t));
+  }
+  // Non-square: the diagonal stops at the shorter side.
+  cases.emplace_back("wide 20x33", random_triples(20, 33, 150, 33));
+  cases.emplace_back("tall 33x20", random_triples(33, 20, 150, 34));
+  cases.emplace_back("no entries 45x45", T(45, 45));
+  cases.emplace_back("0x0", T(0, 0));
+
+  for (const auto& [name, t] : cases) {
+    T copy = t;
+    for (vidx_t v = 0; v < std::min(t.nrows(), t.ncols()); ++v) {
+      copy.push(v, v, 1.0);
+    }
+    const DistMat got = DistMat::from_triples(t, grid, true);
+    const DistMat want = DistMat::from_triples(copy, grid);
+    EXPECT_TRUE(got == want) << name << " on " << GetParam() << " nodes";
+    EXPECT_TRUE(same_value_bits(got, want))
+        << name << " on " << GetParam() << " nodes";
+    EXPECT_TRUE(same_value_bits(got, sort_then_bucket(copy, grid)))
+        << name << " on " << GetParam() << " nodes";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Nodes, FromTriplesPin, testing::Values(1, 4, 9, 16),
                          [](const testing::TestParamInfo<int>& info) {
                            return "nodes" + std::to_string(info.param);
@@ -540,6 +607,385 @@ TEST(Summa, MergePeakTrackedForBothSchemes) {
   EXPECT_LT(rbn.stats.merge_peak_elements_sum,
             rm.stats.merge_peak_elements_sum);
 }
+
+// ---------------------------------------------------------------------------
+// SUMMA's phase pass against the per-block pipeline it replaced: the same
+// stage loop, with every block pair decompressed, sliced and multiplied by
+// LocalMultiplier::multiply, and the stage products folded by the real
+// mergers. The pass counts what that pipeline builds, so everything it
+// reports must match; the chunks match bitwise wherever the merge is the
+// left fold of the stages (every multiway merge, and the binary merge up
+// to five stages).
+
+dist::SummaResult per_block_summa(const DistMat& a, const DistMat& b,
+                                  sim::SimState& sim,
+                                  const dist::SummaOptions& opt,
+                                  const dist::PhaseSink& sink) {
+  using sim::Stage;
+  const int dim = a.dim();
+  const int nranks = sim.nranks();
+  const sim::CostModel model(sim.machine());
+  std::vector<spgemm::LocalMultiplier> mults;
+  for (int r = 0; r < nranks; ++r) mults.emplace_back(model, opt.kernel);
+  std::vector<sim::StageTimes> before;
+  std::vector<vtime_t> cpu_idle_before, gpu_idle_before;
+  for (int r = 0; r < nranks; ++r) {
+    before.push_back(sim.rank(r).stage_times());
+    cpu_idle_before.push_back(sim.rank(r).cpu_idle());
+    gpu_idle_before.push_back(sim.rank(r).gpu_idle());
+  }
+  const vtime_t elapsed_before = sim.elapsed();
+  sim.barrier();
+  for (int r = 0; r < nranks; ++r) sim.rank(r).gpu_skew_to(sim.rank(r).cpu_now());
+
+  dist::SummaResult result{DistMat(a.nrows(), b.ncols(), a.grid()), {}};
+  dist::SummaStats& stats = result.stats;
+  std::vector<std::vector<CscD>> rank_chunks(static_cast<std::size_t>(nranks));
+  std::vector<std::uint64_t> rank_peak(static_cast<std::size_t>(nranks), 0);
+  for (int phase = 0; phase < opt.phases; ++phase) {
+    if (phase > 0) {
+      sim.barrier();
+      for (int r = 0; r < nranks; ++r) {
+        sim.rank(r).gpu_skew_to(sim.rank(r).cpu_now());
+      }
+    }
+    std::vector<merge::BinaryMerger<vidx_t, val_t>> bin(
+        static_cast<std::size_t>(nranks));
+    std::vector<merge::MultiwayMerger<vidx_t, val_t>> mw(
+        static_cast<std::size_t>(nranks));
+    if (obs::MemLedger* ml = obs::context().ledger) {
+      for (int r = 0; r < nranks; ++r) {
+        obs::MemTracker t(ml, "merge.resident.r" + std::to_string(r), 16);
+        if (opt.binary_merge) {
+          bin[static_cast<std::size_t>(r)].set_mem_tracker(t);
+        } else {
+          mw[static_cast<std::size_t>(r)].set_mem_tracker(t);
+        }
+      }
+    }
+    std::vector<vtime_t> ready(static_cast<std::size_t>(nranks), 0);
+    struct Pending {
+      bool armed = false;
+      std::uint64_t elements = 0;
+      int ways = 0;
+      vtime_t ready = 0;
+    };
+    std::vector<Pending> pending(static_cast<std::size_t>(nranks));
+    const auto flush = [&](int r) {
+      Pending& p = pending[static_cast<std::size_t>(r)];
+      if (!p.armed) return;
+      sim.rank(r).cpu_wait_until(p.ready);
+      sim.rank(r).cpu_run(Stage::kMerge, model.merge(p.elements, p.ways));
+      p.armed = false;
+    };
+    for (int k = 0; k < dim; ++k) {
+      std::vector<CscD> a_csc, b_chunk;
+      for (int i = 0; i < dim; ++i) {
+        a_csc.push_back(sparse::csc_from_dcsc(a.block(i, k)));
+      }
+      for (int j = 0; j < dim; ++j) {
+        const CscD full = sparse::csc_from_dcsc(b.block(k, j));
+        const auto [c0, c1] =
+            dist::phase_col_range(full.ncols(), phase, opt.phases);
+        b_chunk.push_back(sparse::csc_col_slice(full, c0, c1));
+      }
+      std::uint64_t staging = 0;
+      for (const CscD& m : a_csc) staging += m.bytes();
+      for (const CscD& m : b_chunk) staging += m.bytes();
+      obs::MemScope staging_mem("summa.staging", staging);
+      for (int i = 0; i < dim; ++i) {
+        const bytes_t bytes = a.block(i, k).bytes();
+        obs::record("summa.bcast_bytes", static_cast<double>(bytes));
+        obs::MemScope payload("summa.bcast_payload", bytes);
+        sim::sim_bcast(sim, a.grid().row_ranks(i), bytes, Stage::kSummaBcast);
+      }
+      for (int j = 0; j < dim; ++j) {
+        const bytes_t bytes = b_chunk[static_cast<std::size_t>(j)].bytes();
+        obs::record("summa.bcast_bytes", static_cast<double>(bytes));
+        obs::MemScope payload("summa.bcast_payload", bytes);
+        sim::sim_bcast(sim, a.grid().col_ranks(j), bytes, Stage::kSummaBcast);
+      }
+      for (int i = 0; i < dim; ++i) {
+        for (int j = 0; j < dim; ++j) {
+          const int r = a.grid().rank_of(i, j);
+          const auto ri = static_cast<std::size_t>(r);
+          auto& tl = sim.rank(r);
+          const CscD& ablk = a_csc[static_cast<std::size_t>(i)];
+          const CscD& bblk = b_chunk[static_cast<std::size_t>(j)];
+          tl.cpu_run(Stage::kOther, model.other(static_cast<std::uint64_t>(
+                                        ablk.ncols() + bblk.ncols())));
+          spgemm::LocalSpgemmResult lr =
+              mults[ri].multiply(ablk, bblk, opt.cf_estimate);
+          stats.total_flops += lr.flops;
+          if (lr.gpu_fallback) ++stats.gpu_fallbacks;
+          if (lr.device_cost.kernel > 0) {
+            tl.cpu_run(Stage::kLocalSpGEMM, lr.device_cost.h2d);
+            const vtime_t done = tl.gpu_run(Stage::kLocalSpGEMM,
+                                            lr.device_cost.kernel, tl.cpu_now());
+            ready[ri] = tl.gpu_run(Stage::kLocalSpGEMM, lr.device_cost.d2h, done);
+            if (!opt.pipelined) tl.cpu_wait_until(ready[ri]);
+          } else {
+            tl.cpu_run(Stage::kLocalSpGEMM, lr.cpu_time);
+            ready[ri] = tl.cpu_now();
+          }
+          flush(r);
+          if (opt.binary_merge) {
+            const auto outcome = bin[ri].push(std::move(lr.c));
+            if (outcome.merged) {
+              pending[ri] = {true, outcome.elements, outcome.ways, ready[ri]};
+            }
+          } else {
+            mw[ri].push(std::move(lr.c));
+          }
+        }
+      }
+    }
+    std::vector<CscD> chunks(static_cast<std::size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      auto& tl = sim.rank(r);
+      if (opt.binary_merge) {
+        flush(r);
+        auto [chunk, outcome] = bin[ri].finalize();
+        tl.cpu_wait_until(ready[ri]);
+        if (outcome.merged) {
+          tl.cpu_run(Stage::kMerge, model.merge(outcome.elements, outcome.ways));
+        }
+        rank_peak[ri] = std::max(rank_peak[ri], bin[ri].stats().peak_elements);
+        chunks[ri] = std::move(chunk);
+      } else {
+        tl.cpu_wait_until(ready[ri]);
+        chunks[ri] = mw[ri].finalize();
+        const auto& ev = mw[ri].stats().events;
+        if (!ev.empty()) {
+          tl.cpu_run(Stage::kMerge,
+                     model.merge(ev.back().elements, ev.back().ways));
+        }
+        rank_peak[ri] = std::max(rank_peak[ri], mw[ri].stats().peak_elements);
+      }
+      tl.join();
+    }
+    for (const CscD& chunk : chunks) stats.unpruned_nnz += chunk.nnz();
+    const vtime_t sink_start = sim.elapsed();
+    sink(phase, chunks);
+    stats.sink_time += sim.elapsed() - sink_start;
+    for (int r = 0; r < nranks; ++r) {
+      rank_chunks[static_cast<std::size_t>(r)].push_back(
+          std::move(chunks[static_cast<std::size_t>(r)]));
+    }
+  }
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) {
+      const int r = a.grid().rank_of(i, j);
+      const CscD block = sparse::csc_hcat(rank_chunks[static_cast<std::size_t>(r)]);
+      sim.rank(r).cpu_run(Stage::kOther, model.other(block.nnz()));
+      result.c.set_block(i, j, block);
+    }
+  }
+  for (int r = 0; r < nranks; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    const auto& now = sim.rank(r).stage_times();
+    const auto delta = [&](Stage s) {
+      return now[static_cast<std::size_t>(s)] - before[ri][static_cast<std::size_t>(s)];
+    };
+    stats.spgemm_time = std::max(stats.spgemm_time, delta(Stage::kLocalSpGEMM));
+    stats.bcast_time = std::max(stats.bcast_time, delta(Stage::kSummaBcast));
+    stats.merge_time = std::max(stats.merge_time, delta(Stage::kMerge));
+    stats.other_time = std::max(stats.other_time, delta(Stage::kOther));
+    stats.cpu_idle += sim.rank(r).cpu_idle() - cpu_idle_before[ri];
+    stats.gpu_idle += sim.rank(r).gpu_idle() - gpu_idle_before[ri];
+    stats.merge_peak_elements_sum += rank_peak[ri];
+    stats.merge_peak_elements_max =
+        std::max(stats.merge_peak_elements_max, rank_peak[ri]);
+  }
+  stats.cpu_idle /= static_cast<double>(nranks);
+  stats.gpu_idle /= static_cast<double>(nranks);
+  stats.elapsed = sim.elapsed() - elapsed_before - stats.sink_time;
+  return result;
+}
+
+/// What one SUMMA call leaves behind: its result, the chunks its sink
+/// saw, its metrics, timeline and ledger.
+struct SummaTrace {
+  dist::SummaResult result{DistMat(0, 0, ProcGrid(1)), {}};
+  std::vector<std::vector<CscD>> chunks;
+  obs::MetricsRegistry metrics;
+  sim::EventLog events;
+  obs::MemLedger ledger;
+};
+
+template <typename Run>
+void trace_summa(SummaTrace& out, Run&& run) {
+  const obs::ScopedContext sinks({.metrics = &out.metrics,
+                                  .ledger = &out.ledger,
+                                  .events = &out.events,
+                                  .recorder = nullptr});
+  out.result = run([&out](int, std::vector<CscD>& chunks) {
+    out.chunks.push_back(chunks);
+  });
+}
+
+bool same_bits(const CscD& x, const CscD& y) {
+  return x == y && (x.vals().empty() ||
+                    std::memcmp(x.vals().data(), y.vals().data(),
+                                x.vals().size() * sizeof(val_t)) == 0);
+}
+
+class SummaPerBlock : public testing::TestWithParam<int> {};
+
+TEST_P(SummaPerBlock, PassMatchesPerBlockProductsAndMerges) {
+  const int nodes = GetParam();
+  const int dim = ProcGrid(nodes).dim();
+  const ProcGrid grid(nodes);
+  const DistMat a = DistMat::from_triples(random_triples(90, 80, 6000, 41), grid);
+  const DistMat b = DistMat::from_triples(random_triples(80, 85, 6000, 42), grid);
+  sim::MachineConfig starved = sim::summit_like(nodes);
+  starved.gpu_mem = 256;
+  const std::pair<const char*, sim::MachineConfig> machines[] = {
+      {"gpu", sim::summit_like(nodes)},
+      {"cpu-only", sim::summit_like_cpu_only(nodes)},
+      {"starved-gpu", starved}};
+  struct Scheme {
+    const char* name;
+    bool pipelined, binary_merge;
+    spgemm::KernelPolicy kernel;
+    double cf_estimate;
+  };
+  const Scheme schemes[] = {
+      {"original", false, false,
+       spgemm::KernelPolicy::fixed_kernel(spgemm::KernelKind::kCpuHeap), -1},
+      {"no-overlap", false, false, spgemm::KernelPolicy::hybrid_policy(), 3.0},
+      {"optimized", true, true, spgemm::KernelPolicy::hybrid_policy(), -1},
+  };
+  std::map<std::string, std::uint64_t> seen;
+  for (const auto& [machine_name, machine] : machines) {
+    for (const Scheme& scheme : schemes) {
+      for (const int phases : {1, 3}) {
+        SCOPED_TRACE(std::string(machine_name) + ", " + scheme.name + ", " +
+                     std::to_string(phases) + " phases on " +
+                     std::to_string(nodes) + " nodes");
+        dist::SummaOptions opt;
+        opt.pipelined = scheme.pipelined;
+        opt.binary_merge = scheme.binary_merge;
+        opt.kernel = scheme.kernel;
+        opt.phases = phases;
+        opt.cf_estimate = scheme.cf_estimate;
+        SummaTrace got, want;
+        trace_summa(got, [&](const dist::PhaseSink& sink) {
+          sim::SimState sim(machine);
+          return dist::summa_multiply(a, b, sim, opt, sink);
+        });
+        trace_summa(want, [&](const dist::PhaseSink& sink) {
+          sim::SimState sim(machine);
+          return per_block_summa(a, b, sim, opt, sink);
+        });
+
+        const dist::SummaStats& x = got.result.stats;
+        const dist::SummaStats& y = want.result.stats;
+        EXPECT_EQ(x.total_flops, y.total_flops);
+        EXPECT_EQ(x.merge_peak_elements_sum, y.merge_peak_elements_sum);
+        EXPECT_EQ(x.merge_peak_elements_max, y.merge_peak_elements_max);
+        EXPECT_EQ(x.unpruned_nnz, y.unpruned_nnz);
+        EXPECT_EQ(x.gpu_fallbacks, y.gpu_fallbacks);
+        EXPECT_EQ(x.spgemm_time, y.spgemm_time);
+        EXPECT_EQ(x.bcast_time, y.bcast_time);
+        EXPECT_EQ(x.merge_time, y.merge_time);
+        EXPECT_EQ(x.other_time, y.other_time);
+        EXPECT_EQ(x.elapsed, y.elapsed);
+        EXPECT_EQ(x.sink_time, y.sink_time);
+        EXPECT_EQ(x.cpu_idle, y.cpu_idle);
+        EXPECT_EQ(x.gpu_idle, y.gpu_idle);
+
+        // Kernel kinds, fallbacks, merge events and their peaks, and the
+        // broadcast payloads.
+        const auto compared = [](const std::string& name) {
+          return name.rfind("spgemm.", 0) == 0 ||
+                 name.rfind("merge.", 0) == 0 || name == "summa.bcast_bytes";
+        };
+        for (const auto& [name, value] : got.metrics.counters()) {
+          if (compared(name)) {
+            EXPECT_EQ(value, want.metrics.counter(name)) << name;
+          }
+        }
+        for (const auto& [name, value] : want.metrics.counters()) {
+          if (compared(name)) {
+            EXPECT_EQ(got.metrics.counter(name), value) << name;
+          }
+        }
+        for (const auto& [name, h] : got.metrics.histograms()) {
+          if (compared(name)) {
+            EXPECT_NE(want.metrics.histogram(name), nullptr) << name;
+          }
+        }
+        for (const auto& [name, h] : want.metrics.histograms()) {
+          if (!compared(name)) continue;
+          const obs::Histogram* g = got.metrics.histogram(name);
+          ASSERT_NE(g, nullptr) << name;
+          EXPECT_EQ(g->count(), h.count()) << name;
+          EXPECT_EQ(g->sum(), h.sum()) << name;
+          EXPECT_EQ(g->max(), h.max()) << name;
+          EXPECT_EQ(g->variance(), h.variance()) << name;
+        }
+        for (const char* name :
+             {"spgemm.kernel.nsparse", "spgemm.kernel.rmerge2",
+              "spgemm.kernel.cpu-hash", "spgemm.gpu_fallbacks"}) {
+          seen[name] += want.metrics.counter(name);
+        }
+
+        // Every virtual interval of every rank.
+        ASSERT_EQ(got.events.size(), want.events.size());
+        for (std::size_t e = 0; e < want.events.size(); ++e) {
+          const sim::Event& p = got.events.events()[e];
+          const sim::Event& q = want.events.events()[e];
+          ASSERT_TRUE(p.rank == q.rank && p.resource == q.resource &&
+                      p.stage == q.stage && p.start == q.start &&
+                      p.end == q.end)
+              << "event " << e;
+        }
+
+        // The ledger mirrors of the merge buffers and the staging.
+        for (const char* label : {"summa.staging", "summa.bcast_payload"}) {
+          EXPECT_EQ(got.ledger.label_stats(label).high_water_bytes,
+                    want.ledger.label_stats(label).high_water_bytes)
+              << label;
+        }
+        for (int r = 0; r < nodes; ++r) {
+          const std::string label = "merge.resident.r" + std::to_string(r);
+          EXPECT_EQ(got.ledger.label_stats(label).high_water_bytes,
+                    want.ledger.label_stats(label).high_water_bytes)
+              << label;
+        }
+
+        // The chunks: bitwise wherever the stages fold left in both.
+        const bool left_fold = !scheme.binary_merge || dim <= 5;
+        ASSERT_EQ(got.chunks.size(), want.chunks.size());
+        for (std::size_t p = 0; p < want.chunks.size(); ++p) {
+          ASSERT_EQ(got.chunks[p].size(), want.chunks[p].size());
+          for (std::size_t r = 0; r < want.chunks[p].size(); ++r) {
+            const CscD& g = got.chunks[p][r];
+            const CscD& w = want.chunks[p][r];
+            if (left_fold) {
+              EXPECT_TRUE(same_bits(g, w)) << "phase " << p << " rank " << r;
+            } else {
+              EXPECT_EQ(g.colptr(), w.colptr()) << "phase " << p << " rank " << r;
+              EXPECT_EQ(g.rowids(), w.rowids()) << "phase " << p << " rank " << r;
+              EXPECT_TRUE(sparse::approx_equal(g, w, 1e-12))
+                  << "phase " << p << " rank " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both device libraries, the CPU kernel and the OOM fallback all ran.
+  for (const auto& [name, count] : seen) EXPECT_GT(count, 0u) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, SummaPerBlock,
+                         testing::Values(1, 4, 9, 16, 25, 36, 49),
+                         [](const testing::TestParamInfo<int>& info) {
+                           return "nodes" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Distributed top-k selection (core::prune_chunks with cutoff and recovery

@@ -371,12 +371,15 @@ TEST(MemLedgerE2E, MergePeakMatchesLegacyElementCounters) {
   EXPECT_EQ(ledger.snapshot().count("merge.resident.r3"), 1u);
 
   // All transient labels drained back to zero; SUMMA/staging tracks saw
-  // traffic.
+  // traffic. The pipeline multiplies in SUMMA's phase pass, so its
+  // accumulator, not a per-block hash table, holds the row state.
   for (const auto& [label, st] : ledger.snapshot()) {
     EXPECT_EQ(st.current_bytes, 0u) << label;
   }
   EXPECT_GT(ledger.label_stats("summa.bcast_payload").high_water_bytes, 0u);
-  EXPECT_GT(ledger.label_stats("spgemm.hash_table").high_water_bytes, 0u);
+  EXPECT_GT(ledger.label_stats("summa.accumulator").high_water_bytes, 0u);
+  EXPECT_EQ(ledger.label_stats("spgemm.hash_table").high_water_bytes, 0u);
+  EXPECT_GT(ledger.label_stats("dist.gather").high_water_bytes, 0u);
   EXPECT_GT(ledger.label_stats("dist.staging").high_water_bytes, 0u);
 }
 
@@ -426,6 +429,59 @@ TEST(MemLedgerE2E, RunReportV4CarriesMeasuredActualsAndVmHwm) {
     EXPECT_GT(std::get<std::uint64_t>(*rec->find("measured_unpruned_nnz")),
               0u);
     EXPECT_GE(std::get<double>(*rec->find("estimator_rel_error")), 0.0);
+  }
+}
+
+TEST(MemLedgerE2E, FourLaneRunReportsAreReproducible) {
+  // Every ledger charge the pipeline makes comes from the calling thread,
+  // so two four-lane runs report the same records — the ledger's charge
+  // distribution and per-label high waters included — apart from what
+  // the host itself measures: the pool's busy and idle seconds and the
+  // process high water.
+  struct PoolGuard {
+    ~PoolGuard() { par::set_threads(0); }
+  } guard;
+  par::set_threads(4);
+  gen::PlantedParams gp;
+  gp.n = 240;
+  gp.seed = 93;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 25;
+  const auto report = [&](const core::HipMclConfig& config,
+                          const sim::MachineConfig& machine) {
+    sim::SimState sim(machine);
+    obs::MemLedger ledger;
+    obs::MetricsRegistry registry;
+    core::MclResult result;
+    {
+      const obs::ScopedContext sinks({.metrics = &registry, .ledger = &ledger});
+      result = core::run_hipmcl(g.edges, params, config, sim);
+    }
+    ledger.publish(registry);
+    obs::RunReport full = obs::make_run_report(result, obs::RunInfo{}, &registry);
+    obs::RunReport kept;
+    for (obs::Record r : full.records()) {
+      const obs::Value* name = r.find("name");
+      if (name && (*name == obs::Value{std::string("pool.busy_s")} ||
+                   *name == obs::Value{std::string("pool.idle_s")})) {
+        continue;
+      }
+      std::erase_if(r.fields,
+                    [](const auto& f) { return f.first == "vm_hwm_bytes"; });
+      kept.add(std::move(r));
+    }
+    std::ostringstream os;
+    kept.write_jsonl(os);
+    return os.str();
+  };
+  const std::pair<core::HipMclConfig, sim::MachineConfig> runs[] = {
+      {core::HipMclConfig::optimized(), sim::summit_like(16)},
+      {core::HipMclConfig::original(), sim::summit_like_cpu_only(16)}};
+  for (const auto& [config, machine] : runs) {
+    const std::string first = report(config, machine);
+    EXPECT_NE(first.find("memory.charge_bytes"), std::string::npos);
+    EXPECT_EQ(report(config, machine), first);
   }
 }
 

@@ -273,6 +273,9 @@ TEST(HostileHeaders, HugeClaimedCountsFailWithNamedError) {
        "%%MatrixMarket matrix coordinate real general\n3 3 " +
            std::to_string(kClaim) + "\n1 1 0.5\n",
        "unexpected end of entries"},
+      {"matrix market negative entry count", read_mm,
+       "%%MatrixMarket matrix coordinate real general\n3 3 -5\n1 1 0.5\n",
+       "bad size line"},
       {"checkpoint nnz", read_checkpoint,
        "MCLXCKP2" + pod(std::int64_t{1}) + pod(vidx_t{3}) + pod(vidx_t{3}) +
            pod(kClaim),
