@@ -10,7 +10,6 @@
 
 #include "dist/summa3d.hpp"
 #include "sparse/convert.hpp"
-#include "spgemm/spa.hpp"
 
 int main(int argc, char** argv) {
   using namespace mclx;

@@ -1,6 +1,6 @@
-// Microbenchmark of the two local-SpGEMM kernels the host runs — the
-// hash accumulator behind every kind, on one or more lanes, and the SPA
-// reference — across the cf spectrum. Reports measured wall time of the
+// Microbenchmark of the local-SpGEMM kernel the host runs — the hash
+// accumulator behind every kind, on one or more lanes — across the cf
+// spectrum. Reports measured wall time of the
 // real computation (google-benchmark) and, via counters, the cost
 // model's virtual time for the same multiply — so any drift between
 // "what we compute" and "what we charge" is visible in one table.
@@ -22,7 +22,6 @@
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
 #include "spgemm/kernels.hpp"
-#include "spgemm/spa.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -102,10 +101,6 @@ void BM_CpuHash(benchmark::State& state) {
   run_kernel(state, spgemm::KernelKind::kCpuHash,
              [](const C& a, const C& b) { return spgemm::hash_spgemm(a, b); });
 }
-void BM_CpuSpa(benchmark::State& state) {
-  run_kernel(state, spgemm::KernelKind::kCpuSpa,
-             [](const C& a, const C& b) { return spgemm::spa_spgemm(a, b); });
-}
 /// The hash kernel on an explicit lane count (second range arg) over a
 /// pool of that width, so one run shows the real multicore scaling curve
 /// next to the single-lane kernels.
@@ -121,7 +116,6 @@ void BM_CpuHashPar(benchmark::State& state) {
 }
 
 BENCHMARK(BM_CpuHash)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CpuSpa)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CpuHashPar)
     ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond);

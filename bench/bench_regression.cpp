@@ -146,8 +146,8 @@ int main(int argc, char** argv) try {
   w.field("merge_peak_elements_max", merge_peak_rank_max);
   w.field("merge_events", registry.counter("merge.events"));
   // Ledger-backed byte peaks. Only main-thread-charged labels are gated
-  // here: labels charged from pool workers (spgemm.hash_table,
-  // merge.scratch, ...) have interleaving-dependent high-water marks and
+  // here: labels charged from pool workers (a laned hash_spgemm's
+  // spgemm.hash_table) have interleaving-dependent high-water marks and
   // would make the gate flaky.
   w.field("peak_merge_resident_bytes_max",
           ledger.prefix_high_water_max("merge.resident."));

@@ -237,7 +237,7 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
       // Previous iteration's cf decides; first iteration stays
       // probabilistic (expansion cf is highest early).
       use_exact = !result.iters.empty() &&
-                  result.iters.back().cf < config.adaptive_cf_threshold;
+                  result.iters.back().cf < kAdaptiveCfThreshold;
     }
     rep.used_exact_estimator = use_exact;
 

@@ -46,10 +46,14 @@ enum class EstimatorKind {
   /// §VII-D's refinement: "when cf is below a certain threshold, we use
   /// the exact scheme" — probabilistic while the compression factor is
   /// high (where it is much cheaper), exact once the previous iteration's
-  /// cf falls under adaptive_cf_threshold (late, thin iterations where
+  /// cf falls under kAdaptiveCfThreshold (late, thin iterations where
   /// the symbolic pass is cheaper than r key sweeps).
   kAdaptive,
 };
+
+/// kAdaptive switches to the exact pass when the previous iteration's
+/// cf drops below this.
+inline constexpr double kAdaptiveCfThreshold = 4.0;
 
 struct IterationReport;
 
@@ -59,9 +63,6 @@ struct HipMclConfig {
   bool binary_merge = true;
   EstimatorKind estimator = EstimatorKind::kProbabilistic;
   int cohen_keys = 5;
-  /// Adaptive estimator: switch to the exact pass when the previous
-  /// iteration's cf drops below this (kAdaptive only).
-  double adaptive_cf_threshold = 4.0;
   /// Future-work extension (§VIII): run the probabilistic estimation's
   /// key propagation on the GPUs, pipelined against the host's key
   /// exchange, instead of on the CPU threads. Ignored for the exact
@@ -75,8 +76,8 @@ struct HipMclConfig {
   /// When set, also compute the quantity the configured estimator does
   /// NOT produce (uncharged) so benches can report estimation error.
   bool measure_estimation_error = false;
-  /// Keep the converged matrix in the result (for alternative
-  /// interpretations, e.g. interpret_attractors).
+  /// Keep the converged matrix in the result (checkpointing resumes
+  /// from it).
   bool keep_final_matrix = false;
   /// Global index of the first iteration this call runs (0 for a fresh
   /// run). Checkpoint resume passes the completed count so per-iteration

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "sparse/convert.hpp"
-#include "sparse/submatrix.hpp"
 #include "util/table.hpp"
 
 namespace mclx::core {
@@ -74,21 +72,6 @@ ClusterReport cluster_report(const sparse::Triples<vidx_t, val_t>& edges,
       total_size > 0 ? weighted_cohesion / static_cast<double>(total_size)
                      : 0;
   return report;
-}
-
-sparse::Csc<vidx_t, val_t> cluster_subgraph(
-    const sparse::Triples<vidx_t, val_t>& edges,
-    const std::vector<vidx_t>& labels, vidx_t cluster,
-    std::vector<vidx_t>* members) {
-  if (labels.size() != static_cast<std::size_t>(edges.nrows()))
-    throw std::invalid_argument("cluster_subgraph: label count mismatch");
-  std::vector<vidx_t> ids;
-  for (std::size_t v = 0; v < labels.size(); ++v) {
-    if (labels[v] == cluster) ids.push_back(static_cast<vidx_t>(v));
-  }
-  if (members) *members = ids;
-  const auto full = sparse::csc_from_triples(edges);
-  return sparse::extract_principal_submatrix(full, ids);
 }
 
 std::string format_report(const ClusterReport& report, int top) {

@@ -1,13 +1,11 @@
 // Per-cluster reporting: the summary a biologist reads after clustering —
 // cluster sizes, internal cohesion (mean intra-cluster weight, internal
-// density) vs external attachment, plus induced-subgraph extraction for
-// drilling into one cluster.
+// density) vs external attachment.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "sparse/csc.hpp"
 #include "sparse/triples.hpp"
 #include "util/types.hpp"
 
@@ -35,14 +33,6 @@ struct ClusterReport {
 /// weighted graph `edges`.
 ClusterReport cluster_report(const sparse::Triples<vidx_t, val_t>& edges,
                              const std::vector<vidx_t>& labels);
-
-/// Induced subgraph of one cluster: the returned matrix is over the
-/// cluster's members (in ascending vertex order); `members` receives the
-/// original vertex ids.
-sparse::Csc<vidx_t, val_t> cluster_subgraph(
-    const sparse::Triples<vidx_t, val_t>& edges,
-    const std::vector<vidx_t>& labels, vidx_t cluster,
-    std::vector<vidx_t>* members = nullptr);
 
 /// Multi-line printable digest of the top clusters.
 std::string format_report(const ClusterReport& report, int top = 10);

@@ -14,14 +14,11 @@
 // reachable through the individual headers re-exported here.
 #pragma once
 
-#include "core/attractors.hpp"
 #include "core/chaos.hpp"
 #include "core/checkpoint.hpp"
 #include "core/hipmcl.hpp"
 #include "core/inflate.hpp"
 #include "core/interpret.hpp"
-#include "core/local.hpp"
-#include "core/prepare.hpp"
 #include "core/prune.hpp"
 #include "core/quality.hpp"
 #include "core/report.hpp"
@@ -37,7 +34,6 @@
 #include "gen/planted.hpp"
 #include "gen/rmat.hpp"
 #include "io/matrix_market.hpp"
-#include "io/snapshot.hpp"
 #include "merge/binary.hpp"
 #include "merge/immediate.hpp"
 #include "merge/multiway.hpp"
@@ -55,15 +51,12 @@
 #include "sim/timeline.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/csc.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/dcsc.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
-#include "sparse/submatrix.hpp"
 #include "sparse/triples.hpp"
 #include "spgemm/hash.hpp"
 #include "spgemm/registry.hpp"
-#include "spgemm/semiring.hpp"
 #include "spgemm/spa.hpp"
 #include "spgemm/symbolic.hpp"
 #include "svc/manifest.hpp"

@@ -11,13 +11,11 @@
 // Two blocks take the two-pointer loop, the k = 2 case of the same fold.
 // No heap: a heap's tie order is its library's, not the blocks'.
 //
-// Columns merge independently, so the pass chunks over columns on the
-// shared pool with per-chunk output buffers stitched back in chunk
-// order; every column folds in the same order either way, so the result
-// is bit-identical to the sequential merge.
+// One sequential pass on the calling thread writes the merged columns
+// into the output arrays, reserved for the blocks' summed nnz (the most
+// the merge can produce) and charged once to "merge.scratch".
 #pragma once
 
-#include <algorithm>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -25,7 +23,6 @@
 
 #include "obs/mem.hpp"
 #include "sparse/csc.hpp"
-#include "util/parallel.hpp"
 
 namespace mclx::merge {
 
@@ -47,52 +44,46 @@ sparse::Csc<IT, VT> kway_merge(
   for (const auto* b : blocks) total += b->nnz();
 
   std::vector<IT> colptr(static_cast<std::size_t>(ncols) + 1, 0);
+  std::vector<IT> rowids;
+  std::vector<VT> vals;
+  rowids.reserve(total);
+  vals.reserve(total);
+  const obs::MemScope scratch_mem(
+      "merge.scratch", sparse::Csc<IT, VT>::bytes_for(ncols, total));
+  const auto end_column = [&](IT j) {
+    colptr[static_cast<std::size_t>(j) + 1] = static_cast<IT>(rowids.size());
+  };
 
-  const int chunks = par::plan_chunks(IT{0}, ncols);
-  std::vector<std::vector<IT>> chunk_rows(
-      static_cast<std::size_t>(std::max(chunks, 0)));
-  std::vector<std::vector<VT>> chunk_vals(chunk_rows.size());
-
-  auto merge_two_columns = [&](IT j0, IT j1, std::vector<IT>& out_rows,
-                               std::vector<VT>& out_vals) {
+  if (blocks.size() == 2) {
     const auto& x = *blocks[0];
     const auto& y = *blocks[1];
-    for (IT j = j0; j < j1; ++j) {
+    for (IT j = 0; j < ncols; ++j) {
       const auto xr = x.col_rows(j);
       const auto xv = x.col_vals(j);
       const auto yr = y.col_rows(j);
       const auto yv = y.col_vals(j);
-      const auto col_start = out_rows.size();
       std::size_t p = 0, q = 0;
       while (p < xr.size() && q < yr.size()) {
         if (xr[p] < yr[q]) {
-          out_rows.push_back(xr[p]);
-          out_vals.push_back(xv[p++]);
+          rowids.push_back(xr[p]);
+          vals.push_back(xv[p++]);
         } else if (yr[q] < xr[p]) {
-          out_rows.push_back(yr[q]);
-          out_vals.push_back(yv[q++]);
+          rowids.push_back(yr[q]);
+          vals.push_back(yv[q++]);
         } else {
-          out_rows.push_back(xr[p]);
-          out_vals.push_back(xv[p++] + yv[q++]);
+          rowids.push_back(xr[p]);
+          vals.push_back(xv[p++] + yv[q++]);
         }
       }
       for (const auto rest : {xr.subspan(p), yr.subspan(q)}) {
-        out_rows.insert(out_rows.end(), rest.begin(), rest.end());
+        rowids.insert(rowids.end(), rest.begin(), rest.end());
       }
       for (const auto rest : {xv.subspan(p), yv.subspan(q)}) {
-        out_vals.insert(out_vals.end(), rest.begin(), rest.end());
+        vals.insert(vals.end(), rest.begin(), rest.end());
       }
-      colptr[static_cast<std::size_t>(j) + 1] =
-          static_cast<IT>(out_rows.size() - col_start);
+      end_column(j);
     }
-  };
-
-  auto merge_columns = [&](IT j0, IT j1, std::vector<IT>& out_rows,
-                           std::vector<VT>& out_vals) {
-    if (blocks.size() == 2) {
-      merge_two_columns(j0, j1, out_rows, out_vals);
-      return;
-    }
+  } else {
     // One cursor per block over its part of column j; `head` is the row
     // under the cursor, or kDone (above every real row) once it is spent.
     struct Cursor {
@@ -108,7 +99,7 @@ sparse::Csc<IT, VT> kway_merge(
       c.head = c.row != c.end ? *c.row : kDone;
     };
     std::vector<Cursor> cursors(blocks.size());
-    for (IT j = j0; j < j1; ++j) {
+    for (IT j = 0; j < ncols; ++j) {
       for (std::size_t w = 0; w < blocks.size(); ++w) {
         const auto rows = blocks[w]->col_rows(j);
         Cursor& c = cursors[w];
@@ -117,7 +108,6 @@ sparse::Csc<IT, VT> kway_merge(
         c.val = blocks[w]->col_vals(j).data();
         c.head = rows.empty() ? kDone : rows.front();
       }
-      const auto col_start = out_rows.size();
       for (;;) {
         std::size_t first = 0;
         for (std::size_t w = 1; w < cursors.size(); ++w) {
@@ -133,57 +123,17 @@ sparse::Csc<IT, VT> kway_merge(
             advance(cursors[w]);
           }
         }
-        out_rows.push_back(row);
-        out_vals.push_back(sum);
+        rowids.push_back(row);
+        vals.push_back(sum);
       }
-      colptr[static_cast<std::size_t>(j) + 1] =
-          static_cast<IT>(out_rows.size() - col_start);
+      end_column(j);
     }
-  };
-
-  par::parallel_chunks(IT{0}, ncols, [&](IT j0, IT j1, int c) {
-    auto& rows = chunk_rows[static_cast<std::size_t>(c)];
-    auto& vals = chunk_vals[static_cast<std::size_t>(c)];
-    rows.reserve(total / static_cast<std::size_t>(std::max(chunks, 1)));
-    vals.reserve(total / static_cast<std::size_t>(std::max(chunks, 1)));
-    // Charge the reservation up front, grow the charge if the chunk's
-    // actual output outran it; scoped so concurrent chunks stack under
-    // one "merge.scratch" label (separate from the per-rank resident
-    // tracks, which the legacy peak accounting must keep matching).
-    obs::MemScope scratch_mem(
-        "merge.scratch",
-        static_cast<std::uint64_t>(rows.capacity()) * sizeof(IT) +
-            static_cast<std::uint64_t>(vals.capacity()) * sizeof(VT));
-    const std::size_t reserved_rows = rows.capacity();
-    const std::size_t reserved_vals = vals.capacity();
-    merge_columns(j0, j1, rows, vals);
-    if (rows.capacity() > reserved_rows) {
-      scratch_mem.add(static_cast<std::uint64_t>(rows.capacity() -
-                                                 reserved_rows) *
-                      sizeof(IT));
-    }
-    if (vals.capacity() > reserved_vals) {
-      scratch_mem.add(static_cast<std::uint64_t>(vals.capacity() -
-                                                 reserved_vals) *
-                      sizeof(VT));
-    }
-  });
-
-  for (IT j = 0; j < ncols; ++j) {
-    colptr[static_cast<std::size_t>(j) + 1] +=
-        colptr[static_cast<std::size_t>(j)];
   }
-  std::vector<IT> rowids(
-      static_cast<std::size_t>(colptr[static_cast<std::size_t>(ncols)]));
-  std::vector<VT> vals(rowids.size());
-  std::size_t dst = 0;
-  for (std::size_t c = 0; c < chunk_rows.size(); ++c) {
-    std::copy(chunk_rows[c].begin(), chunk_rows[c].end(),
-              rowids.begin() + static_cast<std::ptrdiff_t>(dst));
-    std::copy(chunk_vals[c].begin(), chunk_vals[c].end(),
-              vals.begin() + static_cast<std::ptrdiff_t>(dst));
-    dst += chunk_rows[c].size();
-  }
+
+  // Overlapping blocks merge to fewer entries than reserved; a merged
+  // block held for a later merge carries no growth slack.
+  rowids.shrink_to_fit();
+  vals.shrink_to_fit();
   return sparse::Csc<IT, VT>(nrows, ncols, std::move(colptr),
                              std::move(rowids), std::move(vals));
 }

@@ -9,9 +9,9 @@
 // Installed through the thread's obs::Context (obs/context.hpp):
 // recording is off by default — instrumentation sites are a null check —
 // and installing a ledger never changes what the pipeline computes.
-// Unlike MetricsRegistry the ledger IS thread-safe: SpGEMM accumulators
-// and merge scratch are charged from pool lanes (which keep the ledger),
-// so every mutating entry point takes an internal mutex. Charges are per
+// Unlike MetricsRegistry the ledger IS thread-safe: a laned hash_spgemm
+// charges its accumulators from pool lanes (which keep the ledger), so
+// every mutating entry point takes an internal mutex. Charges are per
 // allocation (accumulator, chunk buffer, merge push), not per element,
 // so the lock is far off the hot path.
 //

@@ -52,9 +52,6 @@ vtime_t CostModel::local_spgemm(spgemm::KernelKind kind, std::uint64_t flops,
       // The simulated rank's thread scaling is the cpu_threads() factor;
       // the host pool lanes that compute the real product never show.
       return f / (m_.cpu_core_rate_flops / m_.work_scale * cpu_threads());
-    case spgemm::KernelKind::kCpuSpa:
-      // SPA pays O(nrows) column resets; model as hash with a 15% haircut.
-      return 1.15 * f / (m_.cpu_core_rate_flops / m_.work_scale * cpu_threads());
     case spgemm::KernelKind::kCpuHeap: {
       // Comparison-dominated: lg(width) comparisons per flop. The heap
       // comparison rate is a bit higher than the hash probe rate per op,

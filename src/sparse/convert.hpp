@@ -1,15 +1,13 @@
-// Conversions among Triples / CSC / CSR / DCSC, plus transpose.
+// Conversions among Triples / CSC / DCSC, plus transpose.
 //
-// The DCSC→CSC "decompression" and the CSC-as-transposed-CSR identity are
-// the exact preprocessing tricks §III-B of the paper uses to feed
-// CSR-native GPU kernels without materializing a transpose.
+// The DCSC→CSC "decompression" is the §III-B preprocessing step that
+// feeds the local multiply.
 #pragma once
 
 #include <algorithm>
 #include <numeric>
 
 #include "sparse/csc.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/dcsc.hpp"
 #include "sparse/triples.hpp"
 
@@ -49,68 +47,28 @@ Triples<IT, VT> triples_from_csc(const Csc<IT, VT>& a) {
   return t;
 }
 
-/// CSC → CSR of the same matrix (an explicit transpose-shaped shuffle).
+/// Explicit transpose in CSC: one counting scatter of A's entries by
+/// row. Columns of the result come out sorted because A's columns are
+/// visited in order.
 template <typename IT, typename VT>
-Csr<IT, VT> csr_from_csc(const Csc<IT, VT>& a) {
-  const IT nrows = a.nrows();
-  std::vector<IT> rowptr(static_cast<std::size_t>(nrows) + 1, 0);
-  std::vector<IT> colids(a.nnz());
+Csc<IT, VT> transpose(const Csc<IT, VT>& a) {
+  std::vector<IT> colptr(static_cast<std::size_t>(a.nrows()) + 1, 0);
+  std::vector<IT> rowids(a.nnz());
   std::vector<VT> vals(a.nnz());
-  for (IT r : a.rowids()) ++rowptr[static_cast<std::size_t>(r) + 1];
-  for (std::size_t i = 1; i < rowptr.size(); ++i) rowptr[i] += rowptr[i - 1];
-  std::vector<IT> cursor(rowptr.begin(), rowptr.end() - 1);
+  for (IT r : a.rowids()) ++colptr[static_cast<std::size_t>(r) + 1];
+  for (std::size_t i = 1; i < colptr.size(); ++i) colptr[i] += colptr[i - 1];
+  std::vector<IT> cursor(colptr.begin(), colptr.end() - 1);
   for (IT j = 0; j < a.ncols(); ++j) {
     const auto rows = a.col_rows(j);
     const auto v = a.col_vals(j);
     for (std::size_t p = 0; p < rows.size(); ++p) {
       const IT dst = cursor[static_cast<std::size_t>(rows[p])]++;
-      colids[dst] = j;
-      vals[dst] = v[p];
+      rowids[static_cast<std::size_t>(dst)] = j;
+      vals[static_cast<std::size_t>(dst)] = v[p];
     }
   }
-  return Csr<IT, VT>(nrows, a.ncols(), std::move(rowptr), std::move(colids),
-                     std::move(vals));
-}
-
-template <typename IT, typename VT>
-Csc<IT, VT> csc_from_csr(const Csr<IT, VT>& a) {
-  const IT ncols = a.ncols();
-  std::vector<IT> colptr(static_cast<std::size_t>(ncols) + 1, 0);
-  std::vector<IT> rowids(a.nnz());
-  std::vector<VT> vals(a.nnz());
-  for (IT c : a.colids()) ++colptr[static_cast<std::size_t>(c) + 1];
-  for (std::size_t j = 1; j < colptr.size(); ++j) colptr[j] += colptr[j - 1];
-  std::vector<IT> cursor(colptr.begin(), colptr.end() - 1);
-  for (IT i = 0; i < a.nrows(); ++i) {
-    const auto cols = a.row_cols(i);
-    const auto v = a.row_vals(i);
-    for (std::size_t p = 0; p < cols.size(); ++p) {
-      const IT dst = cursor[static_cast<std::size_t>(cols[p])]++;
-      rowids[dst] = i;
-      vals[dst] = v[p];
-    }
-  }
-  return Csc<IT, VT>(a.nrows(), ncols, std::move(colptr), std::move(rowids),
-                     std::move(vals));
-}
-
-/// Zero-copy-in-spirit identity: a CSC matrix reinterpreted as the CSR of
-/// its transpose (§III-B). Arrays are copied, not recomputed.
-template <typename IT, typename VT>
-Csr<IT, VT> csr_of_transpose(const Csc<IT, VT>& a) {
-  return Csr<IT, VT>(a.ncols(), a.nrows(), a.colptr(), a.rowids(), a.vals());
-}
-
-/// The inverse reinterpretation: a CSR matrix as the CSC of its transpose.
-template <typename IT, typename VT>
-Csc<IT, VT> csc_of_transpose(const Csr<IT, VT>& a) {
-  return Csc<IT, VT>(a.ncols(), a.nrows(), a.rowptr(), a.colids(), a.vals());
-}
-
-/// Explicit transpose in CSC.
-template <typename IT, typename VT>
-Csc<IT, VT> transpose(const Csc<IT, VT>& a) {
-  return csc_from_csr(csr_of_transpose(a));
+  return Csc<IT, VT>(a.ncols(), a.nrows(), std::move(colptr),
+                     std::move(rowids), std::move(vals));
 }
 
 /// CSC → DCSC: compress away empty columns.

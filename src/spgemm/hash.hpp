@@ -1,9 +1,8 @@
 // Hash SpGEMM on CPU, after Nagasaka, Matsuoka, Azad & Buluç
 // (ICPP-W 2018) — the kernel §VI integrates into HipMCL. It is also the
-// real product behind every other kind but the SPA reference: cpu-heap
-// and the three simulated device libraries differ in selection, virtual
-// cost and device memory, not in the bits they produce
-// (docs/KERNELS.md, "Fold order").
+// real product behind every other kind: cpu-heap and the three simulated
+// device libraries differ in selection, virtual cost and device memory,
+// not in the bits they produce (docs/KERNELS.md, "Fold order").
 //
 // Per output column, intermediate products accumulate in a row-indexed
 // table: one value slot and one uint32 stamp per row of A, i.e. a hash

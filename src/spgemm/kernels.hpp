@@ -7,13 +7,11 @@
 namespace mclx::spgemm {
 
 // A kind names a selection rule, a cost row and a report label. Every
-// kind but cpu-spa computes its real product with hash_spgemm's row
-// accumulator (hash.hpp), so the kind never changes a bit of the output.
+// kind computes its real product with hash_spgemm's row accumulator
+// (hash.hpp), so the kind never changes a bit of the output.
 enum class KernelKind {
   kCpuHeap,         ///< heap column merge — original HipMCL kernel
-  kCpuHash,         ///< hash accumulation — §VI's CPU kernel (cpu-hash),
-                    ///< on one or more pool lanes (hash.hpp)
-  kCpuSpa,          ///< dense-accumulator reference (testing only)
+  kCpuHash,         ///< hash accumulation — §VI's CPU kernel (cpu-hash)
   kGpuBhsparse,     ///< ESC (expand-sort-compress) on the device
   kGpuNsparse,      ///< device hash tables — wins at large cf
   kGpuRmerge2,      ///< iterative row merging — wins at small cf
@@ -23,7 +21,6 @@ inline constexpr std::string_view kernel_name(KernelKind k) {
   switch (k) {
     case KernelKind::kCpuHeap: return "cpu-heap";
     case KernelKind::kCpuHash: return "cpu-hash";
-    case KernelKind::kCpuSpa: return "cpu-spa";
     case KernelKind::kGpuBhsparse: return "bhsparse";
     case KernelKind::kGpuNsparse: return "nsparse";
     case KernelKind::kGpuRmerge2: return "rmerge2";

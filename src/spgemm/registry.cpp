@@ -4,9 +4,7 @@
 #include "obs/prof/flight_recorder.hpp"
 #include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/spa.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 
 namespace mclx::spgemm {
 
@@ -103,16 +101,10 @@ LocalSpgemmResult LocalMultiplier::charge(const MultiplyCounts& counts,
 
 LocalSpgemmResult LocalMultiplier::multiply(const CscD& a, const CscD& b,
                                             double cf_estimate) {
-  // Every kind but the SPA reference multiplies on hash_spgemm's row
-  // accumulator, so the product does not wait for the selection. Lanes
-  // are an execution detail: the product is bitwise the same at any
-  // count, so neither the kind nor the cost sees them.
+  // Every kind multiplies on hash_spgemm's row accumulator, so the
+  // product does not wait for the selection.
   const std::uint64_t flops = sparse::spgemm_flops(a, b);
-  CscD c = policy_.fixed == KernelKind::kCpuSpa
-               ? spa_spgemm(a, b)
-               : hash_spgemm(a, b, flops >= kMinLaneFlops
-                                       ? par::effective_lanes()
-                                       : 1);
+  CscD c = hash_spgemm(a, b);
   std::vector<gpuk::SliceCounts> slices;
   if (may_use_devices()) slices = gpuk::count_slices(a, b, c, num_devices());
   MultiplyCounts counts;

@@ -44,11 +44,6 @@ struct HybridPolicy {
                     bool gpu_available) const;
 };
 
-/// cpu-hash multiplies of at least this many flops run on the calling
-/// thread's effective pool lanes (par::effective_lanes()); smaller ones
-/// run on one lane, where fork/join overhead would outweigh the work.
-inline constexpr std::uint64_t kMinLaneFlops = 1'000'000;
-
 /// Kernel request: a fixed kernel, or hybrid selection.
 struct KernelPolicy {
   std::optional<KernelKind> fixed;  ///< nullopt => hybrid

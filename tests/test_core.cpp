@@ -17,6 +17,7 @@
 #include "core/inflate.hpp"
 #include "core/interpret.hpp"
 #include "core/prune.hpp"
+#include "dist/cc.hpp"
 #include "gen/planted.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
@@ -453,6 +454,33 @@ TEST(HipMcl, FinalMatrixLinksOnlyVerticesOfOneCluster) {
           << "entry (" << i << ", " << j << ")";
     }
   }
+}
+
+TEST(HipMcl, LabelsAreTheComponentsOfTheFinalMatrix) {
+  // The converse of the test above: each cluster is one connected piece
+  // of the converged matrix, so re-reading the kept matrix on another
+  // grid gives back the reported labels and count exactly.
+  gen::PlantedParams gp;
+  gp.n = 250;
+  gp.seed = 71;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 30;
+  core::HipMclConfig config = core::HipMclConfig::optimized();
+  config.keep_final_matrix = true;
+  sim::SimState sim(sim::summit_like(4));
+  const auto result = core::run_hipmcl(g.edges, params, config, sim);
+  ASSERT_TRUE(result.converged);
+  ASSERT_TRUE(result.final_matrix.has_value());
+  ASSERT_GT(result.num_clusters, 1);
+
+  const dist::DistMat regridded = dist::DistMat::from_triples(
+      sparse::triples_from_csc(result.final_matrix->to_csc()),
+      dist::ProcGrid(9));
+  sim::SimState other(sim::summit_like(9));
+  const auto cc = dist::connected_components(regridded, other);
+  EXPECT_EQ(cc.num_components, result.num_clusters);
+  EXPECT_EQ(cc.labels, result.labels);
 }
 
 TEST(HipMcl, OptimizedRunBitIdenticalAcrossThreadCounts) {

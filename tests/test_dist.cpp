@@ -1095,6 +1095,65 @@ TEST(ConnectedComponents, DirectedEntriesTreatedUndirected) {
   EXPECT_EQ(cc.labels[0], cc.labels[1]);
 }
 
+/// A hand-built converged MCL matrix (column = source of the flow):
+///  - vertex 0 is an attractor; vertices 1 and 2 flow fully to it;
+///  - vertices 3 and 4 form a two-attractor system; vertex 5 flows to 3.
+T converged_flow() {
+  T t(6, 6);
+  t.push(0, 0, 1.0);
+  t.push(0, 1, 1.0);
+  t.push(0, 2, 1.0);
+  t.push(3, 3, 0.5);
+  t.push(4, 3, 0.5);
+  t.push(3, 4, 0.5);
+  t.push(4, 4, 0.5);
+  t.push(3, 5, 1.0);
+  t.sort_and_combine();
+  return t;
+}
+
+TEST(ConnectedComponents, OneClusterPerAttractorSystemOnEveryGrid) {
+  const std::vector<vidx_t> want = {0, 0, 0, 1, 1, 1};
+  for (const int ranks : {1, 4, 9}) {
+    const DistMat m = DistMat::from_triples(converged_flow(), ProcGrid(ranks));
+    sim::SimState sim(sim::summit_like(ranks));
+    const auto cc = dist::connected_components(m, sim);
+    EXPECT_EQ(cc.num_components, 2) << ranks << " ranks";
+    EXPECT_EQ(cc.labels, want) << ranks << " ranks";
+  }
+}
+
+TEST(ConnectedComponents, SplitFlowJoinsBothAttractors) {
+  // Vertex 2 sends 0.6 of its flow to attractor 0 and 0.4 to attractor
+  // 1. Components read the pattern, so the overlap joins the two
+  // attractors into one cluster instead of assigning 2 to one side.
+  T t(3, 3);
+  t.push(0, 0, 1.0);
+  t.push(1, 1, 1.0);
+  t.push(0, 2, 0.6);
+  t.push(1, 2, 0.4);
+  t.sort_and_combine();
+  const DistMat m = DistMat::from_triples(t, ProcGrid(1));
+  sim::SimState sim(sim::summit_like(1));
+  const auto cc = dist::connected_components(m, sim);
+  EXPECT_EQ(cc.num_components, 1);
+  EXPECT_EQ(cc.labels, (std::vector<vidx_t>{0, 0, 0}));
+}
+
+TEST(ConnectedComponents, ChargesOnlyTheOtherStage) {
+  const DistMat m = DistMat::from_triples(converged_flow(), ProcGrid(4));
+  sim::SimState sim(sim::summit_like(4));
+  dist::connected_components(m, sim);
+  const auto st = sim.critical_stage_times();
+  for (std::size_t s = 0; s < sim::kNumStages; ++s) {
+    if (s == static_cast<std::size_t>(sim::Stage::kOther)) {
+      EXPECT_GT(st[s], 0.0);
+    } else {
+      EXPECT_EQ(st[s], 0.0) << sim::kStageNames[s];
+    }
+  }
+}
+
 TEST(ConnectedComponents, NonSquareRejected) {
   const DistMat m(4, 5, ProcGrid(1));
   sim::SimState sim(sim::summit_like(1));

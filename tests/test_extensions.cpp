@@ -1,14 +1,15 @@
 // Tests for the paper's extension / future-work features: 3D Sparse
 // SUMMA, MCL recovery, the adaptive estimator switch, GPU-offloaded
-// estimation, and the local clustering convenience API.
+// estimation, and clustering on a single CPU-only rank.
 #include <gtest/gtest.h>
 
 #include "core/hipmcl.hpp"
-#include "core/local.hpp"
 #include "core/prune.hpp"
 #include "dist/summa.hpp"
 #include "dist/summa3d.hpp"
 #include "gen/planted.hpp"
+#include "obs/context.hpp"
+#include "obs/metrics.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
@@ -135,6 +136,40 @@ TEST(Summa3d, ReplicationChargedWhenRequested) {
   EXPECT_GT(r1.stats.elapsed, r2.stats.elapsed);
 }
 
+TEST(Summa3d, ReportsItsIntervalsToTheMetricsRegistry) {
+  T ta = random_triples(40, 400, 7);
+  const DistMat a = DistMat::from_triples(ta, ProcGrid(4));
+  dist::Summa3dOptions opt;
+  opt.layers = 2;
+  opt.charge_replication = true;
+
+  obs::MetricsRegistry registry;
+  sim::SimState s1(machine_3d(8));
+  const auto observed = [&] {
+    const obs::ScopedContext scope(registry);
+    return dist::summa3d_multiply(a, a, s1, opt);
+  }();
+  EXPECT_EQ(registry.counter("summa3d.calls"), 1u);
+  EXPECT_EQ(registry.counter("summa3d.layers"), 2u);
+  for (const char* name :
+       {"summa3d.replication_s", "summa3d.reduction_s", "summa3d.spgemm_s",
+        "summa3d.bcast_s", "summa3d.merge_s", "summa3d.overall_s"}) {
+    const obs::Histogram* h = registry.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count(), 1u) << name;
+  }
+  EXPECT_DOUBLE_EQ(registry.histogram("summa3d.replication_s")->max(),
+                   observed.replication_time);
+  EXPECT_DOUBLE_EQ(registry.histogram("summa3d.overall_s")->max(),
+                   observed.stats.elapsed);
+
+  // Observing changes neither the product nor the virtual clock.
+  sim::SimState s2(machine_3d(8));
+  const auto silent = dist::summa3d_multiply(a, a, s2, opt);
+  EXPECT_EQ(silent.c.to_csc(), observed.c.to_csc());
+  EXPECT_EQ(silent.stats.elapsed, observed.stats.elapsed);
+}
+
 TEST(Summa3d, RejectsBadConfigs) {
   T ta = random_triples(20, 100, 6);
   const ProcGrid grid(4);
@@ -240,7 +275,7 @@ TEST(AdaptiveEstimator, SwitchesToExactAtLowCf) {
   // Once cf < threshold in iteration i, iteration i+1 uses exact.
   for (std::size_t i = 1; i < r.iters.size(); ++i) {
     EXPECT_EQ(r.iters[i].used_exact_estimator,
-              r.iters[i - 1].cf < config.adaptive_cf_threshold);
+              r.iters[i - 1].cf < core::kAdaptiveCfThreshold);
   }
 }
 
@@ -297,9 +332,10 @@ TEST(GpuEstimation, IgnoredOnCpuOnlyMachine) {
 }
 
 // ---------------------------------------------------------------------------
-// Local clustering API.
+// One CPU-only rank: no broadcast partner and no GPU to offload to, so
+// only the numerics of the distributed pipeline remain.
 
-TEST(LocalApi, MatchesDistributedClusters) {
+TEST(OneRank, MatchesDistributedClusters) {
   gen::PlantedParams gp;
   gp.n = 200;
   gp.seed = 12;
@@ -307,22 +343,28 @@ TEST(LocalApi, MatchesDistributedClusters) {
   core::MclParams params;
   params.prune.select_k = 25;
 
-  const auto local = core::mcl_cluster(g.edges, params);
-  sim::SimState sim(sim::summit_like(9));
-  const auto distributed = core::run_hipmcl(g.edges, params,
-                                            core::HipMclConfig::optimized(),
-                                            sim);
+  sim::SimState one(sim::summit_like_cpu_only(1));
+  const auto local = core::run_hipmcl(g.edges, params,
+                                      core::HipMclConfig::optimized(), one);
+  sim::SimState nine(sim::summit_like(9));
+  const auto distributed = core::run_hipmcl(
+      g.edges, params, core::HipMclConfig::optimized(), nine);
   EXPECT_EQ(local.labels, distributed.labels);
   EXPECT_EQ(local.num_clusters, distributed.num_clusters);
   EXPECT_TRUE(local.converged);
+  const auto bcast = static_cast<std::size_t>(sim::Stage::kSummaBcast);
+  EXPECT_EQ(local.stage_times[bcast], 0.0);
+  EXPECT_GT(distributed.stage_times[bcast], 0.0);
 }
 
-TEST(LocalApi, RecoversFamilies) {
+TEST(OneRank, RecoversFamilies) {
   gen::PlantedParams gp;
   gp.n = 300;
   gp.seed = 13;
   const auto g = gen::planted_partition(gp);
-  const auto r = core::mcl_cluster(g.edges);
+  sim::SimState sim(sim::summit_like_cpu_only(1));
+  const auto r = core::run_hipmcl(g.edges, {},
+                                  core::HipMclConfig::optimized(), sim);
   const auto q = gen::score_clustering(r.labels, g.labels);
   EXPECT_GT(q.f1, 0.85);
 }

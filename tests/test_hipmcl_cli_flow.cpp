@@ -1,16 +1,17 @@
-// End-to-end flows a CLI user exercises: mtx file in → prepare →
-// cluster → labels/snapshot out → reload and score. Glues io, prepare,
-// core and quality together the way hipmcl_cli does.
+// The end-to-end flow a CLI user exercises: mtx file in → cluster →
+// score. Glues io, core and quality together the way hipmcl_cli does.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iomanip>
+#include <string>
 
-#include "core/local.hpp"
-#include "core/prepare.hpp"
+#include "core/hipmcl.hpp"
 #include "core/quality.hpp"
 #include "gen/planted.hpp"
 #include "io/matrix_market.hpp"
-#include "io/snapshot.hpp"
+#include "sim/machine.hpp"
+#include "sim/timeline.hpp"
 
 namespace {
 
@@ -25,13 +26,13 @@ TEST(CliFlow, MtxRoundTripThenClusterThenSnapshot) {
   const std::string mtx = testing::TempDir() + "/cli_net.mtx";
   io::write_matrix_market_file(mtx, g.edges, "cli flow test");
 
-  // 2. Read it back, prepare, cluster.
-  const auto raw = io::read_matrix_market_file(mtx);
-  core::PrepareOptions prep;  // defaults: max-symmetrize, drop self loops
-  const auto net = core::prepare_network(raw, prep);
+  // 2. Read it back and cluster it on one CPU-only rank.
+  const auto net = io::read_matrix_market_file(mtx);
   core::MclParams params;
   params.prune.select_k = 25;
-  const auto r = core::mcl_cluster(net, params);
+  sim::SimState sim(sim::summit_like_cpu_only(1));
+  const auto r = core::run_hipmcl(net, params,
+                                  core::HipMclConfig::optimized(), sim);
   EXPECT_TRUE(r.converged);
 
   // 3. Quality against the planted truth survives the file round trip.
@@ -41,60 +42,42 @@ TEST(CliFlow, MtxRoundTripThenClusterThenSnapshot) {
   // much of the graph (the degree-squared null model); positive and well
   // above the shuffled baseline is the right expectation here.
   EXPECT_GT(core::modularity(net, r.labels), 0.05);
-
-  // 4. Snapshot the labels and reload.
-  const std::string lab = testing::TempDir() + "/cli_labels.bin";
-  io::save_labels(lab, r.labels);
-  EXPECT_EQ(io::load_labels(lab), r.labels);
 }
 
-TEST(CliFlow, PreparationIsIdempotent) {
-  gen::PlantedParams gp;
-  gp.n = 150;
-  gp.seed = 82;
-  const auto g = gen::planted_partition(gp);
-  core::PrepareOptions prep;
-  const auto once = core::prepare_network(g.edges, prep);
-  const auto twice = core::prepare_network(once, prep);
-  EXPECT_EQ(once, twice);
-}
-
-TEST(CliFlow, PreparedAsymmetricInputClustersLikeSymmetric) {
-  // Strip one direction from a symmetric network; max-symmetrization
-  // must restore it and the clustering must match the original's.
+TEST(CliFlow, HalfStoredSymmetricFileClustersLikeTheFullNetwork) {
+  // A network stored once per undirected edge under a `symmetric`
+  // header reads back as the full matrix and clusters identically.
   gen::PlantedParams gp;
   gp.n = 150;
   gp.seed = 83;
   const auto g = gen::planted_partition(gp);
-  sparse::Triples<vidx_t, val_t> one_way(g.edges.nrows(), g.edges.ncols());
-  for (const auto& e : g.edges) {
-    if (e.row < e.col) one_way.push_unchecked(e.row, e.col, e.val);
+  const std::string mtx = testing::TempDir() + "/cli_half.mtx";
+  {
+    std::size_t lower = 0;
+    for (const auto& e : g.edges) lower += e.row >= e.col ? 1 : 0;
+    std::ofstream out(mtx);
+    out << "%%MatrixMarket matrix coordinate real symmetric\n"
+        << g.edges.nrows() << ' ' << g.edges.ncols() << ' ' << lower << '\n'
+        << std::setprecision(17);
+    for (const auto& e : g.edges) {
+      if (e.row >= e.col) {
+        out << e.row + 1 << ' ' << e.col + 1 << ' ' << e.val << '\n';
+      }
+    }
   }
-  one_way.sort_and_combine();
-
-  core::PrepareOptions prep;
-  const auto restored = core::prepare_network(one_way, prep);
-  EXPECT_EQ(restored, core::prepare_network(g.edges, prep));
+  const auto half = io::read_matrix_market_file(mtx);
+  EXPECT_EQ(half, g.edges);
 
   core::MclParams params;
   params.prune.select_k = 25;
-  const auto from_restored = core::mcl_cluster(restored, params);
-  const auto from_original = core::mcl_cluster(g.edges, params);
-  EXPECT_EQ(from_restored.labels, from_original.labels);
-}
-
-TEST(CliFlow, BinarySnapshotFasterPathEquivalentToMtx) {
-  gen::PlantedParams gp;
-  gp.n = 120;
-  gp.seed = 84;
-  const auto g = gen::planted_partition(gp);
-  const std::string bin = testing::TempDir() + "/cli_net.bin";
-  io::save_triples(bin, g.edges);
-  const auto back = io::load_triples(bin);
-  core::MclParams params;
-  params.prune.select_k = 25;
-  EXPECT_EQ(core::mcl_cluster(back, params).labels,
-            core::mcl_cluster(g.edges, params).labels);
+  sim::SimState s1(sim::summit_like_cpu_only(1));
+  const auto from_half = core::run_hipmcl(half, params,
+                                          core::HipMclConfig::optimized(), s1);
+  sim::SimState s2(sim::summit_like_cpu_only(1));
+  const auto from_full = core::run_hipmcl(
+      g.edges, params, core::HipMclConfig::optimized(), s2);
+  EXPECT_EQ(from_half.labels, from_full.labels);
+  EXPECT_GT(from_half.num_clusters, 1);
 }
 
 }  // namespace

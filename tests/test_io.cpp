@@ -85,6 +85,51 @@ TEST(MatrixMarket, RejectsUnsupportedFormat) {
   EXPECT_THROW(io::read_matrix_market(ss), std::runtime_error);
 }
 
+TEST(MatrixMarket, RejectsUnsupportedObjectFieldAndSymmetry) {
+  const auto error_of = [](const std::string& banner) {
+    std::stringstream ss(banner + "\n2 2 1\n1 1 1.0\n");
+    try {
+      (void)io::read_matrix_market(ss);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of("%%MatrixMarket vector coordinate real general"),
+            "matrix market: unsupported object: vector");
+  EXPECT_EQ(error_of("%%MatrixMarket matrix coordinate complex general"),
+            "matrix market: unsupported field: complex");
+  EXPECT_EQ(error_of("%%MatrixMarket matrix coordinate real hermitian"),
+            "matrix market: unsupported symmetry: hermitian");
+  EXPECT_EQ(error_of("%%MatrixMarket matrix coordinate real skew-symmetric"),
+            "matrix market: unsupported symmetry: skew-symmetric");
+  // The banner words are case-insensitive.
+  EXPECT_EQ(error_of("%%MATRIXMARKET Matrix Coordinate REAL General"),
+            "no error");
+}
+
+TEST(MatrixMarket, LineLongerThanAReadBlockParses) {
+  // Trailing text after the value is ignored, so one entry line can be
+  // longer than the reader's 1 MiB block; the block grows to hold it and
+  // the lines on either side still read in order.
+  std::string text =
+      "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n";
+  text += "1 2 0.5 ";
+  text.append(std::size_t{3} << 19, 'x');  // 1.5 MiB
+  text += "\n3 1 0.25\n";
+  std::stringstream ss(text);
+  const MmTriples m = io::read_matrix_market(ss);
+  ASSERT_EQ(m.nnz(), 3u);
+  EXPECT_EQ(m.data()[0].row, 0);
+  EXPECT_EQ(m.data()[0].col, 0);
+  EXPECT_EQ(m.data()[1].row, 2);
+  EXPECT_EQ(m.data()[1].col, 0);
+  EXPECT_EQ(m.data()[1].val, 0.25);
+  EXPECT_EQ(m.data()[2].row, 0);
+  EXPECT_EQ(m.data()[2].col, 1);
+  EXPECT_EQ(m.data()[2].val, 0.5);
+}
+
 TEST(MatrixMarket, RejectsOutOfBoundsEntry) {
   std::stringstream ss("%%MatrixMarket matrix coordinate real general\n"
                        "2 2 1\n3 1 1.0\n");

@@ -1,11 +1,11 @@
 // The memory ledger: scripted charge/release accounting, RAII scopes,
 // thread-safety under the shared pool (the TSan CI job runs this), the
 // estimator-audit join, process-peak sampling, the input staging that
-// DistMat::from_triples charges, and the end-to-end contract on a real
-// run — the ledger's per-rank merge track must land
-// on exactly the number the legacy element counters report, RunReport
-// v4 must carry the measured actuals, and the Chrome trace must hold
-// both duration and counter events.
+// DistMat::from_triples charges, the k-way merge's one scratch charge,
+// and the end-to-end contract on a real run — the ledger's per-rank
+// merge track must land on exactly the number the legacy element
+// counters report, RunReport v4 must carry the measured actuals, and the
+// Chrome trace must hold both duration and counter events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,11 +14,13 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/hipmcl.hpp"
 #include "dist/distmat.hpp"
 #include "dist/grid.hpp"
 #include "gen/planted.hpp"
+#include "merge/kway.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
@@ -27,6 +29,7 @@
 #include "sim/eventlog.hpp"
 #include "sim/machine.hpp"
 #include "sim/timeline.hpp"
+#include "sparse/convert.hpp"
 #include "util/parallel.hpp"
 #include "util/types.hpp"
 
@@ -330,6 +333,39 @@ TEST(MemLedger, FromTriplesChargesTheStagingItHolds) {
   EXPECT_EQ(sorted_ledger.label_stats("dist.staging").high_water_bytes,
             5 * sizeof(vidx_t) + sorted.nnz() * kBytesPerElem);
   EXPECT_EQ(sorted_ledger.label_stats("dist.staging").current_bytes, 0u);
+}
+
+// ------------------------------------------------------------ merge scratch
+
+TEST(MemLedger, KwayMergeChargesItsScratchOnceFromTheCaller) {
+  // The k-way merge is one pass on the calling thread into one buffer:
+  // one "merge.scratch" charge on the caller's ledger at any pool width,
+  // at least as large as the merged block.
+  struct PoolGuard {
+    ~PoolGuard() { par::set_threads(0); }
+  } guard;
+  par::set_threads(4);
+  std::vector<dist::CscD> blocks;
+  for (vidx_t b = 0; b < 3; ++b) {
+    dist::TriplesD t(8, 6);  // rows b and b + 1 of every column
+    for (vidx_t j = 0; j < 6; ++j) {
+      t.push(b, j, 1.0);
+      t.push(b + 1, j, 2.0);
+    }
+    blocks.push_back(sparse::csc_from_triples(std::move(t)));
+  }
+
+  obs::MemLedger ledger;
+  dist::CscD merged;
+  {
+    obs::ScopedContext install(ledger);
+    merged = merge::kway_merge(blocks);
+  }
+  ASSERT_EQ(merged.nnz(), 24u);
+  const auto st = ledger.label_stats("merge.scratch");
+  EXPECT_EQ(st.charges, 1u);
+  EXPECT_GE(st.high_water_bytes, merged.bytes());
+  EXPECT_EQ(st.current_bytes, 0u);
 }
 
 // ------------------------------------------------------------ end to end

@@ -4,6 +4,7 @@
 // of --metrics-out / --trace-out on a real run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -12,8 +13,10 @@
 #include "core/hipmcl.hpp"
 #include "gen/planted.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/json_writer.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
+#include "obs/perf_diff.hpp"
 #include "obs/prof/flight_recorder.hpp"
 #include "obs/run_report.hpp"
 #include "sim/eventlog.hpp"
@@ -438,6 +441,192 @@ TEST(RunReportJson, RejectsMalformedLines) {
   EXPECT_THROW(parse("{\"type\":\"x\",\"bad\":}"), std::runtime_error);
   EXPECT_THROW(parse("{\"type\":\"x\"} trailing"), std::runtime_error);
   EXPECT_THROW(parse("not json at all"), std::runtime_error);
+}
+
+TEST(RunReportJson, EveryByteValueRoundTripsThroughAStringField) {
+  // Workload names come from file paths and job ids from manifests, so a
+  // string field must survive any byte: control characters as escapes,
+  // the rest verbatim.
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  obs::Record r;
+  r.type = "probe";
+  r.add("bytes", all);
+  std::stringstream ss;
+  obs::write_record_jsonl(ss, r);
+  const std::string line = ss.str();
+  EXPECT_EQ(line.find('\r'), std::string::npos);
+  EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
+
+  const obs::RunReport back = obs::RunReport::read_jsonl(ss);
+  ASSERT_EQ(back.records().size(), 1u);
+  const obs::Value* v = back.records()[0].find("bytes");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(std::get<std::string>(*v), all);
+}
+
+TEST(RunReportJson, ReadsEscapesOtherWritersEmit) {
+  // Escapes json_escaped never writes but other JSON writers do.
+  std::stringstream ss(
+      R"({"type":"x","s":"a\/b\bc\fd\re\u00e9\u00C9\u0041"})");
+  const obs::RunReport back = obs::RunReport::read_jsonl(ss);
+  ASSERT_EQ(back.records().size(), 1u);
+  EXPECT_EQ(std::get<std::string>(*back.records()[0].find("s")),
+            "a/b\bc\fd\re\xe9\xc9" "A");
+}
+
+TEST(RunReportJson, RejectsBadEscapesLiteralsAndTypeTags) {
+  auto parse = [](const std::string& text) {
+    std::stringstream ss(text);
+    return obs::RunReport::read_jsonl(ss);
+  };
+  EXPECT_THROW(parse(R"({"type":"x","s":"\q"})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"type":"x","s":"\u00zz"})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"type":"x","s":"\u0100"})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"type":"x","s":"\u00)"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"type":"x","b":tru})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"type":"x","b":fals})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"type":7})"), std::runtime_error);
+}
+
+TEST(RunReportSchema, MismatchReasonNamesTheOffendingField) {
+  const auto& schema = obs::counter_schema();
+  std::string why;
+
+  obs::Record ok;
+  ok.type = "counter";
+  ok.add("name", std::string("spgemm.calls"));
+  ok.add("value", std::uint64_t{3});
+  EXPECT_TRUE(obs::matches_schema(ok, schema, &why));
+
+  obs::Record short_rec;
+  short_rec.type = "counter";
+  short_rec.add("name", std::string("spgemm.calls"));
+  EXPECT_FALSE(obs::matches_schema(short_rec, schema, &why));
+  EXPECT_EQ(why, "counter: expected 2 fields, got 1");
+
+  obs::Record renamed = ok;
+  renamed.fields[1].first = "count";
+  EXPECT_FALSE(obs::matches_schema(renamed, schema, &why));
+  EXPECT_EQ(why, "counter: field 1 is 'count', expected 'value'");
+
+  obs::Record retyped = ok;
+  retyped.fields[1].second = 3.0;
+  EXPECT_FALSE(obs::matches_schema(retyped, schema, &why));
+  EXPECT_EQ(why, "counter: field 'value' has type double, expected uint");
+
+  retyped.fields[0].second = true;
+  EXPECT_FALSE(obs::matches_schema(retyped, schema));  // why is optional
+  EXPECT_EQ(obs::field_type_name(obs::FieldType::kBool), "bool");
+  EXPECT_EQ(obs::field_type_name(obs::FieldType::kString), "string");
+}
+
+// ------------------------------------------------------------ json writer
+
+TEST(JsonWriter, PrettyDocumentLayout) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_object();
+  w.field("name", "run \"a\"");
+  w.field("n", std::uint64_t{3});
+  w.begin_object("inner");
+  w.field("ok", true);
+  w.end_object();
+  w.begin_array("empty");
+  w.end_array();
+  w.end_object();
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"name\": \"run \\\"a\\\"\",\n"
+            "  \"n\": 3,\n"
+            "  \"inner\": {\n"
+            "    \"ok\": true\n"
+            "  },\n"
+            "  \"empty\": []\n"
+            "}\n");
+}
+
+TEST(JsonWriter, CompactnessIsInheritedByNestedContainers) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_object();
+  w.begin_array("iters", obs::JsonWriter::Style::kCompact);
+  w.begin_object();  // pretty by default, but inside a compact array
+  w.field("i", 0);
+  w.field("chaos", 0.5);
+  w.end_object();
+  w.begin_object();
+  w.field("i", 1);
+  w.end_object();
+  w.end_array();
+  w.end_object();
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"iters\": [{\"i\": 0, \"chaos\": 0.5}, {\"i\": 1}]\n"
+            "}\n");
+}
+
+TEST(JsonWriter, ArrayElementsOfEveryTypeReadBack) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_array(obs::JsonWriter::Style::kCompact);
+  w.value(true);
+  w.value(false);
+  w.value(std::uint64_t{18446744073709551615ull});
+  w.value(std::int64_t{-5});
+  w.value(7);
+  w.value(2.5);
+  w.value(1.0);
+  w.value(std::string_view("q\"s"));
+  w.end_array();
+  EXPECT_EQ(os.str(),
+            "[true, false, 18446744073709551615, -5, 7, 2.5, 1.0, "
+            "\"q\\\"s\"]\n");
+
+  const obs::FlatDoc doc = obs::flatten_json(os.str());
+  ASSERT_EQ(doc.size(), 8u);
+  EXPECT_EQ(doc.at("0").kind, obs::FlatValue::Kind::kBool);
+  EXPECT_EQ(doc.at("1").text, "false");
+  EXPECT_EQ(doc.at("2").text, "18446744073709551615");
+  EXPECT_DOUBLE_EQ(doc.at("3").number, -5.0);
+  EXPECT_DOUBLE_EQ(doc.at("6").number, 1.0);
+  EXPECT_EQ(doc.at("7").kind, obs::FlatValue::Kind::kString);
+  EXPECT_EQ(doc.at("7").text, "q\"s");
+}
+
+TEST(JsonWriter, IndentWidthIsConfigurable) {
+  std::ostringstream os;
+  obs::JsonWriter w(os, 4);
+  w.begin_object();
+  w.begin_array("xs");
+  w.value(1);
+  w.end_array();
+  w.end_object();
+  EXPECT_EQ(os.str(), "{\n    \"xs\": [\n        1\n    ]\n}\n");
+}
+
+TEST(JsonWriter, MisplacedContainersThrow) {
+  std::ostringstream os;
+  {
+    obs::JsonWriter w(os);
+    EXPECT_THROW(w.begin_object("key_at_root"), std::logic_error);
+  }
+  {
+    obs::JsonWriter w(os);
+    w.begin_array();
+    EXPECT_THROW(w.begin_array("key_in_array"), std::logic_error);
+  }
+  {
+    obs::JsonWriter w(os);
+    w.begin_object();
+    EXPECT_THROW(w.begin_object(), std::logic_error);
+    EXPECT_THROW(w.begin_array(), std::logic_error);
+  }
+  {
+    obs::JsonWriter w(os);
+    EXPECT_THROW(w.end_object(), std::logic_error);
+    EXPECT_THROW(w.end_array(), std::logic_error);
+  }
 }
 
 // ------------------------------------------------- full-run report schema

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/perf_diff.hpp"
 
@@ -49,6 +51,39 @@ TEST(FlattenJson, RejectsMalformedInput) {
   EXPECT_THROW(obs::flatten_json("nope"), std::runtime_error);
   EXPECT_THROW(obs::flatten_json_file("/nonexistent/report.json"),
                std::runtime_error);
+}
+
+TEST(FlattenJson, DecodesStringEscapesFalseAndEmptyContainers) {
+  const obs::FlatDoc doc = obs::flatten_json(R"({
+    "s": "q\"b\\s\/n\nr\rt\tb\bf\f",
+    "u": "\u0041\u00e9\u00C9",
+    "off": false,
+    "empty_obj": {},
+    "empty_arr": [],
+    "k": 1
+  })");
+  EXPECT_EQ(doc.at("s").text, "q\"b\\s/n\nr\rt\tb\bf\f");
+  EXPECT_EQ(doc.at("u").text, std::string("A\xe9\xc9"));
+  EXPECT_EQ(doc.at("off").kind, obs::FlatValue::Kind::kBool);
+  EXPECT_DOUBLE_EQ(doc.at("off").number, 0.0);
+  EXPECT_EQ(doc.at("off").text, "false");
+  // Empty containers contribute no leaves.
+  EXPECT_EQ(doc.count("empty_obj"), 0u);
+  EXPECT_EQ(doc.count("empty_arr"), 0u);
+  EXPECT_EQ(doc.size(), 4u);
+}
+
+TEST(FlattenJson, RejectsMalformedEscapes) {
+  for (const char* bad : {
+           R"({"a": "\q"})",      // unknown escape
+           R"({"a": "\u00g1"})",  // non-hex digit
+           R"({"a": "\u0100"})",  // beyond latin-1
+           R"({"a": "\u00)",      // truncated escape
+           R"({"a": "open)",      // unterminated string
+           R"({"a": fals})",      // bad literal
+       }) {
+    EXPECT_THROW(obs::flatten_json(bad), std::runtime_error) << bad;
+  }
 }
 
 // ------------------------------------------------------- verdict policy
@@ -284,6 +319,67 @@ TEST(PerfDiff, IgnoredPrefixes) {
   EXPECT_TRUE(d.ok());
   EXPECT_EQ(field(d, "estimator.mean_rel_error")->verdict,
             Verdict::kIgnored);
+}
+
+// The candidate re-parsed from text, so rendered values carry the new
+// token (a FlatValue edited in place keeps its old text).
+obs::DiffResult slower_elapsed_diff() {
+  const std::string text = R"({
+    "virtual": {"elapsed_s": 100.0, "cpu_idle_s": 10.0},
+    "clustering": {"iterations": 12, "f1": 0.9, "modularity": 0.5},
+    "memory": {"merge_peak_elements_max": 5000},
+    "estimator": {"mean_rel_error": 0.05},
+    "real_wall_s": 3.2
+  })";
+  return obs::diff_reports(obs::flatten_json(text),
+                           obs::flatten_json(replaced(text, "100.0", "110.0")));
+}
+
+TEST(PerfDiff, VerdictTableListsChangedFieldsUnlessAll) {
+  const obs::DiffResult d = slower_elapsed_diff();
+  const std::string brief = obs::verdict_table(d).to_string();
+  EXPECT_NE(brief.find("virtual.elapsed_s"), std::string::npos);
+  EXPECT_NE(brief.find("REGRESSED"), std::string::npos);
+  EXPECT_NE(brief.find("110.0"), std::string::npos);
+  // |110 - 100| / 110 as a percentage.
+  EXPECT_NE(brief.find("9.0909%"), std::string::npos);
+  EXPECT_EQ(brief.find("clustering.f1"), std::string::npos);
+  // Six equal fields and the ignored wall clock are hidden and counted.
+  EXPECT_NE(brief.find("7 equal / within-tolerance / ignored fields hidden"),
+            std::string::npos);
+
+  const std::string full = obs::verdict_table(d, true).to_string();
+  EXPECT_NE(full.find("clustering.f1"), std::string::npos);
+  EXPECT_NE(full.find("ignored"), std::string::npos);
+  EXPECT_EQ(full.find("hidden"), std::string::npos);
+}
+
+TEST(PerfDiff, DiffJsonCountsEveryVerdictAndListsChangedFields) {
+  const obs::DiffResult d = slower_elapsed_diff();
+  std::ostringstream brief;
+  obs::write_diff_json(brief, d);
+  const obs::FlatDoc j = obs::flatten_json(brief.str());
+  EXPECT_EQ(j.at("ok").text, "false");
+  // Every verdict has a count, zero or not, so CI can read any of them.
+  for (const char* name : {"equal", "within-tol", "IMPROVED", "REGRESSED",
+                           "MISSING", "removed", "added", "ignored"}) {
+    EXPECT_EQ(j.count(std::string("counts.") + name), 1u) << name;
+  }
+  EXPECT_DOUBLE_EQ(j.at("counts.equal").number, 6.0);
+  EXPECT_DOUBLE_EQ(j.at("counts.REGRESSED").number, 1.0);
+  EXPECT_DOUBLE_EQ(j.at("counts.ignored").number, 1.0);
+  EXPECT_EQ(j.at("fields.0.path").text, "virtual.elapsed_s");
+  EXPECT_EQ(j.at("fields.0.verdict").text, "REGRESSED");
+  EXPECT_EQ(j.at("fields.0.baseline").text, "100.0");
+  EXPECT_EQ(j.at("fields.0.candidate").text, "110.0");
+  EXPECT_NEAR(j.at("fields.0.rel_delta").number, 10.0 / 110.0, 1e-12);
+  EXPECT_EQ(j.count("fields.1.path"), 0u);
+
+  std::ostringstream full;
+  obs::write_diff_json(full, d, true);
+  const obs::FlatDoc all = obs::flatten_json(full.str());
+  EXPECT_EQ(all.count("fields.7.path"), 1u);
+  EXPECT_EQ(all.count("fields.8.path"), 0u);
 }
 
 // ---------------------------------------------------- file-based (golden)

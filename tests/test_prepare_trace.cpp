@@ -1,10 +1,8 @@
-// Input preparation (symmetrization rules, transforms, self loops) and
-// the event-log / Chrome-trace export.
+// The event-log / Chrome-trace export.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "core/prepare.hpp"
 #include "dist/summa.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/context.hpp"
@@ -18,106 +16,6 @@ namespace {
 
 using namespace mclx;
 using T = sparse::Triples<vidx_t, val_t>;
-
-val_t weight_of(const T& t, vidx_t r, vidx_t c) {
-  for (const auto& e : t) {
-    if (e.row == r && e.col == c) return e.val;
-  }
-  return 0;
-}
-
-TEST(Prepare, MaxRuleTakesStrongerDirection) {
-  T raw(4, 4);
-  raw.push(0, 1, 3.0);
-  raw.push(1, 0, 5.0);  // stronger
-  raw.push(2, 3, 2.0);  // one-directional
-  core::PrepareOptions opt;
-  opt.symmetrize = core::SymmetrizeRule::kMax;
-  const T net = core::prepare_network(raw, opt);
-  EXPECT_DOUBLE_EQ(weight_of(net, 0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(weight_of(net, 1, 0), 5.0);
-  EXPECT_DOUBLE_EQ(weight_of(net, 2, 3), 2.0);
-  EXPECT_DOUBLE_EQ(weight_of(net, 3, 2), 2.0);
-}
-
-TEST(Prepare, MinRuleDropsOneSidedEdges) {
-  T raw(4, 4);
-  raw.push(0, 1, 3.0);
-  raw.push(1, 0, 5.0);
-  raw.push(2, 3, 2.0);  // one-sided: must vanish
-  core::PrepareOptions opt;
-  opt.symmetrize = core::SymmetrizeRule::kMin;
-  const T net = core::prepare_network(raw, opt);
-  EXPECT_DOUBLE_EQ(weight_of(net, 0, 1), 3.0);
-  EXPECT_EQ(weight_of(net, 2, 3), 0.0);
-  EXPECT_EQ(net.nnz(), 2u);
-}
-
-TEST(Prepare, AvgRuleAveragesPresentSides) {
-  T raw(3, 3);
-  raw.push(0, 1, 2.0);
-  raw.push(1, 0, 4.0);
-  raw.push(0, 2, 6.0);  // one side only: average of one value
-  core::PrepareOptions opt;
-  opt.symmetrize = core::SymmetrizeRule::kAvg;
-  const T net = core::prepare_network(raw, opt);
-  EXPECT_DOUBLE_EQ(weight_of(net, 0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(weight_of(net, 0, 2), 6.0);
-}
-
-TEST(Prepare, SelfLoopsDroppedByDefaultKeptOnRequest) {
-  T raw(2, 2);
-  raw.push(0, 0, 9.0);
-  raw.push(0, 1, 1.0);
-  raw.push(1, 0, 1.0);
-  core::PrepareOptions opt;
-  EXPECT_EQ(weight_of(core::prepare_network(raw, opt), 0, 0), 0.0);
-  opt.drop_self_loops = false;
-  EXPECT_DOUBLE_EQ(weight_of(core::prepare_network(raw, opt), 0, 0), 9.0);
-}
-
-TEST(Prepare, TransformsApplied) {
-  T raw(2, 2);
-  raw.push(0, 1, 3.0);
-  raw.push(1, 0, 3.0);
-  core::PrepareOptions opt;
-  opt.transform = core::ScoreTransform::kLog;
-  EXPECT_NEAR(weight_of(core::prepare_network(raw, opt), 0, 1),
-              std::log1p(3.0), 1e-12);
-  opt.transform = core::ScoreTransform::kSquare;
-  EXPECT_DOUBLE_EQ(weight_of(core::prepare_network(raw, opt), 0, 1), 9.0);
-  opt.transform = core::ScoreTransform::kBinary;
-  EXPECT_DOUBLE_EQ(weight_of(core::prepare_network(raw, opt), 0, 1), 1.0);
-}
-
-TEST(Prepare, MinScoreFloorsAfterTransform) {
-  T raw(3, 3);
-  raw.push(0, 1, 2.0);
-  raw.push(1, 0, 2.0);
-  raw.push(1, 2, 50.0);
-  raw.push(2, 1, 50.0);
-  core::PrepareOptions opt;
-  opt.transform = core::ScoreTransform::kLog;  // log1p(2)=1.1, log1p(50)=3.9
-  opt.min_score = 2.0;
-  const T net = core::prepare_network(raw, opt);
-  EXPECT_EQ(weight_of(net, 0, 1), 0.0);
-  EXPECT_GT(weight_of(net, 1, 2), 0.0);
-}
-
-TEST(Prepare, NoneRulePassesThrough) {
-  T raw(3, 3);
-  raw.push(0, 1, 2.0);  // stays asymmetric
-  core::PrepareOptions opt;
-  opt.symmetrize = core::SymmetrizeRule::kNone;
-  const T net = core::prepare_network(raw, opt);
-  EXPECT_DOUBLE_EQ(weight_of(net, 0, 1), 2.0);
-  EXPECT_EQ(weight_of(net, 1, 0), 0.0);
-}
-
-TEST(Prepare, RejectsRectangular) {
-  const T raw(3, 4);
-  EXPECT_THROW(core::prepare_network(raw, {}), std::invalid_argument);
-}
 
 // ---------------------------------------------------------------------------
 // Event log.

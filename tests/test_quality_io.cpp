@@ -1,13 +1,11 @@
-// Quality metrics (modularity, ARI) and binary snapshot IO.
+// Quality metrics: modularity and ARI.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <iterator>
-
-#include "core/local.hpp"
+#include "core/hipmcl.hpp"
 #include "core/quality.hpp"
 #include "gen/planted.hpp"
-#include "io/snapshot.hpp"
+#include "sim/machine.hpp"
+#include "sim/timeline.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -64,7 +62,9 @@ TEST(Modularity, MclClusteringScoresWell) {
   gp.n = 250;
   gp.seed = 53;
   const auto g = gen::planted_partition(gp);
-  const auto r = core::mcl_cluster(g.edges);
+  sim::SimState sim(sim::summit_like_cpu_only(1));
+  const auto r = core::run_hipmcl(g.edges, {},
+                                  core::HipMclConfig::optimized(), sim);
   EXPECT_GT(core::modularity(g.edges, r.labels), 0.3);
 }
 
@@ -109,60 +109,6 @@ TEST(Ari, PartialAgreementBetweenZeroAndOne) {
 TEST(Ari, SizeMismatchThrows) {
   EXPECT_THROW(core::adjusted_rand_index({0, 1}, {0}),
                std::invalid_argument);
-}
-
-TEST(Snapshot, TriplesRoundTrip) {
-  util::Xoshiro256 rng(55);
-  T m(40, 50);
-  for (int e = 0; e < 300; ++e) {
-    m.push_unchecked(static_cast<vidx_t>(rng.bounded(40)),
-                     static_cast<vidx_t>(rng.bounded(50)),
-                     rng.uniform() * 2 - 1);
-  }
-  m.sort_and_combine();
-  const std::string path = testing::TempDir() + "/mclx_snap.bin";
-  io::save_triples(path, m);
-  const T back = io::load_triples(path);
-  EXPECT_EQ(back, m);  // bit-exact, including values
-}
-
-TEST(Snapshot, LabelsRoundTrip) {
-  const std::vector<vidx_t> labels = {0, 5, 2, 2, 7, 1};
-  const std::string path = testing::TempDir() + "/mclx_labels.bin";
-  io::save_labels(path, labels);
-  EXPECT_EQ(io::load_labels(path), labels);
-}
-
-TEST(Snapshot, RejectsWrongMagic) {
-  const std::string tri = testing::TempDir() + "/mclx_tri.bin";
-  io::save_triples(tri, T(2, 2));
-  EXPECT_THROW(io::load_labels(tri), std::runtime_error);
-  const std::string lab = testing::TempDir() + "/mclx_lab.bin";
-  io::save_labels(lab, {1, 2});
-  EXPECT_THROW(io::load_triples(lab), std::runtime_error);
-}
-
-TEST(Snapshot, RejectsTruncation) {
-  const std::string path = testing::TempDir() + "/mclx_trunc.bin";
-  {
-    T m(4, 4);
-    m.push(1, 1, 3.0);
-    m.push(2, 2, 4.0);
-    io::save_triples(path, m);
-  }
-  // Chop the file mid-entry.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 7));
-  out.close();
-  EXPECT_THROW(io::load_triples(path), std::runtime_error);
-}
-
-TEST(Snapshot, MissingFileThrows) {
-  EXPECT_THROW(io::load_triples("/nonexistent/x.bin"), std::runtime_error);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(LocalMultiplier, FixedCpuKernelsMatchReference) {
   ASSERT_GE(min_contributions(a, b), 3u);
   const C ref = spgemm::spa_spgemm(a, b);
   for (const auto kind :
-       {KernelKind::kCpuHeap, KernelKind::kCpuHash, KernelKind::kCpuSpa}) {
+       {KernelKind::kCpuHeap, KernelKind::kCpuHash}) {
     spgemm::LocalMultiplier mult(model,
                                  spgemm::KernelPolicy::fixed_kernel(kind));
     const auto r = mult.multiply(a, b);
@@ -206,7 +206,6 @@ TEST(LocalMultiplier, ReportsFlopsAndCf) {
 TEST(KernelNames, AreStable) {
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHash), "cpu-hash");
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuHeap), "cpu-heap");
-  EXPECT_EQ(spgemm::kernel_name(KernelKind::kCpuSpa), "cpu-spa");
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kGpuNsparse), "nsparse");
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kGpuBhsparse), "bhsparse");
   EXPECT_EQ(spgemm::kernel_name(KernelKind::kGpuRmerge2), "rmerge2");

@@ -1,83 +1,16 @@
-// Submatrix extraction (SpRef) and the per-cluster report.
+// The per-cluster report.
 #include <gtest/gtest.h>
 
-#include "core/local.hpp"
+#include "core/hipmcl.hpp"
 #include "core/report.hpp"
 #include "gen/planted.hpp"
-#include "sparse/convert.hpp"
-#include "sparse/submatrix.hpp"
-#include "util/rng.hpp"
+#include "sim/machine.hpp"
+#include "sim/timeline.hpp"
 
 namespace {
 
 using namespace mclx;
 using T = sparse::Triples<vidx_t, val_t>;
-using C = sparse::Csc<vidx_t, val_t>;
-
-C random_csc(vidx_t n, double density, std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  T t(n, n);
-  const auto entries = static_cast<std::uint64_t>(
-      density * static_cast<double>(n) * static_cast<double>(n));
-  for (std::uint64_t e = 0; e < entries; ++e) {
-    t.push_unchecked(static_cast<vidx_t>(rng.bounded(n)),
-                     static_cast<vidx_t>(rng.bounded(n)), rng.uniform_pos());
-  }
-  t.sort_and_combine();
-  return sparse::csc_from_triples(std::move(t));
-}
-
-TEST(Submatrix, ExtractsValuesAtIntersections) {
-  T t(4, 4);
-  t.push(0, 0, 1.0);
-  t.push(1, 0, 2.0);
-  t.push(2, 1, 3.0);
-  t.push(3, 3, 4.0);
-  const C a = sparse::csc_from_triples(t);
-  // Rows {1,3}, cols {0,3}.
-  const C sub = sparse::extract_submatrix<vidx_t, val_t>(a, {1, 3}, {0, 3});
-  EXPECT_EQ(sub.nrows(), 2);
-  EXPECT_EQ(sub.ncols(), 2);
-  EXPECT_EQ(sub.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(sub.col_vals(0)[0], 2.0);  // (1,0) -> (0,0)
-  EXPECT_DOUBLE_EQ(sub.col_vals(1)[0], 4.0);  // (3,3) -> (1,1)
-}
-
-TEST(Submatrix, IdentityIndexSetIsNoop) {
-  const C a = random_csc(20, 0.2, 1);
-  std::vector<vidx_t> all(20);
-  for (vidx_t v = 0; v < 20; ++v) all[static_cast<std::size_t>(v)] = v;
-  EXPECT_EQ(sparse::extract_submatrix(a, all, all), a);
-}
-
-TEST(Submatrix, ReorderPermutesRowsAndCols) {
-  T t(3, 3);
-  t.push(0, 1, 5.0);
-  const C a = sparse::csc_from_triples(t);
-  // Reverse both index sets: entry moves to (2, 1).
-  const C sub =
-      sparse::extract_submatrix<vidx_t, val_t>(a, {2, 1, 0}, {2, 1, 0});
-  EXPECT_EQ(sub.col_nnz(1), 1);
-  EXPECT_EQ(sub.col_rows(1)[0], 2);
-}
-
-TEST(Submatrix, DuplicateIndicesReplicate) {
-  T t(2, 2);
-  t.push(0, 0, 7.0);
-  const C a = sparse::csc_from_triples(t);
-  const C sub = sparse::extract_submatrix<vidx_t, val_t>(a, {0, 0}, {0});
-  EXPECT_EQ(sub.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(sub.col_vals(0)[0], 7.0);
-  EXPECT_DOUBLE_EQ(sub.col_vals(0)[1], 7.0);
-}
-
-TEST(Submatrix, OutOfRangeThrows) {
-  const C a = random_csc(5, 0.3, 2);
-  EXPECT_THROW((sparse::extract_submatrix<vidx_t, val_t>(a, {5}, {0})),
-               std::out_of_range);
-  EXPECT_THROW((sparse::extract_submatrix<vidx_t, val_t>(a, {0}, {-1})),
-               std::out_of_range);
-}
 
 TEST(Report, CountsInternalAndExternalEdges) {
   // Two triangles joined by one bridge.
@@ -126,7 +59,9 @@ TEST(Report, McLClustersAreCohesive) {
   gp.n = 250;
   gp.seed = 91;
   const auto g = gen::planted_partition(gp);
-  const auto r = core::mcl_cluster(g.edges);
+  sim::SimState sim(sim::summit_like_cpu_only(1));
+  const auto r = core::run_hipmcl(g.edges, {},
+                                  core::HipMclConfig::optimized(), sim);
   const auto rep = core::cluster_report(g.edges, r.labels);
   // MCL clusters on a planted graph keep most weight internal.
   EXPECT_GT(rep.mean_cohesion, 0.7);
@@ -135,29 +70,11 @@ TEST(Report, McLClustersAreCohesive) {
   EXPECT_NE(text.find("cohesion"), std::string::npos);
 }
 
-TEST(Report, SubgraphExtractsOneCluster) {
-  gen::PlantedParams gp;
-  gp.n = 150;
-  gp.seed = 92;
-  const auto g = gen::planted_partition(gp);
-  const auto r = core::mcl_cluster(g.edges);
-  const auto rep = core::cluster_report(g.edges, r.labels);
-  const vidx_t biggest = rep.clusters[0].id;
-
-  std::vector<vidx_t> members;
-  const C sub = core::cluster_subgraph(g.edges, r.labels, biggest, &members);
-  EXPECT_EQ(sub.nrows(), rep.clusters[0].size);
-  EXPECT_EQ(static_cast<vidx_t>(members.size()), rep.clusters[0].size);
-  // Each undirected internal edge appears twice in the symmetric matrix.
-  EXPECT_EQ(sub.nnz(), 2 * rep.clusters[0].internal_edges);
-}
-
 TEST(Report, ValidatesInputs) {
   T rect(3, 4);
   EXPECT_THROW(core::cluster_report(rect, {0, 0, 0}), std::invalid_argument);
   T square(3, 3);
   EXPECT_THROW(core::cluster_report(square, {0}), std::invalid_argument);
-  EXPECT_THROW(core::cluster_subgraph(square, {0}, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -56,6 +56,41 @@ TEST(Machine, DegenerateConfigsRejected) {
   EXPECT_THROW(m.validate(), std::invalid_argument);
 }
 
+TEST(Machine, EveryRateAndShapeRuleRejects) {
+  const auto rejects = [](void (*edit)(sim::MachineConfig&)) {
+    sim::MachineConfig m = sim::summit_like(4);
+    edit(m);
+    EXPECT_THROW(m.validate(), std::invalid_argument);
+  };
+  rejects([](sim::MachineConfig& m) { m.ranks_per_node = 0; });
+  rejects([](sim::MachineConfig& m) { m.gpus_per_rank = -1; });
+  rejects([](sim::MachineConfig& m) { m.gpu_rate_flops = 0; });
+  rejects([](sim::MachineConfig& m) { m.net_alpha_s = -1e-6; });
+  rejects([](sim::MachineConfig& m) { m.net_beta_s_per_byte = -1e-9; });
+  rejects([](sim::MachineConfig& m) { m.work_scale = 0; });
+  rejects([](sim::MachineConfig& m) { m.comm_scale = -1; });
+  // Zero GPUs and a free network are legal.
+  sim::MachineConfig free_net = sim::summit_like_cpu_only(4);
+  free_net.net_alpha_s = 0;
+  free_net.net_beta_s_per_byte = 0;
+  EXPECT_NO_THROW(free_net.validate());
+}
+
+TEST(Machine, ProcessModeSuccessorsGiveEachDeviceItsRank) {
+  const auto p = sim::perlmutter_like(4, sim::NodeMode::kProcessBased);
+  EXPECT_EQ(p.ranks_per_node, 4);
+  EXPECT_EQ(p.gpus_per_rank, 1);
+  EXPECT_EQ(p.threads_per_rank, 16);
+  EXPECT_EQ(p.total_ranks(), 16);
+  const auto f = sim::frontier_like(2, sim::NodeMode::kProcessBased);
+  EXPECT_EQ(f.ranks_per_node, 8);
+  EXPECT_EQ(f.gpus_per_rank, 1);
+  EXPECT_EQ(f.threads_per_rank, 8);
+  // Process mode splits node memory among the ranks.
+  EXPECT_EQ(f.mem_per_rank * 8,
+            sim::frontier_like(2, sim::NodeMode::kThreadBased).mem_per_rank);
+}
+
 TEST(Timeline, CpuRunAccumulatesBusyTime) {
   sim::RankTimeline tl;
   tl.cpu_run(Stage::kPrune, 1.5);

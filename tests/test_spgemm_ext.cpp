@@ -1,16 +1,11 @@
-// Extended SpGEMM suites: the hash kernel's lane path (bit-identical to
-// the one-lane run at every lane count) and the semiring-generic kernel
-// (plus-times vs reference; min-plus shortest paths; or-and
-// reachability).
+// The hash kernel's lane path: bit-identical to the one-lane run at
+// every lane count, with flops-balanced column partitions.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
 #include "sparse/convert.hpp"
-#include "sparse/ops.hpp"
 #include "spgemm/hash.hpp"
-#include "spgemm/semiring.hpp"
-#include "spgemm/spa.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -132,76 +127,6 @@ TEST(ParallelHash, PartitionBoundariesDoNotDrift) {
   }
   // ceil(87/8) = 11; allow one column of slack, far below the drifting 17.
   EXPECT_LE(widest, 12);
-}
-
-// ---------------------------------------------------------------------------
-// Semirings.
-
-TEST(Semiring, PlusTimesMatchesReference) {
-  const C a = random_csc(60, 60, 0.08, 10);
-  const C b = random_csc(60, 60, 0.08, 11);
-  const C ref = spgemm::spa_spgemm(a, b);
-  const C sr = spgemm::semiring_spgemm<spgemm::PlusTimes<val_t>>(a, b);
-  EXPECT_TRUE(sparse::approx_equal(ref, sr));
-}
-
-TEST(Semiring, MinPlusComputesShortestTwoHopPaths) {
-  // Path graph 0-1-2 with weights; A over min-plus squared gives the
-  // 2-hop distances.
-  T t(3, 3);
-  t.push(0, 1, 2.0);
-  t.push(1, 0, 2.0);
-  t.push(1, 2, 3.0);
-  t.push(2, 1, 3.0);
-  t.sort_and_combine();
-  const C a = sparse::csc_from_triples(t);
-  const C d2 = spgemm::semiring_spgemm<spgemm::MinPlus<val_t>>(a, a);
-  // 0->2 via 1: 2+3 = 5.
-  bool found = false;
-  for (vidx_t p = d2.colptr()[2]; p < d2.colptr()[3]; ++p) {
-    if (d2.rowids()[p] == 0) {
-      EXPECT_DOUBLE_EQ(d2.vals()[p], 5.0);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-  // 0->0 via 1 and back: 4.
-  for (vidx_t p = d2.colptr()[0]; p < d2.colptr()[1]; ++p) {
-    if (d2.rowids()[p] == 0) EXPECT_DOUBLE_EQ(d2.vals()[p], 4.0);
-  }
-}
-
-TEST(Semiring, MinPlusPicksCheapestIntermediate) {
-  // Two routes 0->2: via 1 (cost 10) and via 3 (cost 4).
-  T t(4, 4);
-  t.push(1, 0, 5.0);   // col 0 holds edges out of 0 (column = source)
-  t.push(3, 0, 1.0);
-  t.push(2, 1, 5.0);
-  t.push(2, 3, 3.0);
-  t.sort_and_combine();
-  const C a = sparse::csc_from_triples(t);
-  const C d2 = spgemm::semiring_spgemm<spgemm::MinPlus<val_t>>(a, a);
-  for (vidx_t p = d2.colptr()[0]; p < d2.colptr()[1]; ++p) {
-    if (d2.rowids()[p] == 2) EXPECT_DOUBLE_EQ(d2.vals()[p], 4.0);
-  }
-}
-
-TEST(Semiring, OrAndComputesReachability) {
-  const C a = random_csc(50, 50, 0.05, 12);
-  const C reach = spgemm::semiring_spgemm<spgemm::OrAnd<val_t>>(a, a);
-  // Same structure as numeric A*A, all values exactly 1.
-  const C numeric = spgemm::spa_spgemm(a, a);
-  EXPECT_EQ(reach.colptr(), numeric.colptr());
-  EXPECT_EQ(reach.rowids(), numeric.rowids());
-  for (const val_t v : reach.vals()) EXPECT_DOUBLE_EQ(v, 1.0);
-}
-
-TEST(Semiring, DimensionMismatchThrows) {
-  const C a = random_csc(4, 5, 0.5, 13);
-  const C b = random_csc(4, 4, 0.5, 14);
-  EXPECT_THROW(
-      (spgemm::semiring_spgemm<spgemm::PlusTimes<val_t>>(a, b)),
-      std::invalid_argument);
 }
 
 }  // namespace

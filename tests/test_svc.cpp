@@ -13,6 +13,7 @@
 #include <fstream>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "obs/run_report.hpp"
 #include "sim/machine.hpp"
 #include "sim/timeline.hpp"
+#include "svc/health.hpp"
 #include "svc/manifest.hpp"
 #include "svc/scheduler.hpp"
 #include "util/parallel.hpp"
@@ -94,6 +96,38 @@ TEST(SvcScheduler, RunsConcurrentJobsWithPerJobIsolation) {
     EXPECT_EQ(outcomes[j].lanes, 2);
     EXPECT_GT(outcomes[j].peak_bytes, 0u);
   }
+}
+
+TEST(SvcScheduler, RejectsZeroConcurrencyAndSharesAtLeastOneLane) {
+  svc::SchedulerOptions bad;
+  bad.max_concurrent = 0;
+  EXPECT_THROW(svc::Scheduler{bad}, std::invalid_argument);
+  bad.max_concurrent = -1;
+  EXPECT_THROW(svc::Scheduler{bad}, std::invalid_argument);
+
+  svc::SchedulerOptions crowded;
+  crowded.max_concurrent = 4;
+  crowded.pool_lanes = 3;
+  EXPECT_EQ(svc::Scheduler(crowded).lane_share(), 1);
+  svc::SchedulerOptions roomy;
+  roomy.max_concurrent = 3;
+  roomy.pool_lanes = 8;
+  EXPECT_EQ(svc::Scheduler(roomy).lane_share(), 2);
+}
+
+TEST(SvcScheduler, StateAndHealthNamesAreStable) {
+  // hipmcl_serve writes these names into its status JSON and table.
+  EXPECT_EQ(svc::to_string(svc::JobState::kQueued), "queued");
+  EXPECT_EQ(svc::to_string(svc::JobState::kRunning), "running");
+  EXPECT_EQ(svc::to_string(svc::JobState::kDone), "done");
+  EXPECT_EQ(svc::to_string(svc::JobState::kCancelled), "cancelled");
+  EXPECT_EQ(svc::to_string(svc::JobState::kFailed), "failed");
+  EXPECT_EQ(svc::to_string(svc::JobHealth::kWaiting), "waiting");
+  EXPECT_EQ(svc::to_string(svc::JobHealth::kRunning), "running");
+  EXPECT_EQ(svc::to_string(svc::JobHealth::kSlow), "slow");
+  EXPECT_EQ(svc::to_string(svc::JobHealth::kStalled), "stalled");
+  EXPECT_EQ(svc::to_string(svc::JobHealth::kDiverging), "diverging");
+  EXPECT_EQ(svc::to_string(svc::JobHealth::kFinished), "finished");
 }
 
 TEST(SvcScheduler, AssignsIdsAndRejectsDuplicates) {
@@ -448,6 +482,71 @@ TEST(SvcManifest, RejectsTyposAndMissingWorkload) {
                std::invalid_argument);
   EXPECT_THROW(svc::parse_manifest_line("workload=tiny config=bogus", spec),
                std::invalid_argument);
+}
+
+TEST(SvcManifest, EstimatorNamesAndMalformedTokens) {
+  svc::JobSpec spec;
+  ASSERT_TRUE(svc::parse_manifest_line("workload=tiny estimator=exact", spec));
+  EXPECT_EQ(spec.config.estimator, core::EstimatorKind::kExactSymbolic);
+  ASSERT_TRUE(
+      svc::parse_manifest_line("workload=tiny estimator=probabilistic", spec));
+  EXPECT_EQ(spec.config.estimator, core::EstimatorKind::kProbabilistic);
+  // Without estimator= the configuration keeps its own.
+  ASSERT_TRUE(svc::parse_manifest_line("workload=tiny config=original", spec));
+  EXPECT_EQ(spec.config.estimator,
+            core::HipMclConfig::original().estimator);
+  EXPECT_TRUE(spec.cpu_only_machine);
+
+  EXPECT_THROW(svc::parse_manifest_line("workload=tiny estimator=guess", spec),
+               std::invalid_argument);
+  EXPECT_THROW(svc::parse_manifest_line("workload=tiny nodes", spec),
+               std::invalid_argument);
+  EXPECT_THROW(svc::parse_manifest_line("workload=tiny =4", spec),
+               std::invalid_argument);
+}
+
+TEST(SvcManifest, MtxWorkloadResolvesAgainstTheArtifactDir) {
+  const std::string mtx = temp_path("svc_manifest_graph.mtx");
+  {
+    std::ofstream out(mtx);
+    out << "%%MatrixMarket matrix coordinate real general\n"
+        << "3 3 2\n"
+        << "1 2 0.5\n"
+        << "2 1 0.5\n";
+  }
+  svc::JobSpec spec;
+  ASSERT_TRUE(svc::parse_manifest_line("id=m workload=svc_manifest_graph.mtx",
+                                       spec, testing::TempDir()));
+  EXPECT_EQ(spec.workload, "svc_manifest_graph.mtx");
+  EXPECT_EQ(spec.graph.nrows(), 3);
+  EXPECT_EQ(spec.graph.nnz(), 2u);
+  EXPECT_THROW(svc::parse_manifest_line("workload=absent.mtx", spec,
+                                        testing::TempDir()),
+               std::runtime_error);
+  std::remove(mtx.c_str());
+}
+
+TEST(SvcManifest, LoadErrorsNameTheLineAndFile) {
+  const std::string path = temp_path("svc_manifest_bad.txt");
+  {
+    std::ofstream out(path);
+    out << "# header\n"
+        << "id=ok workload=tiny\n"
+        << "id=bad workload=tiny config=fastest\n";
+  }
+  try {
+    svc::load_manifest(path, testing::TempDir());
+    ADD_FAILURE() << "the unknown config was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown config: 'fastest'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(line 3 of " + path + ")"), std::string::npos)
+        << what;
+  }
+  std::remove(path.c_str());
+  EXPECT_THROW(svc::load_manifest(path, testing::TempDir()),
+               std::runtime_error);
 }
 
 // A numeric parse failure must name the key and the expected type, not

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -59,6 +62,22 @@ TEST(Rng, BoundedCoversAllResidues) {
   std::vector<int> hits(8, 0);
   for (int i = 0; i < 8000; ++i) ++hits[rng.bounded(8)];
   for (const int h : hits) EXPECT_GT(h, 500);
+}
+
+TEST(Rng, BoundedRejectsBiasForHugeBound) {
+  // bound = 3 * 2^62: a bare multiply-shift maps two of every four
+  // 64-bit draws onto the residues divisible by 3, so half the draws
+  // would land there. The rejection step restores the uniform third.
+  Xoshiro256 rng(19);
+  const std::uint64_t bound = 3ull << 62;
+  const int n = 30000;
+  int div3 = 0;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t x = rng.bounded(bound);
+    ASSERT_LT(x, bound);
+    if (x % 3 == 0) ++div3;
+  }
+  EXPECT_NEAR(static_cast<double>(div3) / n, 1.0 / 3.0, 0.02);
 }
 
 TEST(Rng, ExponentialMeanMatchesRate) {
@@ -206,6 +225,67 @@ TEST(Cli, HelpRequested) {
   const char* argv[] = {"prog", "--help"};
   Cli cli(2, const_cast<char**>(argv));
   EXPECT_TRUE(cli.help_requested());
+}
+
+TEST(Cli, PositionalArgumentRejected) {
+  const char* argv[] = {"prog", "--alpha", "1", "input.mtx", "extra"};
+  EXPECT_THROW(Cli(5, const_cast<char**>(argv)), std::invalid_argument);
+}
+
+TEST(Cli, UsageListsRegisteredFlagsWithDefaultsAndHelp) {
+  const char* argv[] = {"prog", "--help"};
+  Cli cli(2, const_cast<char**>(argv));
+  cli.get_int("nodes", 4, "simulated nodes");
+  cli.get("input", "");
+  EXPECT_EQ(cli.usage(),
+            "usage: prog [flags]\n"
+            "  --nodes (default: 4)  simulated nodes\n"
+            "  --input (default: )\n");
+}
+
+/// Restores the global log threshold and std::cerr after a test.
+class LogCapture {
+ public:
+  LogCapture() : level_(log_level()), old_(std::cerr.rdbuf(buf_.rdbuf())) {}
+  ~LogCapture() {
+    std::cerr.rdbuf(old_);
+    set_log_level(level_);
+  }
+  std::string text() const { return buf_.str(); }
+
+ private:
+  LogLevel level_;
+  std::ostringstream buf_;
+  std::streambuf* old_;
+};
+
+TEST(Log, ParseLevelIsCaseInsensitiveAndFallsBackToWarn) {
+  EXPECT_EQ(parse_log_level("DEBUG"), LogLevel::kDebug);
+  EXPECT_EQ(parse_log_level("Info"), LogLevel::kInfo);
+  EXPECT_EQ(parse_log_level("warning"), LogLevel::kWarn);
+  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
+  EXPECT_EQ(parse_log_level("none"), LogLevel::kOff);
+  EXPECT_EQ(parse_log_level("Off"), LogLevel::kOff);
+  EXPECT_EQ(parse_log_level("verbose"), LogLevel::kWarn);
+  EXPECT_EQ(parse_log_level(""), LogLevel::kWarn);
+}
+
+TEST(Log, MessagesBelowTheThresholdAreDropped) {
+  LogCapture capture;
+  set_log_level(LogLevel::kInfo);
+  EXPECT_EQ(log_level(), LogLevel::kInfo);
+  log_debug("hidden ", 1);
+  log_info("shown ", 2);
+  log_warn("warned ", 3.5);
+  log_error("failed");
+  EXPECT_EQ(capture.text(),
+            "[mclx INFO ] shown 2\n"
+            "[mclx WARN ] warned 3.5\n"
+            "[mclx ERROR] failed\n");
+
+  set_log_level(LogLevel::kOff);
+  log_error("silenced");
+  EXPECT_EQ(capture.text().find("silenced"), std::string::npos);
 }
 
 }  // namespace
