@@ -290,12 +290,9 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     opt.kernel = config.kernel;
     opt.phases = plan.phases;
     opt.cf_estimate = rep.cf;
-    const PruneParams prune = params.prune;
-    dist::SummaResult expansion = dist::summa_multiply(
-        a, a, ga, ga, sim, opt,
-        [&prune, &grid, &sim](int /*phase*/, std::vector<dist::CscD>& chunks) {
-          prune_chunks(chunks, grid, prune, sim);
-        });
+    opt.prune = params.prune;
+    dist::SummaResult expansion =
+        dist::summa_multiply(a, a, ga, ga, sim, opt);
 
     rep.summa = expansion.stats;
     rep.measured_unpruned_nnz = expansion.stats.unpruned_nnz;

@@ -1,6 +1,8 @@
 #include "dist/summa.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -15,6 +17,7 @@
 #include "sim/costmodel.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm/hash.hpp"
+#include "util/simd.hpp"
 
 namespace mclx::dist {
 
@@ -113,14 +116,17 @@ class StageAccumulator {
 /// column entries are sorted by row, so stages arrive in order. Each
 /// column of A is split by row block once (`alen_`), so a B entry's flops
 /// per rank are known without touching its products, and only a row's
-/// first product of a stage looks up its rank.
+/// first product of a stage looks up its rank. With a prune rule, each
+/// column is pruned as it is extracted and only its survivors reach the
+/// chunks.
 class PhasePass {
  public:
   /// `device_slices`: the devices per rank whose column slices to count
   /// (0: none). With `binary_merge`, the pass also counts the size of
   /// every stage range Algorithm 2 folds short of the whole phase.
   PhasePass(const DistMat& a, const DistMat& b, const CscD& ga,
-            const CscD& gb, int device_slices, bool binary_merge)
+            const CscD& gb, int device_slices, bool binary_merge,
+            const std::optional<PruneParams>& prune)
       : a_(a), b_(b), ga_(ga), gb_(gb), dim_(a.dim()),
         device_slices_(device_slices > 0),
         nslices_(std::max(device_slices, 1)), acc_(ga.nrows()),
@@ -128,9 +134,8 @@ class PhasePass {
         alen_(static_cast<std::size_t>(ga.ncols()) *
               static_cast<std::size_t>(dim_)),
         ranges_of_(static_cast<std::size_t>(dim_)),
-        rows_(static_cast<std::size_t>(dim_)),
-        vals_(static_cast<std::size_t>(dim_)),
         mem_("summa.accumulator", 0) {
+    if (prune) prune_.emplace(*prune);
     const auto dim = static_cast<std::size_t>(dim_);
     for (int i = 0; i <= dim_; ++i) {
       row_off_.push_back(a.row_offset(i));
@@ -177,7 +182,7 @@ class PhasePass {
   /// Entries of the sum of rank r's stage products [first, end).
   std::uint64_t merged_size(int r, int first, int end) const {
     const auto ri = static_cast<std::size_t>(r);
-    if (first == 0 && end == dim_) return chunks_[ri].nnz();
+    if (first == 0 && end == dim_) return unpruned_[ri];
     const auto u = static_cast<std::size_t>(
         std::find(ranges_.begin(), ranges_.end(), std::pair{first, end}) -
         ranges_.begin());
@@ -185,8 +190,14 @@ class PhasePass {
   }
 
   /// Per rank: the phase's chunk, block-local rows and phase-local
-  /// columns.
+  /// columns (only the survivors with a prune rule).
   std::vector<CscD>& chunks() { return chunks_; }
+  /// Per grid column: the chunk width.
+  std::span<const vidx_t> widths() const { return width_; }
+  /// Per rank: the chunk's nnz before the prune.
+  std::span<const std::uint64_t> unpruned() const { return unpruned_; }
+  /// Per rank: the chunk's nnz after the prune's recovery.
+  std::span<const std::uint64_t> recovered() const { return recovered_; }
 
  private:
   struct RangeRef {
@@ -215,14 +226,15 @@ class PhasePass {
   std::vector<std::vector<RangeRef>> ranges_of_;  ///< per stage
   std::vector<vidx_t> col_rows_;   ///< one output column, sorted by row
   std::vector<val_t> col_vals_;
-  std::vector<std::vector<vidx_t>> rows_;  ///< per row block: chunk buffers,
-  std::vector<std::vector<val_t>> vals_;   ///< reused across grid columns
+  std::optional<ColumnPrune> prune_;
   obs::MemScope mem_;
   std::uint64_t charged_ = 0;
 
   // One phase's results.
   std::vector<CscD> chunks_;
   std::vector<vidx_t> width_;  ///< per grid column: the chunk width
+  std::vector<std::uint64_t> unpruned_;   ///< per rank
+  std::vector<std::uint64_t> recovered_;  ///< per rank
   /// Per grid column j, slice d, stage k and row block i, at
   /// ((j·nslices + d)·dim + k)·dim + i, so a B entry's row blocks are
   /// adjacent; B entries need no row block.
@@ -245,6 +257,8 @@ void PhasePass::run(int phase, int phases) {
   b_nnz_.assign(dim * ns * dim, 0);
   width_.assign(dim, 0);
   unions_.assign(dim * dim * nr, 0);
+  unpruned_.assign(dim * dim, 0);
+  recovered_.assign(dim * dim, 0);
   chunks_.resize(dim * dim);
 
   const vidx_t* acp = ga_.colptr().data();
@@ -254,7 +268,9 @@ void PhasePass::run(int phase, int phases) {
   const vidx_t* brows = gb_.rowids().data();
   const val_t* bvals = gb_.vals().data();
   std::vector<std::size_t> rank_of(dim);
-  std::vector<std::vector<vidx_t>> colptr(dim);
+  // Per row block: the grid column's pieces, moved into the chunks.
+  std::vector<std::vector<vidx_t>> colptr(dim), rows(dim);
+  std::vector<std::vector<val_t>> vals(dim);
 
   for (std::size_t j = 0; j < dim; ++j) {
     const auto [c0, c1] =
@@ -265,8 +281,8 @@ void PhasePass::run(int phase, int phases) {
     for (std::size_t i = 0; i < dim; ++i) {
       rank_of[i] = static_cast<std::size_t>(
           a_.grid().rank_of(static_cast<int>(i), static_cast<int>(j)));
-      rows_[i].clear();
-      vals_[i].clear();
+      rows[i].clear();
+      vals[i].clear();
       colptr[i].assign(static_cast<std::size_t>(width) + 1, 0);
     }
 
@@ -305,33 +321,45 @@ void PhasePass::run(int phase, int phases) {
 
       // The column's rows are sorted, so each row block's are one run.
       acc_.extract(col_rows_, col_vals_);
-      auto from = col_rows_.begin();
+      if (prune_) prune_->run(col_vals_);
+      std::size_t from = 0;
       for (std::size_t i = 0; i < dim; ++i) {
-        const auto to = std::lower_bound(from, col_rows_.end(), row_off_[i + 1]);
-        const vidx_t offset = row_off_[i];
-        for (auto it = from; it != to; ++it) rows_[i].push_back(*it - offset);
-        vals_[i].insert(vals_[i].end(),
-                        col_vals_.begin() + (from - col_rows_.begin()),
-                        col_vals_.begin() + (to - col_rows_.begin()));
+        const auto begin = col_rows_.begin();
+        const auto to = static_cast<std::size_t>(
+            std::lower_bound(begin + static_cast<std::ptrdiff_t>(from),
+                             col_rows_.end(), row_off_[i + 1]) -
+            begin);
+        const std::size_t r = rank_of[i];
+        unpruned_[r] += to - from;
+        if (prune_) {
+          recovered_[r] += prune_->append_kept(
+              from, to - from, col_rows_.data() + from,
+              col_vals_.data() + from, row_off_[i], rows[i], vals[i]);
+        } else {
+          for (std::size_t p = from; p < to; ++p) {
+            rows[i].push_back(col_rows_[p] - row_off_[i]);
+          }
+          vals[i].insert(vals[i].end(),
+                         col_vals_.begin() + static_cast<std::ptrdiff_t>(from),
+                         col_vals_.begin() + static_cast<std::ptrdiff_t>(to));
+        }
         colptr[i][static_cast<std::size_t>(c) + 1] =
-            static_cast<vidx_t>(rows_[i].size());
+            static_cast<vidx_t>(rows[i].size());
         from = to;
       }
     }
 
-    // Exact-size copies: the growth slack stays in the reused buffers.
-    std::uint64_t buffers = 0;
+    std::uint64_t held = fixed_bytes() +
+                         col_rows_.capacity() * sizeof(vidx_t) +
+                         col_vals_.capacity() * sizeof(val_t) +
+                         (prune_ ? prune_->bytes() : 0);
     for (std::size_t i = 0; i < dim; ++i) {
-      chunks_[rank_of[i]] = CscD(
-          a_.block_rows(static_cast<int>(i)), width, std::move(colptr[i]),
-          std::vector<vidx_t>(rows_[i].begin(), rows_[i].end()),
-          std::vector<val_t>(vals_[i].begin(), vals_[i].end()));
-      buffers += rows_[i].capacity() * sizeof(vidx_t) +
-                 vals_[i].capacity() * sizeof(val_t);
+      held += rows[i].capacity() * sizeof(vidx_t) +
+              vals[i].capacity() * sizeof(val_t);
+      chunks_[rank_of[i]] =
+          CscD(a_.block_rows(static_cast<int>(i)), width,
+               std::move(colptr[i]), std::move(rows[i]), std::move(vals[i]));
     }
-    const std::uint64_t held = fixed_bytes() + buffers +
-                               col_rows_.capacity() * sizeof(vidx_t) +
-                               col_vals_.capacity() * sizeof(val_t);
     if (held > charged_) {
       mem_.add(held - charged_);
       charged_ = held;
@@ -385,6 +413,120 @@ spgemm::MultiplyCounts PhasePass::multiply(int i, int j, int k) const {
 
 }  // namespace
 
+std::span<const char> ColumnPrune::run(std::span<const val_t> vals) {
+  const std::size_t n = vals.size();
+  fate_.resize(n);
+  std::size_t survivors = simd::threshold_flags(vals.data(), n,
+                                                params_.cutoff, fate_.data());
+  const auto recover =
+      static_cast<std::size_t>(std::max(params_.recover_num, 0));
+  if (survivors < recover) {
+    cands_.clear();
+    for (std::size_t p = 0; p < n; ++p) {
+      if (fate_[p] == kDropped) {
+        cands_.push_back({std::abs(vals[p]), static_cast<vidx_t>(p)});
+      }
+    }
+    const std::size_t want = std::min(recover - survivors, cands_.size());
+    keep_best(want);
+    survivors += want;
+  }
+  const auto k = static_cast<std::size_t>(std::max(params_.select_k, 0));
+  if (survivors > k) {
+    cands_.clear();
+    for (std::size_t p = 0; p < n; ++p) {
+      if (fate_[p] == kKept) {
+        cands_.push_back({vals[p], static_cast<vidx_t>(p)});
+        fate_[p] = kUnselected;
+      }
+    }
+    keep_best(k);
+  }
+  return fate_;
+}
+
+void ColumnPrune::keep_best(std::size_t want) {
+  std::nth_element(cands_.begin(),
+                   cands_.begin() + static_cast<std::ptrdiff_t>(want),
+                   cands_.end(), [](const Candidate& x, const Candidate& y) {
+                     if (x.key != y.key) return x.key > y.key;
+                     return x.pos < y.pos;
+                   });
+  for (std::size_t q = 0; q < want; ++q) {
+    fate_[static_cast<std::size_t>(cands_[q].pos)] = kKept;
+  }
+}
+
+std::uint64_t ColumnPrune::append_kept(std::size_t first, std::size_t n,
+                                       const vidx_t* rows, const val_t* vals,
+                                       vidx_t row_shift,
+                                       std::vector<vidx_t>& out_rows,
+                                       std::vector<val_t>& out_vals) const {
+  std::uint64_t recovered = 0;
+  for (std::size_t q = 0; q < n; ++q) {
+    const char fate = fate_[first + q];
+    recovered += fate != kDropped;
+    if (fate == kKept) {
+      out_rows.push_back(rows[q] - row_shift);
+      out_vals.push_back(vals[q]);
+    }
+  }
+  return recovered;
+}
+
+void charge_prune(sim::SimState& sim, const ProcGrid& grid,
+                  const PruneParams& params, std::span<const vidx_t> widths,
+                  std::span<const std::uint64_t> unpruned,
+                  std::span<const std::uint64_t> recovered) {
+  const sim::CostModel model(sim.machine());
+  const int dim = grid.dim();
+  const auto ncols = [&](int j) {
+    return static_cast<std::uint64_t>(widths[static_cast<std::size_t>(j)]);
+  };
+  // The cutoff(+recovery) pass: the local sweep per rank, plus (when
+  // recovery is on) the survivor-count reduction.
+  std::uint64_t swept = 0;
+  for (int j = 0; j < dim; ++j) {
+    const std::vector<int> group = grid.col_ranks(j);
+    for (const int r : group) {
+      const std::uint64_t nnz = unpruned[static_cast<std::size_t>(r)];
+      swept += nnz;
+      sim.rank(r).cpu_run(Stage::kPrune, model.prune(nnz));
+    }
+    if (params.recover_num > 0) {
+      sim::sim_allreduce(sim, group,
+                         static_cast<bytes_t>(ncols(j) * sizeof(vidx_t)),
+                         Stage::kPrune);
+    }
+  }
+  // The top-k selection as HipMCL runs it: each global column is
+  // scattered across the √P ranks of the grid column, so every rank
+  // selects its local top-k, the candidates are exchanged within the grid
+  // column, and a final selection runs on the combined set. That is
+  // exact, because the global top-k is a subset of the union of the local
+  // top-k sets.
+  const int k = params.select_k;
+  for (int j = 0; j < dim; ++j) {
+    const std::vector<int> group = grid.col_ranks(j);
+    std::uint64_t total_candidates = 0;
+    for (const int r : group) {
+      const std::uint64_t nnz = recovered[static_cast<std::size_t>(r)];
+      total_candidates += std::min<std::uint64_t>(
+          nnz, ncols(j) * static_cast<std::uint64_t>(k));
+      sim.rank(r).cpu_run(Stage::kPrune, model.topk_select(nnz, ncols(j), k));
+    }
+    const bytes_t per_rank_bytes =
+        total_candidates / std::max<std::uint64_t>(1, group.size()) *
+        (sizeof(vidx_t) + sizeof(val_t));
+    sim::sim_allgather(sim, group, per_rank_bytes, Stage::kPrune);
+    for (const int r : group) {
+      sim.rank(r).cpu_run(Stage::kPrune,
+                          model.topk_select(total_candidates, ncols(j), k));
+    }
+  }
+  obs::count("kernel.simd.prune_elems", swept);
+}
+
 std::pair<vidx_t, vidx_t> phase_col_range(vidx_t block_cols, int phase,
                                           int phases) {
   if (phases <= 0) throw std::invalid_argument("phase_col_range: phases <= 0");
@@ -435,7 +577,7 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   PhasePass pass(a, b, ga, gb,
                  mults.front().may_use_devices() ? mults.front().num_devices()
                                                  : 0,
-                 opt.binary_merge);
+                 opt.binary_merge, opt.prune);
 
   // Snapshot per-rank counters so stats reflect only this call.
   std::vector<RankDelta> deltas(static_cast<std::size_t>(nranks));
@@ -631,17 +773,24 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
     }
     std::vector<CscD>& chunks = pass.chunks();
 
-    // Measure the unpruned product before the sink mutates the chunks:
-    // summed over ranks and phases this is exactly nnz(A·B), the actual
-    // the estimator audit joins against Cohen's prediction.
-    for (const CscD& chunk : chunks) {
-      stats.unpruned_nnz += chunk.nnz();
-      unpruned_bytes += chunk.bytes();
+    // The unpruned product, from the pass's counts: summed over ranks and
+    // phases this is exactly nnz(A·B), the actual the estimator audit
+    // joins against Cohen's prediction.
+    for (int r = 0; r < nranks; ++r) {
+      const std::uint64_t nnz = pass.unpruned()[static_cast<std::size_t>(r)];
+      stats.unpruned_nnz += nnz;
+      unpruned_bytes += CscD::bytes_for(
+          pass.widths()[static_cast<std::size_t>(a.grid().coords(r).second)],
+          nnz);
     }
 
-    if (sink) {
+    if (opt.prune || sink) {
       const vtime_t sink_start = sim.elapsed();
-      sink(phase, chunks);
+      if (opt.prune) {
+        charge_prune(sim, a.grid(), *opt.prune, pass.widths(),
+                     pass.unpruned(), pass.recovered());
+      }
+      if (sink) sink(phase, chunks);
       stats.sink_time += sim.elapsed() - sink_start;
     }
 

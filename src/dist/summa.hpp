@@ -23,12 +23,18 @@
 //                 next stage's broadcasts while the device computes; the
 //                 binary merge folds partial products incrementally at
 //                 even stages, overlapping the device work (Fig 2).
-//  * phased     — B's columns are processed in `phases` batches so the
-//                 unpruned product of one batch fits in memory; a caller-
-//                 supplied PhaseSink (the fused prune) runs per batch.
+//  * phased     — B's columns are processed in `phases` batches, each
+//                 pruned as it is formed (the fused expand+prune, §II):
+//                 the pass prunes every global column right after it is
+//                 extracted and keeps only the survivors, so the unpruned
+//                 product never exists on the host; SUMMA charges the
+//                 prune's two virtual passes where HipMCL runs them,
+//                 after each batch's merge.
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "dist/distmat.hpp"
@@ -38,6 +44,83 @@
 
 namespace mclx::dist {
 
+/// MCL's prune (Algorithm 1, line 4): drop entries below the cutoff,
+/// recover the largest discards of over-pruned columns, then keep at most
+/// the top-k ("selection number") entries per column to bound density.
+struct PruneParams {
+  val_t cutoff = 1e-4;  ///< threshold below which entries are discarded
+  int select_k = 50;    ///< max entries kept per column (MCL's ~1000, scaled)
+  /// MCL's recovery: if cutoff pruning leaves a column with fewer than
+  /// `recover_num` entries, the largest discarded entries are recovered
+  /// until the column has recover_num (or no discards remain). Guards
+  /// against over-pruning sparse columns whose mass sits just under the
+  /// cutoff. 0 disables recovery.
+  int recover_num = 0;
+};
+
+/// The prune of one global column, in MCL's order:
+///  1. cutoff: entries with |v| >= cutoff survive;
+///  2. recovery: a column left with fewer than recover_num survivors gets
+///     back its largest discards by |v| until it has recover_num or no
+///     discards remain;
+///  3. selection: a column with more than select_k survivors, recovered
+///     ones included, keeps its exact top select_k by v.
+/// Both rankings break ties to the earlier position, so the kept set is
+/// unique. A column's entries come in global row order, which is also
+/// "row block, then row" across the ranks of a grid column.
+class ColumnPrune {
+ public:
+  /// Each entry's fate after run(): dropped by the cutoff (and not
+  /// recovered), dropped by the selection, or kept.
+  static constexpr char kDropped = 0;
+  static constexpr char kKept = 1;
+  static constexpr char kUnselected = 2;
+
+  explicit ColumnPrune(const PruneParams& params) : params_(params) {}
+
+  /// Decides the fate of each of one column's values, in position order.
+  /// The span stays valid until the next call.
+  std::span<const char> run(std::span<const val_t> vals);
+
+  /// Appends the kept ones of `n` entries, whose fates start at position
+  /// `first` of the last run, to a piece (rows shifted down by
+  /// `row_shift`). Returns how many of them survived the recovery, which
+  /// is what the selection is charged on.
+  std::uint64_t append_kept(std::size_t first, std::size_t n,
+                            const vidx_t* rows, const val_t* vals,
+                            vidx_t row_shift, std::vector<vidx_t>& out_rows,
+                            std::vector<val_t>& out_vals) const;
+
+  /// Bytes of the scratch held between calls.
+  std::uint64_t bytes() const {
+    return fate_.capacity() + cands_.capacity() * sizeof(Candidate);
+  }
+
+ private:
+  struct Candidate {
+    val_t key;
+    vidx_t pos;
+  };
+  /// Marks the `want` best candidates kept: larger key, then the earlier
+  /// position.
+  void keep_best(std::size_t want);
+
+  PruneParams params_;
+  std::vector<char> fate_;
+  std::vector<Candidate> cands_;
+};
+
+/// Charges one phase's prune as the paper's two passes, in order: every
+/// grid column's cutoff sweep (with recovery, also its survivor-count
+/// reduction), then every grid column's top-k selection. Per rank:
+/// `unpruned` is its chunk's nnz before the cutoff and `recovered` its
+/// nnz after the recovery; `widths` is each grid column's chunk width.
+/// Also counts the swept entries as `kernel.simd.prune_elems`.
+void charge_prune(sim::SimState& sim, const ProcGrid& grid,
+                  const PruneParams& params, std::span<const vidx_t> widths,
+                  std::span<const std::uint64_t> unpruned,
+                  std::span<const std::uint64_t> recovered);
+
 struct SummaOptions {
   bool pipelined = false;
   bool binary_merge = false;
@@ -45,12 +128,16 @@ struct SummaOptions {
   int phases = 1;
   /// Iteration-level cf estimate for kernel selection (<=0: unknown).
   double cf_estimate = -1;
+  /// The fused prune: with a rule, the pass keeps only each column's
+  /// survivors and the call charges the prune after every phase.
+  std::optional<PruneParams> prune;
 };
 
-/// Called after each phase with every rank's merged (still unpruned)
-/// column chunk; the fused expand+prune mutates chunks in place (and
-/// charges its own simulator time). rank_chunks is indexed by rank id;
-/// chunk columns are block-local [phase_col_begin, phase_col_end).
+/// Called after each phase with every rank's merged column chunk (pruned
+/// when SummaOptions::prune is set); it may mutate the chunks in place
+/// and charge simulator time. rank_chunks is indexed by rank id; chunk
+/// columns are block-local [phase_col_begin, phase_col_end). Kept for the
+/// e2e probe, which times core::prune_chunks as a sink, and for tests.
 using PhaseSink = std::function<void(int phase, std::vector<CscD>& rank_chunks)>;
 
 struct SummaStats {
@@ -61,8 +148,8 @@ struct SummaStats {
   std::uint64_t merge_peak_elements_max = 0;
   /// Total nnz of the merged-but-not-yet-pruned product across all ranks
   /// and phases — the measured actual the estimator audit joins against
-  /// Cohen's prediction (equals symbolic nnz(A·B), but measured for free
-  /// from the chunks SUMMA materializes anyway).
+  /// Cohen's prediction (equals symbolic nnz(A·B), counted by the pass as
+  /// it extracts each column, before the prune).
   std::uint64_t unpruned_nnz = 0;
   int gpu_fallbacks = 0;
   /// Per-operation times: max over ranks of virtual time attributed to
@@ -73,10 +160,11 @@ struct SummaStats {
   vtime_t merge_time = 0;
   vtime_t other_time = 0;
   /// Virtual wall time of the expansion itself (Table II's "overall") —
-  /// excludes time spent inside the PhaseSink (the fused prune), which
-  /// the paper accounts to the pruning stage, not to SUMMA.
+  /// excludes the fused prune's charges and any PhaseSink, which the
+  /// paper accounts to the pruning stage, not to SUMMA.
   vtime_t elapsed = 0;
-  /// Virtual wall time consumed by the PhaseSink callbacks.
+  /// Virtual wall time of the fused prune's charges and the PhaseSink
+  /// callbacks.
   vtime_t sink_time = 0;
   /// Idle deltas (mean over ranks) within this call (Table V).
   vtime_t cpu_idle = 0;

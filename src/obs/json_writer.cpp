@@ -52,6 +52,11 @@ void JsonWriter::open(char bracket, std::string_view key, bool keyed,
 void JsonWriter::close(char bracket) {
   if (stack_.empty()) throw std::logic_error("json_writer: close at root");
   const Frame top = stack_.back();
+  if (top.is_array != (bracket == ']')) {
+    throw std::logic_error(top.is_array
+                               ? "json_writer: end_object closes an array"
+                               : "json_writer: end_array closes an object");
+  }
   stack_.pop_back();
   if (!top.first && !top.compact) {
     os_ << '\n'
@@ -152,6 +157,9 @@ JsonWriter& JsonWriter::value(std::string_view v) {
   element_prefix();
   os_ << '"' << json_escaped(v) << '"';
   return *this;
+}
+JsonWriter& JsonWriter::value(const char* v) {
+  return value(std::string_view(v));
 }
 
 }  // namespace mclx::obs

@@ -57,6 +57,7 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(int v);
   JsonWriter& value(std::string_view v);
+  JsonWriter& value(const char* v);
 
  private:
   struct Frame {

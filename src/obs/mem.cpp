@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <iomanip>
 
 #include "obs/metrics.hpp"
 #include "obs/prof/flight_recorder.hpp"
@@ -251,20 +250,6 @@ void MemLedger::publish(MetricsRegistry& registry) const {
       }
     }
   }
-}
-
-void MemLedger::write_summary(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  os << "label                               current_bytes          hwm_bytes"
-     << "    charges\n";
-  for (const auto& [label, st] : labels_) {
-    os << std::left << std::setw(32) << label << std::right << std::setw(18)
-       << st.current_bytes << std::setw(19) << st.high_water_bytes
-       << std::setw(11) << st.charges << "\n";
-  }
-  os << std::left << std::setw(32) << "(total tracked)" << std::right
-     << std::setw(18) << total_current_ << std::setw(19) << total_high_water_
-     << std::setw(11) << total_charges_ << "\n";
 }
 
 void MemLedger::clear() {

@@ -23,7 +23,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -151,9 +150,6 @@ class MemLedger {
   ///                                     |pred-meas|/meas
   ///   <channel>.predicted / .measured   histograms of joined values
   void publish(MetricsRegistry& registry) const;
-
-  /// Human-readable per-label table (for CLI / bench summaries).
-  void write_summary(std::ostream& os) const;
 
   void clear();
 

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "obs/json_writer.hpp"
+#include "obs/run_report.hpp"
 
 namespace mclx::obs {
 
@@ -120,48 +121,9 @@ class Flattener {
   std::string parse_string() {
     expect('"');
     std::string out;
-    while (true) {
-      const char c = peek();
-      ++i_;
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char esc = peek();
-      ++i_;
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (i_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = s_[i_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape digit");
-            }
-          }
-          if (code > 0xFF) fail("\\u escape beyond latin-1 unsupported");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("unknown escape character");
-      }
-    }
+    if (const char* err = json_unescape(s_, i_, out, "unexpected end of input"))
+      fail(err);
+    return out;
   }
 
   void parse_literal(const std::string& path) {

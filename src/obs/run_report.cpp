@@ -96,44 +96,9 @@ class LineParser {
   std::string parse_string() {
     expect('"');
     std::string out;
-    while (true) {
-      const char c = peek();
-      ++i_;
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char esc = peek();
-      ++i_;
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (i_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = s_[i_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape digit");
-          }
-          // The writer only escapes control characters, all < 0x100.
-          if (code > 0xFF) fail("\\u escape beyond latin-1 unsupported");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("unknown escape character");
-      }
-    }
+    if (const char* err = json_unescape(s_, i_, out, "unexpected end of line"))
+      fail(err);
+    return out;
   }
 
   Value parse_value() {
@@ -521,6 +486,53 @@ std::string json_escaped(std::string_view s) {
     }
   }
   return out;
+}
+
+const char* json_unescape(std::string_view s, std::size_t& i,
+                          std::string& out, const char* ended) {
+  while (true) {
+    if (i >= s.size()) return ended;
+    const char c = s[i++];
+    if (c == '"') return nullptr;
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    if (i >= s.size()) return ended;
+    const char esc = s[i++];
+    switch (esc) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        if (i + 4 > s.size()) return "truncated \\u escape";
+        unsigned code = 0;
+        for (int k = 0; k < 4; ++k) {
+          const char h = s[i++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            return "bad \\u escape digit";
+          }
+        }
+        // The writer only escapes control characters, all < 0x100.
+        if (code > 0xFF) return "\\u escape beyond latin-1 unsupported";
+        out.push_back(static_cast<char>(code));
+        break;
+      }
+      default: return "unknown escape character";
+    }
+  }
 }
 
 std::string json_number(double v) {

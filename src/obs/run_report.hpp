@@ -154,6 +154,15 @@ RunReport make_metrics_report(const MetricsRegistry& metrics);
 /// bench writers that emit nested JSON by hand.
 std::string json_escaped(std::string_view s);
 
+/// Decodes a JSON string whose body starts at s[i], just past the opening
+/// quote, into `out`, and moves i past the closing quote. Reads every
+/// escape json_escaped writes and the other short ones (\/ \b \f), and
+/// \u escapes up to 0xFF only. Returns nullptr, or the fault's message
+/// with i just past the fault; `ended` is the message when the input
+/// ends first. Shared by the run-report reader and flatten_json.
+const char* json_unescape(std::string_view s, std::size_t& i,
+                          std::string& out, const char* ended);
+
 /// Round-trippable JSON number for a double (non-finite values are
 /// written as 0: JSON has no NaN/Inf and the reports must stay loadable).
 std::string json_number(double v);

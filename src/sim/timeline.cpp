@@ -95,18 +95,6 @@ StageTimes SimState::mean_stage_times() const {
   return out;
 }
 
-vtime_t SimState::max_cpu_idle() const {
-  vtime_t mx = 0;
-  for (const auto& r : ranks_) mx = std::max(mx, r.cpu_idle());
-  return mx;
-}
-
-vtime_t SimState::max_gpu_idle() const {
-  vtime_t mx = 0;
-  for (const auto& r : ranks_) mx = std::max(mx, r.gpu_idle());
-  return mx;
-}
-
 vtime_t SimState::mean_cpu_idle() const {
   vtime_t sum = 0;
   for (const auto& r : ranks_) sum += r.cpu_idle();

@@ -99,9 +99,6 @@ class SimState {
   /// Mean over ranks of per-stage attributed time.
   StageTimes mean_stage_times() const;
 
-  /// Max over ranks of CPU / GPU idle seconds.
-  vtime_t max_cpu_idle() const;
-  vtime_t max_gpu_idle() const;
   /// Mean over ranks of CPU / GPU idle seconds (Table V reports these).
   vtime_t mean_cpu_idle() const;
   vtime_t mean_gpu_idle() const;

@@ -260,13 +260,6 @@ std::vector<HealthReport> Scheduler::sample_health() {
   return reports;
 }
 
-std::shared_ptr<obs::FlightRecorder> Scheduler::recorder(
-    const std::string& id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::shared_ptr<Handle> h = find_locked(id);
-  return h ? h->recorder : nullptr;
-}
-
 std::vector<std::string> Scheduler::write_postmortems(std::string_view reason) {
   std::vector<std::string> written;
   if (options_.postmortem_dir.empty()) return written;

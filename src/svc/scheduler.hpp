@@ -141,11 +141,6 @@ class Scheduler {
   };
   std::vector<LiveJob> jobs_snapshot() const;
 
-  /// This job's always-on flight recorder (never null for a submitted
-  /// id; nullptr when the id is unknown). Events are stamped with the
-  /// board clock, so fake-clock tests produce real timelines.
-  std::shared_ptr<obs::FlightRecorder> recorder(const std::string& id) const;
-
   /// Dump every job that recorded events to
   /// `options.postmortem_dir/<job>.postmortem.json` with `reason` —
   /// the graceful-shutdown path (front-end SIGINT). Returns the paths

@@ -18,6 +18,7 @@
 #include "core/interpret.hpp"
 #include "core/prune.hpp"
 #include "dist/cc.hpp"
+#include "dist/summa.hpp"
 #include "gen/planted.hpp"
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
@@ -71,7 +72,9 @@ TEST(DistributedPrune, CutoffAndSelectApplied) {
 // by v, ties to the smaller row in both. Values come from {1/16 … 8/16},
 // so ties are common and cross block rows; recover_num 10 exceeds
 // select_k, so recovered entries must count toward the selection.
-TEST(PruneChunks, MatchesDenseOracle) {
+// `prune(t, nodes, params)` returns t pruned on a grid of `nodes`.
+template <typename Prune>
+void expect_matches_dense_oracle(Prune&& prune) {
   constexpr vidx_t n = 45;
   constexpr std::size_t select_k = 6;
   constexpr val_t cutoff = 0.3;
@@ -125,14 +128,11 @@ TEST(PruneChunks, MatchesDenseOracle) {
     for (const std::size_t recover_num : {0, 4, 10}) {
       SCOPED_TRACE("nodes " + std::to_string(nodes) + ", recover_num " +
                    std::to_string(recover_num));
-      DistMat m = DistMat::from_triples(t, ProcGrid(nodes));
-      sim::SimState sim(sim::summit_like(nodes));
       core::PruneParams p;
       p.cutoff = cutoff;
       p.select_k = static_cast<int>(select_k);
       p.recover_num = static_cast<int>(recover_num);
-      prune_blocks(m, p, sim);
-      const C g = m.to_csc();
+      const C g = prune(t, nodes, p);
       for (vidx_t c = 0; c < n; ++c) {
         std::vector<Entry> got;
         for (std::size_t q = 0; q < g.col_rows(c).size(); ++q)
@@ -141,6 +141,37 @@ TEST(PruneChunks, MatchesDenseOracle) {
         EXPECT_EQ(got, oracle(c, recover_num)) << "column " << c;
       }
     }
+  }
+}
+
+TEST(PruneChunks, MatchesDenseOracle) {
+  expect_matches_dense_oracle(
+      [](const T& t, int nodes, const core::PruneParams& p) {
+        DistMat m = DistMat::from_triples(t, ProcGrid(nodes));
+        sim::SimState sim(sim::summit_like(nodes));
+        prune_blocks(m, p, sim);
+        return m.to_csc();
+      });
+}
+
+// The same cases through SUMMA's in-pass prune: I·T is T exactly, pruned
+// column by column as the pass extracts it, in one phase and in three.
+TEST(SummaPrune, InPassMatchesDenseOracle) {
+  for (const int phases : {1, 3}) {
+    SCOPED_TRACE(std::to_string(phases) + " phases");
+    expect_matches_dense_oracle(
+        [phases](const T& t, int nodes, const core::PruneParams& p) {
+          const ProcGrid grid(nodes);
+          T ident(t.nrows(), t.nrows());
+          for (vidx_t v = 0; v < t.nrows(); ++v) ident.push(v, v, 1.0);
+          const DistMat i = DistMat::from_triples(ident, grid);
+          const DistMat m = DistMat::from_triples(t, grid);
+          sim::SimState sim(sim::summit_like(nodes));
+          dist::SummaOptions opt;
+          opt.phases = phases;
+          opt.prune = p;
+          return dist::summa_multiply(i, m, sim, opt).c.to_csc();
+        });
   }
 }
 

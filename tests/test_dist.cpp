@@ -831,6 +831,34 @@ bool same_bits(const CscD& x, const CscD& y) {
                                 x.vals().size() * sizeof(val_t)) == 0);
 }
 
+void expect_same_stats(const dist::SummaStats& x, const dist::SummaStats& y) {
+  EXPECT_EQ(x.total_flops, y.total_flops);
+  EXPECT_EQ(x.merge_peak_elements_sum, y.merge_peak_elements_sum);
+  EXPECT_EQ(x.merge_peak_elements_max, y.merge_peak_elements_max);
+  EXPECT_EQ(x.unpruned_nnz, y.unpruned_nnz);
+  EXPECT_EQ(x.gpu_fallbacks, y.gpu_fallbacks);
+  EXPECT_EQ(x.spgemm_time, y.spgemm_time);
+  EXPECT_EQ(x.bcast_time, y.bcast_time);
+  EXPECT_EQ(x.merge_time, y.merge_time);
+  EXPECT_EQ(x.other_time, y.other_time);
+  EXPECT_EQ(x.elapsed, y.elapsed);
+  EXPECT_EQ(x.sink_time, y.sink_time);
+  EXPECT_EQ(x.cpu_idle, y.cpu_idle);
+  EXPECT_EQ(x.gpu_idle, y.gpu_idle);
+}
+
+/// Every virtual interval of every rank.
+void expect_same_events(const sim::EventLog& got, const sim::EventLog& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    const sim::Event& p = got.events()[e];
+    const sim::Event& q = want.events()[e];
+    ASSERT_TRUE(p.rank == q.rank && p.resource == q.resource &&
+                p.stage == q.stage && p.start == q.start && p.end == q.end)
+        << "event " << e;
+  }
+}
+
 class SummaPerBlock : public testing::TestWithParam<int> {};
 
 TEST_P(SummaPerBlock, PassMatchesPerBlockProductsAndMerges) {
@@ -880,21 +908,7 @@ TEST_P(SummaPerBlock, PassMatchesPerBlockProductsAndMerges) {
           return per_block_summa(a, b, sim, opt, sink);
         });
 
-        const dist::SummaStats& x = got.result.stats;
-        const dist::SummaStats& y = want.result.stats;
-        EXPECT_EQ(x.total_flops, y.total_flops);
-        EXPECT_EQ(x.merge_peak_elements_sum, y.merge_peak_elements_sum);
-        EXPECT_EQ(x.merge_peak_elements_max, y.merge_peak_elements_max);
-        EXPECT_EQ(x.unpruned_nnz, y.unpruned_nnz);
-        EXPECT_EQ(x.gpu_fallbacks, y.gpu_fallbacks);
-        EXPECT_EQ(x.spgemm_time, y.spgemm_time);
-        EXPECT_EQ(x.bcast_time, y.bcast_time);
-        EXPECT_EQ(x.merge_time, y.merge_time);
-        EXPECT_EQ(x.other_time, y.other_time);
-        EXPECT_EQ(x.elapsed, y.elapsed);
-        EXPECT_EQ(x.sink_time, y.sink_time);
-        EXPECT_EQ(x.cpu_idle, y.cpu_idle);
-        EXPECT_EQ(x.gpu_idle, y.gpu_idle);
+        expect_same_stats(got.result.stats, want.result.stats);
 
         // Kernel kinds, fallbacks, merge events and their peaks, and the
         // broadcast payloads.
@@ -932,16 +946,7 @@ TEST_P(SummaPerBlock, PassMatchesPerBlockProductsAndMerges) {
           seen[name] += want.metrics.counter(name);
         }
 
-        // Every virtual interval of every rank.
-        ASSERT_EQ(got.events.size(), want.events.size());
-        for (std::size_t e = 0; e < want.events.size(); ++e) {
-          const sim::Event& p = got.events.events()[e];
-          const sim::Event& q = want.events.events()[e];
-          ASSERT_TRUE(p.rank == q.rank && p.resource == q.resource &&
-                      p.stage == q.stage && p.start == q.start &&
-                      p.end == q.end)
-              << "event " << e;
-        }
+        expect_same_events(got.events, want.events);
 
         // The ledger mirrors of the merge buffers and the staging.
         for (const char* label : {"summa.staging", "summa.bcast_payload"}) {
@@ -986,6 +991,217 @@ INSTANTIATE_TEST_SUITE_P(Grids, SummaPerBlock,
                          [](const testing::TestParamInfo<int>& info) {
                            return "nodes" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// The fused prune: SUMMA with a prune rule prunes each column inside the
+// phase pass and charges the prune from counts; core::prune_chunks as a
+// PhaseSink prunes the whole unpruned chunks afterwards. Both must agree
+// on everything a run can see.
+
+class SummaPrune : public testing::TestWithParam<int> {};
+
+TEST_P(SummaPrune, InPassMatchesPruneChunksSink) {
+  const int nodes = GetParam();
+  const ProcGrid grid(nodes);
+  // Sparse operands: product entries are mostly single products of two
+  // uniform values, so the cutoffs below split columns, recovery runs
+  // where few survive, and selection where many do.
+  const DistMat a =
+      DistMat::from_triples(random_triples(90, 80, 600, 43), grid);
+  const DistMat b =
+      DistMat::from_triples(random_triples(80, 85, 600, 44), grid);
+  struct Scheme {
+    const char* name;
+    sim::MachineConfig machine;
+    bool pipelined, binary_merge;
+    spgemm::KernelPolicy kernel;
+  };
+  const Scheme schemes[] = {
+      {"original", sim::summit_like_cpu_only(nodes), false, false,
+       spgemm::KernelPolicy::fixed_kernel(spgemm::KernelKind::kCpuHeap)},
+      {"no-overlap", sim::summit_like(nodes), false, false,
+       spgemm::KernelPolicy::hybrid_policy()},
+      {"optimized", sim::summit_like(nodes), true, true,
+       spgemm::KernelPolicy::hybrid_policy()},
+  };
+  struct Rule {
+    const char* name;
+    dist::PruneParams params;
+  };
+  const Rule rules[] = {
+      {"select", {.cutoff = 0.35, .select_k = 6, .recover_num = 0}},
+      {"recover", {.cutoff = 0.35, .select_k = 6, .recover_num = 3}},
+      {"empty-columns", {.cutoff = 0.9, .select_k = 6, .recover_num = 0}},
+  };
+  for (const Scheme& scheme : schemes) {
+    for (const Rule& rule : rules) {
+      for (const int phases : {1, 4}) {
+        SCOPED_TRACE(std::string(scheme.name) + ", " + rule.name + ", " +
+                     std::to_string(phases) + " phases on " +
+                     std::to_string(nodes) + " nodes");
+        dist::SummaOptions opt;
+        opt.pipelined = scheme.pipelined;
+        opt.binary_merge = scheme.binary_merge;
+        opt.kernel = scheme.kernel;
+        opt.phases = phases;
+        SummaTrace got, want;
+        trace_summa(got, [&](const dist::PhaseSink& capture) {
+          sim::SimState sim(scheme.machine);
+          dist::SummaOptions in_pass = opt;
+          in_pass.prune = rule.params;
+          return dist::summa_multiply(a, b, sim, in_pass, capture);
+        });
+        trace_summa(want, [&](const dist::PhaseSink& capture) {
+          sim::SimState sim(scheme.machine);
+          return dist::summa_multiply(
+              a, b, sim, opt, [&](int phase, std::vector<CscD>& chunks) {
+                core::prune_chunks(chunks, grid, rule.params, sim);
+                capture(phase, chunks);
+              });
+        });
+
+        expect_same_stats(got.result.stats, want.result.stats);
+        EXPECT_GT(got.result.stats.sink_time, 0.0);
+        expect_same_events(got.events, want.events);
+        EXPECT_EQ(got.metrics.counter("kernel.simd.prune_elems"),
+                  want.metrics.counter("kernel.simd.prune_elems"));
+        EXPECT_EQ(got.metrics.counter("kernel.simd.prune_elems"),
+                  got.result.stats.unpruned_nnz);
+        ASSERT_EQ(got.chunks.size(), want.chunks.size());
+        for (std::size_t p = 0; p < want.chunks.size(); ++p) {
+          ASSERT_EQ(got.chunks[p].size(), want.chunks[p].size());
+          for (std::size_t r = 0; r < want.chunks[p].size(); ++r) {
+            EXPECT_TRUE(same_bits(got.chunks[p][r], want.chunks[p][r]))
+                << "phase " << p << " rank " << r;
+          }
+        }
+        const int dim = grid.dim();
+        for (int i = 0; i < dim; ++i) {
+          for (int j = 0; j < dim; ++j) {
+            EXPECT_TRUE(got.result.c.block(i, j) == want.result.c.block(i, j))
+                << "block " << i << ", " << j;
+          }
+        }
+        EXPECT_TRUE(same_bits(got.result.c.to_csc(), want.result.c.to_csc()));
+
+        // The rules bite: every column keeps at most select_k, and the
+        // high cutoff empties whole columns but not all of them.
+        const CscD c = got.result.c.to_csc();
+        vidx_t empty = 0;
+        for (vidx_t col = 0; col < c.ncols(); ++col) {
+          EXPECT_LE(c.col_nnz(col), rule.params.select_k);
+          empty += c.col_nnz(col) == 0;
+        }
+        if (rule.params.cutoff > 0.5) {
+          EXPECT_GT(empty, 0);
+          EXPECT_LT(empty, c.ncols());
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, SummaPrune,
+                         testing::Values(1, 4, 9, 16, 25, 36, 49),
+                         [](const testing::TestParamInfo<int>& info) {
+                           return "nodes" + std::to_string(info.param);
+                         });
+
+// A product column whose k-th value is shared by more entries than fit,
+// across two row blocks: the selection keeps the smallest global rows,
+// and so does the recovery among equal discards. A is the identity, so
+// the product is B's column exactly.
+TEST(SummaPrune, TiesGoToTheSmallestGlobalRows) {
+  constexpr vidx_t n = 12;
+  T ident(n, n);
+  for (vidx_t v = 0; v < n; ++v) ident.push(v, v, 1.0);
+  T col(n, n);
+  col.push(0, 0, 0.1);
+  col.push(1, 0, 0.1);
+  col.push(3, 0, 0.5);
+  col.push(5, 0, 0.5);
+  col.push(7, 0, 0.5);
+  col.push(8, 0, 0.9);
+  col.push(10, 0, 0.5);
+  col.sort_and_combine();
+  struct Case {
+    const char* name;
+    dist::PruneParams params;
+    std::vector<vidx_t> rows;
+  };
+  const Case cases[] = {
+      // Top 4 of {0.9, 0.5 × 4}: rows 3, 5 and 7 beat row 10.
+      {"selection", {.cutoff = 0.0, .select_k = 4, .recover_num = 0},
+       {3, 5, 7, 8}},
+      // Only 0.9 passes; two of the four 0.5s come back: rows 3 and 5.
+      {"recovery", {.cutoff = 0.6, .select_k = 10, .recover_num = 3},
+       {3, 5, 8}},
+  };
+  for (const int nodes : {1, 4, 9}) {
+    const ProcGrid grid(nodes);
+    const DistMat a = DistMat::from_triples(ident, grid);
+    const DistMat b = DistMat::from_triples(col, grid);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " on " + std::to_string(nodes) +
+                   " nodes");
+      sim::SimState sim(sim::summit_like_cpu_only(nodes));
+      dist::SummaOptions opt;
+      opt.prune = c.params;
+      const CscD got = dist::summa_multiply(a, b, sim, opt).c.to_csc();
+      const auto rows = got.col_rows(0);
+      EXPECT_EQ(std::vector<vidx_t>(rows.begin(), rows.end()), c.rows);
+    }
+  }
+}
+
+// The rule's fates, and the count the selection is charged on: entries
+// that survive the recovery, whether or not the selection keeps them.
+TEST(SummaPrune, ColumnFatesCountRecoveredEntries) {
+  const std::vector<val_t> vals = {0.1, 0.1, 0.5, 0.5, 0.5, 0.9, 0.5};
+  const std::vector<vidx_t> rows = {0, 1, 3, 5, 7, 8, 10};
+  using P = dist::ColumnPrune;
+  struct Case {
+    dist::PruneParams params;
+    std::vector<char> fates;
+    std::uint64_t recovered;
+  };
+  const Case cases[] = {
+      {{.cutoff = 0.0, .select_k = 4, .recover_num = 0},
+       {P::kUnselected, P::kUnselected, P::kKept, P::kKept, P::kKept,
+        P::kKept, P::kUnselected},
+       7},
+      {{.cutoff = 0.6, .select_k = 10, .recover_num = 3},
+       {P::kDropped, P::kDropped, P::kKept, P::kKept, P::kDropped, P::kKept,
+        P::kDropped},
+       3},
+      // Recovery beyond select_k: the recovered entries count, and the
+      // selection then trims them.
+      {{.cutoff = 0.6, .select_k = 2, .recover_num = 5},
+       {P::kDropped, P::kDropped, P::kKept, P::kUnselected, P::kUnselected,
+        P::kKept, P::kUnselected},
+       5},
+  };
+  for (const Case& c : cases) {
+    P rule(c.params);
+    const auto fates = rule.run(vals);
+    EXPECT_EQ(std::vector<char>(fates.begin(), fates.end()), c.fates);
+    // Split at row 6, as two row blocks of a grid column would be.
+    std::vector<vidx_t> out_rows;
+    std::vector<val_t> out_vals;
+    const std::uint64_t first =
+        rule.append_kept(0, 4, rows.data(), vals.data(), 0, out_rows, out_vals);
+    const std::uint64_t second = rule.append_kept(
+        4, 3, rows.data() + 4, vals.data() + 4, 6, out_rows, out_vals);
+    EXPECT_EQ(first + second, c.recovered);
+    std::vector<vidx_t> want_rows;
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+      if (c.fates[p] == P::kKept) {
+        want_rows.push_back(p < 4 ? rows[p] : rows[p] - 6);
+      }
+    }
+    EXPECT_EQ(out_rows, want_rows);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Distributed top-k selection (core::prune_chunks with cutoff and recovery

@@ -419,6 +419,37 @@ TEST(MemLedgerE2E, MergePeakMatchesLegacyElementCounters) {
   EXPECT_GT(ledger.label_stats("dist.staging").high_water_bytes, 0u);
 }
 
+// The fused prune keeps only each column's survivors, so the phase
+// pass's accumulator never holds the unpruned product: on one rank and
+// one phase its high water stays below the bytes of the unpruned chunk,
+// which the pass once buffered whole.
+TEST(MemLedgerE2E, AccumulatorHoldsLessThanTheUnprunedProduct) {
+  gen::PlantedParams gp;
+  gp.n = 600;
+  gp.seed = 29;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 10;
+  params.max_iters = 1;
+  obs::MemLedger ledger;
+  sim::SimState sim(sim::summit_like_cpu_only(1));
+  core::MclResult result;
+  {
+    const obs::ScopedContext sinks(ledger);
+    result = core::run_hipmcl(g.edges, params, core::HipMclConfig::original(),
+                              sim);
+  }
+  ASSERT_EQ(result.iters.size(), 1u);
+  const core::IterationReport& it = result.iters.front();
+  ASSERT_EQ(it.phases, 1);
+  const std::uint64_t unpruned_bytes =
+      dist::CscD::bytes_for(gp.n, it.measured_unpruned_nnz);
+  const std::uint64_t accumulator =
+      ledger.label_stats("summa.accumulator").high_water_bytes;
+  EXPECT_GT(accumulator, 0u);
+  EXPECT_LT(accumulator, unpruned_bytes);
+}
+
 TEST(MemLedgerE2E, InstallingALedgerChangesNothing) {
   sim::SimState sim_a(sim::summit_like(4));
   const core::MclResult without = ledger_run(sim_a, nullptr, nullptr, nullptr);

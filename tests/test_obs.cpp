@@ -629,6 +629,41 @@ TEST(JsonWriter, MisplacedContainersThrow) {
   }
 }
 
+TEST(JsonWriter, StringLiteralElementIsAString) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_array(obs::JsonWriter::Style::kCompact);
+  w.value("text");
+  w.end_array();
+  EXPECT_EQ(os.str(), "[\"text\"]\n");
+}
+
+TEST(JsonWriter, MismatchedCloseThrowsAndWritesNoBracket) {
+  const auto message = [](auto&& misnest) {
+    try {
+      misnest();
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  std::ostringstream arr;
+  obs::JsonWriter wa(arr);
+  wa.begin_array();
+  wa.value(1);
+  EXPECT_EQ(message([&] { wa.end_object(); }),
+            "json_writer: end_object closes an array");
+  EXPECT_EQ(arr.str().find('}'), std::string::npos);
+
+  std::ostringstream obj;
+  obs::JsonWriter wo(obj);
+  wo.begin_object();
+  wo.field("a", 1);
+  EXPECT_EQ(message([&] { wo.end_array(); }),
+            "json_writer: end_array closes an object");
+  EXPECT_EQ(obj.str().find(']'), std::string::npos);
+}
+
 // ------------------------------------------------- full-run report schema
 
 core::MclResult small_run(sim::SimState& sim, obs::MetricsRegistry* registry,
