@@ -1,7 +1,6 @@
 #include "core/chaos.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "sim/collectives.hpp"
 #include "sim/costmodel.hpp"
@@ -11,31 +10,29 @@ namespace mclx::core {
 double distributed_chaos(const dist::DistMat& m, sim::SimState& sim) {
   const sim::CostModel model(sim.machine());
   const int dim = m.dim();
+  const dist::CscD& g = m.to_csc();
+  // Per column: its max and its sum of squares, one entry at a time in
+  // global row order, which is "row block, then row": the blocks' order.
   double chaos = 0.0;
-
+  for (vidx_t c = 0; c < g.ncols(); ++c) {
+    val_t colmax = 0.0;
+    val_t colsumsq = 0.0;
+    for (const val_t v : g.col_vals(c)) {
+      colmax = std::max(colmax, v);
+      colsumsq += v * v;
+    }
+    chaos = std::max(chaos, static_cast<double>(colmax - colsumsq));
+  }
   for (int j = 0; j < dim; ++j) {
     const auto ncols = static_cast<std::size_t>(m.block_cols(j));
-    std::vector<val_t> colmax(ncols, 0.0);
-    std::vector<val_t> colsumsq(ncols, 0.0);
     for (int i = 0; i < dim; ++i) {
-      const dist::DcscD& b = m.block(i, j);
-      for (vidx_t k = 0; k < b.nzc(); ++k) {
-        const auto c = static_cast<std::size_t>(b.nz_col_id(k));
-        for (const val_t v : b.nz_col_vals(k)) {
-          colmax[c] = std::max(colmax[c], v);
-          colsumsq[c] += v * v;
-        }
-      }
       sim.rank(m.grid().rank_of(i, j))
-          .cpu_run(sim::Stage::kOther, model.other(b.nnz()));
+          .cpu_run(sim::Stage::kOther, model.other(m.block_nnz(i, j)));
     }
     // max and sumsq reductions along the grid column (one fused message).
     sim::sim_allreduce(sim, m.grid().col_ranks(j),
                        static_cast<bytes_t>(2 * ncols * sizeof(val_t)),
                        sim::Stage::kOther);
-    for (std::size_t c = 0; c < ncols; ++c) {
-      chaos = std::max(chaos, static_cast<double>(colmax[c] - colsumsq[c]));
-    }
   }
   return chaos;
 }

@@ -4,8 +4,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/log.hpp"
 
@@ -16,54 +18,62 @@ namespace {
 // v1 is the matrix alone. v2 files, from when runs could be reordered,
 // append a vertex permutation after the entries. Their matrix is stored
 // in the input's vertex ids like v1's, so the permutation is checked and
-// discarded.
+// discarded. v3 is v1's header and entries, a converged byte, then an
+// FNV-1a 64 checksum of every byte before it.
 constexpr char kMagicV1[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '1'};
 constexpr char kMagicV2[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '2'};
+constexpr char kMagicV3[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '3'};
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
 }
 
-/// Most elements reserved up front on the header's word alone: a
-/// truncated or hostile file must fail as "truncated file", not as an
-/// allocation of whatever count its header claims.
-std::size_t trusted_reserve(std::uint64_t claimed) {
-  return static_cast<std::size_t>(
-      std::min(claimed, std::uint64_t{1} << 20));
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 template <typename T>
-void write_pod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+void put(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
+/// Reads a fixed-size field off the front of `rest`.
 template <typename T>
-T read_pod(std::ifstream& in) {
+T take(std::string_view& rest) {
+  if (rest.size() < sizeof(T)) fail("truncated file");
   T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) fail("truncated file");
+  std::memcpy(&value, rest.data(), sizeof(T));
+  rest.remove_prefix(sizeof(T));
   return value;
 }
 
 }  // namespace
 
 void save_checkpoint(const std::string& path, const Checkpoint& cp) {
+  std::string bytes(kMagicV3, 8);
+  put(bytes, static_cast<std::int64_t>(cp.completed_iterations));
+  put(bytes, cp.matrix.nrows());
+  put(bytes, cp.matrix.ncols());
+  put(bytes, static_cast<std::uint64_t>(cp.matrix.nnz()));
+  for (const auto& e : cp.matrix) {
+    put(bytes, e.row);
+    put(bytes, e.col);
+    put(bytes, e.val);
+  }
+  put(bytes, static_cast<std::uint8_t>(cp.converged));
+  put(bytes, fnv1a64(bytes));
   // Write to a temp file then rename: a kill mid-write must not destroy
   // the previous checkpoint.
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary);
     if (!out) fail("cannot open for write: " + tmp);
-    out.write(kMagicV1, 8);
-    write_pod(out, static_cast<std::int64_t>(cp.completed_iterations));
-    write_pod(out, cp.matrix.nrows());
-    write_pod(out, cp.matrix.ncols());
-    write_pod(out, static_cast<std::uint64_t>(cp.matrix.nnz()));
-    for (const auto& e : cp.matrix) {
-      write_pod(out, e.row);
-      write_pod(out, e.col);
-      write_pod(out, e.val);
-    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     if (!out) fail("write failed: " + tmp);
   }
   std::filesystem::rename(tmp, path);
@@ -72,40 +82,60 @@ void save_checkpoint(const std::string& path, const Checkpoint& cp) {
 std::optional<Checkpoint> load_checkpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;  // absent: fresh start
-  char magic[8];
-  in.read(magic, 8);
-  if (!in) fail("bad magic in " + path);
-  const bool v2 = std::memcmp(magic, kMagicV2, 8) == 0;
-  if (!v2 && std::memcmp(magic, kMagicV1, 8) != 0)
+  const std::string file{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  std::string_view bytes = file;
+  if (bytes.size() < 8) fail("bad magic in " + path);
+  const bool v2 = std::memcmp(bytes.data(), kMagicV2, 8) == 0;
+  const bool v3 = std::memcmp(bytes.data(), kMagicV3, 8) == 0;
+  if (!v2 && !v3 && std::memcmp(bytes.data(), kMagicV1, 8) != 0)
     fail("bad magic in " + path);
-  const auto completed = read_pod<std::int64_t>(in);
-  const auto nrows = read_pod<vidx_t>(in);
-  const auto ncols = read_pod<vidx_t>(in);
-  const auto nnz = read_pod<std::uint64_t>(in);
+  if (v3) {
+    if (bytes.size() < 16) fail("truncated file");
+    std::string_view tail = bytes.substr(bytes.size() - 8);
+    bytes.remove_suffix(8);
+    if (fnv1a64(bytes) != take<std::uint64_t>(tail))
+      fail("checksum mismatch in " + path);
+  }
+  std::string_view rest = bytes.substr(8);
+  const auto completed = take<std::int64_t>(rest);
+  const auto nrows = take<vidx_t>(rest);
+  const auto ncols = take<vidx_t>(rest);
+  const auto nnz = take<std::uint64_t>(rest);
   if (nrows < 0 || ncols < 0 || completed < 0 ||
       completed > std::numeric_limits<int>::max())
     fail("corrupt header in " + path);
+  // A count past what the file can hold fails before anything is
+  // reserved for it.
+  if (nnz > rest.size() / (2 * sizeof(vidx_t) + sizeof(val_t)))
+    fail("truncated file");
   Checkpoint cp;
   cp.completed_iterations = static_cast<int>(completed);
   cp.matrix = sparse::Triples<vidx_t, val_t>(nrows, ncols);
-  cp.matrix.reserve(trusted_reserve(nnz));
+  cp.matrix.reserve(static_cast<std::size_t>(nnz));
   for (std::uint64_t e = 0; e < nnz; ++e) {
-    const auto row = read_pod<vidx_t>(in);
-    const auto col = read_pod<vidx_t>(in);
-    const auto val = read_pod<val_t>(in);
+    const auto row = take<vidx_t>(rest);
+    const auto col = take<vidx_t>(rest);
+    const auto val = take<val_t>(rest);
     if (row < 0 || row >= nrows || col < 0 || col >= ncols)
       fail("entry out of bounds in " + path);
     cp.matrix.push_unchecked(row, col, val);
   }
   if (v2) {
-    const auto perm_size = read_pod<std::uint64_t>(in);
+    const auto perm_size = take<std::uint64_t>(rest);
     if (perm_size != 0 && perm_size != static_cast<std::uint64_t>(nrows))
       fail("corrupt permutation in " + path);
     for (std::uint64_t v = 0; v < perm_size; ++v) {
-      const auto p = read_pod<vidx_t>(in);
+      const auto p = take<vidx_t>(rest);
       if (p < 0 || p >= nrows) fail("permutation entry out of range in " + path);
     }
   }
+  if (v3) {
+    const auto converged = take<std::uint8_t>(rest);
+    if (converged > 1) fail("corrupt converged flag in " + path);
+    cp.converged = converged == 1;
+  }
+  if (!rest.empty()) fail("trailing bytes in " + path);
   return cp;
 }
 
@@ -121,9 +151,11 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
   dist::TriplesD current = graph;
   int done = 0;
   bool resumed = false;
+  bool converged = false;
   if (auto cp = load_checkpoint(path)) {
     current = std::move(cp->matrix);
     done = cp->completed_iterations;
+    converged = cp->converged;
     resumed = true;
     util::log_info("checkpoint: resuming after ", done, " iterations");
   }
@@ -143,11 +175,13 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
   // chunk boundaries (docs/SERVICE.md "Resume semantics").
   bool stochastic = resumed;
 
-  // The first chunk always runs. When the checkpoint already holds
-  // params.max_iters iterations it runs none and goes straight to
-  // interpreting the stored matrix, so a rerun returns its clusters.
+  // The first chunk always runs. When the checkpoint holds a converged
+  // run, or already params.max_iters iterations, it runs none and goes
+  // straight to interpreting the stored matrix, so a rerun returns its
+  // clusters and leaves the file as it is.
   do {
-    chunk_params.max_iters = std::clamp(params.max_iters - done, 0, every);
+    chunk_params.max_iters =
+        converged ? 0 : std::clamp(params.max_iters - done, 0, every);
     chunk_config.start_iteration = done;
     chunk_config.assume_stochastic = stochastic;
     MclResult chunk =
@@ -166,15 +200,18 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
     }
     total.labels = std::move(chunk.labels);
     total.num_clusters = chunk.num_clusters;
-    total.converged = chunk.converged;
+    converged = converged || chunk.converged;
+    total.converged = converged;
     total.cancelled = chunk.cancelled;
 
-    current = chunk.final_matrix->to_triples();
-    save_checkpoint(path, {current, done});
+    if (chunk.iterations > 0) {
+      current = chunk.final_matrix->to_triples();
+      save_checkpoint(path, {current, done, converged});
+    }
     if (config.keep_final_matrix) {
       total.final_matrix = std::move(chunk.final_matrix);
     }
-    if (chunk.converged || chunk.cancelled) break;
+    if (converged || chunk.cancelled) break;
     // Subsequent chunks continue from a stochastic matrix.
     chunk_params.add_self_loops = false;
     stochastic = true;

@@ -17,14 +17,18 @@ namespace mclx::core {
 struct Checkpoint {
   sparse::Triples<vidx_t, val_t> matrix;  ///< current A (stochastic)
   int completed_iterations = 0;
+  /// The run met its convergence test: a rerun has nothing left to do.
+  bool converged = false;
 };
 
-/// Write a checkpoint (binary, magic-tagged v1 layout: header + entries).
+/// Write a checkpoint (binary, magic-tagged v3 layout: header, entries,
+/// the converged flag and a checksum of everything before it).
 void save_checkpoint(const std::string& path, const Checkpoint& cp);
 
-/// Load, or nullopt when the file does not exist. Corrupt files throw.
-/// Also reads v2 files (the v1 layout followed by a vertex permutation):
-/// the permutation is checked and discarded.
+/// Load, or nullopt when the file does not exist. Corrupt files throw a
+/// std::runtime_error that names the fault. Also reads v1 files (header
+/// and entries) and v2 files (v1 followed by a vertex permutation, which
+/// is checked and discarded), both as not converged.
 std::optional<Checkpoint> load_checkpoint(const std::string& path);
 
 /// run_hipmcl with checkpointing: writes `path` every `every` iterations
@@ -42,8 +46,9 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path);
 ///
 /// config.should_stop cancels at the next iteration boundary; the
 /// checkpoint written then lets a later call (same path) resume. A file
-/// that already holds params.max_iters iterations runs none and returns
-/// its matrix's clusters.
+/// of a converged run, or one that already holds params.max_iters
+/// iterations, runs none, returns its matrix's clusters and is left
+/// unchanged.
 MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
                                   const MclParams& params,
                                   const HipMclConfig& config,

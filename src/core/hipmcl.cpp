@@ -35,11 +35,11 @@ void charge_operand_sweep(const dist::DistMat& a, sim::SimState& sim) {
   const int dim = a.dim();
   for (int k = 0; k < dim; ++k) {
     for (int i = 0; i < dim; ++i) {
-      sim::sim_bcast(sim, a.grid().row_ranks(i), a.block(i, k).bytes(),
+      sim::sim_bcast(sim, a.grid().row_ranks(i), a.block_bytes(i, k),
                      Stage::kMemEstimation);
     }
     for (int j = 0; j < dim; ++j) {
-      sim::sim_bcast(sim, a.grid().col_ranks(j), a.block(k, j).bytes(),
+      sim::sim_bcast(sim, a.grid().col_ranks(j), a.block_bytes(k, j),
                      Stage::kMemEstimation);
     }
   }
@@ -241,11 +241,10 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     }
     rep.used_exact_estimator = use_exact;
 
-    // Gathered view used for real math: the flop count, the estimator
-    // and the expansion's product, which reuses it rather than gather
-    // again.
-    const dist::CscD ga = a.to_csc();
-    const obs::MemScope ga_mem("dist.gather", ga.bytes());
+    // The one host matrix, which the flop count, the estimator and the
+    // expansion's product read.
+    const obs::MemScope a_mem("dist.matrix", a.to_csc().bytes());
+    const dist::CscD& ga = a.to_csc();
     rep.flops = sparse::spgemm_flops(ga, ga);
     if (use_exact) {
       rep.exact_unpruned_nnz =
@@ -291,8 +290,7 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     opt.phases = plan.phases;
     opt.cf_estimate = rep.cf;
     opt.prune = params.prune;
-    dist::SummaResult expansion =
-        dist::summa_multiply(a, a, ga, ga, sim, opt);
+    dist::SummaResult expansion = dist::summa_multiply(a, a, sim, opt);
 
     rep.summa = expansion.stats;
     rep.measured_unpruned_nnz = expansion.stats.unpruned_nnz;

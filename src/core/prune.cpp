@@ -33,7 +33,7 @@ void prune_chunks(std::vector<dist::CscD>& chunks, const dist::ProcGrid& grid,
         const dist::CscD& piece = chunks[r];
         const auto n = static_cast<std::size_t>(piece.col_nnz(c));
         recovered[r] += rule.append_kept(first, n, piece.col_rows(c).data(),
-                                         piece.col_vals(c).data(), 0, rows[i],
+                                         piece.col_vals(c).data(), rows[i],
                                          vals[i]);
         colptr[i].push_back(static_cast<vidx_t>(rows[i].size()));
         first += n;

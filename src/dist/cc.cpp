@@ -50,19 +50,12 @@ ComponentsResult connected_components(const DistMat& m, sim::SimState& sim) {
     throw std::invalid_argument("connected_components: matrix not square");
   const auto n = static_cast<std::size_t>(m.nrows());
 
+  // Union by smaller root, then labels numbered by vertex: the labels do
+  // not depend on the order of the unions.
   UnionFind uf(n);
-  for (int i = 0; i < m.dim(); ++i) {
-    for (int j = 0; j < m.dim(); ++j) {
-      const DcscD& b = m.block(i, j);
-      const vidx_t ro = m.row_offset(i);
-      const vidx_t co = m.col_offset(j);
-      for (vidx_t k = 0; k < b.nzc(); ++k) {
-        const vidx_t col = co + b.nz_col_id(k);
-        for (const vidx_t row : b.nz_col_rows(k)) {
-          uf.unite(ro + row, col);
-        }
-      }
-    }
+  const CscD& g = m.to_csc();
+  for (vidx_t col = 0; col < g.ncols(); ++col) {
+    for (const vidx_t row : g.col_rows(col)) uf.unite(row, col);
   }
 
   ComponentsResult out;

@@ -10,54 +10,51 @@
 namespace mclx::dist {
 
 DistMat::DistMat(vidx_t nrows, vidx_t ncols, ProcGrid grid)
-    : nrows_(nrows), ncols_(ncols), grid_(grid) {
-  if (nrows < 0 || ncols < 0)
-    throw std::invalid_argument("DistMat: negative dimension");
-  const auto dim = static_cast<vidx_t>(grid_.dim());
-  row_block_ = (nrows + dim - 1) / dim;
-  col_block_ = (ncols + dim - 1) / dim;
+    : DistMat(CscD(nrows, ncols), grid) {}
+
+DistMat::DistMat(CscD m, ProcGrid grid) : csc_(std::move(m)), grid_(grid) {
   // Degenerate shapes still need nonzero nominal block extents so that
   // offsets are well-defined.
-  row_block_ = std::max<vidx_t>(row_block_, 1);
-  col_block_ = std::max<vidx_t>(col_block_, 1);
-  blocks_.reserve(static_cast<std::size_t>(grid_.nranks()));
-  for (int i = 0; i < grid_.dim(); ++i) {
-    for (int j = 0; j < grid_.dim(); ++j) {
-      blocks_.emplace_back(block_rows(i), block_cols(j));
+  const auto dim = static_cast<vidx_t>(grid_.dim());
+  row_block_ = std::max<vidx_t>((nrows() + dim - 1) / dim, 1);
+  col_block_ = std::max<vidx_t>((ncols() + dim - 1) / dim, 1);
+  count_blocks();
+}
+
+void DistMat::count_blocks() {
+  // Each column's rows are sorted, so a block row's share of it is one
+  // run.
+  const auto nranks = static_cast<std::size_t>(grid_.nranks());
+  block_nnz_.assign(nranks, 0);
+  block_nzc_.assign(nranks, 0);
+  const vidx_t* colptr = csc_.colptr().data();
+  const vidx_t* rows = csc_.rowids().data();
+  for (int j = 0; j < dim(); ++j) {
+    for (vidx_t c = col_offset(j); c < col_offset(j + 1); ++c) {
+      vidx_t p = colptr[c];
+      const vidx_t e = colptr[c + 1];
+      for (int i = 0; i < dim() && p < e; ++i) {
+        const vidx_t q = static_cast<vidx_t>(
+            std::lower_bound(rows + p, rows + e, row_offset(i + 1)) - rows);
+        if (q > p) {
+          const auto r = static_cast<std::size_t>(grid_.rank_of(i, j));
+          block_nnz_[r] += static_cast<std::uint64_t>(q - p);
+          ++block_nzc_[r];
+        }
+        p = q;
+      }
     }
   }
 }
 
-vidx_t DistMat::row_offset(int i) const {
-  return std::min(nrows_, static_cast<vidx_t>(i) * row_block_);
-}
-
-vidx_t DistMat::col_offset(int j) const {
-  return std::min(ncols_, static_cast<vidx_t>(j) * col_block_);
-}
-
-const DcscD& DistMat::block(int i, int j) const {
-  return blocks_[static_cast<std::size_t>(grid_.rank_of(i, j))];
-}
-
-DcscD& DistMat::mutable_block(int i, int j) {
-  return blocks_[static_cast<std::size_t>(grid_.rank_of(i, j))];
-}
-
-void DistMat::set_block(int i, int j, DcscD b) {
-  if (b.nrows() != block_rows(i) || b.ncols() != block_cols(j))
-    throw std::invalid_argument("DistMat::set_block: shape mismatch");
-  blocks_[static_cast<std::size_t>(grid_.rank_of(i, j))] = std::move(b);
-}
-
-void DistMat::set_block(int i, int j, const CscD& b) {
-  set_block(i, j, sparse::dcsc_from_csc(b));
+DcscD DistMat::block(int i, int j) const {
+  return sparse::dcsc_from_csc(sparse::csc_window<vidx_t, val_t>(
+      csc_.colptr(), csc_.rowids(), csc_.vals(), row_offset(i),
+      row_offset(i + 1), col_offset(j), col_offset(j + 1)));
 }
 
 DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid,
                               bool unit_diagonal) {
-  DistMat m(t.nrows(), t.ncols(), grid);
-  const int dim = grid.dim();
   const auto ncols = static_cast<std::size_t>(t.ncols());
   const std::size_t diagonal =
       unit_diagonal ? static_cast<std::size_t>(std::min(t.nrows(), t.ncols()))
@@ -110,7 +107,7 @@ DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid,
   std::vector<std::pair<vidx_t, val_t>> scratch;
   scratch.reserve(scratch_len);
   // The staging and the scratch buffer coexist with the input until the
-  // blocks are built.
+  // staging, canonical in place, becomes the matrix.
   const obs::MemScope staging_mem(
       "dist.staging",
       colptr.size() * sizeof(vidx_t) +
@@ -167,152 +164,56 @@ DistMat DistMat::from_triples(const TriplesD& t, ProcGrid grid,
     }
   }
   colptr[ncols] = static_cast<vidx_t>(out);
+  rows.resize(out);
+  vals.resize(out);
+  return DistMat(CscD(t.nrows(), t.ncols(), std::move(colptr), std::move(rows),
+                      std::move(vals)),
+                 grid);
+}
 
-  // Each column's rows are sorted, so a block row's share of it is one
-  // run. Count every block's entries and nonempty columns, size its
-  // arrays exactly, then fill them in a second walk.
-  const auto nranks = static_cast<std::size_t>(grid.nranks());
-  const auto for_each_run = [&](auto&& fn) {
-    for (int j = 0; j < dim; ++j) {
-      const vidx_t co = m.col_offset(j);
-      for (vidx_t c = co; c < m.col_offset(j + 1); ++c) {
-        const auto e = static_cast<std::size_t>(colptr[c + 1]);
-        auto p = static_cast<std::size_t>(colptr[c]);
-        for (int i = 0; i < dim && p < e; ++i) {
-          const vidx_t row_end = m.row_offset(i + 1);
-          std::size_t q = p;
-          while (q < e && rows[q] < row_end) ++q;
-          if (q > p) fn(static_cast<std::size_t>(i * dim + j), i, c - co, p, q);
-          p = q;
-        }
-      }
+DistMat DistMat::from_blocks(vidx_t nrows, vidx_t ncols, ProcGrid grid,
+                             const std::vector<CscD>& blocks) {
+  const DistMat shape(nrows, ncols, grid);
+  if (blocks.size() != static_cast<std::size_t>(grid.nranks()))
+    throw std::invalid_argument("DistMat::from_blocks: block count mismatch");
+  std::vector<vidx_t> offsets;
+  for (int i = 0; i < grid.dim(); ++i) offsets.push_back(shape.row_offset(i));
+  // A global column is its block column's pieces laid end to end in
+  // block-row order.
+  std::vector<vidx_t> colptr(1, 0), rows;
+  std::vector<val_t> vals;
+  for (int j = 0; j < grid.dim(); ++j) {
+    std::vector<const CscD*> stack;
+    for (int i = 0; i < grid.dim(); ++i) {
+      const CscD& b = blocks[static_cast<std::size_t>(grid.rank_of(i, j))];
+      if (b.nrows() != shape.block_rows(i) || b.ncols() != shape.block_cols(j))
+        throw std::invalid_argument("DistMat::from_blocks: shape mismatch");
+      stack.push_back(&b);
     }
-  };
-  std::vector<std::size_t> bnnz(nranks, 0);
-  std::vector<std::size_t> bnzc(nranks, 0);
-  for_each_run([&](std::size_t r, int, vidx_t, std::size_t p, std::size_t q) {
-    bnnz[r] += q - p;
-    ++bnzc[r];
-  });
-
-  std::vector<std::vector<vidx_t>> jc(nranks), cp(nranks), ir(nranks);
-  std::vector<std::vector<val_t>> num(nranks);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    jc[r].reserve(bnzc[r]);
-    cp[r].reserve(bnzc[r] + 1);
-    cp[r].push_back(0);
-    ir[r].reserve(bnnz[r]);
-    num[r].reserve(bnnz[r]);
+    sparse::csc_append_stacked<vidx_t, val_t>(stack, offsets,
+                                              shape.block_cols(j), colptr,
+                                              rows, vals);
   }
-  for_each_run([&](std::size_t r, int i, vidx_t local_col, std::size_t p,
-                   std::size_t q) {
-    const vidx_t ro = m.row_offset(i);
-    jc[r].push_back(local_col);
-    for (std::size_t k = p; k < q; ++k) ir[r].push_back(rows[k] - ro);
-    num[r].insert(num[r].end(),
-                  vals.begin() + static_cast<std::ptrdiff_t>(p),
-                  vals.begin() + static_cast<std::ptrdiff_t>(q));
-    cp[r].push_back(static_cast<vidx_t>(ir[r].size()));
-  });
-  for (int i = 0; i < dim; ++i) {
-    for (int j = 0; j < dim; ++j) {
-      const auto r = static_cast<std::size_t>(grid.rank_of(i, j));
-      m.set_block(i, j,
-                  DcscD(m.block_rows(i), m.block_cols(j), std::move(jc[r]),
-                        std::move(cp[r]), std::move(ir[r]),
-                        std::move(num[r])));
-    }
-  }
-  return m;
+  return DistMat(CscD(nrows, ncols, std::move(colptr), std::move(rows),
+                      std::move(vals)),
+                 grid);
 }
 
 TriplesD DistMat::to_triples() const {
-  TriplesD out(nrows_, ncols_);
-  out.reserve(nnz());
   const obs::MemScope staging_mem(
-      "dist.staging", nnz() * static_cast<std::uint64_t>(
-                                  sizeof(decltype(*out.begin()))));
-  for (int i = 0; i < dim(); ++i) {
-    for (int j = 0; j < dim(); ++j) {
-      const DcscD& b = block(i, j);
-      const vidx_t ro = row_offset(i);
-      const vidx_t co = col_offset(j);
-      for (vidx_t k = 0; k < b.nzc(); ++k) {
-        const vidx_t col = co + b.nz_col_id(k);
-        const auto rows = b.nz_col_rows(k);
-        const auto vals = b.nz_col_vals(k);
-        for (std::size_t p = 0; p < rows.size(); ++p) {
-          out.push_unchecked(ro + rows[p], col, vals[p]);
-        }
-      }
-    }
-  }
-  out.sort_and_combine();
-  return out;
+      "dist.staging", nnz() * sizeof(sparse::Triple<vidx_t, val_t>));
+  return sparse::triples_from_csc(csc_);  // column by column: canonical
 }
 
-CscD DistMat::to_csc() const {
-  // Tiles never overlap and each keeps its column's rows sorted, so a
-  // global column is its block column's tiles laid end to end in
-  // block-row order: count, then copy. No triples, no sort.
-  std::vector<vidx_t> colptr(static_cast<std::size_t>(ncols_) + 1, 0);
-  for (int i = 0; i < dim(); ++i) {
-    for (int j = 0; j < dim(); ++j) {
-      const DcscD& b = block(i, j);
-      const auto co = static_cast<std::size_t>(col_offset(j));
-      for (vidx_t k = 0; k < b.nzc(); ++k) {
-        colptr[co + static_cast<std::size_t>(b.nz_col_id(k)) + 1] +=
-            b.cp()[static_cast<std::size_t>(k) + 1] -
-            b.cp()[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-  for (std::size_t c = 1; c < colptr.size(); ++c) colptr[c] += colptr[c - 1];
-
-  std::vector<vidx_t> rowids(static_cast<std::size_t>(colptr.back()));
-  std::vector<val_t> vals(rowids.size());
-  std::vector<vidx_t> next(colptr.begin(), colptr.end() - 1);
-  for (int j = 0; j < dim(); ++j) {
-    const auto co = static_cast<std::size_t>(col_offset(j));
-    for (int i = 0; i < dim(); ++i) {
-      const DcscD& b = block(i, j);
-      const vidx_t ro = row_offset(i);
-      for (vidx_t k = 0; k < b.nzc(); ++k) {
-        const auto rows = b.nz_col_rows(k);
-        const auto vs = b.nz_col_vals(k);
-        auto& dst = next[co + static_cast<std::size_t>(b.nz_col_id(k))];
-        for (std::size_t p = 0; p < rows.size(); ++p) {
-          rowids[static_cast<std::size_t>(dst) + p] = ro + rows[p];
-        }
-        std::copy(vs.begin(), vs.end(),
-                  vals.begin() + static_cast<std::ptrdiff_t>(dst));
-        dst += static_cast<vidx_t>(rows.size());
-      }
-    }
-  }
-  return CscD(nrows_, ncols_, std::move(colptr), std::move(rowids),
-              std::move(vals));
-}
-
-std::uint64_t DistMat::nnz() const {
-  std::uint64_t total = 0;
-  for (const auto& b : blocks_) total += b.nnz();
-  return total;
-}
-
-std::uint64_t DistMat::block_nnz(int i, int j) const {
-  return block(i, j).nnz();
-}
-
-bytes_t DistMat::max_block_bytes() const {
-  bytes_t mx = 0;
-  for (const auto& b : blocks_) mx = std::max(mx, b.bytes());
-  return mx;
+bytes_t DistMat::block_bytes(int i, int j) const {
+  // Dcsc::bytes: jc and cp (nzc and nzc + 1 ids), then ir and num.
+  const auto r = static_cast<std::size_t>(grid_.rank_of(i, j));
+  return (2 * block_nzc_[r] + 1 + block_nnz_[r]) * sizeof(vidx_t) +
+         block_nnz_[r] * sizeof(val_t);
 }
 
 bool operator==(const DistMat& a, const DistMat& b) {
-  return a.nrows_ == b.nrows_ && a.ncols_ == b.ncols_ &&
-         a.grid_.dim() == b.grid_.dim() && a.blocks_ == b.blocks_;
+  return a.grid_.dim() == b.grid_.dim() && a.csc_ == b.csc_;
 }
 
 }  // namespace mclx::dist

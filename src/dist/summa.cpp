@@ -110,28 +110,43 @@ class StageAccumulator {
   std::vector<std::uint64_t> bits_;
 };
 
-/// Builds each phase's chunks in one pass over the phase's global columns
-/// of the gathered operands, and counts what the stage loop charges for
-/// them. A product's stage is the block that holds its inner index; B's
-/// column entries are sorted by row, so stages arrive in order. Each
-/// column of A is split by row block once (`alen_`), so a B entry's flops
-/// per rank are known without touching its products, and only a row's
-/// first product of a stage looks up its rank. With a prune rule, each
-/// column is pruned as it is extracted and only its survivors reach the
-/// chunks.
+/// One grid column's columns of the product in global rows, each phase's
+/// appended after the last: the result joins the parts in grid-column
+/// order.
+struct Part {
+  std::vector<vidx_t> colptr = {0};
+  std::vector<vidx_t> rows;
+  std::vector<val_t> vals;
+
+  vidx_t ncols() const { return static_cast<vidx_t>(colptr.size()) - 1; }
+  std::uint64_t bytes() const {
+    return (colptr.capacity() + rows.capacity()) * sizeof(vidx_t) +
+           vals.capacity() * sizeof(val_t);
+  }
+};
+
+/// Builds each phase's columns of the product in one pass over the
+/// phase's global columns of the operands, and counts what the stage loop
+/// charges for them. A product's stage is the block that holds its inner
+/// index; B's column entries are sorted by row, so stages arrive in
+/// order. Each column of A is split by row block once (`alen_`), so a B
+/// entry's flops per rank are known without touching its products, and
+/// only a row's first product of a stage looks up its rank. Each output
+/// column is split at the row-block bounds only to count per rank. With a
+/// prune rule, each column is pruned as it is extracted and only its
+/// survivors reach the parts.
 class PhasePass {
  public:
   /// `device_slices`: the devices per rank whose column slices to count
   /// (0: none). With `binary_merge`, the pass also counts the size of
   /// every stage range Algorithm 2 folds short of the whole phase.
-  PhasePass(const DistMat& a, const DistMat& b, const CscD& ga,
-            const CscD& gb, int device_slices, bool binary_merge,
-            const std::optional<PruneParams>& prune)
-      : a_(a), b_(b), ga_(ga), gb_(gb), dim_(a.dim()),
+  PhasePass(const DistMat& a, const DistMat& b, int device_slices,
+            bool binary_merge, const std::optional<PruneParams>& prune)
+      : a_(a), b_(b), dim_(a.dim()),
         device_slices_(device_slices > 0),
-        nslices_(std::max(device_slices, 1)), acc_(ga.nrows()),
-        row_block_(static_cast<std::size_t>(ga.nrows())),
-        alen_(static_cast<std::size_t>(ga.ncols()) *
+        nslices_(std::max(device_slices, 1)), acc_(a.nrows()),
+        row_block_(static_cast<std::size_t>(a.nrows())),
+        alen_(static_cast<std::size_t>(a.ncols()) *
               static_cast<std::size_t>(dim_)),
         ranges_of_(static_cast<std::size_t>(dim_)),
         mem_("summa.accumulator", 0) {
@@ -145,8 +160,8 @@ class PhasePass {
       std::fill(row_block_.begin() + row_off_[i],
                 row_block_.begin() + row_off_[i + 1], static_cast<int>(i));
     }
-    for (vidx_t kk = 0; kk < ga.ncols(); ++kk) {
-      for (const vidx_t row : ga.col_rows(kk)) {
+    for (vidx_t kk = 0; kk < a.ncols(); ++kk) {
+      for (const vidx_t row : a.to_csc().col_rows(kk)) {
         ++alen_[static_cast<std::size_t>(kk) * dim +
                 static_cast<std::size_t>(
                     row_block_[static_cast<std::size_t>(row)])];
@@ -166,8 +181,9 @@ class PhasePass {
     mem_.add(charged_);
   }
 
-  /// Builds phase `phase`'s chunks and counts.
-  void run(int phase, int phases);
+  /// Builds phase `phase`'s columns, appending grid column j's to
+  /// parts[j], and counts.
+  void run(int phase, int phases, std::vector<Part>& parts);
 
   /// Rank (i, j)'s stage-k multiply as the stage loop sees it: A(i, k)
   /// and the phase's columns of B(k, j), decompressed to CSC.
@@ -189,9 +205,6 @@ class PhasePass {
     return unions_[ri * ranges_.size() + u];
   }
 
-  /// Per rank: the phase's chunk, block-local rows and phase-local
-  /// columns (only the survivors with a prune rule).
-  std::vector<CscD>& chunks() { return chunks_; }
   /// Per grid column: the chunk width.
   std::span<const vidx_t> widths() const { return width_; }
   /// Per rank: the chunk's nnz before the prune.
@@ -212,8 +225,6 @@ class PhasePass {
 
   const DistMat& a_;
   const DistMat& b_;
-  const CscD& ga_;
-  const CscD& gb_;
   int dim_;
   bool device_slices_;
   int nslices_;
@@ -230,8 +241,7 @@ class PhasePass {
   obs::MemScope mem_;
   std::uint64_t charged_ = 0;
 
-  // One phase's results.
-  std::vector<CscD> chunks_;
+  // One phase's counts.
   std::vector<vidx_t> width_;  ///< per grid column: the chunk width
   std::vector<std::uint64_t> unpruned_;   ///< per rank
   std::vector<std::uint64_t> recovered_;  ///< per rank
@@ -248,7 +258,7 @@ class PhasePass {
   std::vector<std::uint64_t> unions_;
 };
 
-void PhasePass::run(int phase, int phases) {
+void PhasePass::run(int phase, int phases, std::vector<Part>& parts) {
   const auto dim = static_cast<std::size_t>(dim_);
   const auto ns = static_cast<std::size_t>(nslices_);
   const std::size_t nr = ranges_.size();
@@ -259,18 +269,14 @@ void PhasePass::run(int phase, int phases) {
   unions_.assign(dim * dim * nr, 0);
   unpruned_.assign(dim * dim, 0);
   recovered_.assign(dim * dim, 0);
-  chunks_.resize(dim * dim);
 
-  const vidx_t* acp = ga_.colptr().data();
-  const vidx_t* arows = ga_.rowids().data();
-  const val_t* avals = ga_.vals().data();
-  const vidx_t* bcp = gb_.colptr().data();
-  const vidx_t* brows = gb_.rowids().data();
-  const val_t* bvals = gb_.vals().data();
+  const vidx_t* acp = a_.to_csc().colptr().data();
+  const vidx_t* arows = a_.to_csc().rowids().data();
+  const val_t* avals = a_.to_csc().vals().data();
+  const vidx_t* bcp = b_.to_csc().colptr().data();
+  const vidx_t* brows = b_.to_csc().rowids().data();
+  const val_t* bvals = b_.to_csc().vals().data();
   std::vector<std::size_t> rank_of(dim);
-  // Per row block: the grid column's pieces, moved into the chunks.
-  std::vector<std::vector<vidx_t>> colptr(dim), rows(dim);
-  std::vector<std::vector<val_t>> vals(dim);
 
   for (std::size_t j = 0; j < dim; ++j) {
     const auto [c0, c1] =
@@ -281,10 +287,8 @@ void PhasePass::run(int phase, int phases) {
     for (std::size_t i = 0; i < dim; ++i) {
       rank_of[i] = static_cast<std::size_t>(
           a_.grid().rank_of(static_cast<int>(i), static_cast<int>(j)));
-      rows[i].clear();
-      vals[i].clear();
-      colptr[i].assign(static_cast<std::size_t>(width) + 1, 0);
     }
+    Part& part = parts[j];
 
     const vidx_t gc0 = b_.col_offset(static_cast<int>(j)) + c0;
     for (vidx_t c = 0; c < width; ++c) {
@@ -334,32 +338,21 @@ void PhasePass::run(int phase, int phases) {
         if (prune_) {
           recovered_[r] += prune_->append_kept(
               from, to - from, col_rows_.data() + from,
-              col_vals_.data() + from, row_off_[i], rows[i], vals[i]);
-        } else {
-          for (std::size_t p = from; p < to; ++p) {
-            rows[i].push_back(col_rows_[p] - row_off_[i]);
-          }
-          vals[i].insert(vals[i].end(),
-                         col_vals_.begin() + static_cast<std::ptrdiff_t>(from),
-                         col_vals_.begin() + static_cast<std::ptrdiff_t>(to));
+              col_vals_.data() + from, part.rows, part.vals);
         }
-        colptr[i][static_cast<std::size_t>(c) + 1] =
-            static_cast<vidx_t>(rows[i].size());
         from = to;
       }
+      if (!prune_) {
+        part.rows.insert(part.rows.end(), col_rows_.begin(), col_rows_.end());
+        part.vals.insert(part.vals.end(), col_vals_.begin(), col_vals_.end());
+      }
+      part.colptr.push_back(static_cast<vidx_t>(part.rows.size()));
     }
 
-    std::uint64_t held = fixed_bytes() +
-                         col_rows_.capacity() * sizeof(vidx_t) +
-                         col_vals_.capacity() * sizeof(val_t) +
-                         (prune_ ? prune_->bytes() : 0);
-    for (std::size_t i = 0; i < dim; ++i) {
-      held += rows[i].capacity() * sizeof(vidx_t) +
-              vals[i].capacity() * sizeof(val_t);
-      chunks_[rank_of[i]] =
-          CscD(a_.block_rows(static_cast<int>(i)), width,
-               std::move(colptr[i]), std::move(rows[i]), std::move(vals[i]));
-    }
+    const std::uint64_t held = fixed_bytes() +
+                               col_rows_.capacity() * sizeof(vidx_t) +
+                               col_vals_.capacity() * sizeof(val_t) +
+                               (prune_ ? prune_->bytes() : 0);
     if (held > charged_) {
       mem_.add(held - charged_);
       charged_ = held;
@@ -411,6 +404,49 @@ spgemm::MultiplyCounts PhasePass::multiply(int i, int j, int k) const {
   return n;
 }
 
+/// Hands a PhaseSink the phase's columns as rank chunks (block-local rows,
+/// phase-local columns), then puts the chunks, which it may edit, back in
+/// their place: grid column j's are the last widths[j] columns of
+/// parts[j].
+void run_sink(const PhaseSink& sink, int phase, const DistMat& a,
+              std::span<const vidx_t> widths, std::vector<Part>& parts) {
+  const int dim = a.dim();
+  std::vector<vidx_t> offsets;
+  for (int i = 0; i <= dim; ++i) offsets.push_back(a.row_offset(i));
+  std::vector<CscD> chunks(static_cast<std::size_t>(a.grid().nranks()));
+  for (int j = 0; j < dim; ++j) {
+    const Part& part = parts[static_cast<std::size_t>(j)];
+    const vidx_t first = part.ncols() - widths[static_cast<std::size_t>(j)];
+    for (int i = 0; i < dim; ++i) {
+      chunks[static_cast<std::size_t>(a.grid().rank_of(i, j))] =
+          sparse::csc_window<vidx_t, val_t>(
+              part.colptr, part.rows, part.vals, offsets[i], offsets[i + 1],
+              first, part.ncols());
+    }
+  }
+
+  sink(phase, chunks);
+
+  for (int j = 0; j < dim; ++j) {
+    Part& part = parts[static_cast<std::size_t>(j)];
+    const vidx_t width = widths[static_cast<std::size_t>(j)];
+    part.colptr.resize(static_cast<std::size_t>(part.ncols() - width) + 1);
+    part.rows.resize(static_cast<std::size_t>(part.colptr.back()));
+    part.vals.resize(part.rows.size());
+    std::vector<const CscD*> stack;
+    for (int i = 0; i < dim; ++i) {
+      const CscD& chunk =
+          chunks[static_cast<std::size_t>(a.grid().rank_of(i, j))];
+      if (chunk.nrows() != offsets[i + 1] - offsets[i] || chunk.ncols() != width)
+        throw std::invalid_argument("summa: a PhaseSink changed a chunk's shape");
+      stack.push_back(&chunk);
+    }
+    sparse::csc_append_stacked<vidx_t, val_t>(
+        stack, std::span(offsets).first(static_cast<std::size_t>(dim)), width,
+        part.colptr, part.rows, part.vals);
+  }
+}
+
 }  // namespace
 
 std::span<const char> ColumnPrune::run(std::span<const val_t> vals) {
@@ -459,7 +495,6 @@ void ColumnPrune::keep_best(std::size_t want) {
 
 std::uint64_t ColumnPrune::append_kept(std::size_t first, std::size_t n,
                                        const vidx_t* rows, const val_t* vals,
-                                       vidx_t row_shift,
                                        std::vector<vidx_t>& out_rows,
                                        std::vector<val_t>& out_vals) const {
   std::uint64_t recovered = 0;
@@ -467,7 +502,7 @@ std::uint64_t ColumnPrune::append_kept(std::size_t first, std::size_t n,
     const char fate = fate_[first + q];
     recovered += fate != kDropped;
     if (fate == kKept) {
-      out_rows.push_back(rows[q] - row_shift);
+      out_rows.push_back(rows[q]);
       out_vals.push_back(vals[q]);
     }
   }
@@ -540,18 +575,6 @@ std::pair<vidx_t, vidx_t> phase_col_range(vidx_t block_cols, int phase,
 SummaResult summa_multiply(const DistMat& a, const DistMat& b,
                            sim::SimState& sim, const SummaOptions& opt,
                            const PhaseSink& sink) {
-  const CscD ga = a.to_csc();
-  const obs::MemScope ga_mem("dist.gather", ga.bytes());
-  if (&a == &b) return summa_multiply(a, b, ga, ga, sim, opt, sink);
-  const CscD gb = b.to_csc();
-  const obs::MemScope gb_mem("dist.gather", gb.bytes());
-  return summa_multiply(a, b, ga, gb, sim, opt, sink);
-}
-
-SummaResult summa_multiply(const DistMat& a, const DistMat& b,
-                           const CscD& ga, const CscD& gb,
-                           sim::SimState& sim, const SummaOptions& opt,
-                           const PhaseSink& sink) {
   if (a.ncols() != b.nrows())
     throw std::invalid_argument("summa: inner dimension mismatch");
   if (a.dim() != b.dim())
@@ -559,10 +582,6 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   if (sim.nranks() != a.grid().nranks())
     throw std::invalid_argument("summa: simulator rank count mismatch");
   if (opt.phases <= 0) throw std::invalid_argument("summa: phases <= 0");
-  if (ga.nrows() != a.nrows() || ga.ncols() != a.ncols() ||
-      ga.nnz() != a.nnz() || gb.nrows() != b.nrows() ||
-      gb.ncols() != b.ncols() || gb.nnz() != b.nnz())
-    throw std::invalid_argument("summa: gathered operand mismatch");
 
   const int dim = a.dim();
   const int nranks = sim.nranks();
@@ -574,7 +593,7 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   for (int r = 0; r < nranks; ++r) mults.emplace_back(model, opt.kernel);
 
   // The pass counts device slices only when a GPU kind can run.
-  PhasePass pass(a, b, ga, gb,
+  PhasePass pass(a, b,
                  mults.front().may_use_devices() ? mults.front().num_devices()
                                                  : 0,
                  opt.binary_merge, opt.prune);
@@ -601,9 +620,11 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   SummaResult result{DistMat(a.nrows(), b.ncols(), a.grid()), {}};
   SummaStats& stats = result.stats;
 
-  // Per-rank chunk storage across phases; per-rank running peak elements.
-  std::vector<std::vector<CscD>> rank_phase_chunks(
-      static_cast<std::size_t>(nranks));
+  // The product's parts, charged as they grow until the result exists;
+  // per-rank running peak elements.
+  std::vector<Part> parts(static_cast<std::size_t>(dim));
+  obs::MemScope product_mem("summa.product", 0);
+  std::uint64_t product_charged = 0;
   std::vector<std::uint64_t> rank_peak(static_cast<std::size_t>(nranks), 0);
   std::uint64_t unpruned_bytes = 0;
 
@@ -614,7 +635,7 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
         sim.rank(r).gpu_skew_to(sim.rank(r).cpu_now());
       }
     }
-    pass.run(phase, opt.phases);
+    pass.run(phase, opt.phases, parts);
 
     // Fresh merge schedules each phase, replayed on the counted stage
     // products. Per-rank ledger tracks mirror each schedule's resident
@@ -675,7 +696,7 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
       // Row broadcasts of A(i,k); column broadcasts of B(k,j)'s chunk.
       for (int i = 0; i < dim; ++i) {
         const auto group = a.grid().row_ranks(i);
-        const bytes_t bytes = a.block(i, k).bytes();
+        const bytes_t bytes = a.block_bytes(i, k);
         obs::record("summa.bcast_bytes", static_cast<double>(bytes));
         obs::MemScope payload_mem("summa.bcast_payload", bytes);
         sim::sim_bcast(sim, group, bytes, Stage::kSummaBcast);
@@ -742,7 +763,7 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
       }
     }
 
-    // Finalize the merge schedules; this phase's chunks are the pass's.
+    // Finalize the merge schedules; this phase's columns are the pass's.
     for (int r = 0; r < nranks; ++r) {
       auto& tl = sim.rank(r);
       const auto ri = static_cast<std::size_t>(r);
@@ -771,8 +792,6 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
       }
       tl.join();
     }
-    std::vector<CscD>& chunks = pass.chunks();
-
     // The unpruned product, from the pass's counts: summed over ranks and
     // phases this is exactly nnz(A·B), the actual the estimator audit
     // joins against Cohen's prediction.
@@ -790,26 +809,30 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
         charge_prune(sim, a.grid(), *opt.prune, pass.widths(),
                      pass.unpruned(), pass.recovered());
       }
-      if (sink) sink(phase, chunks);
+      if (sink) run_sink(sink, phase, a, pass.widths(), parts);
       stats.sink_time += sim.elapsed() - sink_start;
     }
 
-    for (int r = 0; r < nranks; ++r) {
-      rank_phase_chunks[static_cast<std::size_t>(r)].push_back(
-          std::move(chunks[static_cast<std::size_t>(r)]));
+    std::uint64_t held = 0;
+    for (const Part& part : parts) held += part.bytes();
+    if (held > product_charged) {
+      product_mem.add(held - product_charged);
+      product_charged = held;
     }
   }
 
-  // Assemble each rank's block from its phase chunks.
+  // The parts in grid-column order, each freed once it is copied, so the
+  // product is never held twice.
+  std::vector<CscD> pieces;
+  for (Part& part : parts) {
+    pieces.emplace_back(a.nrows(), part.ncols(), std::move(part.colptr),
+                        std::move(part.rows), std::move(part.vals));
+  }
+  result.c = DistMat(sparse::csc_hcat(std::move(pieces)), a.grid());
   for (int i = 0; i < dim; ++i) {
     for (int j = 0; j < dim; ++j) {
-      const int r = a.grid().rank_of(i, j);
-      const auto ri = static_cast<std::size_t>(r);
-      CscD block = opt.phases == 1
-                       ? std::move(rank_phase_chunks[ri].front())
-                       : sparse::csc_hcat(rank_phase_chunks[ri]);
-      sim.rank(r).cpu_run(Stage::kOther, model.other(block.nnz()));
-      result.c.set_block(i, j, block);
+      sim.rank(a.grid().rank_of(i, j))
+          .cpu_run(Stage::kOther, model.other(result.c.block_nnz(i, j)));
     }
   }
 

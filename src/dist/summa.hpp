@@ -5,10 +5,10 @@
 // multiplies its received pair locally and merges the per-stage partial
 // products into its C block.
 //
-// The host computes each phase's chunks once, in one pass over the
-// phase's global columns of the gathered operands, folding the stages
-// left to right exactly as the per-block products and their merges
-// would. The pass counts what the stage loop charges — per rank and
+// The host computes each phase's columns once, in one pass over the
+// phase's global columns of the operands' host matrices, folding the
+// stages left to right exactly as the per-block products and their
+// merges would. The pass counts what the stage loop charges — per rank and
 // stage the flops and product nnz, per device slice the same, and the
 // size of every stage range the binary merge folds — and the stage loop
 // replays kernel selection, GPU reservations, merges and every virtual
@@ -83,12 +83,11 @@ class ColumnPrune {
   std::span<const char> run(std::span<const val_t> vals);
 
   /// Appends the kept ones of `n` entries, whose fates start at position
-  /// `first` of the last run, to a piece (rows shifted down by
-  /// `row_shift`). Returns how many of them survived the recovery, which
-  /// is what the selection is charged on.
+  /// `first` of the last run, to a piece. Returns how many of them
+  /// survived the recovery, which is what the selection is charged on.
   std::uint64_t append_kept(std::size_t first, std::size_t n,
                             const vidx_t* rows, const val_t* vals,
-                            vidx_t row_shift, std::vector<vidx_t>& out_rows,
+                            std::vector<vidx_t>& out_rows,
                             std::vector<val_t>& out_vals) const;
 
   /// Bytes of the scratch held between calls.
@@ -177,17 +176,8 @@ struct SummaResult {
 };
 
 /// Distributed multiply. `a` and `b` must share the grid size and agree on
-/// the inner dimension; `sim` must have grid-size ranks. Gathers the
-/// operands (once when `a` and `b` are one matrix).
+/// the inner dimension; `sim` must have grid-size ranks.
 SummaResult summa_multiply(const DistMat& a, const DistMat& b,
-                           sim::SimState& sim, const SummaOptions& opt,
-                           const PhaseSink& sink = {});
-
-/// The same multiply on operands the caller has gathered already:
-/// `ga` is a.to_csc() and `gb` is b.to_csc() (one object when `a` and
-/// `b` are one matrix).
-SummaResult summa_multiply(const DistMat& a, const DistMat& b,
-                           const CscD& ga, const CscD& gb,
                            sim::SimState& sim, const SummaOptions& opt,
                            const PhaseSink& sink = {});
 

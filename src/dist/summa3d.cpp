@@ -84,7 +84,7 @@ Summa3dResult summa3d_multiply(const DistMat& a, const DistMat& b,
         layer_group.reserve(static_cast<std::size_t>(c));
         for (int l = 0; l < c; ++l) layer_group.push_back(rank3d(grid, l, i, j));
         sim::sim_bcast(sim, layer_group,
-                       a.block(i, j).bytes() + b.block(i, j).bytes(),
+                       a.block_bytes(i, j) + b.block_bytes(i, j),
                        Stage::kOther);
       }
     }
@@ -120,12 +120,12 @@ Summa3dResult summa3d_multiply(const DistMat& a, const DistMat& b,
       for (int i = 0; i < d; ++i) {
         std::vector<int> group;
         for (int j = 0; j < d; ++j) group.push_back(rank3d(grid, l, i, j));
-        sim::sim_bcast(sim, group, a.block(i, k).bytes(), Stage::kSummaBcast);
+        sim::sim_bcast(sim, group, a.block_bytes(i, k), Stage::kSummaBcast);
       }
       for (int j = 0; j < d; ++j) {
         std::vector<int> group;
         for (int i = 0; i < d; ++i) group.push_back(rank3d(grid, l, i, j));
-        sim::sim_bcast(sim, group, b.block(k, j).bytes(), Stage::kSummaBcast);
+        sim::sim_bcast(sim, group, b.block_bytes(k, j), Stage::kSummaBcast);
       }
 
       for (int i = 0; i < d; ++i) {
@@ -199,6 +199,7 @@ Summa3dResult summa3d_multiply(const DistMat& a, const DistMat& b,
 
   // --- inter-layer reduction ---------------------------------------------
   const vtime_t red_start = sim.elapsed();
+  std::vector<CscD> blocks(static_cast<std::size_t>(grid.nranks()));
   for (int i = 0; i < d; ++i) {
     for (int j = 0; j < d; ++j) {
       const int r2 = grid.rank_of(i, j);
@@ -225,11 +226,12 @@ Summa3dResult summa3d_multiply(const DistMat& a, const DistMat& b,
           sim.rank(r).cpu_run(Stage::kMerge, model.merge(total_elems, c));
         }
       }
-      result.c.set_block(i, j, merged);
       sim.rank(rank3d(grid, 0, i, j))
           .cpu_run(Stage::kOther, model.other(merged.nnz()));
+      blocks[static_cast<std::size_t>(r2)] = std::move(merged);
     }
   }
+  result.c = DistMat::from_blocks(a.nrows(), b.ncols(), grid, blocks);
   result.reduction_time = sim.elapsed() - red_start;
 
   // --- stats ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Conversions among Triples / CSC / DCSC, plus transpose.
+// Conversions among Triples / CSC / DCSC, plus transpose, and the
+// windows and stacks that cut blocks out of a matrix and join them back.
 //
 // The DCSC→CSC "decompression" is the §III-B preprocessing step that
 // feeds the local multiply.
@@ -6,6 +7,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "sparse/csc.hpp"
 #include "sparse/dcsc.hpp"
@@ -107,25 +110,6 @@ Csc<IT, VT> csc_from_dcsc(const Dcsc<IT, VT>& a) {
                      a.num());
 }
 
-template <typename IT, typename VT>
-Dcsc<IT, VT> dcsc_from_triples(Triples<IT, VT> t) {
-  return dcsc_from_csc(csc_from_triples(std::move(t)));
-}
-
-template <typename IT, typename VT>
-Triples<IT, VT> triples_from_dcsc(const Dcsc<IT, VT>& a) {
-  Triples<IT, VT> t(a.nrows(), a.ncols());
-  t.reserve(a.nnz());
-  for (IT k = 0; k < a.nzc(); ++k) {
-    const IT j = a.nz_col_id(k);
-    const auto rows = a.nz_col_rows(k);
-    const auto vals = a.nz_col_vals(k);
-    for (std::size_t p = 0; p < rows.size(); ++p)
-      t.push_unchecked(rows[p], j, vals[p]);
-  }
-  return t;
-}
-
 /// Column slice [j0, j1) of a CSC matrix (multi-GPU column splitting and
 /// the phased expansion both batch over B's columns).
 template <typename IT, typename VT>
@@ -144,10 +128,12 @@ Csc<IT, VT> csc_col_slice(const Csc<IT, VT>& a, IT j0, IT j1) {
                      std::move(vals));
 }
 
-/// Horizontal (column-wise) concatenation; all pieces share nrows.
+/// Horizontal (column-wise) concatenation; all pieces share nrows. Each
+/// piece is freed once it is copied.
 template <typename IT, typename VT>
-Csc<IT, VT> csc_hcat(const std::vector<Csc<IT, VT>>& pieces) {
+Csc<IT, VT> csc_hcat(std::vector<Csc<IT, VT>> pieces) {
   if (pieces.empty()) return {};
+  if (pieces.size() == 1) return std::move(pieces.front());
   const IT nrows = pieces.front().nrows();
   IT ncols = 0;
   std::size_t nnz = 0;
@@ -164,14 +150,55 @@ Csc<IT, VT> csc_hcat(const std::vector<Csc<IT, VT>>& pieces) {
   std::vector<VT> vals;
   rowids.reserve(nnz);
   vals.reserve(nnz);
-  for (const auto& p : pieces) {
+  for (auto& p : pieces) {
     const IT base = colptr.back();
     for (IT j = 1; j <= p.ncols(); ++j) colptr.push_back(base + p.colptr()[j]);
     rowids.insert(rowids.end(), p.rowids().begin(), p.rowids().end());
     vals.insert(vals.end(), p.vals().begin(), p.vals().end());
+    p = Csc<IT, VT>();
   }
   return Csc<IT, VT>(nrows, ncols, std::move(colptr), std::move(rowids),
                      std::move(vals));
+}
+
+/// Rows [r0, r1) of columns [c0, c1) of a matrix with sorted columns,
+/// given by its arrays, as an (r1 - r0) × (c1 - c0) CSC.
+template <typename IT, typename VT>
+Csc<IT, VT> csc_window(std::span<const IT> colptr, std::span<const IT> rows,
+                       std::span<const VT> vals, IT r0, IT r1, IT c0, IT c1) {
+  std::vector<IT> cp(1, 0);
+  std::vector<IT> ir;
+  std::vector<VT> num;
+  for (IT c = c0; c < c1; ++c) {
+    const IT* end = rows.data() + colptr[static_cast<std::size_t>(c) + 1];
+    const IT* lo = std::lower_bound(
+        rows.data() + colptr[static_cast<std::size_t>(c)], end, r0);
+    const IT* hi = std::lower_bound(lo, end, r1);
+    for (const IT* p = lo; p < hi; ++p) ir.push_back(*p - r0);
+    num.insert(num.end(), vals.data() + (lo - rows.data()),
+               vals.data() + (hi - rows.data()));
+    cp.push_back(static_cast<IT>(ir.size()));
+  }
+  return Csc<IT, VT>(r1 - r0, c1 - c0, std::move(cp), std::move(ir),
+                     std::move(num));
+}
+
+/// Appends `ncols` columns to the arrays of a CSC under construction:
+/// column c is column c of every block laid end to end, block k's rows
+/// shifted by offsets[k].
+template <typename IT, typename VT>
+void csc_append_stacked(std::span<const Csc<IT, VT>* const> blocks,
+                        std::span<const IT> offsets, IT ncols,
+                        std::vector<IT>& colptr, std::vector<IT>& rows,
+                        std::vector<VT>& vals) {
+  for (IT c = 0; c < ncols; ++c) {
+    for (std::size_t k = 0; k < blocks.size(); ++k) {
+      for (const IT r : blocks[k]->col_rows(c)) rows.push_back(offsets[k] + r);
+      const auto v = blocks[k]->col_vals(c);
+      vals.insert(vals.end(), v.begin(), v.end());
+    }
+    colptr.push_back(static_cast<IT>(rows.size()));
+  }
 }
 
 }  // namespace mclx::sparse

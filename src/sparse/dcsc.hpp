@@ -54,9 +54,6 @@ class Dcsc {
   const std::vector<IT>& cp() const { return cp_; }
   const std::vector<IT>& ir() const { return ir_; }
   const std::vector<VT>& num() const { return num_; }
-  /// Mutable values (structure stays fixed): element-wise ops like
-  /// inflation and normalization edit values in place.
-  std::vector<VT>& num_mutable() { return num_; }
 
   /// Rows/values of the k-th *nonempty* column (0 <= k < nzc()).
   std::span<const IT> nz_col_rows(IT k) const {

@@ -1,6 +1,6 @@
 // Prune a whole distributed matrix as if it were one SUMMA phase: build
-// every rank's chunk from its block, run core::prune_chunks, and write the
-// chunks back.
+// every rank's chunk from its block, run core::prune_chunks, and join the
+// chunks back into the matrix.
 #pragma once
 
 #include <vector>
@@ -19,8 +19,5 @@ inline void prune_blocks(mclx::dist::DistMat& m,
     chunks.push_back(mclx::sparse::csc_from_dcsc(m.block(i, j)));
   }
   mclx::core::prune_chunks(chunks, grid, params, sim);
-  for (int r = 0; r < grid.nranks(); ++r) {
-    const auto [i, j] = grid.coords(r);
-    m.set_block(i, j, chunks[static_cast<std::size_t>(r)]);
-  }
+  m = mclx::dist::DistMat::from_blocks(m.nrows(), m.ncols(), grid, chunks);
 }

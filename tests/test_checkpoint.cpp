@@ -1,8 +1,9 @@
-// Checkpoint / restart: format round trip, the v1 layout the writer
-// emits and the v2 layout the loader still reads, named errors for
-// corrupt or truncated files, crash-safe rename, bitwise chunked
-// execution at any thread count, interrupted-run resume and reruns of
-// finished checkpoints.
+// Checkpoint / restart: format round trip, the v3 layout the writer
+// emits and the v1 and v2 layouts the loader still reads, named errors
+// for corrupt, truncated or bit-flipped files, crash-safe rename, bitwise
+// chunked execution at any thread count, interrupted-run resume and
+// reruns of finished and converged checkpoints, directly and through the
+// scheduler.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "sim/machine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
+#include "svc/scheduler.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -77,6 +79,27 @@ std::string v2_bytes(const dist::TriplesD& m, std::int64_t done,
   return out;
 }
 
+/// FNV-1a 64 over `bytes`.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The v3 layout by hand: v1's fields, the converged byte, then the
+/// checksum of every byte before it.
+std::string v3_bytes(const dist::TriplesD& m, std::int64_t done,
+                     bool converged) {
+  std::string out = v1_bytes(m, done);
+  out[7] = '3';
+  put(out, static_cast<std::uint8_t>(converged));
+  put(out, fnv1a64(out));
+  return out;
+}
+
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary) << bytes;
 }
@@ -129,13 +152,71 @@ void expect_load_error(const std::string& bytes, const std::string& error,
 TEST(Checkpoint, SaveLoadRoundTrip) {
   const auto g = test_graph(101);
   const std::string path = temp_path("ckp_roundtrip.bin");
-  core::Checkpoint cp{g.edges, 7};
-  core::save_checkpoint(path, cp);
-  EXPECT_EQ(read_file(path), v1_bytes(g.edges, 7));  // the matrix-only v1
+  for (const bool converged : {false, true}) {
+    core::Checkpoint cp{g.edges, 7, converged};
+    core::save_checkpoint(path, cp);
+    EXPECT_EQ(read_file(path), v3_bytes(g.edges, 7, converged));
+    const auto back = core::load_checkpoint(path);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->completed_iterations, 7);
+    EXPECT_EQ(back->matrix, g.edges);
+    EXPECT_EQ(back->converged, converged);
+  }
+}
+
+TEST(Checkpoint, V1FilesStillLoadAsNotConverged) {
+  const auto g = test_graph(106);
+  const std::string path = temp_path("ckp_v1_legacy.bin");
+  write_file(path, v1_bytes(g.edges, 5));
   const auto back = core::load_checkpoint(path);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->completed_iterations, 7);
+  EXPECT_EQ(back->completed_iterations, 5);
   EXPECT_EQ(back->matrix, g.edges);
+  EXPECT_FALSE(back->converged);
+}
+
+TEST(Checkpoint, EveryBitFlipOfAV3FileIsANamedError) {
+  // A flip in the magic can turn the file into a v1 or v2 one, whose
+  // parse then meets the v3 tail; anywhere else the checksum disagrees.
+  dist::TriplesD m(3, 3);
+  m.push_unchecked(0, 1, 0.25);
+  m.push_unchecked(2, 2, 0.75);
+  const std::string good = v3_bytes(m, 4, true);
+  const std::string path = temp_path("ckp_bit_flip.bin");
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      write_file(path, bad);
+      try {
+        core::load_checkpoint(path);
+        ADD_FAILURE() << "byte " << byte << " bit " << bit
+                      << ": loaded without error";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("checkpoint: ", 0), 0u)
+            << "byte " << byte << " bit " << bit << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(Checkpoint, V3TailFaultsAreNamed) {
+  dist::TriplesD m(3, 3);
+  m.push_unchecked(1, 1, 0.5);
+  const std::string good = v3_bytes(m, 2, false);
+  // A flag other than 0 or 1 under a matching checksum.
+  std::string flag = good.substr(0, good.size() - 9);
+  put(flag, std::uint8_t{2});
+  put(flag, fnv1a64(flag));
+  const std::pair<std::string, const char*> cases[] = {
+      {flag, "corrupt converged flag"},
+      {good.substr(0, good.size() - 1), "checksum mismatch"},
+      {good.substr(0, 12), "truncated file"},
+      {v1_bytes(m, 2) + "x", "trailing bytes"},
+  };
+  for (const auto& [bytes, error] : cases) {
+    expect_load_error(bytes, error, error);
+  }
 }
 
 TEST(Checkpoint, V2FilesStillLoad) {
@@ -148,6 +229,7 @@ TEST(Checkpoint, V2FilesStillLoad) {
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->completed_iterations, 3);
     EXPECT_EQ(back->matrix, g.edges);
+    EXPECT_FALSE(back->converged);
   }
 }
 
@@ -240,7 +322,7 @@ TEST(Checkpoint, EmptyMatrixRoundTrips) {
     const dist::TriplesD m(n, n);
     const std::string path = temp_path("ckp_empty.bin");
     core::save_checkpoint(path, {m, 0});
-    EXPECT_EQ(read_file(path), v1_bytes(m, 0));
+    EXPECT_EQ(read_file(path), v3_bytes(m, 0, false));
     const auto back = core::load_checkpoint(path);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->completed_iterations, 0);
@@ -412,6 +494,82 @@ TEST(Checkpoint, RerunOfAFinishedCheckpointKeepsItsFinalMatrix) {
                         want.vals().size() * sizeof(val_t)),
             0);
 }
+
+// A converged run's checkpoint holds the answer: a rerun on the same path
+// runs no iteration, returns the first call's clusters (those of the
+// monolithic run) and leaves the file's bytes as they were. Seed 114 is a
+// graph where one more iteration on the converged matrix splits a
+// cluster; seed 103 one where it only raises the stored count.
+class ConvergedRerun : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ConvergedRerun, ReturnsTheFirstCallsClustersAndLeavesTheFile) {
+  const auto g = test_graph(GetParam());
+  const auto params = test_params();
+  sim::SimState s0(sim::summit_like(4));
+  const auto plain = core::run_hipmcl(g.edges, params,
+                                      core::HipMclConfig::optimized(), s0);
+  const std::string path =
+      temp_path("ckp_converged_" + std::to_string(GetParam()) + ".bin");
+  sim::SimState s1(sim::summit_like(4));
+  const auto first = core::run_hipmcl_checkpointed(
+      g.edges, params, core::HipMclConfig::optimized(), s1, path, 3);
+  ASSERT_TRUE(first.converged);
+  EXPECT_EQ(first.labels, plain.labels);
+  const std::string bytes = read_file(path);
+
+  for (int rerun = 0; rerun < 2; ++rerun) {
+    SCOPED_TRACE("rerun " + std::to_string(rerun));
+    sim::SimState s(sim::summit_like(4));
+    const auto again = core::run_hipmcl_checkpointed(
+        g.edges, params, core::HipMclConfig::optimized(), s, path, 3);
+    EXPECT_EQ(again.iterations, 0);
+    EXPECT_TRUE(again.converged);
+    EXPECT_EQ(again.labels, first.labels);
+    EXPECT_EQ(again.num_clusters, first.num_clusters);
+    EXPECT_EQ(read_file(path), bytes);
+  }
+  const auto cp = core::load_checkpoint(path);
+  ASSERT_TRUE(cp.has_value());
+  EXPECT_TRUE(cp->converged);
+  EXPECT_EQ(cp->completed_iterations, first.iterations);
+}
+
+TEST_P(ConvergedRerun, ThroughTheSchedulerToo) {
+  const std::string path =
+      temp_path("ckp_converged_svc_" + std::to_string(GetParam()) + ".bin");
+  svc::JobSpec spec;
+  spec.graph = test_graph(GetParam()).edges;
+  spec.nodes = 4;
+  spec.params = test_params();
+  spec.config = core::HipMclConfig::optimized();
+  spec.checkpoint_path = path;
+  spec.checkpoint_every = 3;
+  svc::SchedulerOptions options;
+  options.max_concurrent = 1;
+  svc::Scheduler scheduler(options);
+
+  spec.id = "first";
+  scheduler.submit(spec);
+  const svc::JobOutcome first = scheduler.wait("first");
+  ASSERT_EQ(first.state, svc::JobState::kDone);
+  ASSERT_TRUE(first.converged);
+  const std::string bytes = read_file(path);
+
+  spec.id = "again";
+  scheduler.submit(spec);
+  const svc::JobOutcome again = scheduler.wait("again");
+  ASSERT_EQ(again.state, svc::JobState::kDone);
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_TRUE(again.converged);
+  EXPECT_EQ(again.labels, first.labels);
+  EXPECT_EQ(again.num_clusters, first.num_clusters);
+  EXPECT_EQ(read_file(path), bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConvergedRerun, testing::Values(103, 114),
+                         [](const testing::TestParamInfo<std::uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 TEST(Checkpoint, CancelledRunResumesBitwise) {
   // should_stop ends the run at an iteration boundary inside a chunk; the

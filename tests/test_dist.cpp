@@ -1,7 +1,9 @@
 // Distributed layer: grid geometry, DistMat round trips, from_triples
-// pinned bitwise against the sort-then-bucket path, the SUMMA
+// pinned bitwise against the sort-then-bucket path, the block counts the
+// charges read against the blocks cut from the matrix, the SUMMA
 // property suite (every variant × grid size × phasing equals the local
-// reference product), distributed top-k, and connected components.
+// reference product), SUMMA's phase sink, distributed top-k, and
+// connected components.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/inflate.hpp"
 #include "core/prune.hpp"
 #include "dist/cc.hpp"
 #include "dist/distmat.hpp"
@@ -162,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(GridDims, GatherPin, testing::Values(1, 2, 3, 4),
 
 // from_triples canonicalizes in one column-major scatter. The reference
 // is the path it replaced: sort_and_combine over the whole input, then
-// one dcsc_from_triples per block. Equal means operator== and the same
+// one csc_from_triples per block, joined. Equal means operator== and the same
 // value bits, so -0.0 does not pass for 0.0.
 
 DistMat sort_then_bucket(T t, const ProcGrid& grid) {
@@ -182,21 +185,20 @@ DistMat sort_then_bucket(T t, const ProcGrid& grid) {
     buckets[static_cast<std::size_t>(grid.rank_of(i, j))].push(
         e.row - m.row_offset(i), e.col - m.col_offset(j), e.val);
   }
-  for (int i = 0; i < dim; ++i) {
-    for (int j = 0; j < dim; ++j) {
-      m.set_block(i, j,
-                  sparse::dcsc_from_triples(std::move(
-                      buckets[static_cast<std::size_t>(grid.rank_of(i, j))])));
-    }
+  std::vector<CscD> blocks;
+  for (T& bucket : buckets) {
+    blocks.push_back(sparse::csc_from_triples(std::move(bucket)));
   }
-  return m;
+  return DistMat::from_blocks(t.nrows(), t.ncols(), grid, blocks);
 }
 
 bool same_value_bits(const DistMat& a, const DistMat& b) {
   for (int i = 0; i < a.dim(); ++i) {
     for (int j = 0; j < a.dim(); ++j) {
-      const auto& x = a.block(i, j).num();
-      const auto& y = b.block(i, j).num();
+      const dist::DcscD xb = a.block(i, j);
+      const dist::DcscD yb = b.block(i, j);
+      const auto& x = xb.num();
+      const auto& y = yb.num();
       if (x.size() != y.size()) return false;
       if (!x.empty() &&
           std::memcmp(x.data(), y.data(), x.size() * sizeof(val_t)) != 0) {
@@ -416,19 +418,99 @@ INSTANTIATE_TEST_SUITE_P(Nodes, FromTriplesPin, testing::Values(1, 4, 9, 16),
                            return "nodes" + std::to_string(info.param);
                          });
 
-TEST(DistMat, SetBlockValidatesShape) {
-  DistMat m(10, 10, ProcGrid(4));
-  EXPECT_THROW(m.set_block(0, 0, dist::DcscD(3, 3)), std::invalid_argument);
+TEST(DistMat, FromBlocksValidatesShape) {
+  const ProcGrid grid(4);
+  std::vector<CscD> blocks = {CscD(5, 5), CscD(5, 5), CscD(5, 5), CscD(5, 5)};
+  EXPECT_NO_THROW(DistMat::from_blocks(10, 10, grid, blocks));
+  blocks[1] = CscD(3, 3);
+  EXPECT_THROW(DistMat::from_blocks(10, 10, grid, blocks),
+               std::invalid_argument);
+  blocks.pop_back();
+  EXPECT_THROW(DistMat::from_blocks(10, 10, grid, blocks),
+               std::invalid_argument);
 }
 
 TEST(DistMat, HypersparseBlocksStayCompact) {
   // 1000x1000 with 20 nonzeros on a 5x5 grid: blocks must be DCSC-small.
   T t = random_triples(1000, 1000, 20, 3);
   const DistMat m = DistMat::from_triples(t, ProcGrid(25));
-  EXPECT_LE(m.max_block_bytes(),
+  bytes_t max_block_bytes = 0;
+  for (int i = 0; i < m.dim(); ++i) {
+    for (int j = 0; j < m.dim(); ++j) {
+      max_block_bytes = std::max(max_block_bytes, m.block_bytes(i, j));
+    }
+  }
+  EXPECT_LE(max_block_bytes,
             static_cast<bytes_t>(20 * (2 * sizeof(vidx_t) + sizeof(val_t)) +
                                  64));
 }
+
+// The virtual charges read each block's nnz and DCSC bytes from counts
+// the matrix derives when it is built. They must be those of the block
+// that block() cuts out, on every grid and for every way a matrix is
+// made: from triples, by SUMMA (one and many phases, with and without a
+// sink, pruned or not) and after an in-place inflation.
+
+void expect_counts_match_blocks(const DistMat& m, const std::string& what) {
+  std::uint64_t total = 0;
+  for (int i = 0; i < m.dim(); ++i) {
+    for (int j = 0; j < m.dim(); ++j) {
+      const dist::DcscD b = m.block(i, j);
+      EXPECT_EQ(m.block_nnz(i, j), b.nnz()) << what << " block " << i << ", " << j;
+      EXPECT_EQ(m.block_bytes(i, j), b.bytes())
+          << what << " block " << i << ", " << j;
+      total += b.nnz();
+    }
+  }
+  EXPECT_EQ(total, m.nnz()) << what;
+}
+
+class BlockCounts : public testing::TestWithParam<int> {};
+
+TEST_P(BlockCounts, MatchTheBlocksCutFromTheMatrix) {
+  const int nodes = GetParam();
+  const ProcGrid grid(nodes);
+  expect_counts_match_blocks(
+      DistMat::from_triples(random_triples(97, 89, 3000, 51), grid), "random");
+  expect_counts_match_blocks(
+      DistMat::from_triples(random_triples(1000, 1000, 20, 52), grid),
+      "hypersparse");
+  // Entries only in the top-left corner: most blocks are empty.
+  T corner(100, 100);
+  for (vidx_t v = 0; v < 9; ++v) corner.push(v, (v * 7) % 9, 1.0 + v);
+  corner.sort_and_combine();
+  expect_counts_match_blocks(DistMat::from_triples(corner, grid),
+                             "empty blocks");
+  expect_counts_match_blocks(DistMat(50, 50, grid), "empty matrix");
+
+  const DistMat a =
+      DistMat::from_triples(random_triples(90, 90, 900, 53), grid);
+  for (const int phases : {1, 3}) {
+    for (const bool with_sink : {false, true}) {
+      for (const bool prune : {false, true}) {
+        const std::string what = std::to_string(phases) + " phases" +
+                                 (with_sink ? ", sink" : "") +
+                                 (prune ? ", pruned" : "");
+        sim::SimState sim(sim::summit_like(nodes));
+        dist::SummaOptions opt;
+        opt.phases = phases;
+        if (prune) opt.prune = dist::PruneParams{.cutoff = 0.05, .select_k = 5};
+        const dist::PhaseSink sink = [](int, std::vector<CscD>&) {};
+        dist::SummaResult r = dist::summa_multiply(
+            a, a, sim, opt, with_sink ? sink : dist::PhaseSink{});
+        expect_counts_match_blocks(r.c, what);
+        core::distributed_inflate(r.c, 2.0, sim);
+        expect_counts_match_blocks(r.c, what + ", inflated");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, BlockCounts,
+                         testing::Values(1, 4, 9, 16, 25, 36, 49),
+                         [](const testing::TestParamInfo<int>& info) {
+                           return "nodes" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // SUMMA property suite.
@@ -774,14 +856,16 @@ dist::SummaResult per_block_summa(const DistMat& a, const DistMat& b,
           std::move(chunks[static_cast<std::size_t>(r)]));
     }
   }
+  std::vector<CscD> blocks(static_cast<std::size_t>(nranks));
   for (int i = 0; i < dim; ++i) {
     for (int j = 0; j < dim; ++j) {
       const int r = a.grid().rank_of(i, j);
-      const CscD block = sparse::csc_hcat(rank_chunks[static_cast<std::size_t>(r)]);
+      CscD& block = blocks[static_cast<std::size_t>(r)];
+      block = sparse::csc_hcat(rank_chunks[static_cast<std::size_t>(r)]);
       sim.rank(r).cpu_run(Stage::kOther, model.other(block.nnz()));
-      result.c.set_block(i, j, block);
     }
   }
+  result.c = DistMat::from_blocks(a.nrows(), b.ncols(), a.grid(), blocks);
   for (int r = 0; r < nranks; ++r) {
     const auto ri = static_cast<std::size_t>(r);
     const auto& now = sim.rank(r).stage_times();
@@ -992,6 +1076,42 @@ INSTANTIATE_TEST_SUITE_P(Grids, SummaPerBlock,
                            return "nodes" + std::to_string(info.param);
                          });
 
+// A PhaseSink sees every phase's columns as rank chunks and may edit them
+// in place: what it leaves is what the result holds. A chunk of another
+// shape is an error.
+TEST(SummaSink, EditsLandInTheResultAndShapesAreKept) {
+  const ProcGrid grid(9);
+  const DistMat a = DistMat::from_triples(random_triples(40, 40, 500, 45), grid);
+  dist::SummaOptions opt;
+  opt.phases = 3;
+  sim::SimState plain_sim(sim::summit_like(9));
+  const DistMat plain = dist::summa_multiply(a, a, plain_sim, opt).c;
+  sim::SimState sim(sim::summit_like(9));
+  const DistMat cleared =
+      dist::summa_multiply(a, a, sim, opt,
+                           [&](int, std::vector<CscD>& chunks) {
+                             const int r = grid.rank_of(1, 2);
+                             CscD& c = chunks[static_cast<std::size_t>(r)];
+                             c = CscD(c.nrows(), c.ncols());
+                           })
+          .c;
+  EXPECT_EQ(cleared.block_nnz(1, 2), 0u);
+  for (int i = 0; i < grid.dim(); ++i) {
+    for (int j = 0; j < grid.dim(); ++j) {
+      if (i == 1 && j == 2) continue;
+      EXPECT_TRUE(cleared.block(i, j) == plain.block(i, j))
+          << "block " << i << ", " << j;
+    }
+  }
+
+  sim::SimState bad_sim(sim::summit_like(9));
+  EXPECT_THROW(dist::summa_multiply(a, a, bad_sim, opt,
+                                    [](int, std::vector<CscD>& chunks) {
+                                      chunks[0] = CscD(1, 1);
+                                    }),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // The fused prune: SUMMA with a prune rule prunes each column inside the
 // phase pass and charges the prune from counts; core::prune_chunks as a
@@ -1189,15 +1309,13 @@ TEST(SummaPrune, ColumnFatesCountRecoveredEntries) {
     std::vector<vidx_t> out_rows;
     std::vector<val_t> out_vals;
     const std::uint64_t first =
-        rule.append_kept(0, 4, rows.data(), vals.data(), 0, out_rows, out_vals);
+        rule.append_kept(0, 4, rows.data(), vals.data(), out_rows, out_vals);
     const std::uint64_t second = rule.append_kept(
-        4, 3, rows.data() + 4, vals.data() + 4, 6, out_rows, out_vals);
+        4, 3, rows.data() + 4, vals.data() + 4, out_rows, out_vals);
     EXPECT_EQ(first + second, c.recovered);
     std::vector<vidx_t> want_rows;
     for (std::size_t p = 0; p < rows.size(); ++p) {
-      if (c.fates[p] == P::kKept) {
-        want_rows.push_back(p < 4 ? rows[p] : rows[p] - 6);
-      }
+      if (c.fates[p] == P::kKept) want_rows.push_back(rows[p]);
     }
     EXPECT_EQ(out_rows, want_rows);
   }

@@ -1,7 +1,8 @@
 // The memory ledger: scripted charge/release accounting, RAII scopes,
 // thread-safety under the shared pool (the TSan CI job runs this), the
 // estimator-audit join, process-peak sampling, the input staging that
-// DistMat::from_triples charges, the k-way merge's one scratch charge,
+// DistMat::from_triples charges, the product SUMMA holds until its
+// result exists, the k-way merge's one scratch charge,
 // and the end-to-end contract on a real run — the ledger's per-rank
 // merge track must land on exactly the number the legacy element
 // counters report, RunReport v4 must carry the measured actuals, and the
@@ -19,6 +20,7 @@
 #include "core/hipmcl.hpp"
 #include "dist/distmat.hpp"
 #include "dist/grid.hpp"
+#include "dist/summa.hpp"
 #include "gen/planted.hpp"
 #include "merge/kway.hpp"
 #include "obs/chrome_trace.hpp"
@@ -31,6 +33,7 @@
 #include "sim/timeline.hpp"
 #include "sparse/convert.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace {
@@ -300,7 +303,8 @@ TEST(MemLedger, FromTriplesChargesTheStagingItHolds) {
   // DistMat::from_triples stages its input column-major: the column
   // pointers, one row and one value per input entry, and a (row, value)
   // scratch as long as the longest unsorted column past the 64-entry
-  // insertion limit. The charge lasts until the blocks are built.
+  // insertion limit. The charge lasts until the staging, canonical in
+  // place, becomes the matrix.
   dist::TriplesD t(100, 4);
   for (vidx_t r = 0; r < 10; ++r) t.push(r, 0, 1.0);       // short
   for (vidx_t r = 79; r >= 0; --r) t.push(r, 1, 1.0);      // long, unsorted
@@ -333,6 +337,41 @@ TEST(MemLedger, FromTriplesChargesTheStagingItHolds) {
   EXPECT_EQ(sorted_ledger.label_stats("dist.staging").high_water_bytes,
             5 * sizeof(vidx_t) + sorted.nnz() * kBytesPerElem);
   EXPECT_EQ(sorted_ledger.label_stats("dist.staging").current_bytes, 0u);
+}
+
+// ------------------------------------------------------------ summa product
+
+TEST(MemLedger, SummaChargesTheProductWhileItIsBuilt) {
+  // The phases' finished columns are held until the result exists: over
+  // many phases "summa.product" rises to at least the result's CSC, and
+  // every label drains when the call returns.
+  dist::TriplesD t(120, 120);
+  util::Xoshiro256 rng(61);
+  for (int e = 0; e < 2400; ++e) {
+    t.push(static_cast<vidx_t>(rng.bounded(120)),
+           static_cast<vidx_t>(rng.bounded(120)), rng.uniform_pos());
+  }
+  const dist::ProcGrid grid(9);
+  const dist::DistMat a = dist::DistMat::from_triples(t, grid);
+  for (const bool prune : {false, true}) {
+    SCOPED_TRACE(prune ? "pruned" : "unpruned");
+    obs::MemLedger ledger;
+    dist::SummaOptions opt;
+    opt.phases = 5;
+    if (prune) opt.prune = dist::PruneParams{};
+    dist::SummaResult r{dist::DistMat(0, 0, grid), {}};
+    {
+      const obs::ScopedContext sinks(ledger);
+      sim::SimState sim(sim::summit_like(9));
+      r = dist::summa_multiply(a, a, sim, opt);
+    }
+    ASSERT_GT(r.c.nnz(), 0u);
+    EXPECT_GE(ledger.label_stats("summa.product").high_water_bytes,
+              r.c.to_csc().bytes());
+    for (const auto& [label, st] : ledger.snapshot()) {
+      EXPECT_EQ(st.current_bytes, 0u) << label;
+    }
+  }
 }
 
 // ------------------------------------------------------------ merge scratch
@@ -415,7 +454,7 @@ TEST(MemLedgerE2E, MergePeakMatchesLegacyElementCounters) {
   EXPECT_GT(ledger.label_stats("summa.bcast_payload").high_water_bytes, 0u);
   EXPECT_GT(ledger.label_stats("summa.accumulator").high_water_bytes, 0u);
   EXPECT_EQ(ledger.label_stats("spgemm.hash_table").high_water_bytes, 0u);
-  EXPECT_GT(ledger.label_stats("dist.gather").high_water_bytes, 0u);
+  EXPECT_GT(ledger.label_stats("dist.matrix").high_water_bytes, 0u);
   EXPECT_GT(ledger.label_stats("dist.staging").high_water_bytes, 0u);
 }
 

@@ -171,14 +171,6 @@ TEST(Dcsc, RoundTripThroughCsc) {
   EXPECT_EQ(csc_from_dcsc(dcsc_from_csc(a)), a);
 }
 
-TEST(Dcsc, RoundTripThroughTriples) {
-  T32 t = random_triples(20, 20, 60, 6);
-  const auto d = dcsc_from_triples(t);
-  T32 back = triples_from_dcsc(d);
-  back.sort_and_combine();
-  EXPECT_EQ(back, t);
-}
-
 TEST(Dcsc, BytesSmallerThanCscWhenHypersparse) {
   // 3 nonzeros spread over a 1000-column matrix: DCSC's win condition.
   T32 t(1000, 1000);
