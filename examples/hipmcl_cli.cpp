@@ -8,7 +8,7 @@
 //   ./hipmcl_cli --input net.mtx --output clusters.txt
 //                [--nodes 16] [--inflation 2.0] [--select-k 80]
 //                [--cutoff 1e-4] [--recover 0] [--mem-gb 0]
-//                [--config optimized] [--estimator probabilistic]
+//                [--config optimized] [--estimator exact|probabilistic|adaptive]
 //                [--metrics-out run.jsonl] [--trace-out run.trace.json]
 //                [--analyze] [--postmortem-dir dir]
 //
@@ -53,13 +53,14 @@ mclx::core::HipMclConfig make_config(const std::string& name,
   } else {
     throw std::invalid_argument("unknown --config: " + name);
   }
+  // No --estimator: the configuration's own.
   if (estimator == "exact") {
     c.estimator = EstimatorKind::kExactSymbolic;
   } else if (estimator == "probabilistic") {
     c.estimator = EstimatorKind::kProbabilistic;
   } else if (estimator == "adaptive") {
     c.estimator = EstimatorKind::kAdaptive;
-  } else {
+  } else if (!estimator.empty()) {
     throw std::invalid_argument("unknown --estimator: " + estimator);
   }
   return c;
@@ -89,8 +90,8 @@ int main(int argc, char** argv) try {
       "per-process memory for phase planning (0 = machine default)");
   const std::string config_name = cli.get("config", "optimized",
       "original | no-overlap | optimized");
-  const std::string estimator = cli.get("estimator", "probabilistic",
-      "exact | probabilistic | adaptive");
+  const std::string estimator = cli.get("estimator", "",
+      "exact | probabilistic | adaptive (default: the config's own)");
   const bool report = cli.get_bool("report", false,
       "print per-cluster cohesion statistics");
   const std::string metrics_out = cli.get("metrics-out", "",
@@ -203,7 +204,7 @@ int main(int argc, char** argv) try {
     obs::RunInfo info;
     info.workload = input.empty() ? "generated:archaea-mini" : input;
     info.config = config_name;
-    info.estimator = estimator;
+    info.estimator = std::string(core::to_string(config.estimator));
     info.nodes = static_cast<std::uint64_t>(nodes);
     info.nranks = static_cast<std::uint64_t>(sim.nranks());
     info.vertices = static_cast<std::uint64_t>(network.nrows());

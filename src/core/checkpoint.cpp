@@ -19,10 +19,13 @@ namespace {
 // append a vertex permutation after the entries. Their matrix is stored
 // in the input's vertex ids like v1's, so the permutation is checked and
 // discarded. v3 is v1's header and entries, a converged byte, then an
-// FNV-1a 64 checksum of every byte before it.
+// FNV-1a 64 checksum of every byte before it. v4 puts the last
+// iteration's chaos (a double) between the converged byte and the
+// checksum.
 constexpr char kMagicV1[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '1'};
 constexpr char kMagicV2[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '2'};
 constexpr char kMagicV3[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '3'};
+constexpr char kMagicV4[8] = {'M', 'C', 'L', 'X', 'C', 'K', 'P', '4'};
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
@@ -55,7 +58,7 @@ T take(std::string_view& rest) {
 }  // namespace
 
 void save_checkpoint(const std::string& path, const Checkpoint& cp) {
-  std::string bytes(kMagicV3, 8);
+  std::string bytes(kMagicV4, 8);
   put(bytes, static_cast<std::int64_t>(cp.completed_iterations));
   put(bytes, cp.matrix.nrows());
   put(bytes, cp.matrix.ncols());
@@ -66,6 +69,7 @@ void save_checkpoint(const std::string& path, const Checkpoint& cp) {
     put(bytes, e.val);
   }
   put(bytes, static_cast<std::uint8_t>(cp.converged));
+  put(bytes, cp.prev_chaos);
   put(bytes, fnv1a64(bytes));
   // Write to a temp file then rename: a kill mid-write must not destroy
   // the previous checkpoint.
@@ -87,10 +91,12 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
   std::string_view bytes = file;
   if (bytes.size() < 8) fail("bad magic in " + path);
   const bool v2 = std::memcmp(bytes.data(), kMagicV2, 8) == 0;
-  const bool v3 = std::memcmp(bytes.data(), kMagicV3, 8) == 0;
-  if (!v2 && !v3 && std::memcmp(bytes.data(), kMagicV1, 8) != 0)
+  const bool v4 = std::memcmp(bytes.data(), kMagicV4, 8) == 0;
+  // v3 and v4 end in the converged byte, v4's last chaos and a checksum.
+  const bool checked = v4 || std::memcmp(bytes.data(), kMagicV3, 8) == 0;
+  if (!v2 && !checked && std::memcmp(bytes.data(), kMagicV1, 8) != 0)
     fail("bad magic in " + path);
-  if (v3) {
+  if (checked) {
     if (bytes.size() < 16) fail("truncated file");
     std::string_view tail = bytes.substr(bytes.size() - 8);
     bytes.remove_suffix(8);
@@ -130,10 +136,14 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
       if (p < 0 || p >= nrows) fail("permutation entry out of range in " + path);
     }
   }
-  if (v3) {
+  if (checked) {
     const auto converged = take<std::uint8_t>(rest);
     if (converged > 1) fail("corrupt converged flag in " + path);
     cp.converged = converged == 1;
+  }
+  if (v4) {
+    cp.prev_chaos = take<double>(rest);
+    if (!(cp.prev_chaos >= 0)) fail("corrupt last chaos in " + path);
   }
   if (!rest.empty()) fail("trailing bytes in " + path);
   return cp;
@@ -152,10 +162,12 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
   int done = 0;
   bool resumed = false;
   bool converged = false;
+  double prev_chaos = std::numeric_limits<double>::infinity();
   if (auto cp = load_checkpoint(path)) {
     current = std::move(cp->matrix);
     done = cp->completed_iterations;
     converged = cp->converged;
+    prev_chaos = cp->prev_chaos;
     resumed = true;
     util::log_info("checkpoint: resuming after ", done, " iterations");
   }
@@ -172,7 +184,9 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
   // estimator seeds must derive from the global iteration index — with
   // both in place a chunked/cancelled/resumed run executes the exact
   // floating-point trajectory of the uninterrupted run, whatever the
-  // chunk boundaries (docs/SERVICE.md "Resume semantics").
+  // chunk boundaries (docs/SERVICE.md "Resume semantics"). The last
+  // chaos carries over too, so the stall rule stops at the same
+  // iteration.
   bool stochastic = resumed;
 
   // The first chunk always runs. When the checkpoint holds a converged
@@ -183,6 +197,7 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
     chunk_params.max_iters =
         converged ? 0 : std::clamp(params.max_iters - done, 0, every);
     chunk_config.start_iteration = done;
+    chunk_config.prev_chaos = prev_chaos;
     chunk_config.assume_stochastic = stochastic;
     MclResult chunk =
         run_hipmcl(current, chunk_params, chunk_config, sim);
@@ -205,8 +220,9 @@ MclResult run_hipmcl_checkpointed(const dist::TriplesD& graph,
     total.cancelled = chunk.cancelled;
 
     if (chunk.iterations > 0) {
+      prev_chaos = chunk.iters.back().chaos;
       current = chunk.final_matrix->to_triples();
-      save_checkpoint(path, {current, done, converged});
+      save_checkpoint(path, {current, done, converged, prev_chaos});
     }
     if (config.keep_final_matrix) {
       total.final_matrix = std::move(chunk.final_matrix);

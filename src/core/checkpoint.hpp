@@ -1,10 +1,12 @@
 // Checkpoint / restart for long MCL runs. Clustering the paper's largest
 // networks takes hours even optimized; a production run wants to survive
 // a node failure or a queue-limit kill. The checkpoint captures exactly
-// what the next iteration needs: the current column-stochastic matrix and
-// the iteration counter (MCL is a Markov iteration — no other state).
+// what the next iteration needs: the current column-stochastic matrix, the
+// iteration counter and the last iteration's chaos, which the stall rule
+// compares the next one with (MCL is a Markov iteration — no other state).
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -19,16 +21,20 @@ struct Checkpoint {
   int completed_iterations = 0;
   /// The run met its convergence test: a rerun has nothing left to do.
   bool converged = false;
+  /// The last completed iteration's chaos (+∞ before the first).
+  double prev_chaos = std::numeric_limits<double>::infinity();
 };
 
-/// Write a checkpoint (binary, magic-tagged v3 layout: header, entries,
-/// the converged flag and a checksum of everything before it).
+/// Write a checkpoint (binary, magic-tagged v4 layout: header, entries,
+/// the converged flag, the last chaos and a checksum of everything before
+/// it).
 void save_checkpoint(const std::string& path, const Checkpoint& cp);
 
 /// Load, or nullopt when the file does not exist. Corrupt files throw a
 /// std::runtime_error that names the fault. Also reads v1 files (header
-/// and entries) and v2 files (v1 followed by a vertex permutation, which
-/// is checked and discarded), both as not converged.
+/// and entries), v2 files (v1 followed by a vertex permutation, which is
+/// checked and discarded), both as not converged, and v3 files (v4 without
+/// the last chaos); all three with +∞ as the last chaos.
 std::optional<Checkpoint> load_checkpoint(const std::string& path);
 
 /// run_hipmcl with checkpointing: writes `path` every `every` iterations
@@ -38,9 +44,10 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path);
 /// index); `completed_iterations` in the file accumulates.
 ///
 /// Resume is bitwise: chunks skip renormalization of the already-
-/// stochastic matrix and derive estimator seeds from the global
-/// iteration index, so a cancelled-then-resumed run reproduces the
-/// uninterrupted run's floating-point trajectory exactly — clusters,
+/// stochastic matrix, derive estimator seeds from the global iteration
+/// index and carry the last chaos into the stall rule, so a
+/// cancelled-then-resumed run reproduces the uninterrupted run's
+/// floating-point trajectory and stopping iteration exactly — clusters,
 /// nnz counts and chaos values are bit-identical at any chunk boundary
 /// and any thread count (tests/test_svc.cpp pins this).
 ///

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,7 +19,6 @@
 #include "sim/collectives.hpp"
 #include "sim/costmodel.hpp"
 #include "sparse/ops.hpp"
-#include "spgemm/symbolic.hpp"
 #include "util/log.hpp"
 
 namespace mclx::core {
@@ -123,13 +123,8 @@ void report_iteration(const IterationReport& rep) {
   obs::record("mcl.cf", rep.cf);
   obs::record("mcl.phases", static_cast<double>(rep.phases));
   obs::record("mcl.nnz_after_prune", static_cast<double>(rep.nnz_after_prune));
-  // Estimator error against the best available actual: the expansion's
-  // measured unpruned nnz (free, every run) or, failing that, the
-  // uncharged symbolic count (measure_estimation_error runs). Both equal
-  // nnz(A·A), so enabling measurement never changes the reported error.
-  const double actual = rep.measured_unpruned_nnz > 0
-                            ? static_cast<double>(rep.measured_unpruned_nnz)
-                            : rep.exact_unpruned_nnz;
+  // Estimator error against nnz(A·A), which the expansion's pass counts.
+  const auto actual = static_cast<double>(rep.measured_unpruned_nnz);
   if (actual > 0 && !rep.used_exact_estimator) {
     obs::record("estimate.rel_error",
                 std::abs(rep.est_unpruned_nnz - actual) / actual);
@@ -137,6 +132,15 @@ void report_iteration(const IterationReport& rep) {
 }
 
 }  // namespace
+
+std::string_view to_string(EstimatorKind kind) {
+  switch (kind) {
+    case EstimatorKind::kExactSymbolic: return "exact";
+    case EstimatorKind::kProbabilistic: return "probabilistic";
+    case EstimatorKind::kAdaptive: return "adaptive";
+  }
+  return "unknown";
+}
 
 HipMclConfig HipMclConfig::original() {
   HipMclConfig c;
@@ -222,7 +226,7 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     if (config.on_stage) config.on_stage(stage);
   };
 
-  double prev_chaos = std::numeric_limits<double>::infinity();
+  double prev_chaos = config.prev_chaos;
   for (int iter = 0; iter < params.max_iters; ++iter) {
     IterationReport rep;
     rep.iter = config.start_iteration + iter + 1;  // global numbering
@@ -246,10 +250,20 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     const obs::MemScope a_mem("dist.matrix", a.to_csc().bytes());
     const dist::CscD& ga = a.to_csc();
     rep.flops = sparse::spgemm_flops(ga, ga);
+    dist::SummaOptions opt{.pipelined = config.pipelined,
+                           .binary_merge = config.binary_merge,
+                           .kernel = config.kernel,
+                           .prune = params.prune};
+    // The exact estimator's count is nnz(A·A), which a one-phase pass of
+    // the expansion counts as it builds the product; the symbolic multiply
+    // it stands for is still what the estimate stage is charged.
+    std::optional<dist::SummaPass> pass;
+    const dist::PhaseCounts* one_phase = nullptr;
     if (use_exact) {
-      rep.exact_unpruned_nnz =
-          static_cast<double>(spgemm::symbolic_nnz(ga, ga));
-      rep.est_unpruned_nnz = rep.exact_unpruned_nnz;
+      notify_stage(obs::RunStage::kExpand);
+      pass.emplace(a, a, sim.machine(), opt);
+      one_phase = &pass->run(0, 1);
+      rep.est_unpruned_nnz = static_cast<double>(one_phase->unpruned_nnz());
       charge_symbolic_sweep(a, sim, rep.flops);
     } else {
       // Seeds derive from the *global* iteration index so a checkpoint-
@@ -262,10 +276,6 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
                                 config.start_iteration + iter)));
       rep.est_unpruned_nnz = est.total;
       charge_cohen(a, sim, config.cohen_keys, config.gpu_estimation);
-      if (config.measure_estimation_error) {
-        rep.exact_unpruned_nnz =
-            static_cast<double>(spgemm::symbolic_nnz(ga, ga));  // uncharged
-      }
     }
     rep.cf = rep.est_unpruned_nnz > 0
                  ? static_cast<double>(rep.flops) / rep.est_unpruned_nnz
@@ -282,15 +292,23 @@ MclResult run_hipmcl(const dist::TriplesD& graph, const MclParams& params,
     rep.phases = plan.phases;
 
     // --- expansion (SUMMA) with fused prune -----------------------------
-    notify_stage(obs::RunStage::kExpand);
-    dist::SummaOptions opt;
-    opt.pipelined = config.pipelined;
-    opt.binary_merge = config.binary_merge;
-    opt.kernel = config.kernel;
+    // One phase reuses the exact estimator's pass; more rebuild the
+    // product phase by phase, after freeing that pass's.
+    if (!use_exact) notify_stage(obs::RunStage::kExpand);
     opt.phases = plan.phases;
     opt.cf_estimate = rep.cf;
-    opt.prune = params.prune;
-    dist::SummaResult expansion = dist::summa_multiply(a, a, sim, opt);
+    dist::SummaAccounting account(a, sim, opt);
+    if (one_phase && plan.phases == 1) {
+      account.charge(*one_phase);
+    } else {
+      pass.emplace(a, a, sim.machine(), opt);  // frees the estimator's first
+      for (int phase = 0; phase < plan.phases; ++phase) {
+        account.charge(pass->run(phase, plan.phases));
+      }
+    }
+    dist::SummaResult expansion{pass->take_product(), {}};
+    expansion.stats = account.finish(expansion.c);
+    pass.reset();
 
     rep.summa = expansion.stats;
     rep.measured_unpruned_nnz = expansion.stats.unpruned_nnz;

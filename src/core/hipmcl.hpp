@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/prune.hpp"
@@ -41,7 +43,9 @@ struct MclParams {
 };
 
 enum class EstimatorKind {
-  kExactSymbolic,   ///< original HipMCL: full symbolic SpGEMM, O(flops)
+  /// original HipMCL: a full symbolic SpGEMM, O(flops), as charged; on
+  /// the host the count comes from a one-phase pass of the expansion.
+  kExactSymbolic,
   kProbabilistic,   ///< §V: Cohen estimator, O(r·nnz)
   /// §VII-D's refinement: "when cf is below a certain threshold, we use
   /// the exact scheme" — probabilistic while the compression factor is
@@ -50,6 +54,10 @@ enum class EstimatorKind {
   /// the symbolic pass is cheaper than r key sweeps).
   kAdaptive,
 };
+
+/// "exact", "probabilistic" or "adaptive", as the CLI and manifests name
+/// them.
+std::string_view to_string(EstimatorKind kind);
 
 /// kAdaptive switches to the exact pass when the previous iteration's
 /// cf drops below this.
@@ -73,9 +81,6 @@ struct HipMclConfig {
   bytes_t mem_budget_per_rank = 0;
   double guard_factor = 0.85;
   std::uint64_t seed = 0x5eedULL;
-  /// When set, also compute the quantity the configured estimator does
-  /// NOT produce (uncharged) so benches can report estimation error.
-  bool measure_estimation_error = false;
   /// Keep the converged matrix in the result (checkpointing resumes
   /// from it).
   bool keep_final_matrix = false;
@@ -85,6 +90,10 @@ struct HipMclConfig {
   /// the same Cohen sketches an uninterrupted run would, which is half of
   /// the bitwise resume contract (docs/SERVICE.md).
   int start_iteration = 0;
+  /// Chaos of the iteration before start_iteration (+∞ for none). The
+  /// stall rule compares the first iteration's chaos with it, so a resumed
+  /// run stops where the uninterrupted run would.
+  double prev_chaos = std::numeric_limits<double>::infinity();
   order::OrderKind ordering = order::OrderKind::kNone;  ///< unread
   /// The input is already column-stochastic (a checkpoint of a running
   /// iteration): skip the initial normalization. Renormalizing an
@@ -119,10 +128,8 @@ struct IterationReport {
   std::uint64_t nnz_before = 0;        ///< nnz(A) entering the iteration
   std::uint64_t flops = 0;             ///< flops(A·A)
   double est_unpruned_nnz = 0;         ///< estimator output
-  double exact_unpruned_nnz = 0;       ///< 0 unless exact path or measured
-  /// nnz of the merged-but-unpruned product, measured from the chunks
-  /// the expansion materializes (free, unlike the uncharged symbolic
-  /// pass behind exact_unpruned_nnz — though both equal nnz(A·A)).
+  /// nnz(A·A) before the prune, which the expansion's pass counts as it
+  /// builds each column; the exact estimator's output is this count.
   std::uint64_t measured_unpruned_nnz = 0;
   bool used_exact_estimator = false;   ///< which path this iteration took
   double cf = 0;                       ///< flops / est nnz

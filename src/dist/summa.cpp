@@ -34,12 +34,6 @@ vtime_t conversion_cost(const sim::CostModel& model, std::uint64_t ncols) {
   return model.other(ncols);
 }
 
-struct RankDelta {
-  sim::StageTimes before{};
-  vtime_t cpu_idle_before = 0;
-  vtime_t gpu_idle_before = 0;
-};
-
 /// The phase pass's per-row state over A's rows, one output column at a
 /// time: the running total of the row's earlier stages, the partial of
 /// its current stage, and that stage (-1 while the row is untouched).
@@ -125,6 +119,17 @@ struct Part {
   }
 };
 
+}  // namespace
+
+std::uint64_t PhaseCounts::merged_size(int r, int first, int end) const {
+  const auto ri = static_cast<std::size_t>(r);
+  if (first == 0 && end == dim) return unpruned[ri];
+  const auto u = static_cast<std::size_t>(
+      std::find(ranges.begin(), ranges.end(), std::pair{first, end}) -
+      ranges.begin());
+  return unions[ri * ranges.size() + u];
+}
+
 /// Builds each phase's columns of the product in one pass over the
 /// phase's global columns of the operands, and counts what the stage loop
 /// charges for them. A product's stage is the block that holds its inner
@@ -135,22 +140,22 @@ struct Part {
 /// column is split at the row-block bounds only to count per rank. With a
 /// prune rule, each column is pruned as it is extracted and only its
 /// survivors reach the parts.
-class PhasePass {
+class SummaPass::Impl {
  public:
-  /// `device_slices`: the devices per rank whose column slices to count
-  /// (0: none). With `binary_merge`, the pass also counts the size of
-  /// every stage range Algorithm 2 folds short of the whole phase.
-  PhasePass(const DistMat& a, const DistMat& b, int device_slices,
-            bool binary_merge, const std::optional<PruneParams>& prune)
-      : a_(a), b_(b), dim_(a.dim()),
-        device_slices_(device_slices > 0),
-        nslices_(std::max(device_slices, 1)), acc_(a.nrows()),
+  Impl(const DistMat& a, const DistMat& b, int device_slices,
+       bool binary_merge, const std::optional<PruneParams>& prune)
+      : a_(a), b_(b), dim_(a.dim()), acc_(a.nrows()),
         row_block_(static_cast<std::size_t>(a.nrows())),
         alen_(static_cast<std::size_t>(a.ncols()) *
               static_cast<std::size_t>(dim_)),
         ranges_of_(static_cast<std::size_t>(dim_)),
-        mem_("summa.accumulator", 0) {
+        parts_(static_cast<std::size_t>(dim_)),
+        mem_("summa.accumulator", 0),
+        product_mem_("summa.product", 0) {
     if (prune) prune_.emplace(*prune);
+    counts_.dim = dim_;
+    counts_.nslices = std::max(device_slices, 1);
+    counts_.device_slices = device_slices > 0;
     const auto dim = static_cast<std::size_t>(dim_);
     for (int i = 0; i <= dim_; ++i) {
       row_off_.push_back(a.row_offset(i));
@@ -172,45 +177,18 @@ class PhasePass {
         if (range == std::pair{0, dim_}) continue;  // the chunk itself
         for (int k = range.first; k < range.second; ++k) {
           ranges_of_[static_cast<std::size_t>(k)].push_back(
-              {range.first, static_cast<int>(ranges_.size())});
+              {range.first, static_cast<int>(counts_.ranges.size())});
         }
-        ranges_.push_back(range);
+        counts_.ranges.push_back(range);
       }
     }
     charged_ = fixed_bytes();
     mem_.add(charged_);
   }
 
-  /// Builds phase `phase`'s columns, appending grid column j's to
-  /// parts[j], and counts.
-  void run(int phase, int phases, std::vector<Part>& parts);
-
-  /// Rank (i, j)'s stage-k multiply as the stage loop sees it: A(i, k)
-  /// and the phase's columns of B(k, j), decompressed to CSC.
-  spgemm::MultiplyCounts multiply(int i, int j, int k) const;
-
-  /// Bytes of the phase's columns of B(k, j) as a CSC.
-  bytes_t b_chunk_bytes(int k, int j) const {
-    return CscD::bytes_for(width_[static_cast<std::size_t>(j)],
-                           multiply(0, j, k).b_nnz);
-  }
-
-  /// Entries of the sum of rank r's stage products [first, end).
-  std::uint64_t merged_size(int r, int first, int end) const {
-    const auto ri = static_cast<std::size_t>(r);
-    if (first == 0 && end == dim_) return unpruned_[ri];
-    const auto u = static_cast<std::size_t>(
-        std::find(ranges_.begin(), ranges_.end(), std::pair{first, end}) -
-        ranges_.begin());
-    return unions_[ri * ranges_.size() + u];
-  }
-
-  /// Per grid column: the chunk width.
-  std::span<const vidx_t> widths() const { return width_; }
-  /// Per rank: the chunk's nnz before the prune.
-  std::span<const std::uint64_t> unpruned() const { return unpruned_; }
-  /// Per rank: the chunk's nnz after the prune's recovery.
-  std::span<const std::uint64_t> recovered() const { return recovered_; }
+  const PhaseCounts& run(int phase, int phases);
+  void sink(const PhaseSink& sink, int phase);
+  DistMat take_product();
 
  private:
   struct RangeRef {
@@ -223,52 +201,62 @@ class PhasePass {
            alen_.size() * sizeof(vidx_t);
   }
 
+  /// Charges the product's growth by the last phase once that phase is
+  /// done: when the next one starts or the product is taken.
+  void charge_product() {
+    if (!grown_) return;
+    grown_ = false;
+    std::uint64_t held = 0;
+    for (const Part& part : parts_) held += part.bytes();
+    if (held > product_charged_) {
+      product_mem_.add(held - product_charged_);
+      product_charged_ = held;
+    }
+  }
+
   const DistMat& a_;
   const DistMat& b_;
   int dim_;
-  bool device_slices_;
-  int nslices_;
   StageAccumulator acc_;
   std::vector<vidx_t> row_off_;    ///< C's (and A's) row-block offsets
   std::vector<vidx_t> inner_off_;  ///< stage offsets of the inner index
   std::vector<int> row_block_;     ///< per row of A: its row block
   std::vector<vidx_t> alen_;       ///< [kk·dim + i]: A(:,kk)'s rows in block i
-  std::vector<std::pair<int, int>> ranges_;       ///< counted stage ranges
   std::vector<std::vector<RangeRef>> ranges_of_;  ///< per stage
   std::vector<vidx_t> col_rows_;   ///< one output column, sorted by row
   std::vector<val_t> col_vals_;
   std::optional<ColumnPrune> prune_;
+  std::vector<Part> parts_;        ///< per grid column
   obs::MemScope mem_;
   std::uint64_t charged_ = 0;
+  obs::MemScope product_mem_;
+  std::uint64_t product_charged_ = 0;
+  bool grown_ = false;  ///< a phase ran since the last product charge
 
-  // One phase's counts.
-  std::vector<vidx_t> width_;  ///< per grid column: the chunk width
-  std::vector<std::uint64_t> unpruned_;   ///< per rank
-  std::vector<std::uint64_t> recovered_;  ///< per rank
+  PhaseCounts counts_;
   /// Per grid column j, slice d, stage k and row block i, at
   /// ((j·nslices + d)·dim + k)·dim + i, so a B entry's row blocks are
   /// adjacent; B entries need no row block.
   std::vector<std::uint64_t> flops_;
   std::vector<std::uint64_t> c_nnz_;
   std::vector<std::uint64_t> b_nnz_;  ///< at (j·nslices + d)·dim + k
-  /// Per rank r, stage k and slice d, at (r·dim + k)·nslices + d: the
-  /// counts above, laid out for MultiplyCounts::slices.
-  std::vector<gpuk::SliceCounts> slices_;
-  /// Per rank r and counted range u, at r·ranges_.size() + u.
-  std::vector<std::uint64_t> unions_;
 };
 
-void PhasePass::run(int phase, int phases, std::vector<Part>& parts) {
+const PhaseCounts& SummaPass::Impl::run(int phase, int phases) {
+  charge_product();
   const auto dim = static_cast<std::size_t>(dim_);
-  const auto ns = static_cast<std::size_t>(nslices_);
-  const std::size_t nr = ranges_.size();
+  const auto ns = static_cast<std::size_t>(counts_.nslices);
+  const std::size_t nr = counts_.ranges.size();
+  std::vector<std::uint64_t>& unions = counts_.unions;
+  std::vector<std::uint64_t>& unpruned = counts_.unpruned;
+  std::vector<std::uint64_t>& recovered = counts_.recovered;
   flops_.assign(dim * ns * dim * dim, 0);
   c_nnz_.assign(flops_.size(), 0);
   b_nnz_.assign(dim * ns * dim, 0);
-  width_.assign(dim, 0);
-  unions_.assign(dim * dim * nr, 0);
-  unpruned_.assign(dim * dim, 0);
-  recovered_.assign(dim * dim, 0);
+  counts_.widths.assign(dim, 0);
+  unions.assign(dim * dim * nr, 0);
+  unpruned.assign(dim * dim, 0);
+  recovered.assign(dim * dim, 0);
 
   const vidx_t* acp = a_.to_csc().colptr().data();
   const vidx_t* arows = a_.to_csc().rowids().data();
@@ -282,13 +270,13 @@ void PhasePass::run(int phase, int phases, std::vector<Part>& parts) {
     const auto [c0, c1] =
         phase_col_range(b_.block_cols(static_cast<int>(j)), phase, phases);
     const vidx_t width = c1 - c0;
-    width_[j] = width;
-    const vidx_t per = gpuk::slice_width(width, nslices_);
+    counts_.widths[j] = width;
+    const vidx_t per = gpuk::slice_width(width, counts_.nslices);
     for (std::size_t i = 0; i < dim; ++i) {
       rank_of[i] = static_cast<std::size_t>(
           a_.grid().rank_of(static_cast<int>(i), static_cast<int>(j)));
     }
-    Part& part = parts[j];
+    Part& part = parts_[j];
 
     const vidx_t gc0 = b_.col_offset(static_cast<int>(j)) + c0;
     for (vidx_t c = 0; c < width; ++c) {
@@ -317,7 +305,7 @@ void PhasePass::run(int phase, int phases, std::vector<Part>& parts) {
           ++c_nnz[sk * dim + i];
           for (const RangeRef& range : ranges) {
             if (prev < range.first) {
-              ++unions_[rank_of[i] * nr + static_cast<std::size_t>(range.index)];
+              ++unions[rank_of[i] * nr + static_cast<std::size_t>(range.index)];
             }
           }
         }
@@ -334,9 +322,9 @@ void PhasePass::run(int phase, int phases, std::vector<Part>& parts) {
                              col_rows_.end(), row_off_[i + 1]) -
             begin);
         const std::size_t r = rank_of[i];
-        unpruned_[r] += to - from;
+        unpruned[r] += to - from;
         if (prune_) {
-          recovered_[r] += prune_->append_kept(
+          recovered[r] += prune_->append_kept(
               from, to - from, col_rows_.data() + from,
               col_vals_.data() + from, part.rows, part.vals);
         }
@@ -360,18 +348,18 @@ void PhasePass::run(int phase, int phases, std::vector<Part>& parts) {
   }
 
   // Lay the counts out per rank for the stage loop.
-  slices_.assign(dim * dim * dim * ns, {});
+  counts_.slices.assign(dim * dim * dim * ns, {});
   for (std::size_t j = 0; j < dim; ++j) {
-    const vidx_t per = gpuk::slice_width(width_[j], nslices_);
+    const vidx_t per = gpuk::slice_width(counts_.widths[j], counts_.nslices);
     for (std::size_t d = 0; d < ns; ++d) {
       const vidx_t ncols = std::clamp<vidx_t>(
-          width_[j] - static_cast<vidx_t>(d) * per, 0, per);
+          counts_.widths[j] - static_cast<vidx_t>(d) * per, 0, per);
       for (std::size_t k = 0; k < dim; ++k) {
         const std::size_t at = ((j * ns + d) * dim + k) * dim;
         for (std::size_t i = 0; i < dim; ++i) {
           const auto r = static_cast<std::size_t>(
               a_.grid().rank_of(static_cast<int>(i), static_cast<int>(j)));
-          gpuk::SliceCounts& s = slices_[(r * dim + k) * ns + d];
+          gpuk::SliceCounts& s = counts_.slices[(r * dim + k) * ns + d];
           s.ncols = ncols;
           s.b_nnz = b_nnz_[(j * ns + d) * dim + k];
           s.flops = flops_[at + i];
@@ -380,74 +368,85 @@ void PhasePass::run(int phase, int phases, std::vector<Part>& parts) {
       }
     }
   }
-}
-
-spgemm::MultiplyCounts PhasePass::multiply(int i, int j, int k) const {
-  const auto first = (static_cast<std::size_t>(a_.grid().rank_of(i, j)) *
-                          static_cast<std::size_t>(dim_) +
-                      static_cast<std::size_t>(k)) *
-                     static_cast<std::size_t>(nslices_);
-  const std::span<const gpuk::SliceCounts> slices(
-      slices_.data() + first, static_cast<std::size_t>(nslices_));
-  spgemm::MultiplyCounts n;
-  n.a_nrows = a_.block_rows(i);
-  n.a_bytes = CscD::bytes_for(a_.block_cols(k), a_.block_nnz(i, k));
-  n.b_ncols = width_[static_cast<std::size_t>(j)];
-  std::size_t used = 0;
-  for (std::size_t d = 0; d < slices.size(); ++d) {
-    n.b_nnz += slices[d].b_nnz;
-    n.flops += slices[d].flops;
-    n.c_nnz += slices[d].c_nnz;
-    if (slices[d].ncols > 0) used = d + 1;
-  }
-  if (device_slices_) n.slices = slices.first(used);
-  return n;
+  grown_ = true;
+  return counts_;
 }
 
 /// Hands a PhaseSink the phase's columns as rank chunks (block-local rows,
 /// phase-local columns), then puts the chunks, which it may edit, back in
 /// their place: grid column j's are the last widths[j] columns of
 /// parts[j].
-void run_sink(const PhaseSink& sink, int phase, const DistMat& a,
-              std::span<const vidx_t> widths, std::vector<Part>& parts) {
-  const int dim = a.dim();
-  std::vector<vidx_t> offsets;
-  for (int i = 0; i <= dim; ++i) offsets.push_back(a.row_offset(i));
-  std::vector<CscD> chunks(static_cast<std::size_t>(a.grid().nranks()));
-  for (int j = 0; j < dim; ++j) {
-    const Part& part = parts[static_cast<std::size_t>(j)];
+void SummaPass::Impl::sink(const PhaseSink& sink, int phase) {
+  const std::span<const vidx_t> widths = counts_.widths;
+  std::vector<CscD> chunks(static_cast<std::size_t>(a_.grid().nranks()));
+  for (int j = 0; j < dim_; ++j) {
+    const Part& part = parts_[static_cast<std::size_t>(j)];
     const vidx_t first = part.ncols() - widths[static_cast<std::size_t>(j)];
-    for (int i = 0; i < dim; ++i) {
-      chunks[static_cast<std::size_t>(a.grid().rank_of(i, j))] =
+    for (int i = 0; i < dim_; ++i) {
+      chunks[static_cast<std::size_t>(a_.grid().rank_of(i, j))] =
           sparse::csc_window<vidx_t, val_t>(
-              part.colptr, part.rows, part.vals, offsets[i], offsets[i + 1],
+              part.colptr, part.rows, part.vals, row_off_[i], row_off_[i + 1],
               first, part.ncols());
     }
   }
 
   sink(phase, chunks);
 
-  for (int j = 0; j < dim; ++j) {
-    Part& part = parts[static_cast<std::size_t>(j)];
+  for (int j = 0; j < dim_; ++j) {
+    Part& part = parts_[static_cast<std::size_t>(j)];
     const vidx_t width = widths[static_cast<std::size_t>(j)];
     part.colptr.resize(static_cast<std::size_t>(part.ncols() - width) + 1);
     part.rows.resize(static_cast<std::size_t>(part.colptr.back()));
     part.vals.resize(part.rows.size());
     std::vector<const CscD*> stack;
-    for (int i = 0; i < dim; ++i) {
+    for (int i = 0; i < dim_; ++i) {
       const CscD& chunk =
-          chunks[static_cast<std::size_t>(a.grid().rank_of(i, j))];
-      if (chunk.nrows() != offsets[i + 1] - offsets[i] || chunk.ncols() != width)
+          chunks[static_cast<std::size_t>(a_.grid().rank_of(i, j))];
+      if (chunk.nrows() != row_off_[i + 1] - row_off_[i] ||
+          chunk.ncols() != width)
         throw std::invalid_argument("summa: a PhaseSink changed a chunk's shape");
       stack.push_back(&chunk);
     }
     sparse::csc_append_stacked<vidx_t, val_t>(
-        stack, std::span(offsets).first(static_cast<std::size_t>(dim)), width,
-        part.colptr, part.rows, part.vals);
+        stack, std::span(row_off_).first(static_cast<std::size_t>(dim_)),
+        width, part.colptr, part.rows, part.vals);
   }
 }
 
-}  // namespace
+/// The parts in grid-column order, each freed once it is copied, so the
+/// product is never held twice.
+DistMat SummaPass::Impl::take_product() {
+  charge_product();
+  std::vector<CscD> pieces;
+  for (Part& part : parts_) {
+    pieces.emplace_back(a_.nrows(), part.ncols(), std::move(part.colptr),
+                        std::move(part.rows), std::move(part.vals));
+    part = Part{};
+  }
+  return DistMat(sparse::csc_hcat(std::move(pieces)), a_.grid());
+}
+
+SummaPass::SummaPass(const DistMat& a, const DistMat& b,
+                     const sim::MachineConfig& machine,
+                     const SummaOptions& opt) {
+  // The pass counts device slices only when a GPU kind can run.
+  const spgemm::LocalMultiplier mult{sim::CostModel(machine), opt.kernel};
+  impl_ = std::make_unique<Impl>(
+      a, b, mult.may_use_devices() ? mult.num_devices() : 0, opt.binary_merge,
+      opt.prune);
+}
+
+SummaPass::~SummaPass() = default;
+
+const PhaseCounts& SummaPass::run(int phase, int phases) {
+  return impl_->run(phase, phases);
+}
+
+void SummaPass::sink(const PhaseSink& sink, int phase) {
+  impl_->sink(sink, phase);
+}
+
+DistMat SummaPass::take_product() { return impl_->take_product(); }
 
 std::span<const char> ColumnPrune::run(std::span<const val_t> vals) {
   const std::size_t n = vals.size();
@@ -572,275 +571,267 @@ std::pair<vidx_t, vidx_t> phase_col_range(vidx_t block_cols, int phase,
   return {c0, c1};
 }
 
-SummaResult summa_multiply(const DistMat& a, const DistMat& b,
-                           sim::SimState& sim, const SummaOptions& opt,
-                           const PhaseSink& sink) {
-  if (a.ncols() != b.nrows())
-    throw std::invalid_argument("summa: inner dimension mismatch");
-  if (a.dim() != b.dim())
-    throw std::invalid_argument("summa: grid dimension mismatch");
-  if (sim.nranks() != a.grid().nranks())
-    throw std::invalid_argument("summa: simulator rank count mismatch");
-  if (opt.phases <= 0) throw std::invalid_argument("summa: phases <= 0");
+namespace {
 
+/// Rank (i, j)'s stage-k multiply as the stage loop sees it: A(i, k) and
+/// the phase's columns of B(k, j), decompressed to CSC.
+spgemm::MultiplyCounts multiply_counts(const DistMat& a, const PhaseCounts& c,
+                                       int i, int j, int k) {
+  const auto first = (static_cast<std::size_t>(a.grid().rank_of(i, j)) *
+                          static_cast<std::size_t>(c.dim) +
+                      static_cast<std::size_t>(k)) *
+                     static_cast<std::size_t>(c.nslices);
+  const std::span<const gpuk::SliceCounts> slices(
+      c.slices.data() + first, static_cast<std::size_t>(c.nslices));
+  spgemm::MultiplyCounts n;
+  n.a_nrows = a.block_rows(i);
+  n.a_bytes = CscD::bytes_for(a.block_cols(k), a.block_nnz(i, k));
+  n.b_ncols = c.widths[static_cast<std::size_t>(j)];
+  std::size_t used = 0;
+  for (std::size_t d = 0; d < slices.size(); ++d) {
+    n.b_nnz += slices[d].b_nnz;
+    n.flops += slices[d].flops;
+    n.c_nnz += slices[d].c_nnz;
+    if (slices[d].ncols > 0) used = d + 1;
+  }
+  if (c.device_slices) n.slices = slices.first(used);
+  return n;
+}
+
+/// Bytes of the phase's columns of B(k, j) as a CSC.
+bytes_t b_chunk_bytes(const DistMat& a, const PhaseCounts& c, int k, int j) {
+  return CscD::bytes_for(c.widths[static_cast<std::size_t>(j)],
+                         multiply_counts(a, c, 0, j, k).b_nnz);
+}
+
+}  // namespace
+
+SummaAccounting::SummaAccounting(const DistMat& a, sim::SimState& sim,
+                                 const SummaOptions& opt)
+    : a_(a), sim_(sim), opt_(opt), elapsed_before_(sim.elapsed()),
+      rank_peak_(static_cast<std::size_t>(sim.nranks()), 0) {
+  // Per-rank multipliers (each owns that rank's simulated devices), and
+  // per-rank counters so stats reflect only this call.
+  const sim::CostModel model(sim.machine());
+  for (int r = 0; r < sim.nranks(); ++r) {
+    mults_.emplace_back(model, opt.kernel);
+    stages_before_.push_back(sim.rank(r).stage_times());
+    idle_before_.emplace_back(sim.rank(r).cpu_idle(), sim.rank(r).gpu_idle());
+  }
+}
+
+void SummaAccounting::charge(const PhaseCounts& counts,
+                             const std::function<void()>& sink) {
+  const DistMat& a = a_;
+  sim::SimState& sim = sim_;
   const int dim = a.dim();
   const int nranks = sim.nranks();
   const sim::CostModel model(sim.machine());
-
-  // Per-rank multipliers (each owns that rank's simulated devices).
-  std::vector<spgemm::LocalMultiplier> mults;
-  mults.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) mults.emplace_back(model, opt.kernel);
-
-  // The pass counts device slices only when a GPU kind can run.
-  PhasePass pass(a, b,
-                 mults.front().may_use_devices() ? mults.front().num_devices()
-                                                 : 0,
-                 opt.binary_merge, opt.prune);
-
-  // Snapshot per-rank counters so stats reflect only this call.
-  std::vector<RankDelta> deltas(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    deltas[static_cast<std::size_t>(r)].before = sim.rank(r).stage_times();
-    deltas[static_cast<std::size_t>(r)].cpu_idle_before = sim.rank(r).cpu_idle();
-    deltas[static_cast<std::size_t>(r)].gpu_idle_before = sim.rank(r).gpu_idle();
-  }
-  const vtime_t elapsed_before = sim.elapsed();
+  SummaStats& stats = stats_;
 
   // HipMCL is bulk-synchronous between major algorithmic steps: expansion
-  // starts together. The barrier absorbs skew from the preceding stages
-  // (unattributed), and aligning each device clock to its host keeps the
-  // GPUs' out-of-expansion quiet time from polluting the pipelined-SUMMA
-  // idle accounting of Table V.
+  // and each of its phases start together. The barrier absorbs skew from
+  // the preceding stages (unattributed), and aligning each device clock to
+  // its host keeps the GPUs' out-of-expansion quiet time from polluting
+  // the pipelined-SUMMA idle accounting of Table V.
   sim.barrier();
   for (int r = 0; r < nranks; ++r) {
     sim.rank(r).gpu_skew_to(sim.rank(r).cpu_now());
   }
 
-  SummaResult result{DistMat(a.nrows(), b.ncols(), a.grid()), {}};
-  SummaStats& stats = result.stats;
-
-  // The product's parts, charged as they grow until the result exists;
-  // per-rank running peak elements.
-  std::vector<Part> parts(static_cast<std::size_t>(dim));
-  obs::MemScope product_mem("summa.product", 0);
-  std::uint64_t product_charged = 0;
-  std::vector<std::uint64_t> rank_peak(static_cast<std::size_t>(nranks), 0);
-  std::uint64_t unpruned_bytes = 0;
-
-  for (int phase = 0; phase < opt.phases; ++phase) {
-    if (phase > 0) {
-      sim.barrier();
-      for (int r = 0; r < nranks; ++r) {
-        sim.rank(r).gpu_skew_to(sim.rank(r).cpu_now());
-      }
-    }
-    pass.run(phase, opt.phases, parts);
-
-    // Fresh merge schedules each phase, replayed on the counted stage
-    // products. Per-rank ledger tracks mirror each schedule's resident
-    // elements as bytes: the simulation visits ranks sequentially, so a
-    // shared label would conflate ranks, while per-rank labels let
-    // prefix_high_water_max("merge.resident.") re-derive
-    // merge_peak_elements_max independently.
-    std::vector<merge::BinarySchedule> binary(
-        opt.binary_merge ? static_cast<std::size_t>(nranks) : 0);
-    std::vector<merge::MultiwaySchedule> multiway(
-        opt.binary_merge ? 0 : static_cast<std::size_t>(nranks));
-    if (obs::MemLedger* ml = obs::context().ledger) {
-      constexpr std::uint64_t kBytesPerElem = sizeof(vidx_t) + sizeof(val_t);
-      for (int r = 0; r < nranks; ++r) {
-        obs::MemTracker tracker(ml, "merge.resident.r" + std::to_string(r),
-                                kBytesPerElem);
-        if (opt.binary_merge) {
-          binary[static_cast<std::size_t>(r)].set_mem_tracker(
-              std::move(tracker));
-        } else {
-          multiway[static_cast<std::size_t>(r)].set_mem_tracker(
-              std::move(tracker));
-        }
-      }
-    }
-    std::vector<vtime_t> result_ready(static_cast<std::size_t>(nranks), 0);
-
-    // Deferred merge work, per rank: a merge triggered by stage k's push
-    // executes only after stage k+1's device work has been issued, so the
-    // CPU folds partial products while the GPU multiplies — the Fig 2
-    // pipeline. `ready` is the virtual time the merge inputs exist.
-    struct PendingMerge {
-      bool armed = false;
-      std::uint64_t elements = 0;
-      int ways = 0;
-      vtime_t ready = 0;
-    };
-    std::vector<PendingMerge> pending(static_cast<std::size_t>(nranks));
-    auto flush_pending = [&](int r) {
-      auto& p = pending[static_cast<std::size_t>(r)];
-      if (!p.armed) return;
-      auto& tl = sim.rank(r);
-      tl.cpu_wait_until(p.ready);
-      tl.cpu_run(Stage::kMerge, model.merge(p.elements, p.ways));
-      p.armed = false;
-    };
-
-    for (int k = 0; k < dim; ++k) {
-      // Every receiving rank decompresses its operand blocks to CSC; the
-      // staging they would take is charged from the counts.
-      std::uint64_t staging_bytes = 0;
-      for (int i = 0; i < dim; ++i) {
-        staging_bytes += CscD::bytes_for(a.block_cols(k), a.block_nnz(i, k));
-      }
-      for (int j = 0; j < dim; ++j) staging_bytes += pass.b_chunk_bytes(k, j);
-      obs::MemScope staging_mem("summa.staging", staging_bytes);
-
-      // Row broadcasts of A(i,k); column broadcasts of B(k,j)'s chunk.
-      for (int i = 0; i < dim; ++i) {
-        const auto group = a.grid().row_ranks(i);
-        const bytes_t bytes = a.block_bytes(i, k);
-        obs::record("summa.bcast_bytes", static_cast<double>(bytes));
-        obs::MemScope payload_mem("summa.bcast_payload", bytes);
-        sim::sim_bcast(sim, group, bytes, Stage::kSummaBcast);
-      }
-      for (int j = 0; j < dim; ++j) {
-        const auto group = a.grid().col_ranks(j);
-        const bytes_t bytes = pass.b_chunk_bytes(k, j);
-        obs::record("summa.bcast_bytes", static_cast<double>(bytes));
-        obs::MemScope payload_mem("summa.bcast_payload", bytes);
-        sim::sim_bcast(sim, group, bytes, Stage::kSummaBcast);
-      }
-
-      // Local multiplies, charged from their counts.
-      for (int i = 0; i < dim; ++i) {
-        for (int j = 0; j < dim; ++j) {
-          const int r = a.grid().rank_of(i, j);
-          auto& tl = sim.rank(r);
-          const spgemm::MultiplyCounts n = pass.multiply(i, j, k);
-
-          tl.cpu_run(Stage::kOther,
-                     conversion_cost(model, static_cast<std::uint64_t>(
-                                                a.block_cols(k) + n.b_ncols)));
-
-          const spgemm::LocalSpgemmResult lr =
-              mults[static_cast<std::size_t>(r)].charge(n, opt.cf_estimate);
-          stats.total_flops += lr.flops;
-          if (lr.gpu_fallback) ++stats.gpu_fallbacks;
-
-          if (lr.device_cost.kernel > 0) {
-            // GPU path: host blocks on the H2D transfer only.
-            tl.cpu_run(Stage::kLocalSpGEMM, lr.device_cost.h2d);
-            const vtime_t kernel_done = tl.gpu_run(
-                Stage::kLocalSpGEMM, lr.device_cost.kernel, tl.cpu_now());
-            const vtime_t out_ready = tl.gpu_run(
-                Stage::kLocalSpGEMM, lr.device_cost.d2h, kernel_done);
-            result_ready[static_cast<std::size_t>(r)] = out_ready;
-            if (!opt.pipelined) tl.cpu_wait_until(out_ready);
-          } else {
-            tl.cpu_run(Stage::kLocalSpGEMM, lr.cpu_time);
-            result_ready[static_cast<std::size_t>(r)] = tl.cpu_now();
-          }
-
-          // Now that this stage's device work is issued, the CPU is free
-          // to execute the merge the *previous* stage armed (its inputs
-          // are ready: device work completes in stage order).
-          flush_pending(r);
-
-          if (opt.binary_merge) {
-            const auto outcome = binary[static_cast<std::size_t>(r)].push(
-                n.c_nnz, [&](int, int first, int end) {
-                  return pass.merged_size(r, first, end);
-                });
-            if (outcome.merged) {
-              auto& p = pending[static_cast<std::size_t>(r)];
-              p.armed = true;
-              p.elements = outcome.elements;
-              p.ways = outcome.ways;
-              p.ready = result_ready[static_cast<std::size_t>(r)];
-            }
-          } else {
-            multiway[static_cast<std::size_t>(r)].push(n.c_nnz);
-          }
-        }
-      }
-    }
-
-    // Finalize the merge schedules; this phase's columns are the pass's.
+  // Fresh merge schedules each phase, replayed on the counted stage
+  // products. Per-rank ledger tracks mirror each schedule's resident
+  // elements as bytes: the simulation visits ranks sequentially, so a
+  // shared label would conflate ranks, while per-rank labels let
+  // prefix_high_water_max("merge.resident.") re-derive
+  // merge_peak_elements_max independently.
+  std::vector<merge::BinarySchedule> binary(
+      opt_.binary_merge ? static_cast<std::size_t>(nranks) : 0);
+  std::vector<merge::MultiwaySchedule> multiway(
+      opt_.binary_merge ? 0 : static_cast<std::size_t>(nranks));
+  if (obs::MemLedger* ml = obs::context().ledger) {
+    constexpr std::uint64_t kBytesPerElem = sizeof(vidx_t) + sizeof(val_t);
     for (int r = 0; r < nranks; ++r) {
-      auto& tl = sim.rank(r);
-      const auto ri = static_cast<std::size_t>(r);
-      if (opt.binary_merge) {
-        flush_pending(r);  // any merge still armed from the last stage
-        const auto outcome =
-            binary[ri].finalize([&](int, int first, int end) {
-              return pass.merged_size(r, first, end);
-            });
-        tl.cpu_wait_until(result_ready[ri]);
-        if (outcome.merged) {
-          tl.cpu_run(Stage::kMerge,
-                     model.merge(outcome.elements, outcome.ways));
-        }
-        rank_peak[ri] = std::max(rank_peak[ri],
-                                 binary[ri].stats().peak_elements);
+      obs::MemTracker tracker(ml, "merge.resident.r" + std::to_string(r),
+                              kBytesPerElem);
+      if (opt_.binary_merge) {
+        binary[static_cast<std::size_t>(r)].set_mem_tracker(
+            std::move(tracker));
       } else {
-        tl.cpu_wait_until(result_ready[ri]);
-        const merge::MergeEvent e = multiway[ri].finalize(
-            [&] { return pass.merged_size(r, 0, dim); });
-        if (e.ways > 0) {
-          tl.cpu_run(Stage::kMerge, model.merge(e.elements, e.ways));
-        }
-        rank_peak[ri] = std::max(rank_peak[ri],
-                                 multiway[ri].stats().peak_elements);
+        multiway[static_cast<std::size_t>(r)].set_mem_tracker(
+            std::move(tracker));
       }
-      tl.join();
-    }
-    // The unpruned product, from the pass's counts: summed over ranks and
-    // phases this is exactly nnz(A·B), the actual the estimator audit
-    // joins against Cohen's prediction.
-    for (int r = 0; r < nranks; ++r) {
-      const std::uint64_t nnz = pass.unpruned()[static_cast<std::size_t>(r)];
-      stats.unpruned_nnz += nnz;
-      unpruned_bytes += CscD::bytes_for(
-          pass.widths()[static_cast<std::size_t>(a.grid().coords(r).second)],
-          nnz);
-    }
-
-    if (opt.prune || sink) {
-      const vtime_t sink_start = sim.elapsed();
-      if (opt.prune) {
-        charge_prune(sim, a.grid(), *opt.prune, pass.widths(),
-                     pass.unpruned(), pass.recovered());
-      }
-      if (sink) run_sink(sink, phase, a, pass.widths(), parts);
-      stats.sink_time += sim.elapsed() - sink_start;
-    }
-
-    std::uint64_t held = 0;
-    for (const Part& part : parts) held += part.bytes();
-    if (held > product_charged) {
-      product_mem.add(held - product_charged);
-      product_charged = held;
     }
   }
+  std::vector<vtime_t> result_ready(static_cast<std::size_t>(nranks), 0);
 
-  // The parts in grid-column order, each freed once it is copied, so the
-  // product is never held twice.
-  std::vector<CscD> pieces;
-  for (Part& part : parts) {
-    pieces.emplace_back(a.nrows(), part.ncols(), std::move(part.colptr),
-                        std::move(part.rows), std::move(part.vals));
-  }
-  result.c = DistMat(sparse::csc_hcat(std::move(pieces)), a.grid());
-  for (int i = 0; i < dim; ++i) {
+  // Deferred merge work, per rank: a merge triggered by stage k's push
+  // executes only after stage k+1's device work has been issued, so the
+  // CPU folds partial products while the GPU multiplies — the Fig 2
+  // pipeline. `ready` is the virtual time the merge inputs exist.
+  struct PendingMerge {
+    bool armed = false;
+    std::uint64_t elements = 0;
+    int ways = 0;
+    vtime_t ready = 0;
+  };
+  std::vector<PendingMerge> pending(static_cast<std::size_t>(nranks));
+  auto flush_pending = [&](int r) {
+    auto& p = pending[static_cast<std::size_t>(r)];
+    if (!p.armed) return;
+    auto& tl = sim.rank(r);
+    tl.cpu_wait_until(p.ready);
+    tl.cpu_run(Stage::kMerge, model.merge(p.elements, p.ways));
+    p.armed = false;
+  };
+
+  for (int k = 0; k < dim; ++k) {
+    // Every receiving rank decompresses its operand blocks to CSC; the
+    // staging they would take is charged from the counts.
+    std::uint64_t staging_bytes = 0;
+    for (int i = 0; i < dim; ++i) {
+      staging_bytes += CscD::bytes_for(a.block_cols(k), a.block_nnz(i, k));
+    }
     for (int j = 0; j < dim; ++j) {
-      sim.rank(a.grid().rank_of(i, j))
-          .cpu_run(Stage::kOther, model.other(result.c.block_nnz(i, j)));
+      staging_bytes += b_chunk_bytes(a, counts, k, j);
+    }
+    obs::MemScope staging_mem("summa.staging", staging_bytes);
+
+    // Row broadcasts of A(i,k); column broadcasts of B(k,j)'s chunk.
+    for (int i = 0; i < dim; ++i) {
+      const auto group = a.grid().row_ranks(i);
+      const bytes_t bytes = a.block_bytes(i, k);
+      obs::record("summa.bcast_bytes", static_cast<double>(bytes));
+      obs::MemScope payload_mem("summa.bcast_payload", bytes);
+      sim::sim_bcast(sim, group, bytes, Stage::kSummaBcast);
+    }
+    for (int j = 0; j < dim; ++j) {
+      const auto group = a.grid().col_ranks(j);
+      const bytes_t bytes = b_chunk_bytes(a, counts, k, j);
+      obs::record("summa.bcast_bytes", static_cast<double>(bytes));
+      obs::MemScope payload_mem("summa.bcast_payload", bytes);
+      sim::sim_bcast(sim, group, bytes, Stage::kSummaBcast);
+    }
+
+    // Local multiplies, charged from their counts.
+    for (int i = 0; i < dim; ++i) {
+      for (int j = 0; j < dim; ++j) {
+        const int r = a.grid().rank_of(i, j);
+        auto& tl = sim.rank(r);
+        const spgemm::MultiplyCounts n = multiply_counts(a, counts, i, j, k);
+
+        tl.cpu_run(Stage::kOther,
+                   conversion_cost(model, static_cast<std::uint64_t>(
+                                              a.block_cols(k) + n.b_ncols)));
+
+        const spgemm::LocalSpgemmResult lr =
+            mults_[static_cast<std::size_t>(r)].charge(n, opt_.cf_estimate);
+        stats.total_flops += lr.flops;
+        if (lr.gpu_fallback) ++stats.gpu_fallbacks;
+
+        if (lr.device_cost.kernel > 0) {
+          // GPU path: host blocks on the H2D transfer only.
+          tl.cpu_run(Stage::kLocalSpGEMM, lr.device_cost.h2d);
+          const vtime_t kernel_done = tl.gpu_run(
+              Stage::kLocalSpGEMM, lr.device_cost.kernel, tl.cpu_now());
+          const vtime_t out_ready = tl.gpu_run(
+              Stage::kLocalSpGEMM, lr.device_cost.d2h, kernel_done);
+          result_ready[static_cast<std::size_t>(r)] = out_ready;
+          if (!opt_.pipelined) tl.cpu_wait_until(out_ready);
+        } else {
+          tl.cpu_run(Stage::kLocalSpGEMM, lr.cpu_time);
+          result_ready[static_cast<std::size_t>(r)] = tl.cpu_now();
+        }
+
+        // Now that this stage's device work is issued, the CPU is free
+        // to execute the merge the *previous* stage armed (its inputs
+        // are ready: device work completes in stage order).
+        flush_pending(r);
+
+        if (opt_.binary_merge) {
+          const auto outcome = binary[static_cast<std::size_t>(r)].push(
+              n.c_nnz, [&](int, int first, int end) {
+                return counts.merged_size(r, first, end);
+              });
+          if (outcome.merged) {
+            auto& p = pending[static_cast<std::size_t>(r)];
+            p.armed = true;
+            p.elements = outcome.elements;
+            p.ways = outcome.ways;
+            p.ready = result_ready[static_cast<std::size_t>(r)];
+          }
+        } else {
+          multiway[static_cast<std::size_t>(r)].push(n.c_nnz);
+        }
+      }
+    }
+  }
+
+  // Finalize the merge schedules; this phase's columns are the pass's.
+  for (int r = 0; r < nranks; ++r) {
+    auto& tl = sim.rank(r);
+    const auto ri = static_cast<std::size_t>(r);
+    if (opt_.binary_merge) {
+      flush_pending(r);  // any merge still armed from the last stage
+      const auto outcome = binary[ri].finalize([&](int, int first, int end) {
+        return counts.merged_size(r, first, end);
+      });
+      tl.cpu_wait_until(result_ready[ri]);
+      if (outcome.merged) {
+        tl.cpu_run(Stage::kMerge, model.merge(outcome.elements, outcome.ways));
+      }
+      rank_peak_[ri] =
+          std::max(rank_peak_[ri], binary[ri].stats().peak_elements);
+    } else {
+      tl.cpu_wait_until(result_ready[ri]);
+      const merge::MergeEvent e = multiway[ri].finalize(
+          [&] { return counts.merged_size(r, 0, dim); });
+      if (e.ways > 0) {
+        tl.cpu_run(Stage::kMerge, model.merge(e.elements, e.ways));
+      }
+      rank_peak_[ri] =
+          std::max(rank_peak_[ri], multiway[ri].stats().peak_elements);
+    }
+    tl.join();
+  }
+  // The unpruned product, from the pass's counts: summed over ranks and
+  // phases this is exactly nnz(A·B), the actual the estimator audit
+  // joins against Cohen's prediction.
+  for (int r = 0; r < nranks; ++r) {
+    const std::uint64_t nnz = counts.unpruned[static_cast<std::size_t>(r)];
+    stats.unpruned_nnz += nnz;
+    unpruned_bytes_ += CscD::bytes_for(
+        counts.widths[static_cast<std::size_t>(a.grid().coords(r).second)],
+        nnz);
+  }
+
+  if (opt_.prune || sink) {
+    const vtime_t sink_start = sim.elapsed();
+    if (opt_.prune) {
+      charge_prune(sim, a.grid(), *opt_.prune, counts.widths, counts.unpruned,
+                   counts.recovered);
+    }
+    if (sink) sink();
+    stats.sink_time += sim.elapsed() - sink_start;
+  }
+}
+
+SummaStats SummaAccounting::finish(const DistMat& c) {
+  const int nranks = sim_.nranks();
+  const sim::CostModel model(sim_.machine());
+  SummaStats& stats = stats_;
+  for (int i = 0; i < c.dim(); ++i) {
+    for (int j = 0; j < c.dim(); ++j) {
+      sim_.rank(c.grid().rank_of(i, j))
+          .cpu_run(Stage::kOther, model.other(c.block_nnz(i, j)));
     }
   }
 
   // Stats: per-rank deltas.
   for (int r = 0; r < nranks; ++r) {
     const auto ri = static_cast<std::size_t>(r);
-    const auto& now = sim.rank(r).stage_times();
-    const auto& was = deltas[ri].before;
+    const auto& now = sim_.rank(r).stage_times();
+    const auto& was = stages_before_[ri];
     auto delta = [&](Stage s) {
       return now[static_cast<std::size_t>(s)] -
              was[static_cast<std::size_t>(s)];
@@ -849,22 +840,22 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
     stats.bcast_time = std::max(stats.bcast_time, delta(Stage::kSummaBcast));
     stats.merge_time = std::max(stats.merge_time, delta(Stage::kMerge));
     stats.other_time = std::max(stats.other_time, delta(Stage::kOther));
-    stats.cpu_idle += sim.rank(r).cpu_idle() - deltas[ri].cpu_idle_before;
-    stats.gpu_idle += sim.rank(r).gpu_idle() - deltas[ri].gpu_idle_before;
-    stats.merge_peak_elements_sum += rank_peak[ri];
+    stats.cpu_idle += sim_.rank(r).cpu_idle() - idle_before_[ri].first;
+    stats.gpu_idle += sim_.rank(r).gpu_idle() - idle_before_[ri].second;
+    stats.merge_peak_elements_sum += rank_peak_[ri];
     stats.merge_peak_elements_max =
-        std::max(stats.merge_peak_elements_max, rank_peak[ri]);
+        std::max(stats.merge_peak_elements_max, rank_peak_[ri]);
   }
   stats.cpu_idle /= static_cast<double>(nranks);
   stats.gpu_idle /= static_cast<double>(nranks);
-  stats.elapsed = sim.elapsed() - elapsed_before - stats.sink_time;
+  stats.elapsed = sim_.elapsed() - elapsed_before_ - stats.sink_time;
 
   // Per-call observability: the Table II per-operation intervals. The
   // per-rank interval detail is exported by the event log (sim/eventlog);
   // these summaries make each expansion's shape queryable from a report.
   if (obs::context().metrics) {
     obs::count("summa.calls");
-    obs::count("summa.phases", static_cast<std::uint64_t>(opt.phases));
+    obs::count("summa.phases", static_cast<std::uint64_t>(opt_.phases));
     obs::count("summa.gpu_fallbacks",
                static_cast<std::uint64_t>(stats.gpu_fallbacks));
     // Per-call distributions (expansion times vary wildly across the
@@ -880,9 +871,35 @@ SummaResult summa_multiply(const DistMat& a, const DistMat& b,
   // model (the nnz actual joins in core/hipmcl, which knows which
   // estimator produced the prediction).
   obs::mem_measure("memory.phase_bytes",
-                   static_cast<double>(unpruned_bytes) /
+                   static_cast<double>(unpruned_bytes_) /
                        (static_cast<double>(nranks) *
-                        static_cast<double>(opt.phases)));
+                        static_cast<double>(opt_.phases)));
+  return stats;
+}
+
+SummaResult summa_multiply(const DistMat& a, const DistMat& b,
+                           sim::SimState& sim, const SummaOptions& opt,
+                           const PhaseSink& sink) {
+  if (a.ncols() != b.nrows())
+    throw std::invalid_argument("summa: inner dimension mismatch");
+  if (a.dim() != b.dim())
+    throw std::invalid_argument("summa: grid dimension mismatch");
+  if (sim.nranks() != a.grid().nranks())
+    throw std::invalid_argument("summa: simulator rank count mismatch");
+  if (opt.phases <= 0) throw std::invalid_argument("summa: phases <= 0");
+
+  SummaPass pass(a, b, sim.machine(), opt);
+  SummaAccounting account(a, sim, opt);
+  for (int phase = 0; phase < opt.phases; ++phase) {
+    const PhaseCounts& counts = pass.run(phase, opt.phases);
+    if (sink) {
+      account.charge(counts, [&] { pass.sink(sink, phase); });
+    } else {
+      account.charge(counts);
+    }
+  }
+  SummaResult result{pass.take_product(), {}};
+  result.stats = account.finish(result.c);
   return result;
 }
 

@@ -5,15 +5,17 @@
 // multiplies its received pair locally and merges the per-stage partial
 // products into its C block.
 //
-// The host computes each phase's columns once, in one pass over the
-// phase's global columns of the operands' host matrices, folding the
-// stages left to right exactly as the per-block products and their
-// merges would. The pass counts what the stage loop charges — per rank and
-// stage the flops and product nnz, per device slice the same, and the
-// size of every stage range the binary merge folds — and the stage loop
-// replays kernel selection, GPU reservations, merges and every virtual
-// time from those counts: stage products and merge intermediates are
-// counted, not built.
+// The host pass (SummaPass) computes each phase's columns once, in one
+// pass over the phase's global columns of the operands' host matrices,
+// folding the stages left to right exactly as the per-block products and
+// their merges would. The pass counts what the stage loop charges — per
+// rank and stage the flops and product nnz, per device slice the same, and
+// the size of every stage range the binary merge folds — and the
+// accounting (SummaAccounting) replays kernel selection, GPU reservations,
+// merges and every virtual time from those counts: stage products and
+// merge intermediates are counted, not built. summa_multiply composes the
+// two; the exact estimator drives them itself, to read nnz(A·A) off a
+// one-phase pass before it plans the phases.
 //
 // Variants (§III, §IV):
 //  * blocking   — original HipMCL: bcast → multiply → next stage; merging
@@ -33,11 +35,14 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "dist/distmat.hpp"
+#include "gpuk/multigpu.hpp"
 #include "sim/timeline.hpp"
 #include "spgemm/registry.hpp"
 #include "util/types.hpp"
@@ -175,8 +180,84 @@ struct SummaResult {
   SummaStats stats;
 };
 
-/// Distributed multiply. `a` and `b` must share the grid size and agree on
-/// the inner dimension; `sim` must have grid-size ranks.
+/// One phase's counts from the host pass: all that the accounting reads.
+struct PhaseCounts {
+  int dim = 0;
+  int nslices = 1;             ///< device slices per chunk (1: not counted)
+  bool device_slices = false;  ///< a GPU kind can run: multiplies see slices
+  /// The stage ranges Algorithm 2 folds short of the whole phase.
+  std::vector<std::pair<int, int>> ranges;
+  std::vector<vidx_t> widths;            ///< per grid column: chunk width
+  std::vector<std::uint64_t> unpruned;   ///< per rank: nnz before the prune
+  std::vector<std::uint64_t> recovered;  ///< per rank: after the recovery
+  /// Per rank r, stage k and slice d, at (r·dim + k)·nslices + d.
+  std::vector<gpuk::SliceCounts> slices;
+  /// Per rank r and range u, at r·ranges.size() + u: the range's size.
+  std::vector<std::uint64_t> unions;
+
+  /// nnz(A·B) over the phase's columns, before the prune.
+  std::uint64_t unpruned_nnz() const {
+    return std::accumulate(unpruned.begin(), unpruned.end(), std::uint64_t{0});
+  }
+  /// Entries of the sum of rank r's stage products [first, end).
+  std::uint64_t merged_size(int r, int first, int end) const;
+};
+
+/// SUMMA's host half: builds the product phase by phase, pruned when
+/// `opt.prune` is set, and counts each phase (device slices only when
+/// `opt.kernel` can run a GPU kind on `machine`). `opt.phases` is unread.
+class SummaPass {
+ public:
+  SummaPass(const DistMat& a, const DistMat& b,
+            const sim::MachineConfig& machine, const SummaOptions& opt);
+  ~SummaPass();
+
+  /// Builds phase `phase` of `phases`, appends its columns to the product
+  /// and returns its counts, valid until the next call.
+  const PhaseCounts& run(int phase, int phases);
+  /// Hands `sink` the last phase's columns as rank chunks and puts them
+  /// back, edits included.
+  void sink(const PhaseSink& sink, int phase);
+  /// The product of the phases run so far; the pass holds none after.
+  DistMat take_product();
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// SUMMA's virtual half: charges `opt.phases` phases from their counts.
+/// Construction starts the expansion, so it follows every earlier charge.
+class SummaAccounting {
+ public:
+  SummaAccounting(const DistMat& a, sim::SimState& sim,
+                  const SummaOptions& opt);
+
+  /// Charges the next phase: the ranks meet at a barrier, then the
+  /// broadcasts, multiplies and merges, the prune and `sink`, whose
+  /// virtual time is SummaStats::sink_time's.
+  void charge(const PhaseCounts& counts,
+              const std::function<void()>& sink = {});
+  /// Charges placing the product `c`; the call's statistics.
+  SummaStats finish(const DistMat& c);
+
+ private:
+  const DistMat& a_;
+  sim::SimState& sim_;
+  SummaOptions opt_;
+  std::vector<spgemm::LocalMultiplier> mults_;  ///< per rank
+  std::vector<sim::StageTimes> stages_before_;  ///< per rank
+  std::vector<std::pair<vtime_t, vtime_t>> idle_before_;  ///< cpu, gpu
+  vtime_t elapsed_before_ = 0;
+  std::vector<std::uint64_t> rank_peak_;  ///< per rank: peak merge elements
+  std::uint64_t unpruned_bytes_ = 0;
+  SummaStats stats_;
+};
+
+/// Distributed multiply: SummaPass and SummaAccounting over `opt.phases`
+/// phases, `sink` after each phase's prune. `a` and `b` must share the
+/// grid size and agree on the inner dimension; `sim` must have grid-size
+/// ranks.
 SummaResult summa_multiply(const DistMat& a, const DistMat& b,
                            sim::SimState& sim, const SummaOptions& opt,
                            const PhaseSink& sink = {});

@@ -1,6 +1,8 @@
 #include "gen/datasets.hpp"
 
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace mclx::gen {
@@ -46,9 +48,17 @@ PlantedParams recipe_for(const std::string& name, double size_scale,
   } else {
     throw std::invalid_argument("unknown dataset: " + name);
   }
-  p.n = std::max<vidx_t>(
-      50, static_cast<vidx_t>(std::llround(static_cast<double>(p.n) *
-                                           size_scale)));
+  // The floor of 50 vertices is for small positive scales; NaN, ±Inf,
+  // zero, negative scales and sizes past vidx_t have no graph.
+  const double n = static_cast<double>(p.n) * size_scale;
+  if (!(size_scale > 0) || !(n < std::numeric_limits<vidx_t>::max())) {
+    std::ostringstream msg;
+    msg << "make_dataset: scale must be positive and size '" << name
+        << "' below " << std::numeric_limits<vidx_t>::max()
+        << " vertices, got " << size_scale;
+    throw std::invalid_argument(msg.str());
+  }
+  p.n = std::max<vidx_t>(50, static_cast<vidx_t>(std::llround(n)));
   return p;
 }
 

@@ -18,9 +18,13 @@ namespace {
 /// Recursive-descent parser over a whole JSON document, flattening
 /// leaves into dotted paths as it goes. Full value grammar (objects,
 /// arrays, strings, numbers, bools, null); only the string escapes the
-/// repo's writers emit.
+/// repo's writers emit. Each level of nesting costs a stack frame and a
+/// copy of the path so far, so nesting is bounded far above what the
+/// repo writes: BENCH files nest 3 levels and Chrome traces 4.
 class Flattener {
  public:
+  static constexpr int kMaxDepth = 64;
+
   explicit Flattener(std::string_view text) : s_(text) {}
 
   FlatDoc run() {
@@ -57,10 +61,17 @@ class Flattener {
 
   void parse_value(const std::string& path) {
     const char c = peek();
-    if (c == '{') {
-      parse_object(path);
-    } else if (c == '[') {
-      parse_array(path);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      if (c == '{') {
+        parse_object(path);
+      } else {
+        parse_array(path);
+      }
+      --depth_;
     } else if (c == '"') {
       FlatValue v;
       v.kind = FlatValue::Kind::kString;
@@ -168,6 +179,7 @@ class Flattener {
 
   std::string_view s_;
   std::size_t i_ = 0;
+  int depth_ = 0;  ///< objects and arrays open around the cursor
   FlatDoc doc_;
 };
 

@@ -38,7 +38,8 @@ struct FlatValue {
 using FlatDoc = std::map<std::string, FlatValue>;
 
 /// Parse arbitrary (small) JSON and flatten it. Throws
-/// std::runtime_error on malformed input.
+/// std::runtime_error, naming the offset and the fault, on malformed input
+/// and on objects and arrays nested deeper than 64 levels.
 FlatDoc flatten_json(std::string_view text);
 FlatDoc flatten_json_file(const std::string& path);
 

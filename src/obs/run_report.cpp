@@ -222,7 +222,6 @@ const std::vector<FieldSpec>& iteration_schema() {
       {"nnz_before", FieldType::kUInt},
       {"flops", FieldType::kUInt},
       {"est_unpruned_nnz", FieldType::kDouble},
-      {"exact_unpruned_nnz", FieldType::kDouble},
       {"measured_unpruned_nnz", FieldType::kUInt},
       {"estimator_rel_error", FieldType::kDouble},
       {"used_exact_estimator", FieldType::kBool},
@@ -389,15 +388,10 @@ Record make_iteration_record(const core::IterationReport& it) {
   r.add("nnz_before", it.nnz_before);
   r.add("flops", it.flops);
   r.add("est_unpruned_nnz", it.est_unpruned_nnz);
-  r.add("exact_unpruned_nnz", it.exact_unpruned_nnz);
   r.add("measured_unpruned_nnz", it.measured_unpruned_nnz);
-  // Relative estimator error against the best available actual: the
-  // expansion's measured count (every run) or the uncharged symbolic
-  // count (measure_estimation_error runs); -1 when neither exists.
-  const double actual =
-      it.measured_unpruned_nnz > 0
-          ? static_cast<double>(it.measured_unpruned_nnz)
-          : it.exact_unpruned_nnz;
+  // Relative estimator error against the pass's count of nnz(A·A); -1
+  // when the product is empty.
+  const auto actual = static_cast<double>(it.measured_unpruned_nnz);
   const double rel_error =
       actual > 0 ? std::abs(it.est_unpruned_nnz - actual) / actual : -1.0;
   r.add("estimator_rel_error", rel_error);

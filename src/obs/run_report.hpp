@@ -37,7 +37,9 @@ namespace mclx::obs {
 /// (docs/SERVICE.md) stay attributable after aggregation ("" for
 /// standalone runs). Version 6 folds `observation` records into
 /// `histogram`, which gains `stddev`: one record per value metric.
-inline constexpr std::uint64_t kReportSchemaVersion = 6;
+/// Version 7 drops iteration `exact_unpruned_nnz`, which only repeated
+/// `measured_unpruned_nnz`.
+inline constexpr std::uint64_t kReportSchemaVersion = 7;
 
 /// Stage index -> report field name for the six Fig 1 stages
 /// ("t_local_spgemm_s" … "t_other_s"); the single source of truth shared

@@ -1,5 +1,6 @@
 #include "svc/manifest.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -102,6 +103,9 @@ bool parse_manifest_line(const std::string& line, JobSpec& out,
       workload = value;
     } else if (key == "scale") {
       scale = parse_double(key, value);
+      if (!(scale > 0) || !std::isfinite(scale)) {
+        fail("scale must be a positive finite number, got '" + value + "'");
+      }
     } else if (key == "seed") {
       dataset_seed = static_cast<std::uint64_t>(parse_int(key, value));
     } else if (key == "nodes") {

@@ -21,15 +21,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::string_view estimator_name(core::EstimatorKind kind) {
-  switch (kind) {
-    case core::EstimatorKind::kExactSymbolic: return "exact";
-    case core::EstimatorKind::kProbabilistic: return "probabilistic";
-    case core::EstimatorKind::kAdaptive: return "adaptive";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 std::string_view to_string(JobState s) {
@@ -474,7 +465,7 @@ void Scheduler::execute(Handle& h) {
       info.workload = h.spec.workload;
       info.job_id = h.spec.id;
       info.config = h.spec.config_name;
-      info.estimator = std::string(estimator_name(config.estimator));
+      info.estimator = std::string(core::to_string(config.estimator));
       info.nodes = static_cast<std::uint64_t>(h.spec.nodes);
       info.nranks = static_cast<std::uint64_t>(sim.nranks());
       info.vertices = static_cast<std::uint64_t>(h.spec.graph.nrows());

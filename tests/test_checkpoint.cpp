@@ -1,9 +1,9 @@
-// Checkpoint / restart: format round trip, the v3 layout the writer
-// emits and the v1 and v2 layouts the loader still reads, named errors
+// Checkpoint / restart: format round trip, the v4 layout the writer
+// emits and the v1, v2 and v3 layouts the loader still reads, named errors
 // for corrupt, truncated or bit-flipped files, crash-safe rename, bitwise
-// chunked execution at any thread count, interrupted-run resume and
-// reruns of finished and converged checkpoints, directly and through the
-// scheduler.
+// chunked execution at any thread count, interrupted-run resume, the
+// stall rule's stop across chunks and resumes, and reruns of finished and
+// converged checkpoints, directly and through the scheduler.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -32,6 +32,14 @@ std::string temp_path(const std::string& name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
+}
+
+/// A file name of the running test's own, so that tests ctest runs as
+/// concurrent processes never share one.
+std::string own_temp_path(const std::string& stem) {
+  return temp_path(
+      stem + "_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin");
 }
 
 gen::PlantedGraph test_graph(std::uint64_t seed) {
@@ -100,6 +108,20 @@ std::string v3_bytes(const dist::TriplesD& m, std::int64_t done,
   return out;
 }
 
+/// The v4 layout by hand: v3's fields up to the converged byte, the last
+/// chaos, then the checksum of every byte before it.
+std::string v4_bytes(const dist::TriplesD& m, std::int64_t done,
+                     bool converged, double prev_chaos) {
+  std::string out = v1_bytes(m, done);
+  out[7] = '4';
+  put(out, static_cast<std::uint8_t>(converged));
+  put(out, prev_chaos);
+  put(out, fnv1a64(out));
+  return out;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary) << bytes;
 }
@@ -138,7 +160,7 @@ struct PoolGuard {
 /// Loads `bytes` from a file and expects a runtime_error naming `error`.
 void expect_load_error(const std::string& bytes, const std::string& error,
                        const std::string& what) {
-  const std::string path = temp_path("ckp_load_error.bin");
+  const std::string path = own_temp_path("ckp_load_error");
   write_file(path, bytes);
   try {
     core::load_checkpoint(path);
@@ -153,14 +175,31 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
   const auto g = test_graph(101);
   const std::string path = temp_path("ckp_roundtrip.bin");
   for (const bool converged : {false, true}) {
-    core::Checkpoint cp{g.edges, 7, converged};
-    core::save_checkpoint(path, cp);
-    EXPECT_EQ(read_file(path), v3_bytes(g.edges, 7, converged));
+    for (const double chaos : {0.0, 0.1875, kInf}) {
+      core::Checkpoint cp{g.edges, 7, converged, chaos};
+      core::save_checkpoint(path, cp);
+      EXPECT_EQ(read_file(path), v4_bytes(g.edges, 7, converged, chaos));
+      const auto back = core::load_checkpoint(path);
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(back->completed_iterations, 7);
+      EXPECT_EQ(back->matrix, g.edges);
+      EXPECT_EQ(back->converged, converged);
+      EXPECT_EQ(std::memcmp(&back->prev_chaos, &chaos, sizeof(double)), 0);
+    }
+  }
+}
+
+TEST(Checkpoint, V3FilesStillLoadWithAnInfiniteLastChaos) {
+  const auto g = test_graph(108);
+  const std::string path = temp_path("ckp_v3_legacy.bin");
+  for (const bool converged : {false, true}) {
+    write_file(path, v3_bytes(g.edges, 6, converged));
     const auto back = core::load_checkpoint(path);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->completed_iterations, 7);
+    EXPECT_EQ(back->completed_iterations, 6);
     EXPECT_EQ(back->matrix, g.edges);
     EXPECT_EQ(back->converged, converged);
+    EXPECT_EQ(back->prev_chaos, kInf);
   }
 }
 
@@ -173,16 +212,12 @@ TEST(Checkpoint, V1FilesStillLoadAsNotConverged) {
   EXPECT_EQ(back->completed_iterations, 5);
   EXPECT_EQ(back->matrix, g.edges);
   EXPECT_FALSE(back->converged);
+  EXPECT_EQ(back->prev_chaos, kInf);
 }
 
-TEST(Checkpoint, EveryBitFlipOfAV3FileIsANamedError) {
-  // A flip in the magic can turn the file into a v1 or v2 one, whose
-  // parse then meets the v3 tail; anywhere else the checksum disagrees.
-  dist::TriplesD m(3, 3);
-  m.push_unchecked(0, 1, 0.25);
-  m.push_unchecked(2, 2, 0.75);
-  const std::string good = v3_bytes(m, 4, true);
-  const std::string path = temp_path("ckp_bit_flip.bin");
+/// Every single-bit flip of `good` fails to load with a named error.
+void expect_every_bit_flip_named(const std::string& good) {
+  const std::string path = own_temp_path("ckp_bit_flip");
   for (std::size_t byte = 0; byte < good.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string bad = good;
@@ -198,6 +233,22 @@ TEST(Checkpoint, EveryBitFlipOfAV3FileIsANamedError) {
       }
     }
   }
+}
+
+TEST(Checkpoint, EveryBitFlipOfAV3FileIsANamedError) {
+  // A flip in the magic can turn the file into a v1 or v2 one, whose
+  // parse then meets the v3 tail; anywhere else the checksum disagrees.
+  dist::TriplesD m(3, 3);
+  m.push_unchecked(0, 1, 0.25);
+  m.push_unchecked(2, 2, 0.75);
+  expect_every_bit_flip_named(v3_bytes(m, 4, true));
+}
+
+TEST(Checkpoint, EveryBitFlipOfAV4FileIsANamedError) {
+  dist::TriplesD m(3, 3);
+  m.push_unchecked(0, 1, 0.25);
+  m.push_unchecked(2, 2, 0.75);
+  expect_every_bit_flip_named(v4_bytes(m, 4, false, 0.375));
 }
 
 TEST(Checkpoint, V3TailFaultsAreNamed) {
@@ -217,6 +268,39 @@ TEST(Checkpoint, V3TailFaultsAreNamed) {
   for (const auto& [bytes, error] : cases) {
     expect_load_error(bytes, error, error);
   }
+}
+
+TEST(Checkpoint, V4TailFaultsAreNamed) {
+  dist::TriplesD m(3, 3);
+  m.push_unchecked(1, 1, 0.5);
+  const std::string good = v4_bytes(m, 2, false, 0.5);
+  const std::string head = good.substr(0, good.size() - 17);
+  // A chaos no run produces, or a flag other than 0 or 1, under a
+  // matching checksum.
+  const auto with_tail = [&](std::uint8_t flag, double chaos) {
+    std::string out = head;
+    put(out, flag);
+    put(out, chaos);
+    put(out, fnv1a64(out));
+    return out;
+  };
+  const std::pair<std::string, const char*> cases[] = {
+      {with_tail(0, std::numeric_limits<double>::quiet_NaN()),
+       "corrupt last chaos"},
+      {with_tail(0, -1.0), "corrupt last chaos"},
+      {with_tail(0, -kInf), "corrupt last chaos"},
+      {with_tail(3, 0.5), "corrupt converged flag"},
+      {good.substr(0, good.size() - 1), "checksum mismatch"},
+      {v3_bytes(m, 2, false).replace(7, 1, "4"), "checksum mismatch"},
+  };
+  for (const auto& [bytes, error] : cases) {
+    expect_load_error(bytes, error, error);
+  }
+  // Without the last chaos but checksummed: the parse runs out of bytes.
+  std::string short_tail = head;
+  put(short_tail, std::uint8_t{0});
+  put(short_tail, fnv1a64(short_tail));
+  expect_load_error(short_tail, "truncated file", "v4 without its chaos");
 }
 
 TEST(Checkpoint, V2FilesStillLoad) {
@@ -322,7 +406,7 @@ TEST(Checkpoint, EmptyMatrixRoundTrips) {
     const dist::TriplesD m(n, n);
     const std::string path = temp_path("ckp_empty.bin");
     core::save_checkpoint(path, {m, 0});
-    EXPECT_EQ(read_file(path), v3_bytes(m, 0, false));
+    EXPECT_EQ(read_file(path), v4_bytes(m, 0, false, kInf));
     const auto back = core::load_checkpoint(path);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->completed_iterations, 0);
@@ -673,6 +757,79 @@ TEST(Checkpoint, StoredMatrixIsColumnStochastic) {
     EXPECT_NEAR(sums[j], 1.0, 1e-9) << "column " << j;
   }
 }
+
+// The stall rule (chaos equal to the last iteration's, nnz unchanged)
+// stops these runs: chaos_eps 0 turns the threshold off. Chunks and
+// resumes carry the last chaos, so they stop at the same iteration.
+class StallCarry : public testing::TestWithParam<std::uint64_t> {
+ protected:
+  static core::MclParams stall_params() {
+    core::MclParams p = test_params();
+    p.chaos_eps = 0;
+    return p;
+  }
+};
+
+TEST_P(StallCarry, ChunkedRunsStopWhereTheMonolithicRunStops) {
+  const auto g = test_graph(GetParam());
+  const auto params = stall_params();
+  sim::SimState s0(sim::summit_like(4));
+  const auto plain = core::run_hipmcl(g.edges, params,
+                                      core::HipMclConfig::optimized(), s0);
+  ASSERT_TRUE(plain.converged);
+  ASSERT_LT(plain.iterations, params.max_iters);
+  for (const int every : {1, 2, 3}) {
+    SCOPED_TRACE("every " + std::to_string(every));
+    sim::SimState s(sim::summit_like(4));
+    const auto chunked = core::run_hipmcl_checkpointed(
+        g.edges, params, core::HipMclConfig::optimized(), s,
+        temp_path("ckp_stall_chunked_" + std::to_string(GetParam()) + ".bin"),
+        every);
+    EXPECT_EQ(chunked.iterations, plain.iterations);
+    EXPECT_TRUE(chunked.converged);
+    EXPECT_EQ(chunked.labels, plain.labels);
+    expect_same_trajectory(chunked, plain, 0);
+  }
+}
+
+TEST_P(StallCarry, CancelledRunsResumeToTheSameStop) {
+  const auto g = test_graph(GetParam());
+  const auto params = stall_params();
+  sim::SimState s0(sim::summit_like(4));
+  const auto plain = core::run_hipmcl(g.edges, params,
+                                      core::HipMclConfig::optimized(), s0);
+  ASSERT_TRUE(plain.converged);
+  // Cancelled one iteration before the stop, the resumed run's first
+  // iteration is the one the rule stops on.
+  for (const int stop_after : {1, plain.iterations / 2, plain.iterations - 1}) {
+    SCOPED_TRACE("cancelled after " + std::to_string(stop_after));
+    const std::string path = temp_path("ckp_stall_cancelled_" +
+                                       std::to_string(GetParam()) + ".bin");
+    core::HipMclConfig stopping = core::HipMclConfig::optimized();
+    int seen = 0;
+    stopping.on_iteration = [&seen](const core::IterationReport&) { ++seen; };
+    stopping.should_stop = [&] { return seen >= stop_after; };
+    sim::SimState s1(sim::summit_like(4));
+    const auto partial =
+        core::run_hipmcl_checkpointed(g.edges, params, stopping, s1, path, 4);
+    ASSERT_TRUE(partial.cancelled);
+    ASSERT_EQ(partial.iterations, stop_after);
+
+    sim::SimState s2(sim::summit_like(4));
+    const auto resumed = core::run_hipmcl_checkpointed(
+        g.edges, params, core::HipMclConfig::optimized(), s2, path, 4);
+    EXPECT_EQ(partial.iterations + resumed.iterations, plain.iterations);
+    EXPECT_TRUE(resumed.converged);
+    EXPECT_EQ(resumed.labels, plain.labels);
+    expect_same_trajectory(resumed, plain,
+                           static_cast<std::size_t>(stop_after));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StallCarry, testing::Values(1, 2, 3),
+                         [](const testing::TestParamInfo<std::uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 TEST(Checkpoint, InvalidEveryThrows) {
   const auto g = test_graph(105);

@@ -24,6 +24,7 @@
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
+#include "spgemm/symbolic.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -587,15 +588,15 @@ TEST(HipMcl, IterationReportsAreCoherent) {
   sim::SimState sim(sim::summit_like(4));
   core::MclParams params;
   params.prune.select_k = 25;
-  core::HipMclConfig config = core::HipMclConfig::optimized();
-  config.measure_estimation_error = true;
-  const auto result = core::run_hipmcl(g.edges, params, config, sim);
+  const auto result = core::run_hipmcl(
+      g.edges, params, core::HipMclConfig::optimized(), sim);
 
   ASSERT_EQ(result.iters.size(), static_cast<std::size_t>(result.iterations));
   for (const auto& it : result.iters) {
     EXPECT_GT(it.flops, 0u);
     EXPECT_GT(it.est_unpruned_nnz, 0.0);
-    EXPECT_GT(it.exact_unpruned_nnz, 0.0);  // measured alongside
+    EXPECT_GT(it.measured_unpruned_nnz, 0u);  // counted by the pass
+    EXPECT_LE(it.nnz_after_prune, it.measured_unpruned_nnz);
     EXPECT_GE(it.phases, 1);
     EXPECT_GE(it.cf, 0.5);
     EXPECT_GT(it.nnz_after_prune, 0u);
@@ -605,6 +606,76 @@ TEST(HipMcl, IterationReportsAreCoherent) {
   // Chaos should trend down to convergence.
   EXPECT_LT(result.iters.back().chaos, params.chaos_eps);
 }
+
+// The exact estimator reads nnz(A·A) off a one-phase pass of the
+// expansion. Each exact iteration's input is rebuilt as the e2e probe
+// rebuilds it, by a run stopped one iteration earlier, and its estimate
+// must be the symbolic count of that input, bit for bit; its flops, the
+// flop count's. Both the default budget and one that forces many phases
+// (so the pass runs again per phase) are covered.
+class ExactEstimate : public testing::TestWithParam<int> {};
+
+TEST_P(ExactEstimate, IsTheSymbolicCount) {
+  const int nodes = GetParam();
+  gen::PlantedParams gp;
+  gp.n = 250;
+  gp.seed = 8;
+  const auto g = gen::planted_partition(gp);
+  core::MclParams params;
+  params.prune.select_k = 30;
+  core::HipMclConfig adaptive = core::HipMclConfig::optimized();
+  adaptive.estimator = core::EstimatorKind::kAdaptive;
+  const std::pair<core::HipMclConfig, bool> configs[] = {
+      {core::HipMclConfig::original(), true}, {adaptive, false}};
+  for (const auto& [base, cpu_only] : configs) {
+    for (const bytes_t budget : {bytes_t{0}, bytes_t{64}}) {
+      SCOPED_TRACE((cpu_only ? "original, budget " : "adaptive, budget ") +
+                   std::to_string(budget));
+      core::HipMclConfig config = base;
+      config.mem_budget_per_rank = budget;
+      const auto machine = [&] {
+        return cpu_only ? sim::summit_like_cpu_only(nodes)
+                        : sim::summit_like(nodes);
+      };
+      sim::SimState sim(machine());
+      const auto run = core::run_hipmcl(g.edges, params, config, sim);
+      int exact = 0;
+      int phases = 0;
+      for (const auto& it : run.iters) {
+        if (!it.used_exact_estimator) continue;
+        ++exact;
+        phases = std::max(phases, it.phases);
+        core::MclParams head = params;
+        head.max_iters = it.iter - 1;
+        core::HipMclConfig keep = config;
+        keep.keep_final_matrix = true;
+        sim::SimState rebuild(machine());
+        const auto input = core::run_hipmcl(g.edges, head, keep, rebuild);
+        const C a = input.final_matrix->to_csc();
+        const auto symbolic =
+            static_cast<double>(spgemm::symbolic_nnz(a, a));
+        EXPECT_EQ(std::memcmp(&it.est_unpruned_nnz, &symbolic, sizeof(double)),
+                  0)
+            << "iteration " << it.iter << ": " << it.est_unpruned_nnz
+            << " vs " << symbolic;
+        EXPECT_EQ(it.measured_unpruned_nnz,
+                  static_cast<std::uint64_t>(symbolic))
+            << "iteration " << it.iter;
+        EXPECT_EQ(it.flops, sparse::spgemm_flops(a, a))
+            << "iteration " << it.iter;
+      }
+      EXPECT_GT(exact, 0);
+      if (budget != 0) {
+        EXPECT_GT(phases, 1);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Nodes, ExactEstimate, testing::Values(1, 4, 16, 49),
+                         [](const testing::TestParamInfo<int>& info) {
+                           return "nodes" + std::to_string(info.param);
+                         });
 
 TEST(HipMcl, TinyMemoryBudgetForcesPhases) {
   gen::PlantedParams gp;

@@ -524,7 +524,7 @@ TEST(MemLedgerE2E, RunReportV4CarriesMeasuredActualsAndVmHwm) {
   ASSERT_EQ(metas.size(), 1u);
   ASSERT_TRUE(obs::matches_schema(*metas[0], obs::run_meta_schema(), &why))
       << why;
-  EXPECT_EQ(std::get<std::uint64_t>(*metas[0]->find("schema_version")), 6u);
+  EXPECT_EQ(std::get<std::uint64_t>(*metas[0]->find("schema_version")), 7u);
 #if defined(__linux__)
   EXPECT_GT(std::get<std::uint64_t>(*metas[0]->find("vm_hwm_bytes")), 0u);
 #endif

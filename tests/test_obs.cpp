@@ -674,11 +674,9 @@ core::MclResult small_run(sim::SimState& sim, obs::MetricsRegistry* registry,
   const auto g = gen::planted_partition(gp);
   core::MclParams params;
   params.prune.select_k = 25;
-  core::HipMclConfig config = core::HipMclConfig::optimized();
-  config.measure_estimation_error = true;
-
   const obs::ScopedContext sinks({.metrics = registry, .events = trace});
-  return core::run_hipmcl(g.edges, params, config, sim);
+  return core::run_hipmcl(g.edges, params, core::HipMclConfig::optimized(),
+                          sim);
 }
 
 TEST(RunReportSchema, OneSchemaValidRecordPerIteration) {
@@ -715,7 +713,7 @@ TEST(RunReportSchema, OneSchemaValidRecordPerIteration) {
     EXPECT_EQ(std::get<std::uint64_t>(*iters[i]->find("iter")), i + 1);
     EXPECT_EQ(std::get<double>(*iters[i]->find("chaos")),
               result.iters[i].chaos);
-    // measure_estimation_error was on: the relative error is measured.
+    // Read against the pass's measured_unpruned_nnz, on every run.
     EXPECT_GE(std::get<double>(*iters[i]->find("estimator_rel_error")), 0.0);
   }
 
@@ -740,8 +738,10 @@ TEST(RunReportSchema, VersionFourMetricRecordSchemas) {
   // (the memory-ledger PR). v5: run_meta grew `job_id` so concurrent
   // service jobs stay attributable (the svc PR). v6: observation
   // records folded into histogram, which grew `stddev` (one record per
-  // value metric). Pin the version so a future bump is a conscious act.
-  EXPECT_EQ(obs::kReportSchemaVersion, 6u);
+  // value metric). v7: iterations lost `exact_unpruned_nnz`, a copy of
+  // `measured_unpruned_nnz`. Pin the version so a future bump is a
+  // conscious act.
+  EXPECT_EQ(obs::kReportSchemaVersion, 7u);
 
   obs::MetricsRegistry reg;
   reg.add("calls", 3);
@@ -858,7 +858,7 @@ TEST(PipelineMetrics, EveryLayerReports) {
   // merge layer
   EXPECT_GT(registry.counter("merge.events"), 0u);
   ASSERT_NE(registry.histogram("merge.peak_elements"), nullptr);
-  // estimator error (measure_estimation_error was on)
+  // estimator error, against the pass's count
   ASSERT_NE(registry.histogram("estimate.rel_error"), nullptr);
 }
 

@@ -3,10 +3,13 @@
 // depends on, and the file-based flow mclx_perfdiff wraps.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/perf_diff.hpp"
 
@@ -84,6 +87,137 @@ TEST(FlattenJson, RejectsMalformedEscapes) {
        }) {
     EXPECT_THROW(obs::flatten_json(bad), std::runtime_error) << bad;
   }
+}
+
+// ---------------------------------------------------- hostile input corpus
+
+/// Flattens `text`: "" when it parses, else the error, which must be a
+/// named perf_diff error.
+std::string flatten_error(const std::string& text, obs::FlatDoc* out = nullptr) {
+  try {
+    obs::FlatDoc doc = obs::flatten_json(text);
+    if (out) *out = std::move(doc);
+    return "";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("perf_diff: JSON offset ", 0), 0u) << what;
+    return what;
+  }
+}
+
+std::string nested(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') + "1" +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(FlattenJsonCorpus, EveryCaseIsANamedErrorOrACorrectParse) {
+  struct Case {
+    std::string text;
+    const char* error;  ///< substring of the error; nullptr: parses
+    std::vector<std::pair<std::string, double>> leaves;  ///< when it parses
+  };
+  const std::vector<Case> cases = {
+      // NaN and infinities are not JSON numbers.
+      {R"({"a": NaN})", "expected a value", {}},
+      {R"({"a": nan})", "bad literal", {}},
+      {R"({"a": Infinity})", "expected a value", {}},
+      {R"({"a": -Infinity})", "bad number '-'", {}},
+      {R"({"a": inf})", "expected a value", {}},
+      // Huge exponents overflow or underflow a double.
+      {R"({"a": 1e400})", "bad number '1e400'", {}},
+      {R"({"a": -1e400})", "bad number '-1e400'", {}},
+      {R"({"a": 1e-400})", "bad number '1e-400'", {}},
+      {R"({"a": 1e99999999999999999999})", "bad number", {}},
+      {R"({"a": 1e308, "b": -2.5e-300})", nullptr, {{"a", 1e308}, {"b", -2.5e-300}}},
+      // CRLF line ends are whitespace.
+      {"{\r\n  \"a\": 1,\r\n  \"b\": [2, 3]\r\n}\r\n", nullptr,
+       {{"a", 1}, {"b.0", 2}, {"b.1", 3}}},
+      // Trailing garbage.
+      {R"({"a": 1} x)", "trailing characters after document", {}},
+      {R"({"a": 1}})", "trailing characters after document", {}},
+      {R"({"a": 1}{"b": 2})", "trailing characters after document", {}},
+      {std::string("{\"a\": 1}\0", 9), "trailing characters after document", {}},
+      {R"({"a": 1.5x})", "expected '}'", {}},
+      {R"({"a": 1.2.3})", "bad number '1.2.3'", {}},
+      {R"({"a": +1})", "bad number '+1'", {}},
+      // Truncation.
+      {"", "unexpected end of input", {}},
+      {R"({"a": [1, 2)", "unexpected end of input", {}},
+      {R"({"a": "b)", "unexpected end of input", {}},
+      {R"({"a": tr)", "bad literal", {}},
+      // Deep nesting: 64 levels parse, the 65th is named.
+      {nested(64), nullptr, {{[] {
+                                std::string path = "0";
+                                for (int d = 1; d < 64; ++d) path += ".0";
+                                return path;
+                              }(),
+                              1}}},
+      {nested(65), "nesting deeper than 64 levels", {}},
+      {std::string(100000, '['), "nesting deeper than 64 levels", {}},
+      {[] {
+         std::string deep;
+         for (int d = 0; d < 100000; ++d) deep += "{\"k\":";
+         return deep;
+       }(),
+       "nesting deeper than 64 levels", {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text.substr(0, 60));
+    obs::FlatDoc doc;
+    const std::string error = flatten_error(c.text, &doc);
+    if (c.error) {
+      EXPECT_NE(error.find(c.error), std::string::npos) << error;
+      continue;
+    }
+    ASSERT_EQ(error, "");
+    EXPECT_EQ(doc.size(), c.leaves.size());
+    for (const auto& [path, value] : c.leaves) {
+      ASSERT_TRUE(doc.count(path)) << path;
+      EXPECT_EQ(doc.at(path).number, value) << path;
+    }
+  }
+}
+
+/// A BENCH-like document whose keys differ in more than one bit, so no
+/// single flip makes two keys equal.
+constexpr const char* kCorpusDoc = R"({
+  "schema_version": 10,
+  "workload": {"generator": "planted", "vertices": 480, "seed": 7},
+  "clustering": {"converged": true, "f1": 0.9375, "extra": null},
+  "iters": [{"chaos": 0.5, "nnz": 1200}, {"chaos": -2.5e-3, "nnz": 64}]
+})";
+
+TEST(FlattenJsonCorpus, EveryTruncationIsANamedError) {
+  const std::string doc = kCorpusDoc;
+  for (std::size_t n = 0; n < doc.size(); ++n) {
+    SCOPED_TRACE("first " + std::to_string(n) + " bytes");
+    EXPECT_NE(flatten_error(doc.substr(0, n)), "");
+  }
+}
+
+TEST(FlattenJsonCorpus, EveryBitFlipIsANamedErrorOrAParseOfTheSameShape) {
+  // A flip that keeps the text valid JSON changes a digit, a string
+  // character or whitespace, never the structure: the parse keeps every
+  // leaf, and its numbers stay finite.
+  const std::string doc = kCorpusDoc;
+  const std::size_t leaves = obs::flatten_json(doc).size();
+  int parsed = 0;
+  for (std::size_t byte = 0; byte < doc.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = doc;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      obs::FlatDoc flat;
+      if (!flatten_error(bad, &flat).empty()) continue;
+      ++parsed;
+      EXPECT_EQ(flat.size(), leaves);
+      for (const auto& [path, v] : flat) {
+        EXPECT_TRUE(std::isfinite(v.number)) << path;
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 // ------------------------------------------------------- verdict policy

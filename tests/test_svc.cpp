@@ -586,4 +586,110 @@ TEST(SvcManifest, NumericParseErrorsNameKeyAndExpectedType) {
       << range;
 }
 
+// ---------------------------------------------------------------------------
+// Hostile manifest lines: each is a named error or a correct parse.
+
+/// Parses `line`: "" when it names a job, "blank" when it names none, else
+/// the error, which must name the manifest, the generator or the dataset.
+std::string manifest_error(const std::string& line, svc::JobSpec& spec) {
+  try {
+    if (!svc::parse_manifest_line(line, spec)) return "blank";
+    return "";
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    const bool named = what.rfind("svc manifest: ", 0) == 0 ||
+                       what.rfind("make_dataset: ", 0) == 0 ||
+                       what.rfind("unknown dataset: ", 0) == 0;
+    EXPECT_TRUE(named) << what;
+    return what;
+  }
+}
+
+TEST(SvcManifestCorpus, EveryCaseIsANamedErrorOrACorrectParse) {
+  struct Case {
+    std::string line;
+    const char* error;   ///< substring of the error; nullptr: parses
+    vidx_t vertices;     ///< the generated graph's, when it parses
+  };
+  const char* const scale_rule = "scale must be a positive finite number";
+  const std::vector<Case> cases = {
+      // Scales with no graph: NaN, infinities, zero and negatives.
+      {"workload=tiny scale=nan", scale_rule, 0},
+      {"workload=tiny scale=NaN", scale_rule, 0},
+      {"workload=tiny scale=inf", scale_rule, 0},
+      {"workload=tiny scale=-inf", scale_rule, 0},
+      {"workload=tiny scale=Infinity", scale_rule, 0},
+      {"workload=tiny scale=0", scale_rule, 0},
+      {"workload=tiny scale=-0", scale_rule, 0},
+      {"workload=tiny scale=0.", scale_rule, 0},
+      {"workload=tiny scale=-1", scale_rule, 0},
+      // Huge exponents and counts.
+      {"workload=tiny scale=1e400", "expected number for key 'scale'", 0},
+      {"workload=tiny scale=1e-400", "expected number for key 'scale'", 0},
+      {"workload=tiny scale=1e30", "make_dataset: scale must be positive", 0},
+      {"workload=tiny nodes=99999999999", "expected integer for key 'nodes'", 0},
+      {"workload=tiny seed=1e9", "expected integer for key 'seed'", 0},
+      // A small positive scale keeps the 50-vertex floor.
+      {"workload=tiny scale=1e-9", nullptr, 50},
+      {"workload=tiny scale=.5", nullptr, 150},
+      // CRLF and tabs are whitespace.
+      {"workload=tiny scale=0.5\r", nullptr, 150},
+      {"id=a\tworkload=tiny\tscale=0.5\r\n", nullptr, 150},
+      // Trailing garbage.
+      {"workload=tiny scale=0.5x", "expected number for key 'scale'", 0},
+      {"workload=tiny nodes=4;", "expected integer for key 'nodes'", 0},
+      {"workload=tiny junk", "expected key=value, got 'junk'", 0},
+      {"workload=tiny scale=0.5 ==", "expected key=value, got '=='", 0},
+      // Truncation.
+      {"workload=tiny scale=", "expected number for key 'scale', got ''", 0},
+      {"workload=", "job without workload=", 0},
+      {"workload=tiny sca", "expected key=value, got 'sca'", 0},
+      {"workload=ti", "unknown dataset: ti", 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    svc::JobSpec spec;
+    const std::string error = manifest_error(c.line, spec);
+    if (c.error) {
+      EXPECT_NE(error.find(c.error), std::string::npos) << error;
+      continue;
+    }
+    ASSERT_EQ(error, "");
+    EXPECT_EQ(spec.graph.nrows(), c.vertices);
+  }
+}
+
+TEST(SvcManifestCorpus, EveryBitFlipIsANamedErrorOrAParsedJob) {
+  // A line that still parses names a job with a generated graph of at
+  // least the 50-vertex floor, whatever the flip did to its fields.
+  const std::string line = "id=alpha workload=tiny scale=0.25 nodes=4";
+  int parsed = 0;
+  for (std::size_t byte = 0; byte < line.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = line;
+      bad[byte] = static_cast<char>(bad[byte] ^ (1 << bit));
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      svc::JobSpec spec;
+      if (!manifest_error(bad, spec).empty()) continue;
+      ++parsed;
+      EXPECT_GE(spec.graph.nrows(), 50);
+      EXPECT_GT(spec.graph.nnz(), 0u);
+    }
+  }
+  EXPECT_GT(parsed, 0);
+}
+
+TEST(SvcManifestCorpus, EveryTruncationIsANamedErrorOrAParsedJob) {
+  const std::string line = "id=alpha workload=tiny scale=0.25 nodes=4";
+  for (std::size_t n = 0; n <= line.size(); ++n) {
+    SCOPED_TRACE(line.substr(0, n));
+    svc::JobSpec spec;
+    const std::string error = manifest_error(line.substr(0, n), spec);
+    if (error.empty()) {
+      EXPECT_GE(spec.graph.nrows(), 50);
+    }
+  }
+}
+
 }  // namespace
